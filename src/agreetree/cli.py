@@ -35,6 +35,7 @@ from .treecore import (
     TreeError,
     classify_balanced,
     parse_newick,
+    radius,
     to_newick,
 )
 from .treeops import verify_agreement
@@ -62,7 +63,7 @@ def _parse_delta(text: str):
     try:
         return float(text)
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"--delta must be a number or 'optimal', got {text!r}") from None
 
 
 def _emit_report(args, payload: dict):
@@ -244,9 +245,7 @@ def cmd_match_ab(args) -> int:
     leaves = mt.match_almost_balanced(t1, t2, k, delta=delta, mode=args.mode)
     # Report against the bound for the mode actually used.
     logn = math.log2(n)
-    from .treecore import radius as tree_radius
-
-    both = tree_radius(t1) <= k * logn and tree_radius(t2) <= k * logn
+    both = radius(t1) <= k * logn and radius(t2) <= k * logn
     mode = args.mode if args.mode != "auto" else ("both" if both else "single")
     if mode == "both":
         d = delta if delta is not None else bnd.delta_for_beta_k(k)
@@ -339,8 +338,6 @@ class TrialRecord:
 
 TRIAL_FIELDS = list(TrialRecord.__dataclass_fields__)
 
-EXACT_CUTOFF = 64
-
 
 def _bench_trial(algorithm: str, n: int, model_kind: str, seed: int, measure: bool) -> TrialRecord:
     """One trial; deterministic for a given seed."""
@@ -358,7 +355,7 @@ def _bench_trial(algorithm: str, n: int, model_kind: str, seed: int, measure: bo
         leaves, trace = mt.match1(t1, t2, delta)
         bound = max(1.0, bnd.match1_bound(m, n, delta))
         ok = _cert_ok(t1, t2, leaves)
-        if n <= EXACT_CUTOFF:
+        if n <= dc.EXACT_CUTOFF:
             exact = xm.mast_rooted(t1, t2).size
         result = len(leaves)
         model = model_kind
@@ -375,7 +372,7 @@ def _bench_trial(algorithm: str, n: int, model_kind: str, seed: int, measure: bo
         leaves, _ = mt.match2(t1, t2, delta)
         bound = max(1.0, bnd.match2_bound(m, m, n, delta))
         ok = _cert_ok(t1, t2, leaves)
-        if n <= EXACT_CUTOFF:
+        if n <= dc.EXACT_CUTOFF:
             exact = xm.mast_rooted(t1, t2).size
         result = len(leaves)
         model = "permutation"
@@ -387,7 +384,7 @@ def _bench_trial(algorithm: str, n: int, model_kind: str, seed: int, measure: bo
         delta = report.params.get("delta", "")
         bound = report.bound_value
         ok = _cert_ok(t1, t2, leaves)
-        if n <= EXACT_CUTOFF:
+        if n <= dc.EXACT_CUTOFF:
             exact = xm.mast_unrooted(t1, t2).size
         result = len(leaves)
         model = model_kind

@@ -23,9 +23,11 @@ from .treecore import (
     TreeError,
     UnrootedTree,
     diameter_path,
+    directed_postorder,
     is_caterpillar,
     postorder,
     root_at_leaf_edge,
+    side_leaves,
     unroot,
 )
 from .treeops import restrict, verify_agreement
@@ -104,19 +106,6 @@ def longest_path(t: UnrootedTree) -> list:
     return diameter_path(t)
 
 
-def _min_label_in_branch(t: UnrootedTree, avoid: int, start: int) -> int:
-    best = None
-    stack = [(avoid, start)]
-    while stack:
-        parent, v = stack.pop()
-        if t.is_leaf_vertex(v):
-            lab = t.leaf_label[v]
-            best = lab if best is None else min(best, lab)
-        else:
-            stack.extend((v, w) for w in t.adj[v] if w != parent)
-    return best
-
-
 def max_caterpillar(t: UnrootedTree) -> frozenset:
     """Leaf set of a maximum caterpillar restriction: both endpoints of a
     diameter path plus the smallest leaf hanging off each internal path
@@ -127,7 +116,7 @@ def max_caterpillar(t: UnrootedTree) -> frozenset:
     for v in path[1:-1]:
         for w in t.adj[v]:
             if w not in onpath:
-                labels.append(_min_label_in_branch(t, v, w))
+                labels.append(min(side_leaves(t, v, w)))
     return frozenset(labels)
 
 
@@ -280,32 +269,6 @@ def caterpillar_spine_order(t: UnrootedTree) -> list:
     return min(candidates)
 
 
-def _directed_min_labels(t: UnrootedTree) -> dict:
-    """(u, v) -> smallest leaf label on the v side, for every direction."""
-    mins = {}
-    for u in t.adj:
-        for v in t.adj[u]:
-            stack = [(u, v)]
-            while stack:
-                key = stack[-1]
-                if key in mins:
-                    stack.pop()
-                    continue
-                a, w = key
-                if t.is_leaf_vertex(w):
-                    mins[key] = t.leaf_label[w]
-                    stack.pop()
-                    continue
-                kids = [(w, x) for x in t.adj[w] if x != a]
-                pending = [k for k in kids if k not in mins]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                mins[key] = min(mins[k] for k in kids)
-                stack.pop()
-    return mins
-
-
 def circular_leaf_order(t: UnrootedTree) -> list:
     """Leaves in the circular order of the canonical planar embedding, cut
     so the smallest label comes first.
@@ -313,9 +276,14 @@ def circular_leaf_order(t: UnrootedTree) -> list:
     The embedding is a depth-first traversal from the vertex adjacent to
     the smallest leaf, visiting branches in order of their smallest label.
     """
-    mins = _directed_min_labels(t)
     start_leaf = t.label_vertex[min(t.leaves)]
     top = t.adj[start_leaf][0]
+    mins = {}  # (u, v) -> smallest label on v's side, directions away from top
+    for u, v in directed_postorder(t, [(top, w) for w in t.adj[top]]):
+        if v in t.leaf_label:
+            mins[(u, v)] = t.leaf_label[v]
+        else:
+            mins[(u, v)] = min(mins[(v, w)] for w in t.adj[v] if w != u)
     order = []
     stack = [(None, top)]
     while stack:

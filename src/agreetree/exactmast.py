@@ -1,25 +1,35 @@
 """Ground-truth maximum-agreement computation.
 
-``mast_rooted`` is the O(|T1|*|T2|)-state dynamic program over node pairs;
-``mast_unrooted`` maximises the rooted value over all pairs of rootings,
-sharing subproblems across rootings through tables indexed by directed
-edges (each directed edge of an unrooted tree names the pending rooted
-subtree on its far side).  ``mast_bruteforce`` is the independent
-subset-enumeration oracle used to validate both.  These are oracles, not
-performance-tuned algorithms; they are exact and fast enough at desk scale.
+One recurrence, the quadratic node-pair DP of Steel & Warnow ("Kaikoura
+tree theorems", IPL 1993), fills every exact table here.  It runs over
+tables of subtrees listed children before parents: a rooted tree is its
+nodes in postorder with one root entry (the last); an unrooted tree is its
+2E directed edges (each names the pending rooted subtree on its far side)
+followed by one root entry per edge, as ``root_at_edge`` roots it.  The
+recurrence takes one of two value types: sizes (merged by ``+``, picked by
+``max``) or sorted witness leaf tuples.
 
-Witnesses are deterministic: DP ties are broken toward the candidate with
-the lexicographically smallest sorted leaf tuple, and the unrooted search
-takes the first maximising rooting pair in canonical edge order.
+``mast_rooted`` reads the root cell of the witness table.  ``mast_unrooted``
+fills the size table of the two unrooted tables, takes the first maximising
+pair of root entries in ``edges()`` order, and takes its witness from
+``mast_rooted`` on those two rootings.  ``mast_bruteforce`` is the
+independent subset-enumeration oracle used to validate both.  These are
+oracles, not performance-tuned algorithms; they are exact and fast enough
+at desk scale.
+
+Witnesses are deterministic: each cell keeps the candidate with the
+lexicographically smallest sorted leaf tuple among the largest, so the
+rooted witness is the lexicographically smallest maximum agreement set.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .generators import enumerate_topologies, guards_lifted
-from .treecore import RootedTree, UnrootedTree, postorder, root_at_edge
+from .treecore import RootedTree, UnrootedTree, directed_postorder, postorder, root_at_edge
 from .treeops import AgreementCertificate, clusters, restrict, splits, verify_agreement
 
 BRUTEFORCE_GUARD = 12
@@ -37,218 +47,107 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
-def _pick(candidates):
+def _pick(*candidates):
     """Largest witness; ties toward the lexicographically smallest tuple."""
     return min(candidates, key=lambda w: (-len(w), w))
 
 
+# Value types of the recurrence: (single-leaf value, empty value, merge, pick).
+_SIZES = (lambda x: 1, 0, operator.add, max)
+_WITNESSES = (lambda x: (x,), (), _merge, _pick)
+
+
+def _rooted_table(t: RootedTree):
+    """(children, labels) per node in postorder; children are entry indices
+    (None for a leaf) and the root entry is the last."""
+    nodes = postorder(t)
+    index = {id(u): i for i, u in enumerate(nodes)}
+    kids = [None if u.is_leaf else (index[id(u.left)], index[id(u.right)]) for u in nodes]
+    return kids, [u.label for u in nodes]
+
+
+def _unrooted_table(t: UnrootedTree):
+    """(children, labels) for the 2E directed edges, then one root entry per
+    edge (u, v) of ``t.edges()`` with children (u side, v side)."""
+    dirs = directed_postorder(t, [(u, v) for u in t.adj for v in t.adj[u]])
+    index = {e: i for i, e in enumerate(dirs)}
+    kids = [
+        None if v in t.leaf_label else tuple(index[(v, w)] for w in t.adj[v] if w != u)
+        for u, v in dirs
+    ]
+    labels = [t.leaf_label.get(v) for _, v in dirs]
+    for u, v in t.edges():
+        kids.append((index[(v, u)], index[(u, v)]))
+        labels.append(None)
+    return kids, labels
+
+
+def _mast_table(table1, table2, one, zero, merge, pick):
+    """T[i][j] = MAST value of entry i of table1 against entry j of table2.
+
+    A leaf against a subtree holds its value iff it lies in one of the
+    subtree's two sides, so leaf rows and columns copy the non-empty child
+    value and no leaf set is ever built."""
+    kids1, labels1 = table1
+    kids2, labels2 = table2
+    T = []
+    for k1, x in zip(kids1, labels1):
+        row = []
+        if k1 is None:
+            for k2, y in zip(kids2, labels2):
+                if k2 is None:
+                    row.append(one(x) if x == y else zero)
+                else:
+                    row.append(row[k2[0]] or row[k2[1]])
+        else:
+            A, B = T[k1[0]], T[k1[1]]
+            for j, k2 in enumerate(kids2):
+                if k2 is None:
+                    row.append(A[j] or B[j])
+                else:
+                    a2, b2 = k2
+                    row.append(
+                        pick(
+                            merge(A[a2], B[b2]),
+                            merge(A[b2], B[a2]),
+                            row[a2],
+                            row[b2],
+                            A[j],
+                            B[j],
+                        )
+                    )
+        T.append(row)
+    return T
+
+
 def mast_rooted(t1: RootedTree, t2: RootedTree) -> MastResult:
     """Exact rooted MAST with a reconstructed witness leaf set."""
-    common = t1.leaves & t2.leaves
-    if not common:
-        return MastResult(0, frozenset(), AgreementCertificate(frozenset(), ""))
-    nodes1 = postorder(t1)
-    nodes2 = postorder(t2)
-    idx1 = {id(u): i for i, u in enumerate(nodes1)}
-    idx2 = {id(v): j for j, v in enumerate(nodes2)}
-    W = [[()] * len(nodes2) for _ in nodes1]
-    for i, u in enumerate(nodes1):
-        row = W[i]
-        for j, v in enumerate(nodes2):
-            if u.is_leaf:
-                row[j] = (u.label,) if u.label in v.leaves else ()
-            elif v.is_leaf:
-                row[j] = (v.label,) if v.label in u.leaves else ()
-            else:
-                li, ri = idx1[id(u.left)], idx1[id(u.right)]
-                lj, rj = idx2[id(v.left)], idx2[id(v.right)]
-                row[j] = _pick(
-                    (
-                        _merge(W[li][lj], W[ri][rj]),
-                        _merge(W[li][rj], W[ri][lj]),
-                        row[lj],
-                        row[rj],
-                        W[li][j],
-                        W[ri][j],
-                    )
-                )
-    best = W[-1][-1]
+    best = _mast_table(_rooted_table(t1), _rooted_table(t2), *_WITNESSES)[-1][-1]
     witness = frozenset(best)
     return MastResult(len(best), witness, verify_agreement(t1, t2, witness))
 
 
 def _rooted_size(t1: RootedTree, t2: RootedTree) -> int:
     """Size-only rooted DP (no witness bookkeeping)."""
-    nodes1 = postorder(t1)
-    nodes2 = postorder(t2)
-    idx1 = {id(u): i for i, u in enumerate(nodes1)}
-    idx2 = {id(v): j for j, v in enumerate(nodes2)}
-    M = [[0] * len(nodes2) for _ in nodes1]
-    for i, u in enumerate(nodes1):
-        row = M[i]
-        for j, v in enumerate(nodes2):
-            if u.is_leaf:
-                row[j] = 1 if u.label in v.leaves else 0
-            elif v.is_leaf:
-                row[j] = 1 if v.label in u.leaves else 0
-            else:
-                li, ri = idx1[id(u.left)], idx1[id(u.right)]
-                lj, rj = idx2[id(v.left)], idx2[id(v.right)]
-                row[j] = max(
-                    M[li][lj] + M[ri][rj],
-                    M[li][rj] + M[ri][lj],
-                    row[lj],
-                    row[rj],
-                    M[li][j],
-                    M[ri][j],
-                )
-    return M[-1][-1]
-
-
-# --------------------------------------------------------------------------
-# Unrooted MAST via all rootings, with shared directed-edge tables
-# --------------------------------------------------------------------------
-
-
-class _Directed:
-    """Directed-edge view of an unrooted tree: entry i is the rooted subtree
-    hanging below directed edge dirs[i] = (u, v) (on the v side)."""
-
-    def __init__(self, t: UnrootedTree):
-        self.tree = t
-        self.dirs = []
-        self.index = {}
-        for u in sorted(t.adj):
-            for v in t.adj[u]:
-                self.index[(u, v)] = len(self.dirs)
-                self.dirs.append((u, v))
-        self.children = []
-        self.label = []
-        for u, v in self.dirs:
-            if t.is_leaf_vertex(v):
-                self.children.append(())
-                self.label.append(t.leaf_label[v])
-            else:
-                self.children.append(
-                    tuple(self.index[(v, w)] for w in t.adj[v] if w != u)
-                )
-                self.label.append(None)
-        # Bottom-up processing order (children before parents).
-        self.order = []
-        done = [False] * len(self.dirs)
-        for start in range(len(self.dirs)):
-            stack = [start]
-            while stack:
-                i = stack[-1]
-                if done[i]:
-                    stack.pop()
-                    continue
-                pending = [c for c in self.children[i] if not done[c]]
-                if pending:
-                    stack.extend(pending)
-                else:
-                    done[i] = True
-                    self.order.append(i)
-                    stack.pop()
-        self.leafset = [None] * len(self.dirs)
-        for i in self.order:
-            if self.label[i] is not None:
-                self.leafset[i] = frozenset((self.label[i],))
-            else:
-                a, b = self.children[i]
-                self.leafset[i] = self.leafset[a] | self.leafset[b]
-
-    def edge_sides(self, edge):
-        """Directed indices (side of u, side of v) for undirected (u, v)."""
-        u, v = edge
-        return self.index[(v, u)], self.index[(u, v)]
-
-
-def _pairwise_table(d1: _Directed, d2: _Directed):
-    """M[i][j] = rooted MAST size of pending subtree i (of T1) vs j (of T2)."""
-    M = [[0] * len(d2.dirs) for _ in d1.dirs]
-    for i in d1.order:
-        row = M[i]
-        lab1 = d1.label[i]
-        for j in d2.order:
-            if lab1 is not None:
-                row[j] = 1 if lab1 in d2.leafset[j] else 0
-            elif d2.label[j] is not None:
-                row[j] = 1 if d2.label[j] in d1.leafset[i] else 0
-            else:
-                a1, b1 = d1.children[i]
-                a2, b2 = d2.children[j]
-                row[j] = max(
-                    M[a1][a2] + M[b1][b2],
-                    M[a1][b2] + M[b1][a2],
-                    row[a2],
-                    row[b2],
-                    M[a1][j],
-                    M[b1][j],
-                )
-    return M
-
-
-def _whole_vs_dirs(A, B, M, other: _Directed, own_leaves):
-    """g[j] = rooted MAST of (whole tree rooted with child sides A, B) vs
-    pending subtree j of the other tree."""
-    g = [0] * len(other.dirs)
-    for j in other.order:
-        if other.label[j] is not None:
-            g[j] = 1 if other.label[j] in own_leaves else 0
-        else:
-            a2, b2 = other.children[j]
-            g[j] = max(
-                M[A][a2] + M[B][b2],
-                M[A][b2] + M[B][a2],
-                g[a2],
-                g[b2],
-                M[A][j],
-                M[B][j],
-            )
-    return g
+    return _mast_table(_rooted_table(t1), _rooted_table(t2), *_SIZES)[-1][-1]
 
 
 def _unrooted_best_rooting(t1: UnrootedTree, t2: UnrootedTree):
-    """(value, best edge of t1, best edge of t2), deterministic."""
-    d1 = _Directed(t1)
-    d2 = _Directed(t2)
-    M = _pairwise_table(d1, d2)
-    Mt = [[M[i][j] for i in range(len(d1.dirs))] for j in range(len(d2.dirs))]
-    edges1 = t1.edges()
-    edges2 = t2.edges()
-    sides2 = [d2.edge_sides(e) for e in edges2]
-    g2 = [
-        _whole_vs_dirs(A2, B2, Mt, d1, t2.leaves) for (A2, B2) in sides2
-    ]
-    cap = len(t1.leaves & t2.leaves)
-    best_val, best_pair = -1, None
-    for e1 in edges1:
-        A1, B1 = d1.edge_sides(e1)
-        g1 = _whole_vs_dirs(A1, B1, M, d2, t1.leaves)
-        for k2, e2 in enumerate(edges2):
-            A2, B2 = sides2[k2]
-            val = max(
-                M[A1][A2] + M[B1][B2],
-                M[A1][B2] + M[B1][A2],
-                g1[A2],
-                g1[B2],
-                g2[k2][A1],
-                g2[k2][B1],
-            )
-            if val > best_val:
-                best_val, best_pair = val, (e1, e2)
-                if best_val == cap:
-                    return best_val, best_pair[0], best_pair[1]
-    return best_val, best_pair[0], best_pair[1]
+    """(value, edge of t1, edge of t2) for the first maximising pair of
+    rootings in ``edges()`` order."""
+    T = _mast_table(_unrooted_table(t1), _unrooted_table(t2), *_SIZES)
+    edges1, edges2 = t1.edges(), t2.edges()
+    root1, root2 = len(T) - len(edges1), len(T[0]) - len(edges2)
+    a, b = max(
+        product(range(len(edges1)), range(len(edges2))),
+        key=lambda p: T[root1 + p[0]][root2 + p[1]],
+    )
+    return T[root1 + a][root2 + b], edges1[a], edges2[b]
 
 
 def mast_unrooted(t1: UnrootedTree, t2: UnrootedTree) -> MastResult:
     """Exact unrooted MAST: the maximum rooted MAST over all pairs of edge
     rootings, with the witness taken from the first maximising pair."""
-    common = t1.leaves & t2.leaves
-    if not common:
-        return MastResult(0, frozenset(), AgreementCertificate(frozenset(), ""))
     value, e1, e2 = _unrooted_best_rooting(t1, t2)
     rooted = mast_rooted(root_at_edge(t1, e1), root_at_edge(t2, e2))
     if rooted.size != value:
@@ -257,12 +156,6 @@ def mast_unrooted(t1: UnrootedTree, t2: UnrootedTree) -> MastResult:
         )
     witness = rooted.witness
     return MastResult(value, witness, verify_agreement(t1, t2, witness))
-
-
-def _unrooted_size(t1: UnrootedTree, t2: UnrootedTree) -> int:
-    if not (t1.leaves & t2.leaves):
-        return 0
-    return _unrooted_best_rooting(t1, t2)[0]
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +195,7 @@ def mast_floor(n: int, rooted: bool = False, force: bool = False) -> int:
             "pass force=True or set AGREETREE_GUARDS=off"
         )
     tops = list(enumerate_topologies(n, rooted=rooted, force=force))
-    size_fn = _rooted_size if rooted else _unrooted_size
+    size_fn = _rooted_size if rooted else lambda a, b: _unrooted_best_rooting(a, b)[0]
     best = n
     for i in range(len(tops)):
         for j in range(i + 1, len(tops)):

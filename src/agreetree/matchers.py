@@ -42,6 +42,7 @@ from .treecore import (
     radius,
     root_at_edge,
     root_at_leaf_edge,
+    side_leaves,
 )
 from .treeops import restrict
 
@@ -370,25 +371,11 @@ def strip_dummies(labels) -> frozenset:
 # --------------------------------------------------------------------------
 
 
-def _branch_leaves(t: UnrootedTree, avoid: int, start: int) -> frozenset:
-    """Leaf labels in the branch entered via ``start`` when coming from
-    ``avoid``."""
-    out = []
-    stack = [(avoid, start)]
-    while stack:
-        parent, v = stack.pop()
-        if t.is_leaf_vertex(v):
-            out.append(t.leaf_label[v])
-        else:
-            stack.extend((v, w) for w in t.adj[v] if w != parent)
-    return frozenset(out)
-
-
 def _center_branches(t: UnrootedTree):
     """(center vertex, branches) for a vertex-centered tree; branches are
     (neighbour, leaf set) sorted by smallest leaf label."""
     (z,) = center(t)
-    branches = [(w, _branch_leaves(t, z, w)) for w in t.adj[z]]
+    branches = [(w, side_leaves(t, z, w)) for w in t.adj[z]]
     branches.sort(key=lambda item: min(item[1]))
     return z, branches
 
@@ -408,6 +395,8 @@ def match1_unrooted(t1: UnrootedTree, t2: UnrootedTree, delta: float) -> frozens
     whose leaf set has the largest minimum label, restrict both trees to
     the remaining leaves (now edge-centered), and proceed as above.
     """
+    if not isinstance(t1, UnrootedTree) or not isinstance(t2, UnrootedTree):
+        raise TreeError("match1_unrooted needs two unrooted trees")
     cls = classify_balanced(t1)
     if cls.kind not in (CLASS_B, CLASS_C):
         raise TreeError("match1_unrooted requires a balanced unrooted first tree")
@@ -488,6 +477,8 @@ def match2_multi(trees, delta: float) -> frozenset:
     trees = list(trees)
     if len(trees) < 2:
         raise TreeError("match2_multi needs at least two trees")
+    if not all(isinstance(t, RootedTree) for t in trees):
+        raise TreeError("match2_multi needs rooted trees")
     heights = {t.height for t in trees}
     if len(heights) != 1 or not all(t.balanced for t in trees):
         raise TreeError("match2_multi requires balanced rooted trees of equal height")
@@ -526,7 +517,7 @@ def _root_near_center(t: UnrootedTree) -> RootedTree:
     if len(c) == 2:
         return root_at_edge(t, tuple(sorted(c)))
     (z,) = c
-    w = min(t.adj[z], key=lambda w: min(_branch_leaves(t, z, w)))
+    w = min(t.adj[z], key=lambda w: min(side_leaves(t, z, w)))
     return root_at_edge(t, (z, w))
 
 
@@ -545,6 +536,8 @@ def match_almost_balanced(
     <= k log n): pad both and run match2; guarantees n^beta_k leaves.  mode
     "auto" picks "both" when both radii allow it.  Dummy padding labels are
     never emitted (they occur in only one tree)."""
+    if not isinstance(t1, UnrootedTree) or not isinstance(t2, UnrootedTree):
+        raise TreeError("match_almost_balanced needs two unrooted trees")
     if t1.leaves != t2.leaves:
         raise TreeError("match_almost_balanced requires identical leaf sets")
     n = t1.nleaves

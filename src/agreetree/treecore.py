@@ -219,6 +219,38 @@ class UnrootedTree:
         return f"<UnrootedTree {to_newick(self)!r}>"
 
 
+def directed_postorder(t: UnrootedTree, starts) -> list:
+    """The directed edges below the ``starts``, each once, children before
+    parents.  A directed edge (u, v) names the branch on v's side of edge
+    u-v; its children are the edges (v, w) with w != u."""
+    out = []
+    seen = set()
+    for start in starts:
+        if start in seen:
+            continue  # already walked below an earlier start
+        seen.add(start)
+        stack = [(start, False)]
+        while stack:
+            edge, expanded = stack.pop()
+            if expanded:
+                out.append(edge)
+                continue
+            stack.append((edge, True))
+            u, v = edge
+            for w in t.adj[v]:
+                if w != u and (v, w) not in seen:
+                    seen.add((v, w))
+                    stack.append(((v, w), False))
+    return out
+
+
+def side_leaves(t: UnrootedTree, u: int, v: int) -> frozenset:
+    """Leaf labels on v's side of edge u-v."""
+    return frozenset(
+        t.leaf_label[b] for _, b in directed_postorder(t, [(u, v)]) if b in t.leaf_label
+    )
+
+
 def _bfs(t: UnrootedTree, sources):
     """Distances (and BFS parents) from a set of source vertices."""
     dist = {s: 0 for s in sources}
@@ -559,32 +591,6 @@ def _rooted_newick_body(t: RootedTree) -> str:
     return parts[id(t)][0]
 
 
-def _unrooted_branch_parts(t: UnrootedTree, top: int):
-    """(text, min label) for each branch direction away from ``top``,
-    computed iteratively over directed edges."""
-    parts = {}  # (parent, vertex) -> (text, min label)
-    stack = [(top, w) for w in t.adj[top]]
-    while stack:
-        key = stack[-1]
-        if key in parts:
-            stack.pop()
-            continue
-        parent, v = key
-        if t.is_leaf_vertex(v):
-            parts[key] = (str(t.leaf_label[v]), t.leaf_label[v])
-            stack.pop()
-            continue
-        kids = [(v, w) for w in t.adj[v] if w != parent]
-        pending = [k for k in kids if k not in parts]
-        if pending:
-            stack.extend(pending)
-            continue
-        (as_, am), (bs, bm) = sorted((parts[k] for k in kids), key=lambda p: p[1])
-        parts[key] = (f"({as_},{bs})", am)
-        stack.pop()
-    return parts
-
-
 def to_newick(t) -> str:
     """Canonical Newick text; children ordered by smallest leaf label."""
     if isinstance(t, RootedTree):
@@ -592,6 +598,15 @@ def to_newick(t) -> str:
     # Canonical top: the internal vertex adjacent to the smallest leaf.
     leaf_v = t.label_vertex[min(t.leaves)]
     top = t.adj[leaf_v][0]
-    parts = _unrooted_branch_parts(t, top)
-    branches = sorted((parts[(top, w)] for w in t.adj[top]), key=lambda p: p[1])
+    starts = [(top, w) for w in t.adj[top]]
+    parts = {}  # (u, v) -> (text, min label) of the branch on v's side
+    for u, v in directed_postorder(t, starts):
+        if v in t.leaf_label:
+            parts[(u, v)] = (str(t.leaf_label[v]), t.leaf_label[v])
+        else:
+            (a, am), (b, _) = sorted(
+                (parts[(v, w)] for w in t.adj[v] if w != u), key=lambda p: p[1]
+            )
+            parts[(u, v)] = (f"({a},{b})", am)
+    branches = sorted((parts[e] for e in starts), key=lambda p: p[1])
     return "(" + ",".join(p[0] for p in branches) + ");"

@@ -15,6 +15,7 @@ from .treecore import (
     RootedTree,
     TreeError,
     UnrootedTree,
+    directed_postorder,
     postorder,
     root_at_edge,
     to_newick,
@@ -103,35 +104,15 @@ def splits(t: UnrootedTree) -> frozenset:
     """One leaf bipartition per edge, each a frozenset of the two sides;
     n + (n-3) distinct splits for n leaves."""
     all_leaves = t.leaves
-    sides = _directed_leafsets(t)
-    return frozenset(
-        frozenset((sides[(u, v)], all_leaves - sides[(u, v)])) for u, v in t.edges()
-    )
-
-
-def _directed_leafsets(t: UnrootedTree) -> dict:
-    """(u, v) -> labels on the v side of edge u-v, for every direction."""
-    sides = {}
-    for u, v in t.edges():
-        for key in ((u, v), (v, u)):
-            stack = [key]
-            while stack:
-                a, b = stack[-1]
-                if (a, b) in sides:
-                    stack.pop()
-                    continue
-                if t.is_leaf_vertex(b):
-                    sides[(a, b)] = frozenset((t.leaf_label[b],))
-                    stack.pop()
-                    continue
-                kids = [(b, w) for w in t.adj[b] if w != a]
-                pending = [k for k in kids if k not in sides]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                sides[(a, b)] = sides[kids[0]] | sides[kids[1]]
-                stack.pop()
-    return sides
+    top = next(iter(t.adj))
+    sides = {}  # (u, v) -> labels on v's side, one direction per edge
+    for u, v in directed_postorder(t, [(top, w) for w in t.adj[top]]):
+        if v in t.leaf_label:
+            sides[(u, v)] = frozenset((t.leaf_label[v],))
+        else:
+            a, b = (sides[(v, w)] for w in t.adj[v] if w != u)
+            sides[(u, v)] = a | b
+    return frozenset(frozenset((side, all_leaves - side)) for side in sides.values())
 
 
 def _same_kind(t1, t2):

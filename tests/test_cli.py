@@ -160,6 +160,31 @@ class TestCompute:
         t2 = trees("d.nwk", ["random", "--n", "8", "--rooted", "--seed", "1"])
         assert main(["match1", t1, t2]) == 1
 
+    @pytest.mark.parametrize(
+        "command, texts, extra",
+        [
+            ("match1", ["((1,2),3,4);", "((1,2),(3,4));"], []),
+            ("match-ab", ["((1,2),(3,4));", "((1,3),(2,4));"], ["--k", "3"]),
+            ("match-multi", ["((1,2),(3,4));", "((1,3),(2,4));", "((1,2),3,4);"], []),
+        ],
+    )
+    def test_tree_kind_error_exit_code(self, tmp_path, command, texts, extra):
+        paths = []
+        for i, text in enumerate(texts):
+            path = tmp_path / f"t{i}.nwk"
+            path.write_text(text)
+            paths.append(str(path))
+        proc = run_proc(command, *paths, *extra)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1, err
+        assert f"agreetree {command}:" in err
+        assert "Traceback" not in err
+
+    def test_bad_delta_message(self, trees, capsys):
+        t1 = trees("a.nwk", ["balanced", "--m", "3"])
+        assert main(["match1", t1, t1, "--delta", "abc"]) == 1
+        assert "--delta" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_constants(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from agreetree.generators import (
     gen_balanced,
     gen_caterpillar,
     gen_class_b,
+    gen_class_c,
     gen_extremal_fhk,
     gen_random,
 )
@@ -31,6 +33,7 @@ from agreetree.treecore import (
     TreeError,
     classify_balanced,
     is_caterpillar,
+    to_newick,
 )
 from agreetree.treeops import restrict, verify_agreement
 
@@ -183,6 +186,15 @@ class TestCaterpillarAgree:
         order = circular_leaf_order(t)
         assert sorted(order) == sorted(t.leaves)
         assert order[0] == min(t.leaves)
+        # The order is the leaf order of the canonical Newick text.
+        rng = SplitMix64(16)
+        samples = [gen_caterpillar(30), gen_class_c(4)] + [
+            gen_random(3 + rng.randrange(60), RandomModel("uniform", rng.next_u64()))
+            for _ in range(400)
+        ]
+        for t in samples:
+            text = to_newick(t)
+            assert circular_leaf_order(t) == [int(x) for x in re.findall(r"\d+", text)], text
 
     def test_vs_balanced(self):
         got = caterpillar_agree(gen_caterpillar(16), gen_class_b(4))

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 from agreetree.exactmast import (
+    _rooted_size,
     mast_bruteforce,
     mast_floor,
     mast_rooted,
@@ -16,8 +19,8 @@ from agreetree.generators import (
     relabel,
 )
 from agreetree._rng import SplitMix64
-from agreetree.treecore import parse_newick
-from agreetree.treeops import restrict, verify_agreement
+from agreetree.treecore import parse_newick, root_at_edge
+from agreetree.treeops import clusters, restrict, verify_agreement
 
 from oracles import mast_subsets_unrooted
 
@@ -76,6 +79,20 @@ class TestRooted:
         w1 = mast_rooted(a, b).witness
         w2 = mast_rooted(a, b).witness
         assert w1 == w2
+        # The witness is the lexicographically smallest maximum agreement
+        # set: the first agreeing subset in combinations(sorted(common)) order.
+        rng = SplitMix64(72)
+        for _ in range(200):
+            n = 2 + rng.randrange(7)
+            a = _random_rooted(n, rng.next_u64())
+            b = _random_rooted(n, rng.next_u64())
+            res = mast_rooted(a, b)
+            first = next(
+                X
+                for X in combinations(sorted(a.leaves & b.leaves), res.size)
+                if clusters(restrict(a, X)) == clusters(restrict(b, X))
+            )
+            assert res.witness == frozenset(first), (a, b)
 
 
 class TestUnrooted:
@@ -106,9 +123,6 @@ class TestUnrooted:
             assert mast_unrooted(restrict(a, X), restrict(b, X)).size <= whole
 
     def test_agrees_with_per_rooting_sweep(self):
-        from agreetree.exactmast import _rooted_size
-        from agreetree.treecore import root_at_edge
-
         a = _random_unrooted(6, 100)
         b = _random_unrooted(6, 101)
         sweep = max(
@@ -117,6 +131,20 @@ class TestUnrooted:
             for e2 in b.edges()
         )
         assert mast_unrooted(a, b).size == sweep
+
+    def test_witness_from_first_best_rooting_pair(self):
+        rng = SplitMix64(8)
+        for _ in range(60):
+            n = 3 + rng.randrange(5)
+            a = _random_unrooted(n, rng.next_u64())
+            b = _random_unrooted(n, rng.next_u64())
+            pairs = [(e1, e2) for e1 in a.edges() for e2 in b.edges()]
+            e1, e2 = max(
+                pairs,
+                key=lambda p: _rooted_size(root_at_edge(a, p[0]), root_at_edge(b, p[1])),
+            )
+            want = mast_rooted(root_at_edge(a, e1), root_at_edge(b, e2)).witness
+            assert mast_unrooted(a, b).witness == want, (a, b)
 
     def test_caterpillar_vs_balanced_at_most_logarithmic(self):
         for m in (2, 3, 4):
