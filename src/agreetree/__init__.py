@@ -30,10 +30,7 @@ from .decompose import (
     RamseyOutcome,
     agree_general,
     caterpillar_agree,
-    extract_balanced,
     lis,
-    longest_path,
-    max_balanced_height,
     max_caterpillar,
     ramsey_split,
 )
@@ -68,7 +65,6 @@ from .treecore import (
     UnrootedTree,
     center,
     classify_balanced,
-    height,
     is_caterpillar,
     parse_newick,
     radius,
@@ -80,10 +76,12 @@ from .treeops import (
     AgreementCertificate,
     AgreementError,
     clusters,
+    extract_balanced,
     is_isomorphic,
     is_subtree,
     join,
     lca,
+    max_balanced_height,
     restrict,
     splits,
     verify_agreement,

@@ -175,13 +175,17 @@ def f_closed(h: int, k: int) -> int:
     return sum(math.comb(h - i - 1, k - i) * 2**i for i in range(k + 1))
 
 
-@lru_cache(maxsize=None)
 def f_recurrence(h: int, k: int) -> int:
-    """Same quantity by the recurrence f(h,k) = f(h-1,k) + f(h-1,k-1)."""
+    """Same quantity by the recurrence f(h,k) = f(h-1,k) + f(h-1,k-1), with
+    f = 2^k when h == k or k == 0, filled row by row over h."""
     _check_hk(h, k)
-    if h == k or k == 0:
-        return 2**k
-    return f_recurrence(h - 1, k) + f_recurrence(h - 1, k - 1)
+    row = [1]  # row[j] = f(i, j) for j <= min(i, k); first i = 0
+    for i in range(1, h + 1):
+        nxt = [1] + [row[j] + row[j - 1] for j in range(1, min(i, k + 1))]
+        if i <= k:
+            nxt.append(2**i)
+        row = nxt
+    return row[k]
 
 
 def _check_hk(h, k):

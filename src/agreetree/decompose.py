@@ -12,6 +12,7 @@ least (alpha*/2) sqrt(log n) + alpha* log(2/3) leaves.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -23,14 +24,13 @@ from .treecore import (
     TreeError,
     UnrootedTree,
     diameter_path,
-    directed_postorder,
     is_caterpillar,
-    postorder,
     root_at_leaf_edge,
     side_leaves,
+    to_newick,
     unroot,
 )
-from .treeops import restrict, verify_agreement
+from .treeops import extract_balanced, max_balanced_height, restrict, verify_agreement
 
 
 def _ceil(x: float) -> int:
@@ -39,71 +39,8 @@ def _ceil(x: float) -> int:
 
 
 # --------------------------------------------------------------------------
-# Balanced restrictions of rooted trees
-# --------------------------------------------------------------------------
-
-
-def max_balanced_height(t: RootedTree) -> int:
-    """Largest k such that some leaf subset restricts to a balanced tree of
-    height k: b(leaf) = 0, b(u) = max(b(l), b(r), 1 + min(b(l), b(r)))."""
-    vals = {}
-    for node in postorder(t):
-        if node.is_leaf:
-            vals[id(node)] = 0
-        else:
-            bl = vals[id(node.left)]
-            br = vals[id(node.right)]
-            vals[id(node)] = max(bl, br, 1 + min(bl, br))
-    return vals[id(t)]
-
-
-def extract_balanced(t: RootedTree, k: int) -> frozenset:
-    """A leaf set whose restriction is balanced of height k (2^k leaves).
-
-    Splits k-1/k-1 across the children whenever both support it, otherwise
-    descends into a child that supports k; leaf picks take the smallest
-    label."""
-    vals = {}
-    mins = {}
-    for node in postorder(t):
-        if node.is_leaf:
-            vals[id(node)] = 0
-            mins[id(node)] = node.label
-        else:
-            bl = vals[id(node.left)]
-            br = vals[id(node.right)]
-            vals[id(node)] = max(bl, br, 1 + min(bl, br))
-            mins[id(node)] = min(mins[id(node.left)], mins[id(node.right)])
-    if k > vals[id(t)]:
-        raise TreeError(f"tree has no balanced restriction of height {k}")
-    out = []
-
-    def pick(node, k):
-        if k == 0:
-            out.append(mins[id(node)])
-            return
-        bl = vals[id(node.left)]
-        br = vals[id(node.right)]
-        if 1 + min(bl, br) >= k:
-            pick(node.left, k - 1)
-            pick(node.right, k - 1)
-        elif bl >= k:
-            pick(node.left, k)
-        else:
-            pick(node.right, k)
-
-    pick(t, k)
-    return frozenset(out)
-
-
-# --------------------------------------------------------------------------
 # Paths and caterpillars
 # --------------------------------------------------------------------------
-
-
-def longest_path(t: UnrootedTree) -> list:
-    """A maximum-length leaf-to-leaf vertex path (the tree diameter)."""
-    return diameter_path(t)
 
 
 def max_caterpillar(t: UnrootedTree) -> frozenset:
@@ -209,7 +146,7 @@ def ramsey_split(t, a: float = 0.5, b: float = 0.5) -> RamseyOutcome:
     the maximum caterpillar around a longest path (guaranteed to have at
     least (log n)^psi(n, b) edges when no such balanced restriction
     exists)."""
-    n = len(t.leaves)
+    n = t.nleaves
     if n <= 2:
         raise TreeError("ramsey_split needs more than 2 leaves")
     if abs(a + b - 1) > 1e-12:
@@ -271,32 +208,9 @@ def caterpillar_spine_order(t: UnrootedTree) -> list:
 
 def circular_leaf_order(t: UnrootedTree) -> list:
     """Leaves in the circular order of the canonical planar embedding, cut
-    so the smallest label comes first.
-
-    The embedding is a depth-first traversal from the vertex adjacent to
-    the smallest leaf, visiting branches in order of their smallest label.
-    """
-    start_leaf = t.label_vertex[min(t.leaves)]
-    top = t.adj[start_leaf][0]
-    mins = {}  # (u, v) -> smallest label on v's side, directions away from top
-    for u, v in directed_postorder(t, [(top, w) for w in t.adj[top]]):
-        if v in t.leaf_label:
-            mins[(u, v)] = t.leaf_label[v]
-        else:
-            mins[(u, v)] = min(mins[(v, w)] for w in t.adj[v] if w != u)
-    order = []
-    stack = [(None, top)]
-    while stack:
-        parent, v = stack.pop()
-        if t.is_leaf_vertex(v):
-            order.append(t.leaf_label[v])
-            continue
-        kids = sorted(
-            (w for w in t.adj[v] if w != parent), key=lambda w: mins[(v, w)]
-        )
-        stack.extend((v, w) for w in reversed(kids))
-    cut = order.index(min(order))
-    return order[cut:] + order[:cut]
+    so the smallest label comes first: the labels of ``to_newick(t)`` in
+    text order (its first label is the smallest)."""
+    return [int(x) for x in re.findall(r"\d+", to_newick(t))]
 
 
 def caterpillar_agree(t1: UnrootedTree, t2: UnrootedTree) -> frozenset:

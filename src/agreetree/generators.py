@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 
 from ._rng import SplitMix64
-from .treecore import RootedTree, TreeError, UnrootedTree, unroot
+from .treecore import RootedTree, TreeError, UnrootedTree, postorder, unroot
 
 UNIFORM = "uniform"
 YULE = "yule"
@@ -132,19 +132,20 @@ def gen_extremal_fhk(h: int, k: int) -> RootedTree:
     (h-1, k) and (h-1, k-1) extremal trees.  Leaves are 1..f(h,k)."""
     if not 0 <= k <= h:
         raise ValueError(f"need 0 <= k <= h, got h={h}, k={k}")
-    counter = itertools.count(1)
-
-    def bal(depth):
-        if depth == 0:
-            return RootedTree.leaf(next(counter))
-        return RootedTree.branch(bal(depth - 1), bal(depth - 1))
-
-    def rec(h, k):
-        if h == k or k == 0:
-            return bal(k)
-        return RootedTree.branch(rec(h - 1, k), rec(h - 1, k - 1))
-
-    return rec(h, k)
+    built = []  # finished subtrees, left before right
+    first = 1  # the next unused label
+    stack = [(h, k, False)]  # (h, k, children built)
+    while stack:
+        h, k, expanded = stack.pop()
+        if expanded:
+            right = built.pop()
+            built[-1] = RootedTree.branch(built[-1], right)
+        elif h == k or k == 0:
+            built.append(_balanced_over(range(first, first + 2**k)))
+            first += 2**k
+        else:
+            stack += [(h, k, True), (h - 1, k - 1, False), (h - 1, k, False)]
+    return built[0]
 
 
 def swap_sequence(k: int) -> tuple:
@@ -178,13 +179,14 @@ def gen_swap_pair(k: int, rooted: bool = True):
 def relabel(t, mapping: dict):
     """Replace every leaf label via ``mapping`` (a bijection on the labels)."""
     if isinstance(t, RootedTree):
-
-        def rec(node):
+        built = []  # relabelled subtrees, left before right
+        for node in postorder(t):
             if node.is_leaf:
-                return RootedTree.leaf(mapping[node.label])
-            return RootedTree.branch(rec(node.left), rec(node.right))
-
-        out = rec(t)
+                built.append(RootedTree.leaf(mapping[node.label]))
+            else:
+                right = built.pop()
+                built[-1] = RootedTree.branch(built[-1], right)
+        out = built[0]
         if out.nleaves != t.nleaves:
             raise TreeError("relabel mapping is not injective on the leaves")
         return out
@@ -206,10 +208,19 @@ class _MNode:
         self.right = right
 
 
-def _freeze(node: _MNode) -> RootedTree:
-    if node.label is not None:
-        return RootedTree.leaf(node.label)
-    return RootedTree.branch(_freeze(node.left), _freeze(node.right))
+def _freeze(root: _MNode) -> RootedTree:
+    built = []  # finished subtrees, left before right
+    stack = [(root, False)]  # (node, children built)
+    while stack:
+        node, expanded = stack.pop()
+        if node.label is not None:
+            built.append(RootedTree.leaf(node.label))
+        elif expanded:
+            right = built.pop()
+            built[-1] = RootedTree.branch(built[-1], right)
+        else:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+    return built[0]
 
 
 def _uniform_rooted(n: int, rng: SplitMix64) -> RootedTree:

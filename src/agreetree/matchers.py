@@ -39,12 +39,13 @@ from .treecore import (
     UnrootedTree,
     center,
     classify_balanced,
+    leaf_sets,
     radius,
     root_at_edge,
     root_at_leaf_edge,
     side_leaves,
 )
-from .treeops import restrict
+from .treeops import extract_balanced, max_balanced_height, restrict
 
 logger = logging.getLogger(__name__)
 
@@ -52,15 +53,16 @@ DUMMY_LABEL_BASE = 10**9
 _PAD_HEIGHT_GUARD = 21  # padded trees materialise 2^height leaves
 
 
-def _orient(u: RootedTree, v: RootedTree):
+def _orient(u: RootedTree, v: RootedTree, sets: dict):
     """Swap children (virtually) so that the cross counts do not exceed the
     diagonal counts and t_ll <= t_rr; no swap when already admissible.
+    ``sets`` maps each node to its leaf set.
 
     Returns ((u_left, u_right, v_left, v_right), (t_ll, t_lr, t_rl, t_rr)).
     """
     ku = (u.left, u.right)
     kv = (v.left, v.right)
-    c = [[len(ku[i].leaves & kv[j].leaves) for j in (0, 1)] for i in (0, 1)]
+    c = [[len(sets[ku[i]] & sets[kv[j]]) for j in (0, 1)] for i in (0, 1)]
     for su, sv in ((0, 0), (0, 1), (1, 0), (1, 1)):
         t_ll = c[su][sv]
         t_lr = c[su][1 - sv]
@@ -141,7 +143,8 @@ def match1(t1: RootedTree, t2: RootedTree, delta: float):
         raise TreeError("match1 needs two rooted trees")
     if not t1.balanced:
         raise TreeError("match1 requires the first tree to be balanced")
-    if not t2.leaves <= t1.leaves:
+    sets = leaf_sets(t1, t2)
+    if not sets[t2] <= sets[t1]:
         raise TreeError("match1 requires L(t2) to be a subset of L(t1)")
     if not 0 < delta < 0.5:
         raise ValueError(f"match1 needs delta in (0, 1/2), got {delta}")
@@ -149,7 +152,7 @@ def match1(t1: RootedTree, t2: RootedTree, delta: float):
     out = []
     u, v = t1, t2
     while True:
-        shared = u.leaves & v.leaves
+        shared = sets[u] & sets[v]
         t_uv = len(shared)
         if t_uv == 0:
             raise AssertionError("recursed into an empty intersection")
@@ -158,9 +161,9 @@ def match1(t1: RootedTree, t2: RootedTree, delta: float):
             trace.steps.append(Match1Step("base", t_uv, u.nleaves, v.nleaves, z))
             out.append(z)
             break
-        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v)
+        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v, sets)
         if t_ll > 0:
-            z = min(ul.leaves & vl.leaves)
+            z = min(sets[ul] & sets[vl])
             trace.steps.append(Match1Step("case1", t_uv, u.nleaves, v.nleaves, z))
             out.append(z)
             u, v = ur, vr
@@ -179,7 +182,7 @@ def match1(t1: RootedTree, t2: RootedTree, delta: float):
             if t_lr > t_rl:
                 ul, ur, vl, vr = ur, ul, vr, vl
                 t_lr, t_rl = t_rl, t_lr
-            z = min(ul.leaves & vr.leaves)
+            z = min(sets[ul] & sets[vr])
             trace.steps.append(Match1Step("cross", t_uv, u.nleaves, v.nleaves, z))
             out.append(z)
             u, v = ur, vl
@@ -286,20 +289,21 @@ def match2(t1: RootedTree, t2: RootedTree, delta: float):
         raise TreeError("match2 requires both trees to be balanced")
     if not 0 < delta < 0.25:
         raise ValueError(f"match2 needs delta in (0, 1/4), got {delta}")
-    t0 = len(t1.leaves & t2.leaves)
+    sets = leaf_sets(t1, t2)
+    t0 = len(sets[t1] & sets[t2])
     if t0 == 0:
         raise TreeError("match2 requires a nonempty shared leaf set")
     trace = Match2Trace(delta, t1.height, t2.height, t0)
 
     def rec(u, v):
-        shared = u.leaves & v.leaves
+        shared = sets[u] & sets[v]
         t_uv = len(shared)
         if t_uv == 0:
             raise AssertionError("recursed into an empty intersection")
         if u.nleaves == 1 or v.nleaves == 1:
             z = min(shared)
             return {z}, Match2Node("base", t_uv, u.nleaves, v.nleaves, z)
-        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v)
+        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v, sets)
         need = delta * t_uv
         if t_ll >= need and t_rr >= need:
             xl, nl = rec(ul, vl)
@@ -472,8 +476,6 @@ def match2_multi(trees, delta: float) -> frozenset:
     on.  If an intermediate shared leaf set empties, the best prefix result
     is returned and a warning logged.  The final set is a pairwise
     agreement of every input."""
-    from .decompose import extract_balanced, max_balanced_height
-
     trees = list(trees)
     if len(trees) < 2:
         raise TreeError("match2_multi needs at least two trees")
@@ -538,6 +540,8 @@ def match_almost_balanced(
     never emitted (they occur in only one tree)."""
     if not isinstance(t1, UnrootedTree) or not isinstance(t2, UnrootedTree):
         raise TreeError("match_almost_balanced needs two unrooted trees")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"k must be a finite positive number, got {k}")
     if t1.leaves != t2.leaves:
         raise TreeError("match_almost_balanced requires identical leaf sets")
     n = t1.nleaves

@@ -2,9 +2,9 @@
 
 Two kinds of tree live here:
 
-* ``RootedTree``: a recursive node structure.  Every internal node has
+* ``RootedTree``: a plain node structure.  Every internal node has
   exactly two children; a single-leaf tree is one node that is both root
-  and leaf.
+  and leaf.  Nodes cache no leaf sets, and no function here recurses.
 * ``UnrootedTree``: an adjacency map.  Every internal vertex has degree 3,
   leaves have degree 1, and at least three leaves are required (degree
   constraints force this).
@@ -29,13 +29,9 @@ All values are immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
-import sys
+import re
 from collections import deque
 from dataclasses import dataclass
-
-# Caterpillar-shaped trees produce recursion as deep as the leaf count; the
-# default limit of 1000 is too small for the n <= 4096 scale used here.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 12_000))
 
 
 class TreeError(ValueError):
@@ -68,7 +64,7 @@ class RootedTree:
     balanced : bool         True iff every leaf is at depth == height
     """
 
-    __slots__ = ("label", "left", "right", "nleaves", "height", "balanced", "_leaves")
+    __slots__ = ("label", "left", "right", "nleaves", "height", "balanced")
 
     def __init__(self, label, left, right, nleaves, height, balanced):
         self.label = label
@@ -77,15 +73,12 @@ class RootedTree:
         self.nleaves = nleaves
         self.height = height
         self.balanced = balanced
-        self._leaves = None
 
     @classmethod
     def leaf(cls, label: int) -> "RootedTree":
         if not isinstance(label, int) or label <= 0:
             raise TreeError(f"leaf label must be a positive integer, got {label!r}")
-        node = cls(label, None, None, 1, 0, True)
-        node._leaves = frozenset((label,))
-        return node
+        return cls(label, None, None, 1, 0, True)
 
     @classmethod
     def branch(cls, left: "RootedTree", right: "RootedTree") -> "RootedTree":
@@ -101,23 +94,17 @@ class RootedTree:
 
     @property
     def leaves(self) -> frozenset:
-        """Leaf-label set below this node (computed lazily, cached)."""
-        if self._leaves is None:
-            # Iterative postorder: deep caterpillar chains overflow the stack
-            # with the naive recursive union.
-            stack = [self]
-            while stack:
-                node = stack[-1]
-                if node._leaves is not None:
-                    stack.pop()
-                    continue
-                pending = [c for c in (node.left, node.right) if c._leaves is None]
-                if pending:
-                    stack.extend(pending)
-                else:
-                    node._leaves = node.left._leaves | node.right._leaves
-                    stack.pop()
-        return self._leaves
+        """Leaf-label set below this node (one walk per call, not cached)."""
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.label is None:
+                stack.append(node.right)
+                stack.append(node.left)
+            else:
+                out.append(node.label)
+        return frozenset(out)
 
     def __repr__(self):
         return f"<RootedTree {to_newick(self)!r}>"
@@ -136,6 +123,20 @@ def postorder(t: RootedTree) -> list:
             stack.append((node.right, False))
             stack.append((node.left, False))
     return out
+
+
+def leaf_sets(*trees) -> dict:
+    """{node: frozenset of the leaf labels below it} for every node of the
+    trees.  Θ(n²) labels on a caterpillar: build it only for the length of
+    one call."""
+    sets = {}
+    for t in trees:
+        for node in postorder(t):
+            if node.is_leaf:
+                sets[node] = frozenset((node.label,))
+            else:
+                sets[node] = sets[node.left] | sets[node.right]
+    return sets
 
 
 # --------------------------------------------------------------------------
@@ -300,10 +301,6 @@ def radius(t: UnrootedTree) -> int:
     return (len(diameter_path(t))) // 2
 
 
-def height(t: RootedTree) -> int:
-    return t.height
-
-
 # --------------------------------------------------------------------------
 # Balance classification
 # --------------------------------------------------------------------------
@@ -382,14 +379,20 @@ def root_at_edge(t: UnrootedTree, edge) -> RootedTree:
     u, v = edge
     if u not in t.adj or v not in t.adj[u]:
         raise TreeError(f"edge {edge!r} not in tree")
-
-    def build(w, parent):
-        if t.is_leaf_vertex(w):
-            return RootedTree.leaf(t.leaf_label[w])
-        a, b = (x for x in t.adj[w] if x != parent)
-        return RootedTree.branch(build(a, w), build(b, w))
-
-    return RootedTree.branch(build(u, v), build(v, u))
+    built = []  # finished subtrees, left before right
+    # (parent, vertex, children pushed): the subtree at vertex away from parent
+    stack = [(u, v, False), (v, u, False)]
+    while stack:
+        parent, w, expanded = stack.pop()
+        if w in t.leaf_label:
+            built.append(RootedTree.leaf(t.leaf_label[w]))
+        elif expanded:
+            right = built.pop()
+            built[-1] = RootedTree.branch(built[-1], right)
+        else:
+            a, b = (x for x in t.adj[w] if x != parent)
+            stack += [(parent, w, True), (w, b, False), (w, a, False)]
+    return RootedTree.branch(*built)
 
 
 def root_at_leaf_edge(t: UnrootedTree, label=None) -> RootedTree:
@@ -401,28 +404,28 @@ def root_at_leaf_edge(t: UnrootedTree, label=None) -> RootedTree:
 
 
 def unroot(t: RootedTree) -> UnrootedTree:
-    """Suppress the degree-2 root, merging its two incident edges."""
+    """Suppress the degree-2 root, merging its two incident edges.  Vertex
+    ids follow preorder from the left child of the root."""
     if t.nleaves < 3:
         raise TreeError("unrooting needs at least 3 leaves")
     adj = {}
     labels = {}
-    counter = [0]
-
-    def emit(node):
-        vid = counter[0]
-        counter[0] += 1
+    stack = [(t.right, None), (t.left, None)]
+    tops = []  # the vertices of the root's two children
+    while stack:
+        node, parent = stack.pop()
+        vid = len(adj)
         adj[vid] = []
+        if parent is None:
+            tops.append(vid)
+        else:
+            adj[vid].append(parent)
+            adj[parent].append(vid)
         if node.is_leaf:
             labels[vid] = node.label
-            return vid
-        for child in (node.left, node.right):
-            cid = emit(child)
-            adj[vid].append(cid)
-            adj[cid].append(vid)
-        return vid
-
-    a = emit(t.left)
-    b = emit(t.right)
+        else:
+            stack += [(node.right, vid), (node.left, vid)]
+    a, b = tops
     adj[a].append(b)
     adj[b].append(a)
     return UnrootedTree(adj, labels)
@@ -433,131 +436,95 @@ def unroot(t: RootedTree) -> UnrootedTree:
 # --------------------------------------------------------------------------
 
 
+_TOKEN = re.compile(r"\d+|\S")  # a label or one other non-space character
+
+
 def parse_newick(text: str):
     """Parse Newick text into a RootedTree (top arity 1-2) or UnrootedTree
-    (top arity 3).  Raises NewickError with a character position."""
-    n = len(text)
+    (top arity 3).  Raises NewickError with a character position.
+
+    One scan numbers the leaves and groups ("items") in text order.  The
+    first syntax error stops it; after a clean scan the first repeated
+    label is reported (at the end of its second occurrence), then the
+    leftmost '(' with the wrong number of children."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # end of input
+
+    def at(i):
+        """Text position of token i, worked out only for an error."""
+        return ([m.start() for m in _TOKEN.finditer(text)] + [len(text)])[i]
+
+    kids = []  # per item: its child items, None for a leaf
+    labels = []  # per item: its leaf label, None for a group
+    groups = []  # (item, token index of its '(') per open group, innermost last
+    seen = set()
+    duplicate = arity = None  # (message, token index, offset) of the first such fault
     i = 0
-
-    def skip_ws(i):
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def read_label(i):
-        j = i
-        while j < n and text[j].isdigit():
-            j += 1
-        if j == i:
-            raise NewickError(f"expected a leaf label or '(', found {text[i:i+1]!r}", i)
-        if text[i] == "0":
-            raise NewickError("leaf labels may not start with 0", i)
-        return int(text[i:j]), j
-
-    # Build nested ('leaf', label, pos) / ('group', children, pos) via an
-    # explicit stack so arbitrarily deep trees parse.
-    stack = []  # open groups: [position, children...]
-    top = None
-
-    def close_item(item, i):
-        nonlocal top
-        i = skip_ws(i)
-        if stack:
-            stack[-1].append(item)
-            if i < n and text[i] == ",":
-                return i + 1, False
-            if i < n and text[i] == ")":
-                return i, True
-            raise NewickError("expected ',' or ')'", i)
-        top = item
-        return i, False
-
-    i = skip_ws(i)
     while True:
-        i = skip_ws(i)
-        if i < n and text[i] == "(":
-            stack.append([i])
+        token = tokens[i]
+        item = len(kids)
+        if groups:
+            kids[groups[-1][0]].append(item)
+        if token == "(":
+            kids.append([])
+            labels.append(None)
+            groups.append((item, i))
             i += 1
             continue
-        if i >= n:
-            raise NewickError("unexpected end of input", i)
-        label, i = read_label(i)
-        i, at_close = close_item(("leaf", label, i), i)
-        while at_close:
-            group = stack.pop()
-            item = ("group", group[1:], group[0])
-            i, at_close = close_item(item, i + 1)
-        if top is not None:
+        if not token:
+            raise NewickError("unexpected end of input", at(i))
+        if not token.isdecimal():
+            raise NewickError(f"expected a leaf label or '(', found {token!r}", at(i))
+        if token[0] == "0":
+            raise NewickError("leaf labels may not start with 0", at(i))
+        label = int(token)
+        if label in seen and duplicate is None:
+            duplicate = (f"duplicate leaf label {label}", i, len(token))
+        seen.add(label)
+        kids.append(None)
+        labels.append(label)
+        i += 1
+        while groups and tokens[i] == ")":
+            group, opened = groups.pop()
+            count = len(kids[group])
+            if groups and count != 2:
+                fault = f"internal node has {count} children (expected 2)"
+            elif not groups and count not in (2, 3):
+                fault = f"top-level node has {count} children (expected 2 or 3)"
+            else:
+                fault = None
+            if fault and (arity is None or opened < arity[1]):
+                arity = (fault, opened, 0)
+            i += 1
+        if not groups:
             break
+        if tokens[i] != ",":
+            raise NewickError("expected ',' or ')'", at(i))
+        i += 1
+    if tokens[i] != ";":
+        raise NewickError("expected ';'", at(i))
+    if tokens[i + 1]:
+        raise NewickError("trailing text after ';'", at(i + 1))
+    for fault in (duplicate, arity):
+        if fault:
+            message, i, offset = fault
+            raise NewickError(message, at(i) + offset)
 
-    i = skip_ws(i)
-    if i >= n or text[i] != ";":
-        raise NewickError("expected ';'", i)
-    i = skip_ws(i + 1)
-    if i < n:
-        raise NewickError("trailing text after ';'", i)
-
-    seen_labels = {}
-
-    def check_labels(item):
-        kind = item[0]
-        if kind == "leaf":
-            _, label, pos = item
-            if label in seen_labels:
-                raise NewickError(f"duplicate leaf label {label}", pos)
-            seen_labels[label] = pos
+    if labels[0] is None and len(kids[0]) == 3:
+        # Unrooted: the items are the vertex ids, the centre is item 0.
+        adj = {v: list(ks or ()) for v, ks in enumerate(kids)}
+        for v, ks in enumerate(kids):
+            for child in ks or ():
+                adj[child].append(v)
+        return UnrootedTree(adj, {v: lab for v, lab in enumerate(labels) if lab is not None})
+    nodes = [None] * len(kids)
+    for item in range(len(kids) - 1, -1, -1):  # an item's children come after it
+        ks = kids[item]
+        if ks is None:
+            nodes[item] = RootedTree.leaf(labels[item])
         else:
-            for child in item[1]:
-                check_labels(child)
-
-    def check_binary(item, is_top):
-        if item[0] == "leaf":
-            return
-        _, children, pos = item
-        if is_top:
-            if len(children) not in (2, 3):
-                raise NewickError(
-                    f"top-level node has {len(children)} children (expected 2 or 3)", pos
-                )
-        elif len(children) != 2:
-            raise NewickError(
-                f"internal node has {len(children)} children (expected 2)", pos
-            )
-        for child in children:
-            check_binary(child, False)
-
-    check_labels(top)
-    check_binary(top, True)
-
-    def build_rooted(item):
-        if item[0] == "leaf":
-            return RootedTree.leaf(item[1])
-        a, b = item[1]
-        return RootedTree.branch(build_rooted(a), build_rooted(b))
-
-    if top[0] == "leaf" or len(top[1]) == 2:
-        return build_rooted(top)
-
-    # Trifurcating top level: unrooted tree around a center vertex.
-    adj = {0: []}
-    labels = {}
-    counter = [1]
-
-    def build_branch(item, parent):
-        vid = counter[0]
-        counter[0] += 1
-        adj[vid] = [parent]
-        adj[parent].append(vid)
-        if item[0] == "leaf":
-            labels[vid] = item[1]
-        else:
-            for child in item[1]:
-                build_branch(child, vid)
-        return vid
-
-    for child in top[1]:
-        build_branch(child, 0)
-    return UnrootedTree(adj, labels)
+            nodes[item] = RootedTree.branch(nodes[ks[0]], nodes[ks[1]])
+    return nodes[0]
 
 
 # --------------------------------------------------------------------------
@@ -565,48 +532,44 @@ def parse_newick(text: str):
 # --------------------------------------------------------------------------
 
 
-def _rooted_newick_body(t: RootedTree) -> str:
-    parts = {}  # id(node) -> (text, min leaf label)
-    stack = [t]
+def _canonical_text(stack, children, label, first) -> str:
+    """The text of the items on ``stack``, last first: a string as it is, a
+    leaf as its label, any other subtree as its two children in order of
+    their smallest leaf label ``first`` inside parentheses."""
+    out = []
     while stack:
-        node = stack[-1]
-        if id(node) in parts:
-            stack.pop()
-            continue
-        if node.is_leaf:
-            parts[id(node)] = (str(node.label), node.label)
-            stack.pop()
-            continue
-        pending = [c for c in (node.left, node.right) if id(c) not in parts]
-        if pending:
-            stack.extend(pending)
-            continue
-        ls, lm = parts[id(node.left)]
-        rs, rm = parts[id(node.right)]
-        if lm <= rm:
-            parts[id(node)] = (f"({ls},{rs})", lm)
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif label(item) is not None:
+            out.append(str(label(item)))
         else:
-            parts[id(node)] = (f"({rs},{ls})", rm)
-        stack.pop()
-    return parts[id(t)][0]
+            a, b = sorted(children(item), key=first.get)
+            out.append("(")
+            stack += [")", b, ",", a]
+    return "".join(out)
 
 
 def to_newick(t) -> str:
     """Canonical Newick text; children ordered by smallest leaf label."""
+    first = {}  # subtree -> smallest leaf label in it
     if isinstance(t, RootedTree):
-        return _rooted_newick_body(t) + ";"
+        for node in postorder(t):
+            first[node] = node.label if node.is_leaf else min(first[node.left], first[node.right])
+        return _canonical_text([";", t], lambda node: (node.left, node.right), lambda node: node.label, first)
     # Canonical top: the internal vertex adjacent to the smallest leaf.
     leaf_v = t.label_vertex[min(t.leaves)]
     top = t.adj[leaf_v][0]
     starts = [(top, w) for w in t.adj[top]]
-    parts = {}  # (u, v) -> (text, min label) of the branch on v's side
-    for u, v in directed_postorder(t, starts):
+    for u, v in directed_postorder(t, starts):  # (u, v) is the branch on v's side
         if v in t.leaf_label:
-            parts[(u, v)] = (str(t.leaf_label[v]), t.leaf_label[v])
+            first[(u, v)] = t.leaf_label[v]
         else:
-            (a, am), (b, _) = sorted(
-                (parts[(v, w)] for w in t.adj[v] if w != u), key=lambda p: p[1]
-            )
-            parts[(u, v)] = (f"({a},{b})", am)
-    branches = sorted((parts[e] for e in starts), key=lambda p: p[1])
-    return "(" + ",".join(p[0] for p in branches) + ");"
+            first[(u, v)] = min(first[(v, w)] for w in t.adj[v] if w != u)
+    a, b, c = sorted(starts, key=first.get)
+    return "(" + _canonical_text(
+        [");", c, ",", b, ",", a],
+        lambda edge: [(edge[1], w) for w in t.adj[edge[1]] if w != edge[0]],
+        lambda edge: t.leaf_label.get(edge[1]),
+        first,
+    )

@@ -1,5 +1,5 @@
-"""Operations on trees: restriction, ancestors, joins, isomorphism, and
-agreement-certificate verification.
+"""Operations on trees: restriction, ancestors, joins, balanced
+restrictions, isomorphism, and agreement-certificate verification.
 
 Rooted isomorphism is decided by cluster-set equality and unrooted
 isomorphism by split-set equality; both are canonical, order-free
@@ -16,6 +16,7 @@ from .treecore import (
     TreeError,
     UnrootedTree,
     directed_postorder,
+    leaf_sets,
     postorder,
     root_at_edge,
     to_newick,
@@ -28,21 +29,20 @@ class AgreementError(TreeError):
 
 
 def lca(t: RootedTree, labels) -> RootedTree:
-    """Most recent common ancestor of a non-empty set of leaf labels."""
+    """Most recent common ancestor of a non-empty set of leaf labels: the
+    first node in postorder whose subtree holds all of them."""
     X = frozenset(labels)
     if not X:
         raise TreeError("lca of an empty set")
-    if not X <= t.leaves:
-        raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
-    node = t
-    while not node.is_leaf:
-        if X <= node.left.leaves:
-            node = node.left
-        elif X <= node.right.leaves:
-            node = node.right
+    count = {}  # node -> number of labels of X below it
+    for node in postorder(t):
+        if node.is_leaf:
+            count[node] = node.label in X
         else:
+            count[node] = count[node.left] + count[node.right]
+        if count[node] == len(X):
             return node
-    return node
+    raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
 
 
 def restrict(t, labels):
@@ -56,8 +56,6 @@ def restrict(t, labels):
     if isinstance(t, RootedTree):
         if not X:
             raise TreeError("cannot restrict to an empty leaf set")
-        if not X <= t.leaves:
-            raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
         return _restrict_rooted(t, X)
     if len(X) < 3:
         raise TreeError("unrooted restriction needs at least 3 leaves")
@@ -74,16 +72,25 @@ def _pendant_edge(t: UnrootedTree, label):
 
 
 def _restrict_rooted(t: RootedTree, X: frozenset) -> RootedTree:
-    def rec(node):
+    kept = []  # restricted subtrees (None when empty), left before right
+    found = 0
+    for node in postorder(t):
         if node.is_leaf:
-            return node if node.label in X else None
-        left = rec(node.left)
-        right = rec(node.right)
+            if node.label in X:
+                found += 1
+                kept.append(node)
+            else:
+                kept.append(None)
+            continue
+        right = kept.pop()
+        left = kept.pop()
         if left is not None and right is not None:
-            return RootedTree.branch(left, right)
-        return left if left is not None else right
-
-    return rec(t)
+            kept.append(RootedTree.branch(left, right))
+        else:
+            kept.append(right if left is None else left)
+    if found != len(X):
+        raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
+    return kept[0]
 
 
 def join(s_left: RootedTree, s_right: RootedTree) -> RootedTree:
@@ -95,9 +102,55 @@ def join(s_left: RootedTree, s_right: RootedTree) -> RootedTree:
     return RootedTree.branch(s_left, s_right)
 
 
+def _balanced_heights(t: RootedTree) -> dict:
+    """{node: (b, smallest leaf label)} where b is the height of the highest
+    balanced restriction below the node: b(leaf) = 0,
+    b(u) = max(b(l), b(r), 1 + min(b(l), b(r)))."""
+    vals = {}
+    for node in postorder(t):
+        if node.is_leaf:
+            vals[node] = (0, node.label)
+        else:
+            (bl, ml), (br, mr) = vals[node.left], vals[node.right]
+            vals[node] = (max(bl, br, 1 + min(bl, br)), min(ml, mr))
+    return vals
+
+
+def max_balanced_height(t: RootedTree) -> int:
+    """Largest k such that some leaf subset restricts to a balanced tree of
+    height k."""
+    return _balanced_heights(t)[t][0]
+
+
+def extract_balanced(t: RootedTree, k: int) -> frozenset:
+    """A leaf set whose restriction is balanced of height k (2^k leaves).
+
+    Splits k-1/k-1 across the children whenever both support it, otherwise
+    descends into a child that supports k; leaf picks take the smallest
+    label."""
+    vals = _balanced_heights(t)
+    if k > vals[t][0]:
+        raise TreeError(f"tree has no balanced restriction of height {k}")
+    out = []
+    stack = [(t, k)]
+    while stack:
+        node, k = stack.pop()
+        if k == 0:
+            out.append(vals[node][1])
+            continue
+        bl, br = vals[node.left][0], vals[node.right][0]
+        if 1 + min(bl, br) >= k:
+            stack += [(node.left, k - 1), (node.right, k - 1)]
+        elif bl >= k:
+            stack.append((node.left, k))
+        else:
+            stack.append((node.right, k))
+    return frozenset(out)
+
+
 def clusters(t: RootedTree) -> frozenset:
     """{ leaf set of every node }; 2n-1 clusters for n leaves."""
-    return frozenset(node.leaves for node in postorder(t))
+    return frozenset(leaf_sets(t).values())
 
 
 def splits(t: UnrootedTree) -> frozenset:

@@ -180,6 +180,16 @@ class TestCompute:
         assert f"agreetree {command}:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("k, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0")])
+    def test_match_ab_bad_k(self, tmp_path, k, shown):
+        path = tmp_path / "t.nwk"
+        path.write_text("((1,2),3,4);")
+        proc = run_proc("match-ab", str(path), str(path), "--k", k)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1, err
+        assert f"agreetree match-ab: k must be a finite positive number, got {shown}" in err
+        assert "Traceback" not in err
+
     def test_bad_delta_message(self, trees, capsys):
         t1 = trees("a.nwk", ["balanced", "--m", "3"])
         assert main(["match1", t1, t1, "--delta", "abc"]) == 1

@@ -13,7 +13,6 @@ from agreetree.decompose import (
     circular_leaf_order,
     extract_balanced,
     lis,
-    longest_path,
     max_balanced_height,
     max_caterpillar,
     ramsey_split,
@@ -32,6 +31,7 @@ from agreetree.treecore import (
     ROOTED_BALANCED,
     TreeError,
     classify_balanced,
+    diameter_path,
     is_caterpillar,
     to_newick,
 )
@@ -110,7 +110,7 @@ class TestPathsAndCaterpillars:
 
     def test_longest_path_is_diameter(self):
         t = gen_caterpillar(9)
-        assert len(longest_path(t)) - 1 == 8
+        assert len(diameter_path(t)) - 1 == 8
 
 
 class TestLis:

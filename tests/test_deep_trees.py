@@ -1,0 +1,73 @@
+"""Deep trees: every builder and walk handles a 20,000-leaf caterpillar.
+
+The checks run in a fresh interpreter whose address space is capped at
+1 GiB, so a quadratic leaf-set cache fails there with MemoryError instead of
+taking the test process down, and the interpreter's own recursion limit is
+the one in force.
+"""
+
+import subprocess
+import sys
+
+from cliproc import cli_env
+
+CHILD = r"""
+import resource
+import sys
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+limit = sys.getrecursionlimit()
+import agreetree
+from agreetree import (
+    RootedTree, extract_balanced, f_closed, f_recurrence, gen_caterpillar,
+    gen_extremal_fhk, is_caterpillar, parse_newick, ramsey_split, relabel,
+    restrict, root_at_edge, to_newick, unroot, verify_agreement,
+)
+from agreetree.treecore import root_at_leaf_edge
+
+assert sys.getrecursionlimit() == limit, (limit, sys.getrecursionlimit())
+
+N = 20_000
+sample = range(1, N + 1, N // 1000)
+rooted = gen_caterpillar(N, rooted=True)
+unrooted = gen_caterpillar(N)
+unrooted_text = to_newick(unrooted)
+reverse = {i: N + 1 - i for i in range(1, N + 1)}
+for t in (rooted, unrooted):
+    text = to_newick(t)
+    assert to_newick(parse_newick(text)) == text
+    if isinstance(t, RootedTree):
+        assert to_newick(unroot(t)) == unrooted_text
+    else:
+        for edge in (t.edges()[0], t.edges()[-1]):
+            assert to_newick(unroot(root_at_edge(t, edge))) == text
+        assert to_newick(unroot(root_at_leaf_edge(t))) == text
+    part = restrict(t, sample)
+    assert part.nleaves == len(sample) and is_caterpillar(part)
+    assert to_newick(relabel(relabel(t, reverse), reverse)) == text
+    assert ramsey_split(t).kind == "path"
+    assert len(verify_agreement(t, t, range(1, 51)).leaves) == 50
+
+spine = RootedTree.branch(
+    RootedTree.branch(RootedTree.leaf(N - 3), RootedTree.leaf(N - 2)),
+    RootedTree.branch(RootedTree.leaf(N - 1), RootedTree.leaf(N)),
+)
+for label in range(N - 4, 0, -1):
+    spine = RootedTree.branch(RootedTree.leaf(label), spine)
+assert extract_balanced(spine, 2) == {N - 3, N - 2, N - 1, N}
+
+assert gen_extremal_fhk(N, 1).nleaves == f_closed(N, 1) == f_recurrence(N, 1)
+print("ok")
+"""
+
+
+def test_20000_leaf_caterpillars():
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD],
+        capture_output=True,
+        timeout=600,
+        env=cli_env(),
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 0, err[-3000:]
+    assert proc.stdout.decode() == "ok\n"

@@ -23,7 +23,6 @@ from agreetree.treecore import (
     center,
     classify_balanced,
     diameter_path,
-    height,
     is_caterpillar,
     parse_newick,
     radius,
@@ -84,6 +83,51 @@ class TestParse:
         with pytest.raises(NewickError, match="top-level"):
             parse_newick("(1,2,3,4);")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            # syntax errors
+            ("", "unexpected end of input", 0),
+            ("(", "unexpected end of input", 1),
+            ("(1,", "unexpected end of input", 3),
+            ("1", "expected ';'", 1),
+            ("(1,2)", "expected ';'", 5),
+            ("1,2;", "expected ';'", 1),
+            ("(1,2));", "expected ';'", 5),
+            ("(1,2)x", "expected ';'", 5),
+            ("12a;", "expected ';'", 2),
+            ("(1;", "expected ',' or ')'", 2),
+            ("((1,2);", "expected ',' or ')'", 6),
+            ("(1 2);", "expected ',' or ')'", 3),
+            ("(x,2);", "expected a leaf label or '(', found 'x'", 1),
+            ("()", "expected a leaf label or '(', found ')'", 1),
+            ("(01,2);", "leaf labels may not start with 0", 1),
+            ("(1,2); x", "trailing text after ';'", 7),
+            ("(1,2);;", "trailing text after ';'", 6),
+            # a duplicate label, at the end of its second occurrence
+            (" (1,(2,1));", "duplicate leaf label 1", 8),
+            ("(2,(1,(2,1)));", "duplicate leaf label 2", 8),
+            # wrong arity, at the '(' of the node
+            ("(1,(2,3,4));", "internal node has 3 children (expected 2)", 3),
+            ("((1),2);", "internal node has 1 children (expected 2)", 1),
+            ("(1,2,3,4);", "top-level node has 4 children (expected 2 or 3)", 0),
+            ("(1);", "top-level node has 1 children (expected 2 or 3)", 0),
+            # two faults: syntax, then duplicate, then the leftmost arity fault
+            ("(1,1", "expected ',' or ')'", 4),
+            ("(1,(1,2,3)", "expected ',' or ')'", 10),
+            ("(1,1,2,3);", "duplicate leaf label 1", 4),
+            ("((1,2,3),1);", "duplicate leaf label 1", 10),
+            ("(1,(2,3,4),5,6);", "top-level node has 4 children (expected 2 or 3)", 0),
+            ("((1,2,3),(4,5,6,7));", "internal node has 3 children (expected 2)", 1),
+            ("((1,(2)),(3,4,5));", "internal node has 1 children (expected 2)", 4),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(NewickError) as err:
+            parse_newick(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
 
 class TestSerialise:
     def test_canonical_child_order(self):
@@ -108,9 +152,9 @@ class TestSerialise:
 
 class TestMetrics:
     def test_height(self):
-        assert height(parse_newick("5;")) == 0
-        assert height(gen_balanced(3)) == 3
-        assert height(gen_extremal_fhk(4, 2)) == 4
+        assert parse_newick("5;").height == 0
+        assert gen_balanced(3).height == 3
+        assert gen_extremal_fhk(4, 2).height == 4
 
     def test_center_of_star(self):
         t = parse_newick("(1,2,3);")
