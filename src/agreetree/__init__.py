@@ -75,7 +75,6 @@ from .treecore import (
 from .treeops import (
     AgreementCertificate,
     AgreementError,
-    clusters,
     extract_balanced,
     is_isomorphic,
     is_subtree,
@@ -83,7 +82,6 @@ from .treeops import (
     lca,
     max_balanced_height,
     restrict,
-    splits,
     verify_agreement,
 )
 

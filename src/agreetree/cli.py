@@ -160,12 +160,6 @@ def cmd_mast(args) -> int:
     return EXIT_OK
 
 
-def _maybe_trace_match1(args, trace):
-    if getattr(args, "trace", False):
-        for step in trace.steps:
-            print(json.dumps(step.as_dict(), sort_keys=True))
-
-
 def cmd_match1(args) -> int:
     t1 = _read_tree(args.tree1)
     t2 = _read_tree(args.tree2)
@@ -177,7 +171,9 @@ def cmd_match1(args) -> int:
             print("match1: mixed tree kinds", file=sys.stderr)
             return EXIT_USAGE
         leaves, trace = mt.match1(t1, t2, delta)
-        _maybe_trace_match1(args, trace)
+        if args.trace:
+            for step in trace.steps:
+                print(json.dumps(step.as_dict(), sort_keys=True))
         bound = bnd.match1_bound(trace.m, trace.t0, delta)
         return _finish(
             args, "match1", (t1, t2), leaves, bound,
@@ -281,6 +277,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.fmax < 0:
+        raise ValueError(f"--fmax must be at least 0, got {args.fmax}")
+    if args.n is not None and args.n <= 2:
+        raise ValueError(f"--n must be greater than 2, got {args.n}")
     d1, a1 = bnd.optimal_delta_match1()
     d2, b2 = bnd.optimal_delta_match2()
     print(f"delta1*: {d1:.6f}")
@@ -410,6 +410,8 @@ def _cert_ok(t1, t2, leaves) -> bool:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     ns = [int(x) for x in args.n.split(",")]
     algorithms = args.algorithms.split(",")
     rows = []
@@ -485,7 +487,15 @@ def build_parser() -> _Parser:
     p.add_argument("--unrooted", action="store_true")
     p.set_defaults(func=cmd_gen)
 
-    def compute(name, func, ntrees=2):
+    options = {
+        "--delta": {"default": "optimal"},
+        "--trace": {"action": "store_true"},
+        "--format": {"choices": ["text", "json"], "default": "text"},
+    }
+
+    def compute(name, func, flags, ntrees=2):
+        """A compute command with its tree arguments and only the options
+        its handler reads."""
         q = sub.add_parser(name)
         if ntrees == 1:
             q.add_argument("tree")
@@ -494,21 +504,20 @@ def build_parser() -> _Parser:
             q.add_argument("tree2")
         else:
             q.add_argument("trees", nargs="+")
-        q.add_argument("--delta", default="optimal")
-        q.add_argument("--trace", action="store_true")
-        q.add_argument("--format", choices=["text", "json"], default="text")
+        for flag in flags:
+            q.add_argument(flag, **options[flag])
         q.set_defaults(func=func)
         return q
 
-    compute("mast", cmd_mast)
-    compute("match1", cmd_match1)
-    compute("match2", cmd_match2)
-    compute("match-multi", cmd_match_multi, ntrees=3)
-    q = compute("match-ab", cmd_match_ab)
+    compute("mast", cmd_mast, ["--format"])
+    compute("match1", cmd_match1, ["--delta", "--trace", "--format"])
+    compute("match2", cmd_match2, ["--delta", "--trace", "--format"])
+    compute("match-multi", cmd_match_multi, ["--delta", "--format"], ntrees=3)
+    q = compute("match-ab", cmd_match_ab, ["--delta", "--format"])
     q.add_argument("--k", type=float, required=True)
     q.add_argument("--mode", choices=["auto", "single", "both"], default="auto")
-    compute("agree", cmd_agree)
-    q = compute("decompose", cmd_decompose, ntrees=1)
+    compute("agree", cmd_agree, ["--format"])
+    q = compute("decompose", cmd_decompose, [], ntrees=1)
     q.add_argument("--a", type=float, default=0.5)
 
     p = sub.add_parser("bounds", help="print guarantee constants and tables")

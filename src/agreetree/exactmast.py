@@ -30,7 +30,7 @@ from itertools import combinations, product
 
 from .generators import enumerate_topologies, guards_lifted
 from .treecore import RootedTree, UnrootedTree, directed_postorder, postorder, root_at_edge
-from .treeops import AgreementCertificate, clusters, restrict, splits, verify_agreement
+from .treeops import AgreementCertificate, is_isomorphic, restrict, verify_agreement
 
 BRUTEFORCE_GUARD = 12
 FLOOR_GUARD = 6
@@ -163,12 +163,6 @@ def mast_unrooted(t1: UnrootedTree, t2: UnrootedTree) -> MastResult:
 # --------------------------------------------------------------------------
 
 
-def _agrees(t1, t2, X) -> bool:
-    if isinstance(t1, RootedTree):
-        return clusters(restrict(t1, X)) == clusters(restrict(t2, X))
-    return splits(restrict(t1, X)) == splits(restrict(t2, X))
-
-
 def mast_bruteforce(t1, t2, force: bool = False) -> int:
     """Subset-enumeration MAST (descending size, early exit); guarded to at
     most 12 shared leaves."""
@@ -182,7 +176,7 @@ def mast_bruteforce(t1, t2, force: bool = False) -> int:
     trivial = 2 if isinstance(t1, RootedTree) else 3
     for size in range(len(common), trivial, -1):
         for X in combinations(common, size):
-            if _agrees(t1, t2, X):
+            if is_isomorphic(restrict(t1, X), restrict(t2, X)):
                 return size
     return min(len(common), trivial)
 

@@ -39,7 +39,7 @@ from .treecore import (
     UnrootedTree,
     center,
     classify_balanced,
-    leaf_sets,
+    postorder,
     radius,
     root_at_edge,
     root_at_leaf_edge,
@@ -51,6 +51,20 @@ logger = logging.getLogger(__name__)
 
 DUMMY_LABEL_BASE = 10**9
 _PAD_HEIGHT_GUARD = 21  # padded trees materialise 2^height leaves
+
+
+def _leaf_sets(*trees) -> dict:
+    """{node: frozenset of the leaf labels below it} for every node of the
+    trees.  Θ(n²) labels on a caterpillar: build it only for the length of
+    one call."""
+    sets = {}
+    for t in trees:
+        for node in postorder(t):
+            if node.is_leaf:
+                sets[node] = frozenset((node.label,))
+            else:
+                sets[node] = sets[node.left] | sets[node.right]
+    return sets
 
 
 def _orient(u: RootedTree, v: RootedTree, sets: dict):
@@ -143,7 +157,7 @@ def match1(t1: RootedTree, t2: RootedTree, delta: float):
         raise TreeError("match1 needs two rooted trees")
     if not t1.balanced:
         raise TreeError("match1 requires the first tree to be balanced")
-    sets = leaf_sets(t1, t2)
+    sets = _leaf_sets(t1, t2)
     if not sets[t2] <= sets[t1]:
         raise TreeError("match1 requires L(t2) to be a subset of L(t1)")
     if not 0 < delta < 0.5:
@@ -289,7 +303,7 @@ def match2(t1: RootedTree, t2: RootedTree, delta: float):
         raise TreeError("match2 requires both trees to be balanced")
     if not 0 < delta < 0.25:
         raise ValueError(f"match2 needs delta in (0, 1/4), got {delta}")
-    sets = leaf_sets(t1, t2)
+    sets = _leaf_sets(t1, t2)
     t0 = len(sets[t1] & sets[t2])
     if t0 == 0:
         raise TreeError("match2 requires a nonempty shared leaf set")

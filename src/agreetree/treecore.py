@@ -125,20 +125,6 @@ def postorder(t: RootedTree) -> list:
     return out
 
 
-def leaf_sets(*trees) -> dict:
-    """{node: frozenset of the leaf labels below it} for every node of the
-    trees.  Θ(n²) labels on a caterpillar: build it only for the length of
-    one call."""
-    sets = {}
-    for t in trees:
-        for node in postorder(t):
-            if node.is_leaf:
-                sets[node] = frozenset((node.label,))
-            else:
-                sets[node] = sets[node.left] | sets[node.right]
-    return sets
-
-
 # --------------------------------------------------------------------------
 # Unrooted trees
 # --------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Operations on trees: restriction, ancestors, joins, balanced
 restrictions, isomorphism, and agreement-certificate verification.
 
-Rooted isomorphism is decided by cluster-set equality and unrooted
-isomorphism by split-set equality; both are canonical, order-free
-characterisations of label-respecting isomorphism.  A rooted restriction is
-rooted at the most recent common ancestor of the kept leaves.
+Tree identity has one test: two trees of the same kind are
+label-respecting isomorphic iff their canonical Newick texts (``to_newick``)
+are equal, so isomorphism and agreement certificates compare texts.  A
+rooted restriction is rooted at the most recent common ancestor of the kept
+leaves.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from .treecore import (
     RootedTree,
     TreeError,
     UnrootedTree,
-    directed_postorder,
-    leaf_sets,
     postorder,
     root_at_edge,
     to_newick,
@@ -25,7 +24,8 @@ from .treecore import (
 
 
 class AgreementError(TreeError):
-    """The two restrictions differ; carries the first differing part."""
+    """The two restrictions differ; the message names the leaf set and both
+    canonical texts."""
 
 
 def lca(t: RootedTree, labels) -> RootedTree:
@@ -148,39 +148,16 @@ def extract_balanced(t: RootedTree, k: int) -> frozenset:
     return frozenset(out)
 
 
-def clusters(t: RootedTree) -> frozenset:
-    """{ leaf set of every node }; 2n-1 clusters for n leaves."""
-    return frozenset(leaf_sets(t).values())
-
-
-def splits(t: UnrootedTree) -> frozenset:
-    """One leaf bipartition per edge, each a frozenset of the two sides;
-    n + (n-3) distinct splits for n leaves."""
-    all_leaves = t.leaves
-    top = next(iter(t.adj))
-    sides = {}  # (u, v) -> labels on v's side, one direction per edge
-    for u, v in directed_postorder(t, [(top, w) for w in t.adj[top]]):
-        if v in t.leaf_label:
-            sides[(u, v)] = frozenset((t.leaf_label[v],))
-        else:
-            a, b = (sides[(v, w)] for w in t.adj[v] if w != u)
-            sides[(u, v)] = a | b
-    return frozenset(frozenset((side, all_leaves - side)) for side in sides.values())
-
-
 def _same_kind(t1, t2):
     if isinstance(t1, RootedTree) != isinstance(t2, RootedTree):
         raise TreeError("cannot compare a rooted tree with an unrooted tree")
 
 
 def is_isomorphic(t1, t2) -> bool:
-    """Label-respecting isomorphism; False for distinct leaf sets."""
+    """Label-respecting isomorphism: equal canonical texts (so False for
+    distinct leaf sets)."""
     _same_kind(t1, t2)
-    if t1.leaves != t2.leaves:
-        return False
-    if isinstance(t1, RootedTree):
-        return clusters(t1) == clusters(t2)
-    return splits(t1) == splits(t2)
+    return to_newick(t1) == to_newick(t2)
 
 
 def is_subtree(s, t) -> bool:
@@ -215,36 +192,12 @@ def verify_agreement(t1, t2, labels) -> AgreementCertificate:
         raise TreeError(f"labels {sorted(X - common)} not shared by both trees")
     if not X:
         return AgreementCertificate(X, "")
-    rooted = isinstance(t1, RootedTree)
-    if not rooted and len(X) <= 2:
+    if not isinstance(t1, RootedTree) and len(X) <= 2:
         body = ",".join(str(x) for x in sorted(X))
         shape = f"{body};" if len(X) == 1 else f"({body});"
         return AgreementCertificate(X, shape)
-    r1 = restrict(t1, X)
-    r2 = restrict(t2, X)
-    if rooted:
-        c1, c2 = clusters(r1), clusters(r2)
-        what = "cluster"
-    else:
-        c1, c2 = splits(r1), splits(r2)
-        what = "split"
-    if c1 != c2:
-        diff = min(c1 ^ c2, key=_part_key)
-        raise AgreementError(
-            f"restrictions to {sorted(X)} differ; first differing {what}: "
-            f"{_part_repr(diff)}"
-        )
-    return AgreementCertificate(X, to_newick(r1))
-
-
-def _part_key(part):
-    if part and isinstance(next(iter(part)), frozenset):  # a split: two sides
-        return tuple(sorted(tuple(sorted(side)) for side in part))
-    return (tuple(sorted(part)),)
-
-
-def _part_repr(part):
-    if part and isinstance(next(iter(part)), frozenset):
-        a, b = sorted((sorted(side) for side in part))
-        return f"{a} | {b}"
-    return str(sorted(part))
+    shape1 = to_newick(restrict(t1, X))
+    shape2 = to_newick(restrict(t2, X))
+    if shape1 != shape2:
+        raise AgreementError(f"restrictions to {sorted(X)} differ: {shape1} vs {shape2}")
+    return AgreementCertificate(X, shape1)

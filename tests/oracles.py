@@ -7,7 +7,40 @@ quadratic DP.  None of it shares code with the implementations it checks.
 from itertools import combinations
 
 from agreetree.treecore import RootedTree, UnrootedTree, root_at_edge
-from agreetree.treeops import restrict, splits
+from agreetree.treeops import restrict
+
+
+def clusters(t: RootedTree) -> frozenset:
+    """{ leaf set of every node }; 2n-1 clusters for n leaves."""
+    out = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        out.add(node.leaves)
+        if not node.is_leaf:
+            stack += [node.left, node.right]
+    return frozenset(out)
+
+
+def splits(t: UnrootedTree) -> frozenset:
+    """One leaf bipartition per edge, each a frozenset of the two sides;
+    n + (n-3) distinct splits for n leaves."""
+    out = set()
+    for u in t.adj:
+        for v in t.adj[u]:
+            seen = {u, v}
+            stack = [v]
+            side = set()
+            while stack:  # everything reachable from v without crossing u
+                w = stack.pop()
+                if w in t.leaf_label:
+                    side.add(t.leaf_label[w])
+                for x in t.adj[w]:
+                    if x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+            out.add(frozenset((frozenset(side), t.leaves - side)))
+    return frozenset(out)
 
 
 def iso_rooted_search(t1: RootedTree, t2: RootedTree) -> bool:

@@ -195,6 +195,30 @@ class TestCompute:
         assert main(["match1", t1, t1, "--delta", "abc"]) == 1
         assert "--delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, ntrees, unread",
+        [
+            ("mast", 2, ["--delta", "0.1"]),
+            ("mast", 2, ["--trace"]),
+            ("agree", 2, ["--delta", "0.1"]),
+            ("agree", 2, ["--trace"]),
+            ("match-multi", 3, ["--trace"]),
+            ("match-ab", 2, ["--trace"]),
+            ("decompose", 1, ["--delta", "0.1"]),
+            ("decompose", 1, ["--trace"]),
+            ("decompose", 1, ["--format", "json"]),
+        ],
+    )
+    def test_unread_option_rejected(self, trees, capsys, command, ntrees, unread):
+        path = trees("b.nwk", ["balanced", "--m", "2"])
+        required = ["--k", "3"] if command == "match-ab" else []
+        with pytest.raises(SystemExit) as exit_:
+            main([command, *[path] * ntrees, *required, *unread])
+        assert exit_.value.code == 1
+        captured = capsys.readouterr()
+        assert f"error: unrecognized arguments: {' '.join(unread)}\n" in captured.err
+        assert captured.out == ""
+
 
 class TestBounds:
     def test_constants(self):
@@ -203,6 +227,20 @@ class TestBounds:
         assert "alpha*:  0.205597" in out
         assert "delta1*: 0.170536" in out
         assert "path length threshold: 16" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--fmax", "3", "--n", "1"], "--n must be greater than 2, got 1"),
+            (["--n", "2"], "--n must be greater than 2, got 2"),
+            (["--fmax", "-1"], "--fmax must be at least 0, got -1"),
+        ],
+    )
+    def test_bad_arguments(self, capsys, argv, message):
+        assert main(["bounds", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"agreetree bounds: {message}\n"
 
 
 class TestBench:
@@ -238,6 +276,17 @@ class TestBench:
             "--out", str(tmp_path / "nodir" / "x.csv"),
         )
         assert code == 1
+
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one(self, tmp_path, capsys, trials):
+        out_path = tmp_path / "trials.csv"
+        code = main(["bench", "--n", "4", "--trials", trials, "--out", str(out_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"agreetree bench: --trials must be at least 1, got {trials}\n"
+        assert not out_path.exists()
 
 
 class TestDeterminism:

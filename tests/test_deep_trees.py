@@ -1,4 +1,6 @@
-"""Deep trees: every builder and walk handles a 20,000-leaf caterpillar.
+"""Deep trees: every builder and walk handles a 20,000-leaf caterpillar,
+and tree identity (isomorphism, agreement certificates) stays linear in
+memory on caterpillars and on a 20,000-leaf uniform tree.
 
 The checks run in a fresh interpreter whose address space is capped at
 1 GiB, so a quadratic leaf-set cache fails there with MemoryError instead of
@@ -19,9 +21,10 @@ resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 limit = sys.getrecursionlimit()
 import agreetree
 from agreetree import (
-    RootedTree, extract_balanced, f_closed, f_recurrence, gen_caterpillar,
-    gen_extremal_fhk, is_caterpillar, parse_newick, ramsey_split, relabel,
-    restrict, root_at_edge, to_newick, unroot, verify_agreement,
+    RandomModel, RootedTree, extract_balanced, f_closed, f_recurrence,
+    gen_caterpillar, gen_extremal_fhk, gen_random, is_caterpillar,
+    is_isomorphic, parse_newick, ramsey_split, relabel, restrict,
+    root_at_edge, to_newick, unroot, verify_agreement,
 )
 from agreetree.treecore import root_at_leaf_edge
 
@@ -47,6 +50,11 @@ for t in (rooted, unrooted):
     assert to_newick(relabel(relabel(t, reverse), reverse)) == text
     assert ramsey_split(t).kind == "path"
     assert len(verify_agreement(t, t, range(1, 51)).leaves) == 50
+    assert verify_agreement(t, t, range(1, N + 1)).restricted_shape == text
+    assert is_isomorphic(t, parse_newick(text))
+
+uniform = gen_random(N, RandomModel("uniform", 1))
+assert is_isomorphic(uniform, parse_newick(to_newick(uniform)))
 
 spine = RootedTree.branch(
     RootedTree.branch(RootedTree.leaf(N - 3), RootedTree.leaf(N - 2)),

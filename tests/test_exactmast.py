@@ -20,9 +20,9 @@ from agreetree.generators import (
 )
 from agreetree._rng import SplitMix64
 from agreetree.treecore import parse_newick, root_at_edge
-from agreetree.treeops import clusters, restrict, verify_agreement
+from agreetree.treeops import restrict, verify_agreement
 
-from oracles import mast_subsets_unrooted
+from oracles import clusters, mast_subsets_unrooted
 
 
 def _random_rooted(n, seed):

@@ -48,7 +48,7 @@ class TestCaterpillar:
         assert to_newick(gen_caterpillar(3)) == "(1,2,3);"
 
     def test_four_spine_order(self):
-        from agreetree.treeops import splits
+        from oracles import splits
 
         got = splits(gen_caterpillar(4))
         assert frozenset({frozenset({1, 2}), frozenset({3, 4})}) in got

@@ -11,17 +11,21 @@ from agreetree.generators import (
 from agreetree.treecore import RootedTree, TreeError, parse_newick, to_newick
 from agreetree.treeops import (
     AgreementError,
-    clusters,
     is_isomorphic,
     is_subtree,
     join,
     lca,
     restrict,
-    splits,
     verify_agreement,
 )
 
-from oracles import iso_rooted_search, iso_unrooted_search, restrict_unrooted_by_paths
+from oracles import (
+    clusters,
+    iso_rooted_search,
+    iso_unrooted_search,
+    restrict_unrooted_by_paths,
+    splits,
+)
 
 
 class TestLca:
@@ -197,8 +201,19 @@ class TestVerifyAgreement:
 
     def test_swap_pair_full_set_fails(self):
         t1, t2 = gen_swap_pair(1)
-        with pytest.raises(AgreementError, match="differing cluster"):
+        with pytest.raises(AgreementError) as err:
             verify_agreement(t1, t2, {1, 2, 3, 4})
+        assert str(err.value) == (
+            "restrictions to [1, 2, 3, 4] differ: ((1,2),(3,4)); vs ((1,3),(2,4));"
+        )
+
+    def test_unrooted_quartets_differ(self):
+        t1, t2 = parse_newick("((1,2),3,4);"), parse_newick("((1,3),2,4);")
+        with pytest.raises(AgreementError) as err:
+            verify_agreement(t1, t2, {1, 2, 3, 4})
+        assert str(err.value) == (
+            "restrictions to [1, 2, 3, 4] differ: (1,2,(3,4)); vs (1,(2,4),3);"
+        )
 
     def test_unrooted_trivial_pair(self):
         u1, u2 = gen_swap_pair(1, rooted=False)
