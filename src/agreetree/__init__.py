@@ -55,7 +55,6 @@ from .matchers import (
     match2_multi,
     match2_unrooted,
     match_almost_balanced,
-    pad_to_balanced,
 )
 from .treecore import (
     BalanceClass,

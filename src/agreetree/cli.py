@@ -35,7 +35,6 @@ from .treecore import (
     TreeError,
     classify_balanced,
     parse_newick,
-    radius,
     to_newick,
 )
 from .treeops import verify_agreement
@@ -235,23 +234,18 @@ def cmd_match_multi(args) -> int:
 def cmd_match_ab(args) -> int:
     t1 = _read_tree(args.tree1)
     t2 = _read_tree(args.tree2)
-    delta = _parse_delta(args.delta)
     k = args.k
     n = t1.nleaves
-    leaves = mt.match_almost_balanced(t1, t2, k, delta=delta, mode=args.mode)
-    # Report against the bound for the mode actually used.
-    logn = math.log2(n)
-    both = radius(t1) <= k * logn and radius(t2) <= k * logn
-    mode = args.mode if args.mode != "auto" else ("both" if both else "single")
+    leaves, mode, delta = mt.match_almost_balanced(
+        t1, t2, k, delta=_parse_delta(args.delta), mode=args.mode
+    )
     if mode == "both":
-        d = delta if delta is not None else bnd.delta_for_beta_k(k)
-        bound = n ** bnd.beta_k(k, d)
+        bound = n ** bnd.beta_k(k, delta)
     else:
-        d = delta if delta is not None else bnd.delta_for_alpha_k(k)
-        bound = bnd.alpha_k(k, d) * logn
+        bound = bnd.alpha_k(k, delta) * math.log2(n)
     return _finish(
         args, "match-almost-balanced", (t1, t2), leaves, bound,
-        {"delta": d, "k": k, "mode": mode, "n": n},
+        {"delta": delta, "k": k, "mode": mode, "n": n},
     )
 
 
@@ -345,56 +339,48 @@ def _bench_trial(algorithm: str, n: int, model_kind: str, seed: int, measure: bo
     delta = ""
     bound = ""
     exact = ""
-    if algorithm == "match1":
-        m = int(math.log2(n))
-        if 2**m != n:
-            raise ValueError("match1 trials need n to be a power of 2")
-        t1 = gen.gen_balanced(m)
-        t2 = gen.gen_random(n, gen.RandomModel(model_kind, seed), rooted=True)
-        delta = mt.default_delta("match1")
-        leaves, trace = mt.match1(t1, t2, delta)
-        bound = max(1.0, bnd.match1_bound(m, n, delta))
-        ok = _cert_ok(t1, t2, leaves)
-        if n <= dc.EXACT_CUTOFF:
-            exact = xm.mast_rooted(t1, t2).size
-        result = len(leaves)
-        model = model_kind
-    elif algorithm == "match2":
-        m = int(math.log2(n))
-        if 2**m != n:
-            raise ValueError("match2 trials need n to be a power of 2")
-        rng = gen.SplitMix64(seed)
-        t1 = gen.gen_balanced(m)
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        t2 = gen.relabel(gen.gen_balanced(m), {i + 1: perm[i] for i in range(n)})
-        delta = mt.default_delta("match2")
-        leaves, _ = mt.match2(t1, t2, delta)
-        bound = max(1.0, bnd.match2_bound(m, m, n, delta))
-        ok = _cert_ok(t1, t2, leaves)
-        if n <= dc.EXACT_CUTOFF:
-            exact = xm.mast_rooted(t1, t2).size
-        result = len(leaves)
-        model = "permutation"
-    elif algorithm == "agree":
-        rng = gen.SplitMix64(seed)
-        t1 = gen.gen_random(n, gen.RandomModel(model_kind, rng.next_u64()))
-        t2 = gen.gen_random(n, gen.RandomModel(model_kind, rng.next_u64()))
-        leaves, report = dc.agree_general(t1, t2)
-        delta = report.params.get("delta", "")
-        bound = report.bound_value
-        ok = _cert_ok(t1, t2, leaves)
-        if n <= dc.EXACT_CUTOFF:
-            exact = xm.mast_unrooted(t1, t2).size
-        result = len(leaves)
-        model = model_kind
-    elif algorithm == "mast-floor":
-        result = xm.mast_floor(n)
-        exact = result
+    model = model_kind
+    if algorithm == "mast-floor":
+        result = exact = xm.mast_floor(n)
         ok = True
         model = "enumeration"
     else:
-        raise ValueError(f"unknown bench algorithm {algorithm!r}")
+        if algorithm == "match1":
+            m = int(math.log2(n))
+            if 2**m != n:
+                raise ValueError("match1 trials need n to be a power of 2")
+            t1 = gen.gen_balanced(m)
+            t2 = gen.gen_random(n, gen.RandomModel(model_kind, seed), rooted=True)
+            delta = mt.default_delta("match1")
+            leaves, _ = mt.match1(t1, t2, delta)
+            bound = max(1.0, bnd.match1_bound(m, n, delta))
+        elif algorithm == "match2":
+            m = int(math.log2(n))
+            if 2**m != n:
+                raise ValueError("match2 trials need n to be a power of 2")
+            rng = gen.SplitMix64(seed)
+            t1 = gen.gen_balanced(m)
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            t2 = gen.relabel(gen.gen_balanced(m), {i + 1: perm[i] for i in range(n)})
+            delta = mt.default_delta("match2")
+            leaves, _ = mt.match2(t1, t2, delta)
+            bound = max(1.0, bnd.match2_bound(m, m, n, delta))
+            model = "permutation"
+        elif algorithm == "agree":
+            rng = gen.SplitMix64(seed)
+            t1 = gen.gen_random(n, gen.RandomModel(model_kind, rng.next_u64()))
+            t2 = gen.gen_random(n, gen.RandomModel(model_kind, rng.next_u64()))
+            leaves, report = dc.agree_general(t1, t2)
+            delta = report.params.get("delta", "")
+            bound = report.bound_value
+        else:
+            raise ValueError(f"unknown bench algorithm {algorithm!r}")
+        ok = _cert_ok(t1, t2, leaves)
+        if n <= dc.EXACT_CUTOFF:
+            mast = xm.mast_rooted if isinstance(t1, RootedTree) else xm.mast_unrooted
+            exact = mast(t1, t2).size
+        result = len(leaves)
     runtime_ms = int((time.perf_counter() - started) * 1000) if measure else 0
     return TrialRecord(
         n, model, seed, algorithm, delta, result, bound, exact, runtime_ms, ok
@@ -412,7 +398,11 @@ def _cert_ok(t1, t2, leaves) -> bool:
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    ns = [int(x) for x in args.n.split(",")]
+    items = args.n.split(",")
+    for item in items:
+        if not item.strip().isdecimal() or int(item) < 1:
+            raise ValueError(f"--n items must be positive integers, got {item!r}")
+    ns = [int(item) for item in items]
     algorithms = args.algorithms.split(",")
     rows = []
     for algorithm in algorithms:

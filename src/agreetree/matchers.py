@@ -8,9 +8,11 @@ max(1, match2_bound(m1, m2, t, delta)) leaves.  Both emit traces from which
 the per-step shrink inequalities of their analyses can be re-checked.
 
 Unrooted wrappers reduce edge-centered (class B) and vertex-centered
-(class C) balanced trees to the rooted algorithms, and the almost-balanced
-entry point embeds small-radius trees into balanced ones by padding with
-reserved dummy labels (> 10^9) that can never appear in any output.
+(class C) balanced trees to the rooted algorithms.  The almost-balanced
+entry point runs the same walks on small-radius trees rooted near their
+centers.  Growing each leaf of such a tree into a subtree of new labels
+makes it balanced without changing what the walks return, so the balanced
+guarantees carry over.
 
 Every "choose any leaf" step picks the smallest label, and every "swap if
 necessary" performs no swap when the required inequalities already hold, so
@@ -19,7 +21,6 @@ runs are exactly reproducible.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -48,9 +49,6 @@ from .treecore import (
 from .treeops import extract_balanced, max_balanced_height, restrict
 
 logger = logging.getLogger(__name__)
-
-DUMMY_LABEL_BASE = 10**9
-_PAD_HEIGHT_GUARD = 21  # padded trees materialise 2^height leaves
 
 
 def _leaf_sets(*trees) -> dict:
@@ -157,6 +155,16 @@ def match1(t1: RootedTree, t2: RootedTree, delta: float):
         raise TreeError("match1 needs two rooted trees")
     if not t1.balanced:
         raise TreeError("match1 requires the first tree to be balanced")
+    return _match1_walk(t1, t2, delta)
+
+
+def _match1_walk(t1: RootedTree, t2: RootedTree, delta: float):
+    """match1 without the balance check on t1.
+
+    Make t1 balanced by growing each shallow leaf x into a subtree of x and
+    new labels.  The walk reads only shared-leaf counts, and from a node
+    that shares x alone it only skips or shrinks until it emits x.  So it
+    returns on t1 the set that match1 returns on the balanced tree."""
     sets = _leaf_sets(t1, t2)
     if not sets[t2] <= sets[t1]:
         raise TreeError("match1 requires L(t2) to be a subset of L(t1)")
@@ -218,7 +226,7 @@ class Match2Node:
     u_size: int
     v_size: int
     emitted: int | None = None
-    children: tuple = ()
+    children: list = field(default_factory=list)
 
     def as_dict(self):
         return {
@@ -258,25 +266,6 @@ class Match2Trace:
 
         yield from walk(self.root)
 
-    def leaf_count(self) -> int:
-        total = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                stack.extend(node.children)
-            else:
-                total += 1
-        return total
-
-    def min_branch_depth(self) -> int:
-        """Minimum number of branching (diag/anti) steps over all paths."""
-        best = None
-        for path in self.paths():
-            branches = sum(1 for nd in path if nd.rule in ("diag", "anti"))
-            best = branches if best is None else min(best, branches)
-        return best
-
     def check_path_bounds(self, slack: float = 1e-9) -> bool:
         """Per-step shrink factors and the 2m step budget, on every path."""
         d = self.delta
@@ -301,6 +290,13 @@ def match2(t1: RootedTree, t2: RootedTree, delta: float):
         raise TreeError("match2 needs two rooted trees")
     if not (t1.balanced and t2.balanced):
         raise TreeError("match2 requires both trees to be balanced")
+    return _match2_walk(t1, t2, delta)
+
+
+def _match2_walk(t1: RootedTree, t2: RootedTree, delta: float):
+    """match2 without the balance checks.  It returns the set that match2
+    returns after both trees are made balanced as in ``_match1_walk``, with
+    new labels that the two trees do not share."""
     if not 0 < delta < 0.25:
         raise ValueError(f"match2 needs delta in (0, 1/4), got {delta}")
     sets = _leaf_sets(t1, t2)
@@ -309,79 +305,36 @@ def match2(t1: RootedTree, t2: RootedTree, delta: float):
         raise TreeError("match2 requires a nonempty shared leaf set")
     trace = Match2Trace(delta, t1.height, t2.height, t0)
 
-    def rec(u, v):
+    out = []
+    top = []
+    stack = [(t1, t2, top)]  # calls still to make, with their parent's children
+    while stack:
+        u, v, siblings = stack.pop()
         shared = sets[u] & sets[v]
         t_uv = len(shared)
         if t_uv == 0:
             raise AssertionError("recursed into an empty intersection")
+        node = Match2Node("base", t_uv, u.nleaves, v.nleaves)
+        siblings.append(node)
         if u.nleaves == 1 or v.nleaves == 1:
-            z = min(shared)
-            return {z}, Match2Node("base", t_uv, u.nleaves, v.nleaves, z)
+            node.emitted = min(shared)
+            out.append(node.emitted)
+            continue
         (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v, sets)
         need = delta * t_uv
         if t_ll >= need and t_rr >= need:
-            xl, nl = rec(ul, vl)
-            xr, nr = rec(ur, vr)
-            return xl | xr, Match2Node("diag", t_uv, u.nleaves, v.nleaves, None, (nl, nr))
-        if t_lr >= need and t_rl >= need:
-            xl, nl = rec(ul, vr)
-            xr, nr = rec(ur, vl)
-            return xl | xr, Match2Node("anti", t_uv, u.nleaves, v.nleaves, None, (nl, nr))
-        if t_lr < need and t_rl < need:
-            x, child = rec(ur, vr)
-            return x, Match2Node("shrink", t_uv, u.nleaves, v.nleaves, None, (child,))
-        if t_lr < need:  # t_rl >= need: drop u's left side only
-            x, child = rec(ur, v)
-            return x, Match2Node("skip1", t_uv, u.nleaves, v.nleaves, None, (child,))
-        x, child = rec(u, vr)  # t_rl < need <= t_lr: drop v's left side only
-        return x, Match2Node("skip2", t_uv, u.nleaves, v.nleaves, None, (child,))
-
-    leaves, root = rec(t1, t2)
-    trace.root = root
-    return frozenset(leaves), trace
-
-
-# --------------------------------------------------------------------------
-# Padding for almost-balanced trees
-# --------------------------------------------------------------------------
-
-
-def pad_to_balanced(
-    t: RootedTree, target_height: int, dummy_start: int = DUMMY_LABEL_BASE + 1
-) -> RootedTree:
-    """Balanced supertree of height ``target_height`` containing ``t`` as a
-    subtree; added leaves take fresh labels from the reserved dummy range.
-
-    The result materialises 2^target_height leaves, so the height is capped
-    at 21 (about two million leaves)."""
-    if target_height < t.height:
-        raise ValueError(
-            f"target height {target_height} is below the tree height {t.height}"
-        )
-    if target_height > _PAD_HEIGHT_GUARD:
-        raise ValueError(
-            f"padding to height {target_height} would materialise "
-            f"2^{target_height} leaves (guard is {_PAD_HEIGHT_GUARD})"
-        )
-    counter = itertools.count(dummy_start)
-
-    def dummy(h):
-        if h == 0:
-            return RootedTree.leaf(next(counter))
-        return RootedTree.branch(dummy(h - 1), dummy(h - 1))
-
-    def rec(node, h):
-        if node.is_leaf:
-            if h == 0:
-                return node
-            return RootedTree.branch(rec(node, h - 1), dummy(h - 1))
-        return RootedTree.branch(rec(node.left, h - 1), rec(node.right, h - 1))
-
-    return rec(t, target_height)
-
-
-def strip_dummies(labels) -> frozenset:
-    return frozenset(x for x in labels if x <= DUMMY_LABEL_BASE)
+            node.rule, calls = "diag", ((ul, vl), (ur, vr))
+        elif t_lr >= need and t_rl >= need:
+            node.rule, calls = "anti", ((ul, vr), (ur, vl))
+        elif t_lr < need and t_rl < need:
+            node.rule, calls = "shrink", ((ur, vr),)
+        elif t_lr < need:  # t_rl >= need: drop u's left side only
+            node.rule, calls = "skip1", ((ur, v),)
+        else:  # t_rl < need <= t_lr: drop v's left side only
+            node.rule, calls = "skip2", ((u, vr),)
+        stack.extend((a, b, node.children) for a, b in reversed(calls))
+    trace.root = top[0]
+    return frozenset(out), trace
 
 
 # --------------------------------------------------------------------------
@@ -543,23 +496,25 @@ def match_almost_balanced(
     k: float,
     delta: float | None = None,
     mode: str = "auto",
-) -> frozenset:
+):
     """Matching for small-radius ("almost balanced") unrooted trees.
 
-    mode "single" (radius(t1) <= k log n - 1): root t1 near its center, pad
-    to a balanced tree of height ceil(k log n), root t2 arbitrarily, and run
-    match1; guarantees alpha_k log n leaves.  mode "both" (both radii
-    <= k log n): pad both and run match2; guarantees n^beta_k leaves.  mode
-    "auto" picks "both" when both radii allow it.  Dummy padding labels are
-    never emitted (they occur in only one tree)."""
+    mode "single" (radius(t1) <= k log n - 1): root t1 near its center
+    (height at most k log n), root t2 at a leaf edge, and run match1's walk;
+    guarantees alpha_k log n leaves.  mode "both" (both radii <= k log n):
+    root both near their centers and run match2's walk; guarantees
+    n^beta_k leaves.  mode "auto" picks "both" when both radii allow it.
+    The walks return the set that the balanced matchers return on the
+    rooted trees made balanced of height about k log n (see
+    ``_match1_walk``), so their guarantees hold.  Returns (leaf set, mode
+    used, delta used)."""
     if not isinstance(t1, UnrootedTree) or not isinstance(t2, UnrootedTree):
         raise TreeError("match_almost_balanced needs two unrooted trees")
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"k must be a finite positive number, got {k}")
     if t1.leaves != t2.leaves:
         raise TreeError("match_almost_balanced requires identical leaf sets")
-    n = t1.nleaves
-    logn = math.log2(n)
+    logn = math.log2(t1.nleaves)
     r1 = radius(t1)
     r2 = radius(t2)
     if mode == "auto":
@@ -571,13 +526,8 @@ def match_almost_balanced(
             )
         if delta is None:
             delta = delta_for_alpha_k(k)
-        target = math.ceil(k * logn)
-        padded = pad_to_balanced(_root_near_center(t1), max(target, 0))
-        leaves, _ = match1(padded, root_at_leaf_edge(t2), delta)
-        out = strip_dummies(leaves)
-        if len(out) != len(leaves):
-            raise AssertionError("dummy labels can never be part of an agreement")
-        return out
+        leaves, _ = _match1_walk(_root_near_center(t1), root_at_leaf_edge(t2), delta)
+        return leaves, mode, delta
     if mode != "both":
         raise ValueError(f"mode must be auto, single, or both, got {mode!r}")
     if r1 > k * logn or r2 > k * logn:
@@ -586,16 +536,8 @@ def match_almost_balanced(
         )
     if delta is None:
         delta = delta_for_beta_k(k)
-    ra = _root_near_center(t1)
-    rb = _root_near_center(t2)
-    target = max(math.ceil(k * logn), ra.height, rb.height)
-    pa = pad_to_balanced(ra, target, dummy_start=DUMMY_LABEL_BASE + 1)
-    pb = pad_to_balanced(rb, target, dummy_start=2 * DUMMY_LABEL_BASE + 1)
-    leaves, _ = match2(pa, pb, delta)
-    out = strip_dummies(leaves)
-    if len(out) != len(leaves):
-        raise AssertionError("dummy labels can never be part of an agreement")
-    return out
+    leaves, _ = _match2_walk(_root_near_center(t1), _root_near_center(t2), delta)
+    return leaves, mode, delta
 
 
 def default_delta(algorithm: str) -> float:

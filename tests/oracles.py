@@ -4,7 +4,7 @@ Everything here is deliberately naive: exhaustive search, all-pairs BFS,
 quadratic DP.  None of it shares code with the implementations it checks.
 """
 
-from itertools import combinations
+from itertools import combinations, count
 
 from agreetree.treecore import RootedTree, UnrootedTree, root_at_edge
 from agreetree.treeops import restrict
@@ -219,3 +219,33 @@ def _shape_to_tree(shape, counter=None):
     return RootedTree.branch(
         _shape_to_tree(shape[1], counter), _shape_to_tree(shape[2], counter)
     )
+
+
+PAD_LABEL_BASE = 10**9
+
+
+def pad_to_balanced(
+    t: RootedTree, target_height: int, dummy_start: int = PAD_LABEL_BASE + 1
+) -> RootedTree:
+    """Balanced supertree of height ``target_height`` that holds ``t`` as a
+    subtree; every added leaf takes the next label from ``dummy_start`` on.
+    It materialises 2^target_height leaves."""
+    if target_height < t.height:
+        raise ValueError(
+            f"target height {target_height} is below the tree height {t.height}"
+        )
+    counter = count(dummy_start)
+
+    def dummy(h):
+        if h == 0:
+            return RootedTree.leaf(next(counter))
+        return RootedTree.branch(dummy(h - 1), dummy(h - 1))
+
+    def rec(node, h):
+        if node.is_leaf:
+            if h == 0:
+                return node
+            return RootedTree.branch(rec(node, h - 1), dummy(h - 1))
+        return RootedTree.branch(rec(node.left, h - 1), rec(node.right, h - 1))
+
+    return rec(t, target_height)

@@ -136,6 +136,33 @@ class TestCompute:
         code, out = run_cli("match-ab", t1, t2, "--k", "3")
         assert code == 0 and "bound_met: True" in out
 
+    def test_match_ab_yule_128_single(self, trees):
+        t1 = trees("a.nwk", ["random", "--n", "128", "--model", "yule", "--seed", "1"])
+        t2 = trees("b.nwk", ["random", "--n", "128", "--model", "yule", "--seed", "2"])
+        code, out = run_cli("match-ab", t1, t2, "--k", "3", "--mode", "single")
+        assert code == 0
+        assert out == (
+            "algorithm: match-almost-balanced\n"
+            "result_size: 7\n"
+            "witness: 1 4 7 48 61 88 115\n"
+            "certificate: (1,(4,(48,((61,88),115))),7);\n"
+            "bound_value: 1.0\n"
+            "achieved: 7\n"
+            "bound_met: True\n"
+            "delta: 0.109101282\n"
+            "k: 3.0\n"
+            "mode: single\n"
+            "n: 128\n"
+        )
+
+    def test_match_ab_large_k(self, trees):
+        # a balanced tree of height ceil(4 log 128) = 28 would have 2^28 leaves
+        t1 = trees("a.nwk", ["random", "--n", "128", "--model", "yule", "--seed", "1"])
+        t2 = trees("b.nwk", ["random", "--n", "128", "--model", "yule", "--seed", "2"])
+        code, out = run_cli("match-ab", t1, t2, "--k", "4")
+        assert code == 0
+        assert "mode: both" in out and "bound_met: True" in out
+
     def test_match_multi(self, trees):
         paths = [trees(f"m{i}.nwk", ["balanced", "--m", "3"]) for i in range(3)]
         code, out = run_cli("match-multi", *paths)
@@ -286,6 +313,18 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"agreetree bench: --trials must be at least 1, got {trials}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("n, item", [("0", "0"), ("-4", "-4"), ("abc", "abc"), ("8,,16", "")])
+    def test_bad_n(self, tmp_path, capsys, n, item):
+        out_path = tmp_path / "trials.csv"
+        code = main(["bench", f"--n={n}", "--trials", "1", "--out", str(out_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"agreetree bench: --n items must be positive integers, got {item!r}\n"
+        )
         assert not out_path.exists()
 
 

@@ -1,6 +1,8 @@
 """Deep trees: every builder and walk handles a 20,000-leaf caterpillar,
 and tree identity (isomorphism, agreement certificates) stays linear in
-memory on caterpillars and on a 20,000-leaf uniform tree.
+memory on caterpillars and on a 20,000-leaf uniform tree.  ``match-ab``
+runs on a 4096-leaf Yule pair at k = 3, where a balanced supertree of the
+required height would have 2^36 leaves.
 
 The checks run in a fresh interpreter whose address space is capped at
 1 GiB, so a quadratic leaf-set cache fails there with MemoryError instead of
@@ -14,8 +16,12 @@ import sys
 from cliproc import cli_env
 
 CHILD = r"""
+import contextlib
+import io
+import os
 import resource
 import sys
+import tempfile
 
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 limit = sys.getrecursionlimit()
@@ -26,6 +32,7 @@ from agreetree import (
     is_isomorphic, parse_newick, ramsey_split, relabel, restrict,
     root_at_edge, to_newick, unroot, verify_agreement,
 )
+from agreetree.cli import main
 from agreetree.treecore import root_at_leaf_edge
 
 assert sys.getrecursionlimit() == limit, (limit, sys.getrecursionlimit())
@@ -65,6 +72,17 @@ for label in range(N - 4, 0, -1):
 assert extract_balanced(spine, 2) == {N - 3, N - 2, N - 1, N}
 
 assert gen_extremal_fhk(N, 1).nleaves == f_closed(N, 1) == f_recurrence(N, 1)
+
+with tempfile.TemporaryDirectory() as tmp:
+    paths = []
+    for seed in (1, 2):
+        paths.append(os.path.join(tmp, f"yule{seed}.nwk"))
+        with open(paths[-1], "w") as fh:
+            fh.write(to_newick(gen_random(4096, RandomModel("yule", seed))))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["match-ab", *paths, "--k", "3"]) == 0
+    assert "bound_met: True" in out.getvalue()
 print("ok")
 """
 

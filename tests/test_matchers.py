@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -26,7 +27,7 @@ from agreetree.generators import (
     relabel,
 )
 from agreetree.matchers import (
-    DUMMY_LABEL_BASE,
+    _root_near_center,
     class_c_prunings,
     match1,
     match1_unrooted,
@@ -34,10 +35,11 @@ from agreetree.matchers import (
     match2_multi,
     match2_unrooted,
     match_almost_balanced,
-    pad_to_balanced,
 )
-from agreetree.treecore import TreeError, is_caterpillar, radius
+from agreetree.treecore import TreeError, is_caterpillar, radius, root_at_leaf_edge
 from agreetree.treeops import is_subtree, restrict, verify_agreement
+
+from oracles import PAD_LABEL_BASE, pad_to_balanced
 
 DELTA1 = 0.1705
 DELTA2 = 0.0248
@@ -207,7 +209,7 @@ class TestPadding:
     def test_dummy_labels_reserved(self):
         padded = pad_to_balanced(gen_balanced(1), 3)
         dummies = padded.leaves - {1, 2}
-        assert dummies and all(lab > DUMMY_LABEL_BASE for lab in dummies)
+        assert dummies and all(lab > PAD_LABEL_BASE for lab in dummies)
 
     def test_target_too_small(self):
         with pytest.raises(ValueError):
@@ -305,10 +307,10 @@ class TestMatchAlmostBalanced:
         # a class-B tree has radius m = log n, within k log n - 1 for k = 2
         t1 = gen_class_b(4)
         t2 = gen_random(16, RandomModel("uniform", 55))
-        leaves = match_almost_balanced(t1, t2, 2, mode="single")
-        assert leaves
+        leaves, mode, _ = match_almost_balanced(t1, t2, 2, mode="single")
+        assert leaves and mode == "single"
         verify_agreement(t1, t2, leaves)
-        assert all(lab <= DUMMY_LABEL_BASE for lab in leaves)
+        assert leaves <= t1.leaves
 
     def test_both_mode_guarantee(self):
         rng = SplitMix64(60)
@@ -322,14 +324,54 @@ class TestMatchAlmostBalanced:
             if radius(t1) > k * logn or radius(t2) > k * logn:
                 continue
             hits += 1
-            leaves = match_almost_balanced(t1, t2, k, mode="both")
-            d = delta_for_beta_k(k)
+            leaves, mode, d = match_almost_balanced(t1, t2, k, mode="both")
+            assert mode == "both" and d == delta_for_beta_k(k)
             assert len(leaves) >= max(1, n ** beta_k(k, d)) - 1e-9
             verify_agreement(t1, t2, leaves)
         assert hits > 0
+
+    def test_deeper_than_recursion_limit(self):
+        # k = 1000 admits a 2400-leaf caterpillar, which roots at height 1200
+        t = gen_caterpillar(2400)
+        assert _root_near_center(t).height > sys.getrecursionlimit()
+        leaves, mode, _ = match_almost_balanced(t, t, 1000)
+        assert mode == "both" and leaves == t.leaves
 
     def test_radius_precondition(self):
         t1 = gen_caterpillar(64)  # radius 16 >> 2 log 64 = 12
         t2 = gen_random(64, RandomModel("uniform", 5))
         with pytest.raises(TreeError, match="radius"):
             match_almost_balanced(t1, t2, 2, mode="single")
+
+    @pytest.mark.parametrize("mode", ["single", "both"])
+    @pytest.mark.parametrize("model", ["uniform", "yule"])
+    def test_equals_padded_matchers(self, model, mode):
+        """Same leaf set as the public matcher run on the trees padded to a
+        balanced height (at most 14), with the dummy leaves dropped."""
+        rng = SplitMix64(70)
+        hits = 0
+        for n in (6, 11, 19, 32, 50):
+            logn = math.log2(n)
+            for k in (1.2, 1.6, 2, 3):
+                for _ in range(3):
+                    t1 = gen_random(n, RandomModel(model, rng.next_u64()))
+                    t2 = gen_random(n, RandomModel(model, rng.next_u64()))
+                    r1, r2 = radius(t1), radius(t2)
+                    a, b = _root_near_center(t1), _root_near_center(t2)
+                    if mode == "single":
+                        h = math.ceil(k * logn)
+                        fits = r1 <= k * logn - 1
+                    else:
+                        h = max(math.ceil(k * logn), a.height, b.height)
+                        fits = max(r1, r2) <= k * logn
+                    if not fits or h > 14:
+                        continue
+                    leaves, _, delta = match_almost_balanced(t1, t2, k, mode=mode)
+                    if mode == "single":
+                        padded, _ = match1(pad_to_balanced(a, h), root_at_leaf_edge(t2), delta)
+                    else:
+                        pb = pad_to_balanced(b, h, dummy_start=2 * PAD_LABEL_BASE + 1)
+                        padded, _ = match2(pad_to_balanced(a, h), pb, delta)
+                    assert leaves == {x for x in padded if x <= PAD_LABEL_BASE}
+                    hits += 1
+        assert hits >= 15
