@@ -37,15 +37,8 @@ class SplitMix64:
             if x <= limit:
                 return x % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, items: list) -> None:
         """Fisher-Yates, in place."""
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def spawn(self) -> "SplitMix64":
-        """Independent child stream (seeded from this stream)."""
-        return SplitMix64(self.next_u64())

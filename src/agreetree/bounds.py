@@ -2,9 +2,10 @@
 
 Every logarithm in this package is base 2; that convention is library-wide.
 Integer quantities (the extremal leaf-count ``f`` and its bounds) use exact
-integer arithmetic; real-valued bounds use doubles and callers compare with
-a 1e-9 slack.  Bounds that fall at or below 1 are clamped to 1 in reports,
-since a single shared leaf is always an agreement.
+integer arithmetic; real-valued bounds use doubles, and every "at least the
+bound" comparison or ceiling allows the slack ``SLACK``.  Bounds that fall
+at or below 1 are clamped to 1 in reports, since a single shared leaf is
+always an agreement.
 """
 
 from __future__ import annotations
@@ -13,12 +14,15 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-LOG2 = math.log2
-
 # Largest delta for which the pairwise-balanced constant beta stays positive.
 BETA_DELTA_SUP = 1 / 3 - 1 / (3 * math.sqrt(2))
 
 SLACK = 1e-9
+
+
+def slack_ceil(x: float) -> int:
+    """Ceiling with ``SLACK`` against float noise on exact integers."""
+    return math.ceil(x - SLACK)
 
 
 def alpha(delta: float) -> float:
@@ -26,7 +30,7 @@ def alpha(delta: float) -> float:
     (1 + log(1-d)) / (1 - log d), valid for d in (0, 1/2)."""
     if not 0 < delta < 0.5:
         raise ValueError(f"alpha needs delta in (0, 1/2), got {delta}")
-    return (1 + LOG2(1 - delta)) / (1 - LOG2(delta))
+    return (1 + math.log2(1 - delta)) / (1 - math.log2(delta))
 
 
 def match1_bound(m: int, t: int, delta: float) -> float:
@@ -39,7 +43,7 @@ def match1_bound(m: int, t: int, delta: float) -> float:
         raise ValueError("m must be >= 0")
     if not 0 < delta < 0.5:
         raise ValueError(f"match1_bound needs delta in (0, 1/2), got {delta}")
-    return (m * LOG2(1 - delta) + LOG2(t)) / (1 - LOG2(delta))
+    return (m * math.log2(1 - delta) + math.log2(t)) / (1 - math.log2(delta))
 
 
 def beta(delta: float) -> float:
@@ -50,7 +54,8 @@ def beta(delta: float) -> float:
         raise ValueError(
             f"beta needs delta in (0, {BETA_DELTA_SUP:.6f}), got {delta}"
         )
-    return (1 + 2 * LOG2(1 - 3 * delta)) / (LOG2(1 - 3 * delta) - LOG2(delta))
+    lg = math.log2(1 - 3 * delta)
+    return (1 + 2 * lg) / (lg - math.log2(delta))
 
 
 def match2_bound(m1: int, m2: int, t: int, delta: float) -> float:
@@ -62,8 +67,8 @@ def match2_bound(m1: int, m2: int, t: int, delta: float) -> float:
         raise ValueError("heights must be >= 0")
     if not 0 < delta < 0.25:
         raise ValueError(f"match2_bound needs delta in (0, 1/4), got {delta}")
-    g = ((m1 + m2) * LOG2(1 - 3 * delta) + LOG2(t)) / (
-        LOG2(1 - 3 * delta) - LOG2(delta)
+    g = ((m1 + m2) * math.log2(1 - 3 * delta) + math.log2(t)) / (
+        math.log2(1 - 3 * delta) - math.log2(delta)
     )
     return 2.0**g
 
@@ -73,20 +78,20 @@ def alpha_k(k: float, delta: float) -> float:
     The numerator must be positive (pick delta via delta_for_alpha_k)."""
     if not 0 < delta < 0.5:
         raise ValueError(f"alpha_k needs delta in (0, 1/2), got {delta}")
-    num = 1 + k * LOG2(1 - delta)
+    num = 1 + k * math.log2(1 - delta)
     if num <= 0:
         raise ValueError(f"delta={delta} too large for k={k}: 1 + k log(1-d) <= 0")
-    return num / (1 - LOG2(delta))
+    return num / (1 - math.log2(delta))
 
 
 def beta_k(k: float, delta: float) -> float:
     """Almost-balanced variant of beta: (1 + 2k log(1-3d)) / (log(1-3d) - log d)."""
     if not 0 < delta < 0.25:
         raise ValueError(f"beta_k needs delta in (0, 1/4), got {delta}")
-    num = 1 + 2 * k * LOG2(1 - 3 * delta)
+    num = 1 + 2 * k * math.log2(1 - 3 * delta)
     if num <= 0:
         raise ValueError(f"delta={delta} too large for k={k}: 1 + 2k log(1-3d) <= 0")
-    return num / (LOG2(1 - 3 * delta) - LOG2(delta))
+    return num / (math.log2(1 - 3 * delta) - math.log2(delta))
 
 
 def delta_for_alpha_k(k: float) -> float:
@@ -108,7 +113,7 @@ def t2_constant(delta: float) -> float:
     c = (log 3 - 1) / (log(1-3d) - log d)."""
     if not 0 < delta < 0.25:
         raise ValueError(f"t2_constant needs delta in (0, 1/4), got {delta}")
-    return (LOG2(3) - 1) / (LOG2(1 - 3 * delta) - LOG2(delta))
+    return (math.log2(3) - 1) / (math.log2(1 - 3 * delta) - math.log2(delta))
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +216,7 @@ def phi(n: int, a: float) -> float:
         raise ValueError("phi needs n > 2")
     if not 0 < a < 1:
         raise ValueError("a must lie in (0, 1)")
-    return LOG2(n) ** a / 2
+    return math.log2(n) ** a / 2
 
 
 def psi(n: int, b: float) -> float:
@@ -220,7 +225,7 @@ def psi(n: int, b: float) -> float:
         raise ValueError("psi needs n > 2")
     if not 0 < b < 1:
         raise ValueError("b must lie in (0, 1)")
-    return LOG2(n) ** b / LOG2(LOG2(n))
+    return math.log2(n) ** b / math.log2(math.log2(n))
 
 
 def general_bound(n: int) -> float:
@@ -229,7 +234,7 @@ def general_bound(n: int) -> float:
     if n <= 2:
         raise ValueError("general_bound needs n > 2")
     _, a_star = optimal_delta_match1()
-    return a_star / 2 * math.sqrt(LOG2(n)) + a_star * LOG2(2 / 3)
+    return a_star / 2 * math.sqrt(math.log2(n)) + a_star * math.log2(2 / 3)
 
 
 def clamp(bound: float) -> float:

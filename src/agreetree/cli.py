@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import bounds as bnd
 from . import decompose as dc
@@ -122,8 +122,6 @@ def cmd_gen(args) -> int:
     elif kind == "enumerate":
         for t in gen.enumerate_topologies(_req(args, "n"), rooted=args.rooted):
             print(to_newick(t))
-    else:
-        raise SystemExit(EXIT_USAGE)
     return EXIT_OK
 
 
@@ -144,8 +142,7 @@ def cmd_mast(args) -> int:
     t1 = _read_tree(args.tree1)
     t2 = _read_tree(args.tree2)
     if isinstance(t1, RootedTree) != isinstance(t2, RootedTree):
-        print("mast: both trees must be of the same kind", file=sys.stderr)
-        return EXIT_USAGE
+        raise TreeError("both trees must be of the same kind")
     result = xm.mast_rooted(t1, t2) if isinstance(t1, RootedTree) else xm.mast_unrooted(t1, t2)
     _emit_report(
         args,
@@ -164,15 +161,12 @@ def cmd_match1(args) -> int:
     t2 = _read_tree(args.tree2)
     delta = _parse_delta(args.delta)
     if delta is None:
-        delta = mt.default_delta("match1")
+        delta = bnd.optimal_delta_match1()[0]
     if isinstance(t1, RootedTree):
-        if not isinstance(t2, RootedTree):
-            print("match1: mixed tree kinds", file=sys.stderr)
-            return EXIT_USAGE
         leaves, trace = mt.match1(t1, t2, delta)
         if args.trace:
             for step in trace.steps:
-                print(json.dumps(step.as_dict(), sort_keys=True))
+                print(json.dumps(asdict(step), sort_keys=True))
         bound = bnd.match1_bound(trace.m, trace.t0, delta)
         return _finish(
             args, "match1", (t1, t2), leaves, bound,
@@ -191,14 +185,11 @@ def cmd_match2(args) -> int:
     t2 = _read_tree(args.tree2)
     delta = _parse_delta(args.delta)
     if delta is None:
-        delta = mt.default_delta("match2")
+        delta = bnd.optimal_delta_match2()[0]
     if isinstance(t1, RootedTree):
-        if not isinstance(t2, RootedTree):
-            print("match2: mixed tree kinds", file=sys.stderr)
-            return EXIT_USAGE
         leaves, trace = mt.match2(t1, t2, delta)
         if args.trace:
-            print(json.dumps(trace.root.as_dict(), sort_keys=True))
+            print(json.dumps(asdict(trace.root), sort_keys=True))
         bound = bnd.match2_bound(trace.m1, trace.m2, trace.t0, delta)
         return _finish(
             args, "match2", (t1, t2), leaves, bound,
@@ -217,8 +208,7 @@ def cmd_match_multi(args) -> int:
     trees = [_read_tree(path) for path in args.trees]
     delta = _parse_delta(args.delta)
     if delta is None:
-        delta = mt.default_delta("match2")
-        delta = min(delta, bnd.BETA_DELTA_SUP / 2)
+        delta = min(bnd.optimal_delta_match2()[0], bnd.BETA_DELTA_SUP / 2)
     leaves = mt.match2_multi(trees, delta)
     # The only unconditional guarantee for the iterated scheme is >= 1; the
     # composed two-stage estimate is reported informationally.
@@ -260,7 +250,7 @@ def cmd_agree(args) -> int:
 
 def cmd_decompose(args) -> int:
     t = _read_tree(args.tree)
-    outcome = dc.ramsey_split(t, args.a, 1 - args.a)
+    outcome = dc.ramsey_split(t, args.a)
     print(json.dumps(outcome.as_dict(), sort_keys=True))
     return EXIT_OK if outcome.meets_threshold() else EXIT_BOUND_VIOLATED
 
@@ -294,11 +284,9 @@ def cmd_bounds(args) -> int:
         print(f"thresholds for n={n} (a = b = 1/2):")
         print(f"  phi: {bnd.phi(n, 0.5):.6f}")
         print(f"  psi: {bnd.psi(n, 0.5):.6f}")
-        print(f"  balanced height threshold: {math.ceil(bnd.phi(n, 0.5) - 1e-9)}")
-        print(
-            f"  path length threshold: {math.ceil(math.log2(n) ** bnd.psi(n, 0.5) - 1e-9)}"
-        )
-        print(f"  general bound: {max(1.0, bnd.general_bound(n)):.6f}")
+        print(f"  balanced height threshold: {bnd.slack_ceil(bnd.phi(n, 0.5))}")
+        print(f"  path length threshold: {bnd.slack_ceil(math.log2(n) ** bnd.psi(n, 0.5))}")
+        print(f"  general bound: {bnd.clamp(bnd.general_bound(n)):.6f}")
     return EXIT_OK
 
 
@@ -331,6 +319,7 @@ class TrialRecord:
 
 
 TRIAL_FIELDS = list(TrialRecord.__dataclass_fields__)
+BENCH_ALGORITHMS = ("match1", "match2", "agree", "mast-floor")
 
 
 def _bench_trial(algorithm: str, n: int, model_kind: str, seed: int, measure: bool) -> TrialRecord:
@@ -347,35 +336,29 @@ def _bench_trial(algorithm: str, n: int, model_kind: str, seed: int, measure: bo
     else:
         if algorithm == "match1":
             m = int(math.log2(n))
-            if 2**m != n:
-                raise ValueError("match1 trials need n to be a power of 2")
             t1 = gen.gen_balanced(m)
             t2 = gen.gen_random(n, gen.RandomModel(model_kind, seed), rooted=True)
-            delta = mt.default_delta("match1")
+            delta = bnd.optimal_delta_match1()[0]
             leaves, _ = mt.match1(t1, t2, delta)
-            bound = max(1.0, bnd.match1_bound(m, n, delta))
+            bound = bnd.clamp(bnd.match1_bound(m, n, delta))
         elif algorithm == "match2":
             m = int(math.log2(n))
-            if 2**m != n:
-                raise ValueError("match2 trials need n to be a power of 2")
             rng = gen.SplitMix64(seed)
             t1 = gen.gen_balanced(m)
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             t2 = gen.relabel(gen.gen_balanced(m), {i + 1: perm[i] for i in range(n)})
-            delta = mt.default_delta("match2")
+            delta = bnd.optimal_delta_match2()[0]
             leaves, _ = mt.match2(t1, t2, delta)
-            bound = max(1.0, bnd.match2_bound(m, m, n, delta))
+            bound = bnd.clamp(bnd.match2_bound(m, m, n, delta))
             model = "permutation"
-        elif algorithm == "agree":
+        else:  # agree
             rng = gen.SplitMix64(seed)
             t1 = gen.gen_random(n, gen.RandomModel(model_kind, rng.next_u64()))
             t2 = gen.gen_random(n, gen.RandomModel(model_kind, rng.next_u64()))
             leaves, report = dc.agree_general(t1, t2)
             delta = report.params.get("delta", "")
             bound = report.bound_value
-        else:
-            raise ValueError(f"unknown bench algorithm {algorithm!r}")
         ok = _cert_ok(t1, t2, leaves)
         if n <= dc.EXACT_CUTOFF:
             mast = xm.mast_rooted if isinstance(t1, RootedTree) else xm.mast_unrooted
@@ -404,6 +387,21 @@ def cmd_bench(args) -> int:
             raise ValueError(f"--n items must be positive integers, got {item!r}")
     ns = [int(item) for item in items]
     algorithms = args.algorithms.split(",")
+    for algorithm in algorithms:
+        if algorithm not in BENCH_ALGORITHMS:
+            raise ValueError(
+                f"--algorithms items must be {', '.join(BENCH_ALGORITHMS)}, got {algorithm!r}"
+            )
+        for n in ns:
+            if algorithm in ("match1", "match2") and n & (n - 1):
+                raise ValueError(f"--n items must be powers of 2 for {algorithm}, got {n}")
+            if algorithm in ("agree", "mast-floor") and n < 3:
+                raise ValueError(f"--n items must be at least 3 for {algorithm}, got {n}")
+            if algorithm == "mast-floor" and n > xm.FLOOR_GUARD and not gen.guards_lifted():
+                raise ValueError(
+                    f"--n items must be at most {xm.FLOOR_GUARD} for mast-floor "
+                    f"unless AGREETREE_GUARDS=off, got {n}"
+                )
     rows = []
     for algorithm in algorithms:
         for n in ns:
@@ -449,7 +447,7 @@ def cmd_bench(args) -> int:
             )
             if any(
                 isinstance(r.bound_value, float)
-                and r.result_size < r.bound_value - 1e-9
+                and r.result_size < r.bound_value - bnd.SLACK
                 for r in group
             ):
                 violated = True
@@ -534,10 +532,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TreeError, ValueError) as exc:
-        print(f"agreetree {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # TreeError is a ValueError
         print(f"agreetree {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,7 +3,7 @@
 A binary tree either contains a balanced restriction of substantial height
 or a long path (and hence a large caterpillar restriction); ``ramsey_split``
 decides which, with thresholds phi(n, a) for the balanced height and
-(log n)^psi(n, b) for the path length.  ``caterpillar_agree`` handles a
+(log n)^psi(n, 1 - a) for the path length.  ``caterpillar_agree`` handles a
 caterpillar first tree through monotone subsequences, and ``agree_general``
 combines everything into the unconditional pipeline whose output is at
 least (alpha*/2) sqrt(log n) + alpha* log(2/3) leaves.
@@ -16,7 +16,15 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .bounds import GuaranteeReport, clamp, general_bound, optimal_delta_match1, phi, psi
+from .bounds import (
+    GuaranteeReport,
+    clamp,
+    general_bound,
+    optimal_delta_match1,
+    phi,
+    psi,
+    slack_ceil,
+)
 from .exactmast import mast_unrooted
 from .matchers import match1
 from .treecore import (
@@ -33,28 +41,26 @@ from .treecore import (
 from .treeops import extract_balanced, max_balanced_height, restrict, verify_agreement
 
 
-def _ceil(x: float) -> int:
-    """Ceiling with a tiny slack against float noise on exact integers."""
-    return math.ceil(x - 1e-9)
-
-
 # --------------------------------------------------------------------------
 # Paths and caterpillars
 # --------------------------------------------------------------------------
 
 
+def _spine(t: UnrootedTree):
+    """A diameter path and, in path order, the edges (v, w) from each of
+    its internal vertices v to the neighbour w off the path."""
+    path = diameter_path(t)
+    onpath = set(path)
+    return path, [(v, w) for v in path[1:-1] for w in t.adj[v] if w not in onpath]
+
+
 def max_caterpillar(t: UnrootedTree) -> frozenset:
     """Leaf set of a maximum caterpillar restriction: both endpoints of a
     diameter path plus the smallest leaf hanging off each internal path
-    vertex."""
-    path = diameter_path(t)
-    onpath = set(path)
+    vertex, so one leaf more than the path has edges."""
+    path, hanging = _spine(t)
     labels = [t.leaf_label[path[0]], t.leaf_label[path[-1]]]
-    for v in path[1:-1]:
-        for w in t.adj[v]:
-            if w not in onpath:
-                labels.append(min(side_leaves(t, v, w)))
-    return frozenset(labels)
+    return frozenset(labels + [min(side_leaves(t, v, w)) for v, w in hanging])
 
 
 # --------------------------------------------------------------------------
@@ -141,20 +147,18 @@ class RamseyOutcome:
         }
 
 
-def ramsey_split(t, a: float = 0.5, b: float = 0.5) -> RamseyOutcome:
+def ramsey_split(t, a: float = 0.5) -> RamseyOutcome:
     """Find a balanced restriction of height >= ceil(phi(n, a)) or report
     the maximum caterpillar around a longest path (guaranteed to have at
-    least (log n)^psi(n, b) edges when no such balanced restriction
+    least (log n)^psi(n, 1 - a) edges when no such balanced restriction
     exists)."""
     n = t.nleaves
     if n <= 2:
         raise TreeError("ramsey_split needs more than 2 leaves")
-    if abs(a + b - 1) > 1e-12:
-        raise ValueError("a + b must equal 1")
     phi_v = phi(n, a)
-    psi_v = psi(n, b)
-    bal_threshold = _ceil(phi_v)
-    path_threshold = _ceil(math.log2(n) ** psi_v)
+    psi_v = psi(n, 1 - a)
+    bal_threshold = slack_ceil(phi_v)
+    path_threshold = slack_ceil(math.log2(n) ** psi_v)
     rooted = t if isinstance(t, RootedTree) else root_at_leaf_edge(t)
     best_height = max_balanced_height(rooted)
     if best_height >= bal_threshold:
@@ -162,11 +166,9 @@ def ramsey_split(t, a: float = 0.5, b: float = 0.5) -> RamseyOutcome:
         return RamseyOutcome(
             "balanced", leaves, best_height, None, phi_v, psi_v, bal_threshold, path_threshold
         )
-    unrooted = t if isinstance(t, UnrootedTree) else unroot(t)
-    path = diameter_path(unrooted)
-    leaves = max_caterpillar(unrooted)
+    leaves = max_caterpillar(t if isinstance(t, UnrootedTree) else unroot(t))
     return RamseyOutcome(
-        "path", leaves, None, len(path) - 1, phi_v, psi_v, bal_threshold, path_threshold
+        "path", leaves, None, len(leaves) - 1, phi_v, psi_v, bal_threshold, path_threshold
     )
 
 
@@ -183,14 +185,8 @@ def caterpillar_spine_order(t: UnrootedTree) -> list:
     returned."""
     if not is_caterpillar(t):
         raise TreeError("not a caterpillar")
-    path = diameter_path(t)
-    onpath = set(path)
-    order = [t.leaf_label[path[0]]]
-    for v in path[1:-1]:
-        for w in t.adj[v]:
-            if w not in onpath:
-                order.append(t.leaf_label[w])
-    order.append(t.leaf_label[path[-1]])
+    path, hanging = _spine(t)
+    order = [t.leaf_label[x] for x in (path[0], *(w for _, w in hanging), path[-1])]
     if len(order) == 3:
         return sorted(order)
     candidates = []
@@ -263,7 +259,7 @@ def agree_general(t1: UnrootedTree, t2: UnrootedTree):
     delta_star = optimal_delta_match1()[0]
     attempts = []
     for first, second in ((t1, t2), (t2, t1)):
-        outcome = ramsey_split(first, 0.5, 0.5)
+        outcome = ramsey_split(first)
         A = outcome.leaves
         if outcome.kind == "balanced":
             if len(A) < 3:

@@ -25,13 +25,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .bounds import (
-    BETA_DELTA_SUP,
-    delta_for_alpha_k,
-    delta_for_beta_k,
-    optimal_delta_match1,
-    optimal_delta_match2,
-)
+from .bounds import BETA_DELTA_SUP, SLACK, delta_for_alpha_k, delta_for_beta_k
 from .treecore import (
     CLASS_B,
     CLASS_C,
@@ -98,15 +92,6 @@ class Match1Step:
     v_size: int
     emitted: int | None = None
 
-    def as_dict(self):
-        return {
-            "rule": self.rule,
-            "t": self.t,
-            "u_size": self.u_size,
-            "v_size": self.v_size,
-            "emitted": self.emitted,
-        }
-
 
 @dataclass
 class Match1Trace:
@@ -137,9 +122,9 @@ class Match1Trace:
             * (1 - self.delta) ** c["heavy"]
         )
 
-    def check_product_inequality(self, slack: float = 1e-9) -> bool:
+    def check_product_inequality(self) -> bool:
         """Final-call t against t0 * (1/4)^a * (delta/2)^d * (1-delta)^e."""
-        return self.steps[-1].t >= self.product_lower_bound() - slack
+        return self.steps[-1].t >= self.product_lower_bound() - SLACK
 
 
 def match1(t1: RootedTree, t2: RootedTree, delta: float):
@@ -228,16 +213,6 @@ class Match2Node:
     emitted: int | None = None
     children: list = field(default_factory=list)
 
-    def as_dict(self):
-        return {
-            "rule": self.rule,
-            "t": self.t,
-            "u_size": self.u_size,
-            "v_size": self.v_size,
-            "emitted": self.emitted,
-            "children": [c.as_dict() for c in self.children],
-        }
-
 
 @dataclass
 class Match2Trace:
@@ -266,7 +241,7 @@ class Match2Trace:
 
         yield from walk(self.root)
 
-    def check_path_bounds(self, slack: float = 1e-9) -> bool:
+    def check_path_bounds(self) -> bool:
         """Per-step shrink factors and the 2m step budget, on every path."""
         d = self.delta
         factor = {"diag": d, "anti": d, "shrink": 1 - 3 * d, "skip1": 1 - 2 * d, "skip2": 1 - 2 * d}
@@ -274,7 +249,7 @@ class Match2Trace:
             if len(path) - 1 > self.m1 + self.m2:
                 return False
             for parent, child in zip(path, path[1:]):
-                if child.t < factor[parent.rule] * parent.t - slack:
+                if child.t < factor[parent.rule] * parent.t - SLACK:
                     return False
         return True
 
@@ -342,20 +317,22 @@ def _match2_walk(t1: RootedTree, t2: RootedTree, delta: float):
 # --------------------------------------------------------------------------
 
 
-def _center_branches(t: UnrootedTree):
-    """(center vertex, branches) for a vertex-centered tree; branches are
-    (neighbour, leaf set) sorted by smallest leaf label."""
+def _center_branches(t: UnrootedTree) -> list:
+    """The leaf sets of the three branches at the center vertex of a
+    vertex-centered tree, sorted by smallest leaf label."""
     (z,) = center(t)
-    branches = [(w, side_leaves(t, z, w)) for w in t.adj[z]]
-    branches.sort(key=lambda item: min(item[1]))
-    return z, branches
+    return sorted((side_leaves(t, z, w) for w in t.adj[z]), key=min)
 
 
-def _central_edge(t: UnrootedTree):
+def _root_near_center(t: UnrootedTree) -> RootedTree:
+    """Root at the central edge, or (vertex center) at the center edge
+    leading toward the smallest leaf; height <= radius + 1."""
     c = center(t)
-    if len(c) != 2:
-        raise TreeError("tree has a vertex center, not a central edge")
-    return tuple(sorted(c))
+    if len(c) == 2:
+        return root_at_edge(t, tuple(sorted(c)))
+    (z,) = c
+    w = min(t.adj[z], key=lambda w: min(side_leaves(t, z, w)))
+    return root_at_edge(t, (z, w))
 
 
 def match1_unrooted(t1: UnrootedTree, t2: UnrootedTree, delta: float) -> frozenset:
@@ -376,13 +353,9 @@ def match1_unrooted(t1: UnrootedTree, t2: UnrootedTree, delta: float) -> frozens
     if cls.kind == CLASS_C:
         if cls.m == 1:
             return frozenset(t1.leaves)  # 3 leaves: the unique topology
-        _, branches = _center_branches(t1)
-        drop = max(branches, key=lambda item: min(item[1]))
-        keep = t1.leaves - drop[1]
+        keep = t1.leaves - max(_center_branches(t1), key=min)
         return match1_unrooted(restrict(t1, keep), restrict(t2, keep), delta)
-    r1 = root_at_edge(t1, _central_edge(t1))
-    r2 = root_at_leaf_edge(t2)
-    leaves, _ = match1(r1, r2, delta)
+    leaves, _ = match1(_root_near_center(t1), root_at_leaf_edge(t2), delta)
     return leaves
 
 
@@ -390,11 +363,10 @@ def class_c_prunings(t1: UnrootedTree, t2: UnrootedTree):
     """Leaf sets (X, Y) after deleting one center branch from each
     vertex-centered tree, chosen to maximise |X & Y| over the 3x3 choices
     (ties toward the branch pair with the smallest minimum labels)."""
-    _, branches1 = _center_branches(t1)
-    _, branches2 = _center_branches(t2)
+    branches2 = _center_branches(t2)
     best = None
-    for _, b1 in branches1:
-        for _, b2 in branches2:
+    for b1 in _center_branches(t1):
+        for b2 in branches2:
             overlap = len(b1 & b2)
             if best is None or overlap > best[0]:
                 best = (overlap, b1, b2)
@@ -418,19 +390,12 @@ def match2_unrooted(t1: UnrootedTree, t2: UnrootedTree, delta: float) -> frozens
         )
     if t1.leaves != t2.leaves:
         raise TreeError("match2_unrooted requires identical leaf sets")
-    if c1.kind == CLASS_B:
-        r1 = root_at_edge(t1, _central_edge(t1))
-        r2 = root_at_edge(t2, _central_edge(t2))
-        leaves, _ = match2(r1, r2, delta)
-        return leaves
-    if c1.m == 1:
-        return frozenset(t1.leaves)  # 3 leaves: the unique topology
-    X, Y = class_c_prunings(t1, t2)
-    pruned1 = restrict(t1, X)
-    pruned2 = restrict(t2, Y)
-    r1 = root_at_edge(pruned1, _central_edge(pruned1))
-    r2 = root_at_edge(pruned2, _central_edge(pruned2))
-    leaves, _ = match2(r1, r2, delta)
+    if c1.kind == CLASS_C:
+        if c1.m == 1:
+            return frozenset(t1.leaves)  # 3 leaves: the unique topology
+        X, Y = class_c_prunings(t1, t2)
+        t1, t2 = restrict(t1, X), restrict(t2, Y)
+    leaves, _ = match2(_root_near_center(t1), _root_near_center(t2), delta)
     return leaves
 
 
@@ -477,17 +442,6 @@ def match2_multi(trees, delta: float) -> frozenset:
 # --------------------------------------------------------------------------
 # Almost-balanced trees
 # --------------------------------------------------------------------------
-
-
-def _root_near_center(t: UnrootedTree) -> RootedTree:
-    """Root at the central edge, or (vertex center) at the center edge
-    leading toward the smallest leaf; height <= radius + 1."""
-    c = center(t)
-    if len(c) == 2:
-        return root_at_edge(t, tuple(sorted(c)))
-    (z,) = c
-    w = min(t.adj[z], key=lambda w: min(side_leaves(t, z, w)))
-    return root_at_edge(t, (z, w))
 
 
 def match_almost_balanced(
@@ -538,12 +492,3 @@ def match_almost_balanced(
         delta = delta_for_beta_k(k)
     leaves, _ = _match2_walk(_root_near_center(t1), _root_near_center(t2), delta)
     return leaves, mode, delta
-
-
-def default_delta(algorithm: str) -> float:
-    """The numerically optimal delta for a matcher family."""
-    if algorithm == "match1":
-        return optimal_delta_match1()[0]
-    if algorithm == "match2":
-        return optimal_delta_match2()[0]
-    raise ValueError(f"no default delta for {algorithm!r}")

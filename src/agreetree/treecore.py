@@ -199,9 +199,6 @@ class UnrootedTree:
         """Undirected edges as (u, v) with u < v, sorted."""
         return sorted((u, v) for u, ns in self.adj.items() for v in ns if u < v)
 
-    def is_leaf_vertex(self, v: int) -> bool:
-        return v in self.leaf_label
-
     def __repr__(self):
         return f"<UnrootedTree {to_newick(self)!r}>"
 
@@ -302,10 +299,6 @@ class BalanceClass:
     kind: str
     m: int | None = None
 
-    @property
-    def is_balanced(self) -> bool:
-        return self.kind != NOT_BALANCED
-
 
 def classify_balanced(t) -> BalanceClass:
     """Balance class of a rooted or unrooted tree.
@@ -348,9 +341,9 @@ def is_caterpillar(t) -> bool:
             node = internal[0]
         return True
     for v, ns in t.adj.items():
-        if t.is_leaf_vertex(v):
+        if v in t.leaf_label:
             continue
-        if sum(1 for w in ns if not t.is_leaf_vertex(w)) > 2:
+        if sum(1 for w in ns if w not in t.leaf_label) > 2:
             return False
     return True
 

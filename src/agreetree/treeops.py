@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from .treecore import (
     RootedTree,
     TreeError,
-    UnrootedTree,
     postorder,
-    root_at_edge,
+    root_at_leaf_edge,
     to_newick,
     unroot,
 )
@@ -61,14 +60,8 @@ def restrict(t, labels):
         raise TreeError("unrooted restriction needs at least 3 leaves")
     if not X <= t.leaves:
         raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
-    pivot = min(X)
-    rooted = root_at_edge(t, _pendant_edge(t, pivot))
+    rooted = root_at_leaf_edge(t, min(X))
     return unroot(_restrict_rooted(rooted, X))
-
-
-def _pendant_edge(t: UnrootedTree, label):
-    v = t.label_vertex[label]
-    return (v, t.adj[v][0])
 
 
 def _restrict_rooted(t: RootedTree, X: frozenset) -> RootedTree:

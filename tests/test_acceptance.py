@@ -286,10 +286,10 @@ def test_a10_balanced_or_path_split():
         for _ in range(400):
             n = 4 + rng.randrange(4093)  # n in 4..4096
             t = random_unrooted(n, rng.next_u64())
-            out = ramsey_split(t, 0.5, 0.5)
+            out = ramsey_split(t)
             assert out.meets_threshold(), (n, out.as_dict())
         for h, k in ((4, 1), (6, 2), (8, 2), (10, 3), (12, 4), (12, 1)):
-            out = ramsey_split(gen_extremal_fhk(h, k), 0.5, 0.5)
+            out = ramsey_split(gen_extremal_fhk(h, k))
             assert out.meets_threshold(), (h, k, out.as_dict())
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from agreetree import cli
 from agreetree.cli import main
 
 from cliproc import cli_env
@@ -193,6 +194,10 @@ class TestCompute:
             ("match1", ["((1,2),3,4);", "((1,2),(3,4));"], []),
             ("match-ab", ["((1,2),(3,4));", "((1,3),(2,4));"], ["--k", "3"]),
             ("match-multi", ["((1,2),(3,4));", "((1,3),(2,4));", "((1,2),3,4);"], []),
+            ("match1", ["((1,2),(3,4));", "((1,2),3,4);"], []),
+            ("match2", ["((1,2),(3,4));", "((1,2),3,4);"], []),
+            ("mast", ["((1,2),(3,4));", "((1,2),3,4);"], []),
+            ("mast", ["((1,2),3,4);", "((1,2),(3,4));"], []),
         ],
     )
     def test_tree_kind_error_exit_code(self, tmp_path, command, texts, extra):
@@ -326,6 +331,52 @@ class TestBench:
             f"agreetree bench: --n items must be positive integers, got {item!r}\n"
         )
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "n, algorithms, message",
+        [
+            ("16,24", "match1", "--n items must be powers of 2 for match1, got 24"),
+            ("24", "agree,match2", "--n items must be powers of 2 for match2, got 24"),
+            ("4,2", "match1,agree", "--n items must be at least 3 for agree, got 2"),
+            ("3,1", "mast-floor", "--n items must be at least 3 for mast-floor, got 1"),
+            (
+                "16",
+                "match1,foo",
+                "--algorithms items must be match1, match2, agree, mast-floor, got 'foo'",
+            ),
+            (
+                "8,16,32",
+                "match1,match2,agree,mast-floor",
+                "--n items must be at most 6 for mast-floor unless AGREETREE_GUARDS=off, got 8",
+            ),
+        ],
+        ids=["match1-24", "match2-24", "agree-2", "floor-1", "unknown", "floor-guard"],
+    )
+    def test_plan_checked_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, n, algorithms, message
+    ):
+        monkeypatch.delenv("AGREETREE_GUARDS", raising=False)
+        trials = []
+        monkeypatch.setattr(cli, "_bench_trial", lambda *a: trials.append(a))
+        out_path = tmp_path / "trials.csv"
+        code = main(["bench", "--n", n, "--algorithms", algorithms, "--out", str(out_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"agreetree bench: {message}\n"
+        assert trials == []
+        assert not out_path.exists()
+
+    def test_floor_guard_lifted(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AGREETREE_GUARDS", "off")
+
+        def first_trial(*args):  # the plan passed: stop before enumerating
+            raise SystemExit(args)
+
+        monkeypatch.setattr(cli, "_bench_trial", first_trial)
+        with pytest.raises(SystemExit) as stop:
+            main(["bench", "--n", "8", "--algorithms", "mast-floor", "--out", str(tmp_path / "x")])
+        assert stop.value.code[:2] == ("mast-floor", 8)
 
 
 class TestDeterminism:

@@ -147,29 +147,29 @@ class TestLis:
 
 class TestRamseySplit:
     def test_balanced_input(self):
-        out = ramsey_split(gen_balanced(4), 0.5, 0.5)
+        out = ramsey_split(gen_balanced(4))
         assert out.kind == "balanced" and out.height == 4
         assert out.meets_threshold()
 
     def test_caterpillar_input(self):
-        out = ramsey_split(gen_caterpillar(16), 0.5, 0.5)
+        out = ramsey_split(gen_caterpillar(16))
         assert out.meets_threshold()
 
     def test_invalid_exponents(self):
         with pytest.raises(ValueError):
-            ramsey_split(gen_balanced(3), 0.5, 0.3)
+            ramsey_split(gen_balanced(3), 1.5)
 
     def test_random_sweep(self):
         rng = SplitMix64(14)
         for _ in range(40):
             n = 4 + rng.randrange(500)
             t = gen_random(n, RandomModel("uniform", rng.next_u64()))
-            out = ramsey_split(t, 0.5, 0.5)
+            out = ramsey_split(t)
             assert out.meets_threshold(), (n, out.as_dict())
 
     def test_adversarial_extremal_trees(self):
         for h, k in ((6, 2), (8, 3), (10, 2), (12, 4)):
-            out = ramsey_split(gen_extremal_fhk(h, k), 0.5, 0.5)
+            out = ramsey_split(gen_extremal_fhk(h, k))
             assert out.meets_threshold(), (h, k, out.as_dict())
 
 

@@ -159,7 +159,7 @@ class TestMetrics:
     def test_center_of_star(self):
         t = parse_newick("(1,2,3);")
         (z,) = center(t)
-        assert not t.is_leaf_vertex(z)
+        assert z not in t.leaf_label
 
     def test_center_of_quartet_is_pair(self):
         t = parse_newick("((1,2),3,4);")  # quartet written unrooted
@@ -171,7 +171,7 @@ class TestMetrics:
     def test_caterpillar_center(self):
         t = gen_caterpillar(6)
         c = center(t)
-        assert len(c) == 2 and all(not t.is_leaf_vertex(v) for v in c)
+        assert len(c) == 2 and all(v not in t.leaf_label for v in c)
 
     def test_radius_star(self):
         assert radius(parse_newick("(1,2,3);")) == 1
@@ -191,7 +191,7 @@ class TestMetrics:
     def test_diameter_endpoints_are_leaves(self):
         t = gen_random(40, RandomModel("uniform", 3))
         path = diameter_path(t)
-        assert t.is_leaf_vertex(path[0]) and t.is_leaf_vertex(path[-1])
+        assert path[0] in t.leaf_label and path[-1] in t.leaf_label
         ecc = all_pairs_eccentricities(t)
         assert len(path) - 1 == max(ecc.values())
 
