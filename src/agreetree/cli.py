@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -387,6 +388,10 @@ def cmd_bench(args) -> int:
             raise ValueError(f"--n items must be positive integers, got {item!r}")
     ns = [int(item) for item in items]
     algorithms = args.algorithms.split(",")
+    for flag, plan in (("--n", ns), ("--algorithms", algorithms)):
+        for i, item in enumerate(plan):
+            if item in plan[:i]:
+                raise ValueError(f"{flag} items must be distinct, got {item!r} twice")
     for algorithm in algorithms:
         if algorithm not in BENCH_ALGORITHMS:
             raise ValueError(
@@ -402,6 +407,9 @@ def cmd_bench(args) -> int:
                     f"--n items must be at most {xm.FLOOR_GUARD} for mast-floor "
                     f"unless AGREETREE_GUARDS=off, got {n}"
                 )
+    out_dir = os.path.dirname(args.out) or "."
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        raise OSError(f"cannot write {args.out}: {out_dir!r} is not a writable directory")
     rows = []
     for algorithm in algorithms:
         for n in ns:
@@ -415,7 +423,7 @@ def cmd_bench(args) -> int:
     bad = [r for r in rows if not r.certificate_ok]
     if bad and not args.allow_invalid:
         print(
-            f"bench: {len(bad)} trial(s) produced invalid certificates; "
+            f"agreetree bench: {len(bad)} trial(s) produced invalid certificates; "
             "refusing to persist (use --allow-invalid to keep them)",
             file=sys.stderr,
         )
@@ -429,8 +437,7 @@ def cmd_bench(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(buffer.getvalue())
     except OSError as exc:
-        print(f"bench: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise OSError(f"cannot write {args.out}: {exc}") from exc
     violated = False
     for algorithm in algorithms:
         for n in ns:

@@ -17,6 +17,12 @@ guarantees carry over.
 Every "choose any leaf" step picks the smallest label, and every "swap if
 necessary" performs no swap when the required inequalities already hold, so
 runs are exactly reproducible.
+
+The walks build no leaf set per node.  Each call lists both trees' leaves
+in DFS order, so every node is a slice of that order and every label has a
+position (``_LeafOrder``, O(n) memory).  A step's 2x2 shared-leaf counts
+come from scanning smaller child slices against the other tree's positions
+(``_orient``).
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .treecore import (
     UnrootedTree,
     center,
     classify_balanced,
-    postorder,
     radius,
     root_at_edge,
     root_at_leaf_edge,
@@ -45,30 +50,77 @@ from .treeops import extract_balanced, max_balanced_height, restrict
 logger = logging.getLogger(__name__)
 
 
-def _leaf_sets(*trees) -> dict:
-    """{node: frozenset of the leaf labels below it} for every node of the
-    trees.  Θ(n²) labels on a caterpillar: build it only for the length of
-    one call."""
-    sets = {}
-    for t in trees:
-        for node in postorder(t):
+class _LeafOrder:
+    """One tree's leaf labels in DFS order, left child first.  The leaves
+    below a node are the ``node.nleaves`` labels of ``order`` from
+    ``start[node]`` on, and ``pos`` maps each label to its place in
+    ``order``.  O(n) memory."""
+
+    __slots__ = ("order", "start", "pos")
+
+    def __init__(self, t: RootedTree):
+        order, start = [], {}
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            start[node] = len(order)
             if node.is_leaf:
-                sets[node] = frozenset((node.label,))
+                order.append(node.label)
             else:
-                sets[node] = sets[node.left] | sets[node.right]
-    return sets
+                stack.append(node.right)
+                stack.append(node.left)
+        self.order, self.start = order, start
+        self.pos = {x: i for i, x in enumerate(order)}
+
+    def leaves(self, node: RootedTree) -> list:
+        lo = self.start[node]
+        return self.order[lo : lo + node.nleaves]
+
+    def below(self, labels, node: RootedTree) -> list:
+        """The members of ``labels`` that are leaves below ``node``."""
+        lo = self.start[node]
+        hi = lo + node.nleaves
+        get = self.pos.get
+        return [x for x in labels if lo <= get(x, -1) < hi]
 
 
-def _orient(u: RootedTree, v: RootedTree, sets: dict):
+def _shared(u: RootedTree, v: RootedTree, a: _LeafOrder, b: _LeafOrder) -> list:
+    """L(u) & L(v) for u in the tree of ``a`` and v in that of ``b``,
+    scanning only the smaller of the two leaf slices."""
+    if u.nleaves <= v.nleaves:
+        return b.below(a.leaves(u), v)
+    return a.below(b.leaves(v), u)
+
+
+def _orient(u: RootedTree, v: RootedTree, t: int, rows, a: _LeafOrder, b: _LeafOrder):
     """Swap children (virtually) so that the cross counts do not exceed the
     diagonal counts and t_ll <= t_rr; no swap when already admissible.
-    ``sets`` maps each node to its leaf set.
+
+    The counts come from the leaf orders ``a`` (u's tree) and ``b`` (v's
+    tree); no leaf set is built.  ``t`` is |L(u) & L(v)|, and ``rows``
+    maps each child of u to its shared-leaf count with v; when it is None,
+    u's smaller child is scanned for it.  Then v's smaller child is
+    scanned for one column of the 2x2 counts, and the rows minus that
+    column give the other.  Each scan walks the smaller of the two leaf
+    slices it intersects, so a walk down a balanced tree takes O(n log n)
+    time.
 
     Returns ((u_left, u_right, v_left, v_right), (t_ll, t_lr, t_rl, t_rr)).
     """
     ku = (u.left, u.right)
     kv = (v.left, v.right)
-    c = [[len(sets[ku[i]] & sets[kv[j]]) for j in (0, 1)] for i in (0, 1)]
+    if rows is None:
+        s = 0 if ku[0].nleaves <= ku[1].nleaves else 1
+        k = len(_shared(ku[s], v, a, b))
+        rows = {ku[s]: k, ku[1 - s]: t - k}
+    j = 0 if kv[0].nleaves <= kv[1].nleaves else 1
+    inner = _shared(u, kv[j], a, b)
+    top = len(a.below(inner, ku[0]))
+    col = (top, len(inner) - top)
+    c = [[0, 0], [0, 0]]
+    for i in (0, 1):
+        c[i][j] = col[i]
+        c[i][1 - j] = rows[ku[i]] - col[i]
     for su, sv in ((0, 0), (0, 1), (1, 0), (1, 1)):
         t_ll = c[su][sv]
         t_lr = c[su][1 - sv]
@@ -150,35 +202,34 @@ def _match1_walk(t1: RootedTree, t2: RootedTree, delta: float):
     new labels.  The walk reads only shared-leaf counts, and from a node
     that shares x alone it only skips or shrinks until it emits x.  So it
     returns on t1 the set that match1 returns on the balanced tree."""
-    sets = _leaf_sets(t1, t2)
-    if not sets[t2] <= sets[t1]:
+    a, b = _LeafOrder(t1), _LeafOrder(t2)
+    if not a.pos.keys() >= b.pos.keys():
         raise TreeError("match1 requires L(t2) to be a subset of L(t1)")
     if not 0 < delta < 0.5:
         raise ValueError(f"match1 needs delta in (0, 1/2), got {delta}")
     trace = Match1Trace(delta, t1.height, t2.nleaves)
     out = []
-    u, v = t1, t2
+    u, v, t_uv, rows = t1, t2, t2.nleaves, None
     while True:
-        shared = sets[u] & sets[v]
-        t_uv = len(shared)
         if t_uv == 0:
             raise AssertionError("recursed into an empty intersection")
         if u.nleaves == 1 or v.nleaves == 1:
-            z = min(shared)
+            z = min(_shared(u, v, a, b))
             trace.steps.append(Match1Step("base", t_uv, u.nleaves, v.nleaves, z))
             out.append(z)
             break
-        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v, sets)
+        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v, t_uv, rows, a, b)
+        rows = None
         if t_ll > 0:
-            z = min(sets[ul] & sets[vl])
+            z = min(_shared(ul, vl, a, b))
             trace.steps.append(Match1Step("case1", t_uv, u.nleaves, v.nleaves, z))
             out.append(z)
-            u, v = ur, vr
+            u, v, t_uv = ur, vr, t_rr
             continue
         if t_rl == 0:
             # nothing under v's left child is shared with u
             trace.steps.append(Match1Step("skip-left", t_uv, u.nleaves, v.nleaves))
-            v = vr
+            v, rows = vr, {ul: t_lr, ur: t_rr}
             continue
         if t_lr == 0:
             # nothing under u's left child is shared with v
@@ -189,13 +240,13 @@ def _match1_walk(t1: RootedTree, t2: RootedTree, delta: float):
             if t_lr > t_rl:
                 ul, ur, vl, vr = ur, ul, vr, vl
                 t_lr, t_rl = t_rl, t_lr
-            z = min(sets[ul] & sets[vr])
+            z = min(_shared(ul, vr, a, b))
             trace.steps.append(Match1Step("cross", t_uv, u.nleaves, v.nleaves, z))
             out.append(z)
-            u, v = ur, vl
+            u, v, t_uv = ur, vl, t_rl
             continue
         trace.steps.append(Match1Step("heavy", t_uv, u.nleaves, v.nleaves))
-        u, v = ur, vr
+        u, v, t_uv = ur, vr, t_rr
     return frozenset(out), trace
 
 
@@ -274,40 +325,39 @@ def _match2_walk(t1: RootedTree, t2: RootedTree, delta: float):
     new labels that the two trees do not share."""
     if not 0 < delta < 0.25:
         raise ValueError(f"match2 needs delta in (0, 1/4), got {delta}")
-    sets = _leaf_sets(t1, t2)
-    t0 = len(sets[t1] & sets[t2])
+    a, b = _LeafOrder(t1), _LeafOrder(t2)
+    t0 = len(_shared(t1, t2, a, b))
     if t0 == 0:
         raise TreeError("match2 requires a nonempty shared leaf set")
     trace = Match2Trace(delta, t1.height, t2.height, t0)
 
     out = []
     top = []
-    stack = [(t1, t2, top)]  # calls still to make, with their parent's children
+    # calls still to make: (u, v, |L(u) & L(v)|, rows for _orient, parent's children)
+    stack = [(t1, t2, t0, None, top)]
     while stack:
-        u, v, siblings = stack.pop()
-        shared = sets[u] & sets[v]
-        t_uv = len(shared)
+        u, v, t_uv, rows, siblings = stack.pop()
         if t_uv == 0:
             raise AssertionError("recursed into an empty intersection")
         node = Match2Node("base", t_uv, u.nleaves, v.nleaves)
         siblings.append(node)
         if u.nleaves == 1 or v.nleaves == 1:
-            node.emitted = min(shared)
+            node.emitted = min(_shared(u, v, a, b))
             out.append(node.emitted)
             continue
-        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v, sets)
+        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v, t_uv, rows, a, b)
         need = delta * t_uv
         if t_ll >= need and t_rr >= need:
-            node.rule, calls = "diag", ((ul, vl), (ur, vr))
+            node.rule, calls = "diag", ((ul, vl, t_ll, None), (ur, vr, t_rr, None))
         elif t_lr >= need and t_rl >= need:
-            node.rule, calls = "anti", ((ul, vr), (ur, vl))
+            node.rule, calls = "anti", ((ul, vr, t_lr, None), (ur, vl, t_rl, None))
         elif t_lr < need and t_rl < need:
-            node.rule, calls = "shrink", ((ur, vr),)
+            node.rule, calls = "shrink", ((ur, vr, t_rr, None),)
         elif t_lr < need:  # t_rl >= need: drop u's left side only
-            node.rule, calls = "skip1", ((ur, v),)
+            node.rule, calls = "skip1", ((ur, v, t_rl + t_rr, None),)
         else:  # t_rl < need <= t_lr: drop v's left side only
-            node.rule, calls = "skip2", ((u, vr),)
-        stack.extend((a, b, node.children) for a, b in reversed(calls))
+            node.rule, calls = "skip2", ((u, vr, t_lr + t_rr, {ul: t_lr, ur: t_rr}),)
+        stack.extend((*call, node.children) for call in reversed(calls))
     trace.root = top[0]
     return frozenset(out), trace
 

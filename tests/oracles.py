@@ -6,6 +6,7 @@ quadratic DP.  None of it shares code with the implementations it checks.
 
 from itertools import combinations, count
 
+from agreetree.matchers import Match1Step, Match1Trace, Match2Node, Match2Trace
 from agreetree.treecore import RootedTree, UnrootedTree, root_at_edge
 from agreetree.treeops import restrict
 
@@ -249,3 +250,85 @@ def pad_to_balanced(
         return RootedTree.branch(rec(node.left, h - 1), rec(node.right, h - 1))
 
     return rec(t, target_height)
+
+
+def _orient_by_sets(u: RootedTree, v: RootedTree):
+    """The matchers' child orientation, from intersections of the four
+    children's ``.leaves`` sets."""
+    ku = (u.left, u.right)
+    kv = (v.left, v.right)
+    c = [[len(a.leaves & b.leaves) for b in kv] for a in ku]
+    for su, sv in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        t_ll = c[su][sv]
+        t_lr = c[su][1 - sv]
+        t_rl = c[1 - su][sv]
+        t_rr = c[1 - su][1 - sv]
+        if t_lr + t_rl <= t_ll + t_rr and t_ll <= t_rr:
+            return (ku[su], ku[1 - su], kv[sv], kv[1 - sv]), (t_ll, t_lr, t_rl, t_rr)
+    raise AssertionError("some orientation always satisfies both inequalities")
+
+
+def match1_walk_by_sets(t1: RootedTree, t2: RootedTree, delta: float):
+    """The match1 walk (no input checks) with every count taken from leaf
+    sets: (leaf set, Match1Trace)."""
+    trace = Match1Trace(delta, t1.height, t2.nleaves)
+    out = []
+    u, v = t1, t2
+    while True:
+        shared = u.leaves & v.leaves
+        t_uv = len(shared)
+        if u.nleaves == 1 or v.nleaves == 1:
+            trace.steps.append(Match1Step("base", t_uv, u.nleaves, v.nleaves, min(shared)))
+            out.append(min(shared))
+            return frozenset(out), trace
+        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient_by_sets(u, v)
+        step = Match1Step("heavy", t_uv, u.nleaves, v.nleaves)
+        trace.steps.append(step)
+        if t_ll > 0:
+            step.rule, step.emitted = "case1", min(ul.leaves & vl.leaves)
+            u, v = ur, vr
+        elif t_rl == 0:
+            step.rule, v = "skip-left", vr
+        elif t_lr == 0:
+            step.rule, u = "skip-right", ur
+        elif t_lr + t_rl >= delta * t_uv:
+            if t_lr > t_rl:
+                ul, ur, vl, vr = ur, ul, vr, vl
+            step.rule, step.emitted = "cross", min(ul.leaves & vr.leaves)
+            u, v = ur, vl
+        else:
+            u, v = ur, vr
+        if step.emitted is not None:
+            out.append(step.emitted)
+
+
+def match2_walk_by_sets(t1: RootedTree, t2: RootedTree, delta: float):
+    """The match2 walk (no input checks) with every count taken from leaf
+    sets: (leaf set, Match2Trace)."""
+    out = []
+
+    def call(u, v):
+        shared = u.leaves & v.leaves
+        node = Match2Node("base", len(shared), u.nleaves, v.nleaves)
+        if u.nleaves == 1 or v.nleaves == 1:
+            node.emitted = min(shared)
+            out.append(node.emitted)
+            return node
+        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient_by_sets(u, v)
+        need = delta * len(shared)
+        if t_ll >= need and t_rr >= need:
+            node.rule, calls = "diag", ((ul, vl), (ur, vr))
+        elif t_lr >= need and t_rl >= need:
+            node.rule, calls = "anti", ((ul, vr), (ur, vl))
+        elif t_lr < need and t_rl < need:
+            node.rule, calls = "shrink", ((ur, vr),)
+        elif t_lr < need:
+            node.rule, calls = "skip1", ((ur, v),)
+        else:
+            node.rule, calls = "skip2", ((u, vr),)
+        node.children = [call(a, b) for a, b in calls]
+        return node
+
+    trace = Match2Trace(delta, t1.height, t2.height, len(t1.leaves & t2.leaves))
+    trace.root = call(t1, t2)
+    return frozenset(out), trace

@@ -349,8 +349,13 @@ class TestBench:
                 "match1,match2,agree,mast-floor",
                 "--n items must be at most 6 for mast-floor unless AGREETREE_GUARDS=off, got 8",
             ),
+            ("16,32,16", "match1", "--n items must be distinct, got 16 twice"),
+            ("16", "match1,agree,match1", "--algorithms items must be distinct, got 'match1' twice"),
         ],
-        ids=["match1-24", "match2-24", "agree-2", "floor-1", "unknown", "floor-guard"],
+        ids=[
+            "match1-24", "match2-24", "agree-2", "floor-1", "unknown", "floor-guard",
+            "repeated-n", "repeated-algorithm",
+        ],
     )
     def test_plan_checked_before_any_trial(
         self, tmp_path, capsys, monkeypatch, n, algorithms, message
@@ -365,6 +370,37 @@ class TestBench:
         assert captured.out == ""
         assert captured.err == f"agreetree bench: {message}\n"
         assert trials == []
+        assert not out_path.exists()
+
+    def test_out_checked_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        trials = []
+        monkeypatch.setattr(cli, "_bench_trial", lambda *a: trials.append(a))
+        out_path = tmp_path / "missing_dir" / "x.csv"
+        code = main(["bench", "--n", "16", "--algorithms", "match1", "--out", str(out_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"agreetree bench: cannot write {out_path}: "
+            f"{str(out_path.parent)!r} is not a writable directory\n"
+        )
+        assert trials == []
+
+    def test_invalid_certificates_refused(self, tmp_path, capsys, monkeypatch):
+        def bad_trial(algorithm, n, model, seed, measure):
+            return cli.TrialRecord(n, model, seed, algorithm, "", 1, "", "", 0, False)
+
+        monkeypatch.setattr(cli, "_bench_trial", bad_trial)
+        out_path = tmp_path / "trials.csv"
+        code = main(["bench", "--n", "16", "--trials", "2", "--algorithms", "match1",
+                     "--out", str(out_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "agreetree bench: 2 trial(s) produced invalid certificates; "
+            "refusing to persist (use --allow-invalid to keep them)\n"
+        )
         assert not out_path.exists()
 
     def test_floor_guard_lifted(self, tmp_path, monkeypatch):

@@ -2,7 +2,9 @@
 and tree identity (isomorphism, agreement certificates) stays linear in
 memory on caterpillars and on a 20,000-leaf uniform tree.  ``match-ab``
 runs on a 4096-leaf Yule pair at k = 3, where a balanced supertree of the
-required height would have 2^36 leaves.
+required height would have 2^36 leaves.  ``match1`` runs a balanced
+2^14-leaf tree against a 16,384-leaf rooted caterpillar (Θ(n²) labels of
+per-node leaf sets), and ``match2`` two balanced 2^14-leaf trees.
 
 The checks run in a fresh interpreter whose address space is capped at
 1 GiB, so a quadratic leaf-set cache fails there with MemoryError instead of
@@ -27,10 +29,11 @@ resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 limit = sys.getrecursionlimit()
 import agreetree
 from agreetree import (
-    RandomModel, RootedTree, extract_balanced, f_closed, f_recurrence,
-    gen_caterpillar, gen_extremal_fhk, gen_random, is_caterpillar,
-    is_isomorphic, parse_newick, ramsey_split, relabel, restrict,
-    root_at_edge, to_newick, unroot, verify_agreement,
+    RandomModel, RootedTree, SplitMix64, extract_balanced, f_closed,
+    f_recurrence, gen_balanced, gen_caterpillar, gen_extremal_fhk, gen_random,
+    is_caterpillar, is_isomorphic, match1, match1_bound, match2, match2_bound,
+    optimal_delta_match1, optimal_delta_match2, parse_newick, ramsey_split,
+    relabel, restrict, root_at_edge, to_newick, unroot, verify_agreement,
 )
 from agreetree.cli import main
 from agreetree.treecore import root_at_leaf_edge
@@ -72,6 +75,27 @@ for label in range(N - 4, 0, -1):
 assert extract_balanced(spine, 2) == {N - 3, N - 2, N - 1, N}
 
 assert gen_extremal_fhk(N, 1).nleaves == f_closed(N, 1) == f_recurrence(N, 1)
+
+M = 14
+rng = SplitMix64(3)
+
+
+def shuffled(t):
+    labels = list(range(1, t.nleaves + 1))
+    rng.shuffle(labels)
+    return relabel(t, {i + 1: x for i, x in enumerate(labels)})
+
+
+balanced = gen_balanced(M)
+for t1, t2, matcher, bound, delta in (
+    (balanced, shuffled(gen_caterpillar(1 << M, rooted=True)), match1,
+     lambda d: match1_bound(M, 1 << M, d), optimal_delta_match1()[0]),
+    (shuffled(balanced), shuffled(balanced), match2,
+     lambda d: match2_bound(M, M, 1 << M, d), optimal_delta_match2()[0]),
+):
+    leaves, _ = matcher(t1, t2, delta)
+    assert len(leaves) >= max(1, bound(delta)) - 1e-9, (matcher, len(leaves))
+    verify_agreement(t1, t2, leaves)
 
 with tempfile.TemporaryDirectory() as tmp:
     paths = []

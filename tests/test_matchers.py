@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -27,6 +28,8 @@ from agreetree.generators import (
     relabel,
 )
 from agreetree.matchers import (
+    _match1_walk,
+    _match2_walk,
     _root_near_center,
     class_c_prunings,
     match1,
@@ -39,19 +42,28 @@ from agreetree.matchers import (
 from agreetree.treecore import TreeError, is_caterpillar, radius, root_at_leaf_edge
 from agreetree.treeops import is_subtree, restrict, verify_agreement
 
-from oracles import PAD_LABEL_BASE, pad_to_balanced
+from oracles import (
+    PAD_LABEL_BASE,
+    match1_walk_by_sets,
+    match2_walk_by_sets,
+    pad_to_balanced,
+)
 
 DELTA1 = 0.1705
 DELTA2 = 0.0248
 
 
-def random_subset_tree(m, t, seed):
-    """A uniform random rooted tree over a random t-subset of 1..2^m."""
+def random_subset_tree(m, t, seed, model="uniform"):
+    """A random rooted tree (uniform, yule or caterpillar shape) over a
+    random t-subset of 1..2^m."""
     rng = SplitMix64(seed)
     labels = list(range(1, 2**m + 1))
     rng.shuffle(labels)
     chosen = sorted(labels[:t])
-    shape = gen_random(t, RandomModel("uniform", rng.next_u64()), rooted=True)
+    if model == "caterpillar":
+        shape = gen_caterpillar(t, rooted=True)
+    else:
+        shape = gen_random(t, RandomModel(model, rng.next_u64()), rooted=True)
     return relabel(shape, {i + 1: chosen[i] for i in range(t)})
 
 
@@ -183,6 +195,47 @@ class TestMatch2:
     def test_delta_domain(self):
         with pytest.raises(ValueError):
             match2(gen_balanced(2), gen_balanced(2), 0.25)
+
+
+def same_run(got, want):
+    """Equal leaf sets and equal traces, field by field."""
+    return got[0] == want[0] and dataclasses.asdict(got[1]) == dataclasses.asdict(want[1])
+
+
+class TestWalksEqualSetReference:
+    """The walks' leaf-order counts give the same leaf sets and traces as
+    counts taken from leaf-set intersections (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("model", ["uniform", "yule", "caterpillar"])
+    def test_match1(self, model):
+        rng = SplitMix64(80)
+        for m in (*range(1, 8), *range(1, 8)):
+            for t in (2**m, 1 + rng.randrange(2**m), 1 + rng.randrange(2**m)):
+                t2 = random_subset_tree(m, t, rng.next_u64(), model)
+                t1 = permuted_balanced(m, rng.next_u64())
+                u1 = gen_random(2**m, RandomModel("yule", rng.next_u64()), rooted=True)
+                for delta in (0.05, 0.2, 0.45):
+                    assert same_run(match1(t1, t2, delta), match1_walk_by_sets(t1, t2, delta))
+                    assert same_run(
+                        _match1_walk(u1, t2, delta), match1_walk_by_sets(u1, t2, delta)
+                    )
+
+    @pytest.mark.parametrize("model", ["uniform", "yule", "caterpillar"])
+    def test_match2(self, model):
+        rng = SplitMix64(81)
+        for m in (*range(1, 8), *range(1, 8), *range(1, 8)):
+            t1 = permuted_balanced(m, rng.next_u64())
+            shift = rng.randrange(2**m)
+            t2 = relabel(
+                permuted_balanced(m, rng.next_u64()),
+                {i: i + shift for i in range(1, 2**m + 1)},
+            )
+            u1 = random_subset_tree(m, 2**m, rng.next_u64(), model)
+            u2 = random_subset_tree(m, 1 + rng.randrange(2**m), rng.next_u64(), model)
+            for delta in (0.05, 0.12, 0.24):
+                assert same_run(match2(t1, t2, delta), match2_walk_by_sets(t1, t2, delta))
+                assert same_run(_match2_walk(u1, u2, delta), match2_walk_by_sets(u1, u2, delta))
+                assert same_run(_match2_walk(u2, t1, delta), match2_walk_by_sets(u2, t1, delta))
 
 
 class TestPadding:
