@@ -15,11 +15,13 @@ import os
 from dataclasses import dataclass
 
 from ._rng import SplitMix64
-from .treecore import RootedTree, TreeError, UnrootedTree, postorder, unroot
+from .bounds import f_closed
+from .treecore import RootedTree, TreeError, UnrootedTree, rebuild, unroot
 
 UNIFORM = "uniform"
 YULE = "yule"
 
+MAX_M = 20  # gen_balanced builds height <= MAX_M, gen_extremal_fhk <= 2^MAX_M leaves
 ENUM_GUARD_UNROOTED = 7
 ENUM_GUARD_ROOTED = 6
 
@@ -45,19 +47,17 @@ class RandomModel:
 # --------------------------------------------------------------------------
 
 
-def _balanced_over(labels) -> RootedTree:
-    labels = list(labels)
-    if len(labels) == 1:
-        return RootedTree.leaf(labels[0])
+def _halves(labels):
+    """``rebuild`` callback for the balanced tree over ``labels`` in order."""
     half = len(labels) // 2
-    return RootedTree.branch(_balanced_over(labels[:half]), _balanced_over(labels[half:]))
+    return (labels[:half], labels[half:]) if half else labels[0]
 
 
 def gen_balanced(m: int) -> RootedTree:
     """Balanced rooted tree of height m with leaves 1..2^m left-to-right."""
-    if not 0 <= m <= 20:
-        raise ValueError(f"balanced height m={m} out of range [0, 20]")
-    return _balanced_over(range(1, 2**m + 1))
+    if not 0 <= m <= MAX_M:
+        raise ValueError(f"balanced height m={m} out of range [0, {MAX_M}]")
+    return rebuild(range(1, 2**m + 1), _halves)
 
 
 def gen_caterpillar(n: int, rooted: bool = False):
@@ -65,34 +65,19 @@ def gen_caterpillar(n: int, rooted: bool = False):
     if rooted:
         if n < 1:
             raise ValueError("rooted caterpillar needs n >= 1")
-        if n == 1:
-            return RootedTree.leaf(1)
-        node = RootedTree.branch(RootedTree.leaf(n - 1), RootedTree.leaf(n))
-        for i in range(n - 2, 0, -1):
-            node = RootedTree.branch(RootedTree.leaf(i), node)
-        return node
+        return rebuild(range(1, n + 1), lambda r: (r[:1], r[1:]) if len(r) > 1 else r[0])
     if n < 3:
         raise ValueError("unrooted caterpillar needs n >= 3")
-    adj = {}
-    labels = {}
-    # Leaf vertex i-1 carries label i; spine vertices follow.
-    spine = [n + j for j in range(n - 2)]
-    for j, s in enumerate(spine):
-        adj[s] = []
-        if j > 0:
-            adj[s].append(spine[j - 1])
-            adj[spine[j - 1]].append(s)
-    def attach(leaf_label, s):
-        v = leaf_label - 1
-        adj[v] = [s]
-        adj[s].append(v)
-        labels[v] = leaf_label
-    attach(1, spine[0])
-    attach(2, spine[0])
-    for j in range(1, n - 2):
-        attach(j + 2, spine[j])
-    attach(n, spine[-1])
-    return UnrootedTree(adj, labels)
+    spine = list(range(n, 2 * n - 2))
+    adj = {v: [] for v in spine}
+    edges = list(zip(spine, spine[1:]))
+    for i in range(1, n + 1):  # leaf i is vertex i - 1 and hangs off spine[i - 2], clamped
+        adj[i - 1] = []
+        edges.append((i - 1, spine[min(max(i - 2, 0), n - 3)]))
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return UnrootedTree(adj, {i - 1: i for i in range(1, n + 1)})
 
 
 def gen_class_b(m: int) -> UnrootedTree:
@@ -129,23 +114,25 @@ def gen_class_c(m: int) -> UnrootedTree:
 def gen_extremal_fhk(h: int, k: int) -> RootedTree:
     """The extremal tree of height <= h whose balanced restrictions top out
     at height k: balanced when h == k or k == 0, otherwise the join of the
-    (h-1, k) and (h-1, k-1) extremal trees.  Leaves are 1..f(h,k)."""
+    (h-1, k) and (h-1, k-1) extremal trees.  Leaves are 1..f(h,k), at most
+    2^MAX_M (``gen_balanced``'s cap)."""
     if not 0 <= k <= h:
         raise ValueError(f"need 0 <= k <= h, got h={h}, k={k}")
-    built = []  # finished subtrees, left before right
-    first = 1  # the next unused label
-    stack = [(h, k, False)]  # (h, k, children built)
-    while stack:
-        h, k, expanded = stack.pop()
-        if expanded:
-            right = built.pop()
-            built[-1] = RootedTree.branch(built[-1], right)
-        elif h == k or k == 0:
-            built.append(_balanced_over(range(first, first + 2**k)))
-            first += 2**k
-        else:
-            stack += [(h, k, True), (h - 1, k - 1, False), (h - 1, k, False)]
-    return built[0]
+    # f(h, k) >= 2^k, and f(h, k) >= f(h, 1) = h + 1 for k >= 1: bound both
+    # before f_closed, whose cost grows with k.
+    if k > MAX_M or (k and h >= 2**MAX_M) or f_closed(h, k) > 2**MAX_M:
+        raise ValueError(f"f(h={h}, k={k}) is above the cap of 2^{MAX_M} leaves")
+    labels = itertools.count(1)
+
+    def expand(item):
+        h, k = item
+        if k == 0:
+            return next(labels)
+        if h == k:
+            return (h - 1, k - 1), (h - 1, k - 1)
+        return (h - 1, k), (h - 1, k - 1)
+
+    return rebuild((h, k), expand)
 
 
 def swap_sequence(k: int) -> tuple:
@@ -170,7 +157,7 @@ def gen_swap_pair(k: int, rooted: bool = True):
     if k < 1:
         raise ValueError("swap pairs need k >= 1")
     t1 = gen_balanced(2 * k)
-    t2 = _balanced_over(swap_sequence(k))
+    t2 = rebuild(swap_sequence(k), _halves)
     if rooted:
         return t1, t2
     return unroot(t1), unroot(t2)
@@ -179,15 +166,8 @@ def gen_swap_pair(k: int, rooted: bool = True):
 def relabel(t, mapping: dict):
     """Replace every leaf label via ``mapping`` (a bijection on the labels)."""
     if isinstance(t, RootedTree):
-        built = []  # relabelled subtrees, left before right
-        for node in postorder(t):
-            if node.is_leaf:
-                built.append(RootedTree.leaf(mapping[node.label]))
-            else:
-                right = built.pop()
-                built[-1] = RootedTree.branch(built[-1], right)
-        out = built[0]
-        if out.nleaves != t.nleaves:
+        out = rebuild(t, lambda node: mapping[node.label] if node.label else (node.left, node.right))
+        if len(out.leaves) != out.nleaves:
             raise TreeError("relabel mapping is not injective on the leaves")
         return out
     new_labels = {v: mapping[lab] for v, lab in t.leaf_label.items()}

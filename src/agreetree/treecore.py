@@ -125,6 +125,33 @@ def postorder(t: RootedTree) -> list:
     return out
 
 
+_JOIN = object()  # stack marker: join the last two built subtrees
+
+
+def rebuild(top, expand, keep=None):
+    """Build a RootedTree from ``top`` with an explicit stack.
+
+    ``expand(item)`` returns a leaf label or a tuple (left item, right
+    item); left subtrees are expanded before right ones.  With ``keep``
+    set, leaves outside it are dropped and nodes left with one child are
+    suppressed; the result is None when no leaf is kept."""
+    built = []  # finished subtrees (None when empty), left before right
+    stack = [top]
+    while stack:
+        item = stack.pop()
+        if item is _JOIN:
+            right = built.pop()
+            left = built.pop()
+            built.append(RootedTree.branch(left, right) if left and right else left or right)
+            continue
+        out = expand(item)
+        if type(out) is tuple:
+            stack += [_JOIN, out[1], out[0]]
+        else:
+            built.append(RootedTree.leaf(out) if keep is None or out in keep else None)
+    return built[0]
+
+
 # --------------------------------------------------------------------------
 # Unrooted trees
 # --------------------------------------------------------------------------
@@ -353,32 +380,38 @@ def is_caterpillar(t) -> bool:
 # --------------------------------------------------------------------------
 
 
+def edge_expand(t: UnrootedTree, edge):
+    """``rebuild`` callback for ``t`` rooted on ``edge`` = (u, v) from the
+    top item None: u's side left, v's side right.  Item (p, w) is the
+    branch at w away from p; its children follow w's sorted neighbours."""
+    u, v = edge
+    adj, leaf_label = t.adj, t.leaf_label
+
+    def expand(item):
+        if item is None:
+            return (v, u), (u, v)
+        p, w = item
+        if w in leaf_label:
+            return leaf_label[w]
+        a, b, c = adj[w]
+        if a == p:
+            return (w, b), (w, c)
+        return ((w, a), (w, c)) if b == p else ((w, a), (w, b))
+
+    return expand
+
+
 def root_at_edge(t: UnrootedTree, edge) -> RootedTree:
     """Subdivide ``edge`` with a new degree-2 root; leaf-set unchanged."""
     u, v = edge
     if u not in t.adj or v not in t.adj[u]:
         raise TreeError(f"edge {edge!r} not in tree")
-    built = []  # finished subtrees, left before right
-    # (parent, vertex, children pushed): the subtree at vertex away from parent
-    stack = [(u, v, False), (v, u, False)]
-    while stack:
-        parent, w, expanded = stack.pop()
-        if w in t.leaf_label:
-            built.append(RootedTree.leaf(t.leaf_label[w]))
-        elif expanded:
-            right = built.pop()
-            built[-1] = RootedTree.branch(built[-1], right)
-        else:
-            a, b = (x for x in t.adj[w] if x != parent)
-            stack += [(parent, w, True), (w, b, False), (w, a, False)]
-    return RootedTree.branch(*built)
+    return rebuild(None, edge_expand(t, edge))
 
 
-def root_at_leaf_edge(t: UnrootedTree, label=None) -> RootedTree:
-    """Root at the pendant edge of ``label`` (default: the smallest leaf)."""
-    if label is None:
-        label = min(t.leaves)
-    v = t.label_vertex[label]
+def root_at_leaf_edge(t: UnrootedTree) -> RootedTree:
+    """Root at the pendant edge of the smallest leaf."""
+    v = t.label_vertex[min(t.leaves)]
     return root_at_edge(t, (v, t.adj[v][0]))
 
 

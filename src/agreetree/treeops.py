@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from .treecore import (
     RootedTree,
     TreeError,
+    edge_expand,
     postorder,
-    root_at_leaf_edge,
+    rebuild,
     to_newick,
     unroot,
 )
@@ -55,35 +56,16 @@ def restrict(t, labels):
     if isinstance(t, RootedTree):
         if not X:
             raise TreeError("cannot restrict to an empty leaf set")
-        return _restrict_rooted(t, X)
+        out = rebuild(t, lambda node: node.label or (node.left, node.right), keep=X)
+        if out is None or out.nleaves != len(X):
+            raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
+        return out
     if len(X) < 3:
         raise TreeError("unrooted restriction needs at least 3 leaves")
     if not X <= t.leaves:
         raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
-    rooted = root_at_leaf_edge(t, min(X))
-    return unroot(_restrict_rooted(rooted, X))
-
-
-def _restrict_rooted(t: RootedTree, X: frozenset) -> RootedTree:
-    kept = []  # restricted subtrees (None when empty), left before right
-    found = 0
-    for node in postorder(t):
-        if node.is_leaf:
-            if node.label in X:
-                found += 1
-                kept.append(node)
-            else:
-                kept.append(None)
-            continue
-        right = kept.pop()
-        left = kept.pop()
-        if left is not None and right is not None:
-            kept.append(RootedTree.branch(left, right))
-        else:
-            kept.append(right if left is None else left)
-    if found != len(X):
-        raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
-    return kept[0]
+    v = t.label_vertex[min(X)]
+    return unroot(rebuild(None, edge_expand(t, (v, t.adj[v][0])), keep=X))
 
 
 def join(s_left: RootedTree, s_right: RootedTree) -> RootedTree:
@@ -121,6 +103,8 @@ def extract_balanced(t: RootedTree, k: int) -> frozenset:
     Splits k-1/k-1 across the children whenever both support it, otherwise
     descends into a child that supports k; leaf picks take the smallest
     label."""
+    if k < 0:
+        raise TreeError(f"balanced height k must be >= 0, got k={k}")
     vals = _balanced_heights(t)
     if k > vals[t][0]:
         raise TreeError(f"tree has no balanced restriction of height {k}")

@@ -7,7 +7,7 @@ quadratic DP.  None of it shares code with the implementations it checks.
 from itertools import combinations, count
 
 from agreetree.matchers import Match1Step, Match1Trace, Match2Node, Match2Trace
-from agreetree.treecore import RootedTree, UnrootedTree, root_at_edge
+from agreetree.treecore import RootedTree, UnrootedTree, postorder, root_at_edge, unroot
 from agreetree.treeops import restrict
 
 
@@ -101,6 +101,99 @@ def restrict_unrooted_by_paths(t: UnrootedTree, X) -> UnrootedTree:
                 changed = True
     labels = {t.label_vertex[x]: x for x in X}
     return UnrootedTree(adj, labels)
+
+
+def ordered_text(t: RootedTree) -> str:
+    """Newick text with the children in stored order; ``to_newick`` sorts
+    them, so it cannot see a left/right swap."""
+    out = []
+    stack = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.is_leaf:
+            out.append(str(item.label))
+        else:
+            out.append("(")
+            stack += [")", item.right, ",", item.left]
+    return "".join(out)
+
+
+# The copy loops that ``treecore.rebuild`` replaced, kept as references for
+# child order and unrooted vertex numbering.
+
+
+def root_at_edge_by_stack(t: UnrootedTree, edge) -> RootedTree:
+    u, v = edge
+    built = []  # finished subtrees, left before right
+    stack = [(u, v, False), (v, u, False)]  # (parent, vertex, children pushed)
+    while stack:
+        parent, w, expanded = stack.pop()
+        if w in t.leaf_label:
+            built.append(RootedTree.leaf(t.leaf_label[w]))
+        elif expanded:
+            right = built.pop()
+            built[-1] = RootedTree.branch(built[-1], right)
+        else:
+            a, b = (x for x in t.adj[w] if x != parent)
+            stack += [(parent, w, True), (w, b, False), (w, a, False)]
+    return RootedTree.branch(*built)
+
+
+def restrict_rooted_by_postorder(t: RootedTree, X) -> RootedTree:
+    kept = []  # restricted subtrees (None when empty), left before right
+    for node in postorder(t):
+        if node.is_leaf:
+            kept.append(node if node.label in X else None)
+            continue
+        right = kept.pop()
+        left = kept.pop()
+        if left is not None and right is not None:
+            kept.append(RootedTree.branch(left, right))
+        else:
+            kept.append(right if left is None else left)
+    return kept[0]
+
+
+def restrict_unrooted_by_rooting(t: UnrootedTree, X) -> UnrootedTree:
+    """Root at the pendant edge of min(X), restrict, unroot."""
+    v = t.label_vertex[min(X)]
+    return unroot(restrict_rooted_by_postorder(root_at_edge_by_stack(t, (v, t.adj[v][0])), X))
+
+
+def relabel_by_postorder(t: RootedTree, mapping: dict) -> RootedTree:
+    built = []  # relabelled subtrees, left before right
+    for node in postorder(t):
+        if node.is_leaf:
+            built.append(RootedTree.leaf(mapping[node.label]))
+        else:
+            right = built.pop()
+            built[-1] = RootedTree.branch(built[-1], right)
+    return built[0]
+
+
+def extremal_fhk_by_stack(h: int, k: int) -> RootedTree:
+    def balanced(labels):
+        if len(labels) == 1:
+            return RootedTree.leaf(labels[0])
+        half = len(labels) // 2
+        return RootedTree.branch(balanced(labels[:half]), balanced(labels[half:]))
+
+    built = []  # finished subtrees, left before right
+    first = 1  # the next unused label
+    stack = [(h, k, False)]  # (h, k, children built)
+    while stack:
+        h, k, expanded = stack.pop()
+        if expanded:
+            right = built.pop()
+            built[-1] = RootedTree.branch(built[-1], right)
+        elif h == k or k == 0:
+            built.append(balanced(range(first, first + 2**k)))
+            first += 2**k
+        else:
+            stack += [(h, k, True), (h - 1, k - 1, False), (h - 1, k, False)]
+    return built[0]
 
 
 def _vertex_path(t: UnrootedTree, src, dst):

@@ -57,6 +57,12 @@ class TestGen:
         assert code == 0
         assert out.count(",") == 10  # 11 leaves
 
+    def test_fhk_size_cap(self, capsys):
+        assert main(["gen", "fhk", "--h", "40", "--k", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "agreetree gen: f(h=40, k=20) is above the cap of 2^20 leaves" in captured.err
+
     def test_enumerate(self):
         code, out = run_cli("gen", "enumerate", "--n", "4")
         assert code == 0 and len(out.splitlines()) == 3

@@ -90,6 +90,10 @@ class TestExtractBalanced:
         with pytest.raises(TreeError):
             extract_balanced(gen_balanced(2), 3)
 
+    def test_negative_height(self):
+        with pytest.raises(TreeError, match="k=-1"):
+            extract_balanced(gen_balanced(2), -1)
+
 
 class TestPathsAndCaterpillars:
     def test_caterpillar_is_its_own_maximum(self):

@@ -1,8 +1,8 @@
 """Deep trees: every builder and walk handles a 20,000-leaf caterpillar,
-and tree identity (isomorphism, agreement certificates) stays linear in
-memory on caterpillars and on a 20,000-leaf uniform tree.  ``match-ab``
-runs on a 4096-leaf Yule pair at k = 3, where a balanced supertree of the
-required height would have 2^36 leaves.  ``match1`` runs a balanced
+and tree identity (isomorphism, agreement certificates) and restriction
+stay linear in memory on caterpillars and on a 20,000-leaf uniform tree.
+``match-ab`` runs on a 4096-leaf Yule pair at k = 3, where a balanced
+supertree of the required height would have 2^36 leaves.  ``match1`` runs a balanced
 2^14-leaf tree against a 16,384-leaf rooted caterpillar (Θ(n²) labels of
 per-node leaf sets), and ``match2`` two balanced 2^14-leaf trees.
 
@@ -65,6 +65,9 @@ for t in (rooted, unrooted):
 
 uniform = gen_random(N, RandomModel("uniform", 1))
 assert is_isomorphic(uniform, parse_newick(to_newick(uniform)))
+part = restrict(uniform, sample)
+assert part.leaves == frozenset(sample)
+assert is_isomorphic(restrict(part, sample[:100]), restrict(uniform, sample[:100]))
 
 spine = RootedTree.branch(
     RootedTree.branch(RootedTree.leaf(N - 3), RootedTree.leaf(N - 2)),

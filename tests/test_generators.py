@@ -17,11 +17,15 @@ from agreetree.generators import (
 )
 from agreetree.treecore import (
     ROOTED_BALANCED,
+    TreeError,
     classify_balanced,
     diameter_path,
     is_caterpillar,
+    parse_newick,
     to_newick,
 )
+
+from oracles import ordered_text
 
 
 class TestBalanced:
@@ -30,6 +34,9 @@ class TestBalanced:
 
     def test_m2(self):
         assert to_newick(gen_balanced(2)) == "((1,2),(3,4));"
+
+    def test_child_order(self):
+        assert ordered_text(gen_balanced(3)) == "(((1,2),(3,4)),((5,6),(7,8)))"
 
     def test_contract(self):
         for m in range(0, 13):
@@ -60,6 +67,19 @@ class TestCaterpillar:
     def test_too_small(self):
         with pytest.raises(ValueError):
             gen_caterpillar(2)
+
+    def test_rooted_child_order(self):
+        assert ordered_text(gen_caterpillar(1, rooted=True)) == "1"
+        assert ordered_text(gen_caterpillar(5, rooted=True)) == "(1,(2,(3,(4,5))))"
+
+    def test_unrooted_vertex_ids(self):
+        # Leaf i is vertex i - 1; the spine runs over vertices n .. 2n - 3.
+        t = gen_caterpillar(5)
+        assert list(t.adj.items()) == [
+            (5, (0, 1, 6)), (6, (2, 5, 7)), (7, (3, 4, 6)),
+            (0, (5,)), (1, (5,)), (2, (6,)), (3, (7,)), (4, (7,)),
+        ]
+        assert t.leaf_label == {v: v + 1 for v in range(5)}
 
 
 class TestRandom:
@@ -124,6 +144,16 @@ class TestExtremal:
         with pytest.raises(ValueError):
             gen_extremal_fhk(2, 3)
 
+    @pytest.mark.parametrize(
+        "h, k", [(40, 20), (21, 21), (2**20, 1), (10**30, 5), (10**9, 10**9 // 2), (30, 9)]
+    )
+    def test_more_than_2_to_the_20_leaves_rejected(self, h, k):
+        with pytest.raises(ValueError, match=r"above the cap of 2\^20 leaves"):
+            gen_extremal_fhk(h, k)
+
+    def test_cap_spares_single_leaves(self):
+        assert gen_extremal_fhk(10**30, 0).nleaves == 1
+
 
 class TestSwap:
     def test_base(self):
@@ -147,6 +177,10 @@ class TestSwap:
         assert t1.balanced and t2.balanced
         assert t1.height == t2.height == 4
         assert t1.leaves == t2.leaves
+
+    def test_child_order(self):
+        t1, t2 = gen_swap_pair(1)
+        assert (ordered_text(t1), ordered_text(t2)) == ("((1,2),(3,4))", "((1,3),(2,4))")
 
     def test_unrooted_pair(self):
         u1, u2 = gen_swap_pair(1, rooted=False)
@@ -185,6 +219,11 @@ class TestRelabel:
     def test_rooted(self):
         t = relabel(gen_balanced(1), {1: 5, 2: 9})
         assert t.leaves == {5, 9}
+
+    @pytest.mark.parametrize("text", ["((1,2),3);", "(1,2,3);"])
+    def test_not_injective(self, text):
+        with pytest.raises(TreeError):
+            relabel(parse_newick(text), {1: 5, 2: 5, 3: 6})
 
     def test_unrooted(self):
         t = relabel(gen_caterpillar(4), {1: 10, 2: 20, 3: 30, 4: 40})

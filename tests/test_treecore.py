@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from agreetree._rng import SplitMix64
 from agreetree.generators import (
     RandomModel,
     gen_balanced,
@@ -9,6 +10,7 @@ from agreetree.generators import (
     gen_class_c,
     gen_extremal_fhk,
     gen_random,
+    relabel,
 )
 from agreetree.treecore import (
     CLASS_B,
@@ -26,13 +28,22 @@ from agreetree.treecore import (
     is_caterpillar,
     parse_newick,
     radius,
+    rebuild,
     root_at_edge,
     to_newick,
     unroot,
 )
-from agreetree.treeops import is_isomorphic
+from agreetree.treeops import is_isomorphic, restrict
 
-from oracles import all_pairs_eccentricities
+from oracles import (
+    all_pairs_eccentricities,
+    extremal_fhk_by_stack,
+    ordered_text,
+    relabel_by_postorder,
+    restrict_rooted_by_postorder,
+    restrict_unrooted_by_rooting,
+    root_at_edge_by_stack,
+)
 
 
 class TestParse:
@@ -282,6 +293,60 @@ class TestRooting:
         t = gen_random(n, RandomModel("uniform", seed))
         for edge in t.edges():
             assert is_isomorphic(unroot(root_at_edge(t, edge)), t)
+
+
+class TestRebuild:
+    """``rebuild`` is the one copy walk; its copies keep the child order and
+    unrooted vertex ids of the loops it replaced (``tests/oracles.py``)."""
+
+    def test_keep_drops_leaves_and_suppresses_single_children(self):
+        t = parse_newick("((1,2),(3,(4,5)));")
+
+        def expand(node):
+            return node.label or (node.left, node.right)
+
+        assert ordered_text(rebuild(t, expand)) == "((1,2),(3,(4,5)))"
+        assert ordered_text(rebuild(t, expand, keep={2, 4, 5})) == "(2,(4,5))"
+        assert ordered_text(rebuild(t, expand, keep={3})) == "3"
+        assert rebuild(t, expand, keep=set()) is None
+
+    @pytest.mark.parametrize("model", ["uniform", "yule", "caterpillar"])
+    def test_copies_equal_reference(self, model):
+        rng = SplitMix64(11)
+        for seed in range(10):
+            n = 3 + 9 * seed
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            mapping = dict(zip(range(1, n + 1), labels))
+            if model == "caterpillar":
+                t = relabel(gen_caterpillar(n), mapping)
+                rooted = relabel_by_postorder(gen_caterpillar(n, rooted=True), mapping)
+            else:
+                t = gen_random(n, RandomModel(model, seed))
+                rooted = gen_random(n, RandomModel(model, seed), rooted=True)
+            for edge in t.edges():
+                assert ordered_text(root_at_edge(t, edge)) == ordered_text(
+                    root_at_edge_by_stack(t, edge)
+                )
+            for size in sorted({3, max(3, n // 3), max(3, n // 2 + 1), n}):
+                rng.shuffle(labels)
+                X = frozenset(labels[:size])
+                got, want = restrict(t, X), restrict_unrooted_by_rooting(t, X)
+                assert list(got.adj.items()) == list(want.adj.items())
+                assert list(got.leaf_label.items()) == list(want.leaf_label.items())
+                assert ordered_text(restrict(rooted, X)) == ordered_text(
+                    restrict_rooted_by_postorder(rooted, X)
+                )
+            assert ordered_text(relabel(rooted, mapping)) == ordered_text(
+                relabel_by_postorder(rooted, mapping)
+            )
+
+    def test_extremal_equals_reference(self):
+        for h in range(0, 11):
+            for k in range(0, h + 1):
+                assert ordered_text(gen_extremal_fhk(h, k)) == ordered_text(
+                    extremal_fhk_by_stack(h, k)
+                )
 
 
 class TestValidation:
