@@ -38,7 +38,7 @@ from .treecore import (
     to_newick,
     unroot,
 )
-from .treeops import extract_balanced, max_balanced_height, restrict, verify_agreement
+from .treeops import largest_balanced, restrict, verify_agreement
 
 
 # --------------------------------------------------------------------------
@@ -160,9 +160,8 @@ def ramsey_split(t, a: float = 0.5) -> RamseyOutcome:
     bal_threshold = slack_ceil(phi_v)
     path_threshold = slack_ceil(math.log2(n) ** psi_v)
     rooted = t if isinstance(t, RootedTree) else root_at_leaf_edge(t)
-    best_height = max_balanced_height(rooted)
+    best_height, leaves = largest_balanced(rooted)
     if best_height >= bal_threshold:
-        leaves = extract_balanced(rooted, best_height)
         return RamseyOutcome(
             "balanced", leaves, best_height, None, phi_v, psi_v, bal_threshold, path_threshold
         )
@@ -265,7 +264,7 @@ def agree_general(t1: UnrootedTree, t2: UnrootedTree):
             if len(A) < 3:
                 attempts.append(frozenset(A))
                 continue
-            balanced_first = restrict(root_at_leaf_edge(first), A)
+            balanced_first = root_at_leaf_edge(first, A)
             rooted_second = root_at_leaf_edge(restrict(second, A))
             leaves, _ = match1(balanced_first, rooted_second, delta_star)
             attempts.append(frozenset(leaves))

@@ -45,7 +45,7 @@ from .treecore import (
     root_at_leaf_edge,
     side_leaves,
 )
-from .treeops import extract_balanced, max_balanced_height, restrict
+from .treeops import largest_balanced, restrict
 
 logger = logging.getLogger(__name__)
 
@@ -474,7 +474,7 @@ def match2_multi(trees, delta: float) -> frozenset:
     leaves, _ = match2(trees[0], trees[1], delta)
     cur = restrict(trees[0], leaves)
     for pos, nxt in enumerate(trees[2:], start=2):
-        kept = extract_balanced(cur, max_balanced_height(cur))
+        _, kept = largest_balanced(cur)
         cur_bal = restrict(cur, kept)
         if not cur_bal.leaves & nxt.leaves:
             logger.warning(

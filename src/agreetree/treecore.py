@@ -24,6 +24,12 @@ between tokens is ignored.  Serialisation is canonical (children are
 ordered by the smallest leaf label in their subtree), so label-respecting
 isomorphic trees serialise identically.
 
+An unrooted tree is rooted one way by default: ``root_at_leaf_edge`` roots
+it on the pendant edge of its smallest leaf m, and ``to_newick`` writes it
+as that rooting "(m,(A,B));" with the inner parentheses dropped,
+"(m,A,B);".  ``root_at_edge`` and ``root_at_leaf_edge`` take ``keep``, a
+leaf subset, and then build only the restriction to it.
+
 All values are immutable after construction and all functions are pure.
 """
 
@@ -200,16 +206,7 @@ class UnrootedTree:
                 raise TreeError(f"duplicate leaf label {lab}")
             self.label_vertex[lab] = v
         # Connectivity (acyclicity follows from the edge count).
-        start = next(iter(adj))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != nvert:
+        if len(_bfs(self, [next(iter(adj))])) != nvert:
             raise TreeError("unrooted tree is not connected")
 
     @property
@@ -262,37 +259,34 @@ def side_leaves(t: UnrootedTree, u: int, v: int) -> frozenset:
     )
 
 
-def _bfs(t: UnrootedTree, sources):
-    """Distances (and BFS parents) from a set of source vertices."""
+def _bfs(t: UnrootedTree, sources) -> dict:
+    """Distances from a set of source vertices."""
     dist = {s: 0 for s in sources}
-    parent = {s: None for s in sources}
     queue = deque(sources)
     while queue:
         v = queue.popleft()
         for w in t.adj[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
-                parent[w] = v
                 queue.append(w)
-    return dist, parent
+    return dist
 
 
 def _farthest(t: UnrootedTree, source):
-    """(vertex, dist, parent-map) for the farthest vertex from ``source``;
+    """(vertex, distance map) for the farthest vertex from ``source``;
     ties broken toward the smallest vertex id."""
-    dist, parent = _bfs(t, [source])
-    best = max(dist, key=lambda v: (dist[v], -v))
-    return best, dist[best], parent
+    dist = _bfs(t, [source])
+    return max(dist, key=lambda v: (dist[v], -v)), dist
 
 
 def diameter_path(t: UnrootedTree) -> list:
     """A longest leaf-to-leaf path, as a vertex list (deterministic)."""
     v0 = t.label_vertex[min(t.leaves)]
-    u, _, _ = _farthest(t, v0)
-    w, _, parent = _farthest(t, u)
+    u, _ = _farthest(t, v0)
+    w, dist = _farthest(t, u)
     path = [w]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
+    while dist[path[-1]]:  # the one neighbour nearer to u comes next
+        path.append(min(t.adj[path[-1]], key=dist.__getitem__))
     path.reverse()  # runs u -> w
     return path
 
@@ -340,7 +334,7 @@ def classify_balanced(t) -> BalanceClass:
             return BalanceClass(ROOTED_BALANCED, t.height)
         return BalanceClass(NOT_BALANCED)
     c = center(t)
-    dist, _ = _bfs(t, list(c))
+    dist = _bfs(t, list(c))
     leaf_dists = {dist[v] for v in t.leaf_label}
     if len(leaf_dists) != 1:
         return BalanceClass(NOT_BALANCED)
@@ -380,14 +374,25 @@ def is_caterpillar(t) -> bool:
 # --------------------------------------------------------------------------
 
 
-def edge_expand(t: UnrootedTree, edge):
-    """``rebuild`` callback for ``t`` rooted on ``edge`` = (u, v) from the
-    top item None: u's side left, v's side right.  Item (p, w) is the
-    branch at w away from p; its children follow w's sorted neighbours."""
+def root_at_edge(t: UnrootedTree, edge, keep=None) -> RootedTree:
+    """Subdivide ``edge`` = (u, v) with a new degree-2 root: u's side left,
+    v's side right, every vertex's branches in the order of its sorted
+    neighbours.  With ``keep`` set (a non-empty subset of the leaves) the
+    result is the restriction to ``keep``, rooted at its MRCA; only nodes
+    over ``keep`` are built."""
     u, v = edge
+    if u not in t.adj or v not in t.adj[u]:
+        raise TreeError(f"edge {edge!r} not in tree")
+    if keep is not None:
+        keep = frozenset(keep)
+        if not keep:
+            raise TreeError("cannot restrict to an empty leaf set")
+        if not keep <= t.leaves:
+            raise TreeError(f"labels {sorted(keep - t.leaves)} not in tree")
     adj, leaf_label = t.adj, t.leaf_label
 
     def expand(item):
+        """Item (p, w) is the branch at w away from p."""
         if item is None:
             return (v, u), (u, v)
         p, w = item
@@ -398,21 +403,14 @@ def edge_expand(t: UnrootedTree, edge):
             return (w, b), (w, c)
         return ((w, a), (w, c)) if b == p else ((w, a), (w, b))
 
-    return expand
+    return rebuild(None, expand, keep)
 
 
-def root_at_edge(t: UnrootedTree, edge) -> RootedTree:
-    """Subdivide ``edge`` with a new degree-2 root; leaf-set unchanged."""
-    u, v = edge
-    if u not in t.adj or v not in t.adj[u]:
-        raise TreeError(f"edge {edge!r} not in tree")
-    return rebuild(None, edge_expand(t, edge))
-
-
-def root_at_leaf_edge(t: UnrootedTree) -> RootedTree:
-    """Root at the pendant edge of the smallest leaf."""
+def root_at_leaf_edge(t: UnrootedTree, keep=None) -> RootedTree:
+    """Root at the pendant edge of the smallest leaf, which becomes the
+    left child; ``keep`` as for ``root_at_edge``."""
     v = t.label_vertex[min(t.leaves)]
-    return root_at_edge(t, (v, t.adj[v][0]))
+    return root_at_edge(t, (v, t.adj[v][0]), keep)
 
 
 def unroot(t: RootedTree) -> UnrootedTree:
@@ -544,44 +542,26 @@ def parse_newick(text: str):
 # --------------------------------------------------------------------------
 
 
-def _canonical_text(stack, children, label, first) -> str:
-    """The text of the items on ``stack``, last first: a string as it is, a
-    leaf as its label, any other subtree as its two children in order of
-    their smallest leaf label ``first`` inside parentheses."""
+def to_newick(t) -> str:
+    """Canonical Newick text; children ordered by smallest leaf label.  An
+    unrooted tree is written as its rooting at the smallest leaf m's
+    pendant edge, "(m,(A,B));", with the inner parentheses dropped."""
+    if isinstance(t, UnrootedTree):
+        r = root_at_leaf_edge(t)
+        return f"({r.left.label},{to_newick(r.right)[1:]}"
+    first = {}  # node -> smallest leaf label below it
+    for node in postorder(t):
+        first[node] = node.label or min(first[node.left], first[node.right])
     out = []
+    stack = [";", t]
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif label(item) is not None:
-            out.append(str(label(item)))
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif node.label is not None:
+            out.append(str(node.label))
         else:
-            a, b = sorted(children(item), key=first.get)
+            a, b = sorted((node.left, node.right), key=first.get)
             out.append("(")
             stack += [")", b, ",", a]
     return "".join(out)
-
-
-def to_newick(t) -> str:
-    """Canonical Newick text; children ordered by smallest leaf label."""
-    first = {}  # subtree -> smallest leaf label in it
-    if isinstance(t, RootedTree):
-        for node in postorder(t):
-            first[node] = node.label if node.is_leaf else min(first[node.left], first[node.right])
-        return _canonical_text([";", t], lambda node: (node.left, node.right), lambda node: node.label, first)
-    # Canonical top: the internal vertex adjacent to the smallest leaf.
-    leaf_v = t.label_vertex[min(t.leaves)]
-    top = t.adj[leaf_v][0]
-    starts = [(top, w) for w in t.adj[top]]
-    for u, v in directed_postorder(t, starts):  # (u, v) is the branch on v's side
-        if v in t.leaf_label:
-            first[(u, v)] = t.leaf_label[v]
-        else:
-            first[(u, v)] = min(first[(v, w)] for w in t.adj[v] if w != u)
-    a, b, c = sorted(starts, key=first.get)
-    return "(" + _canonical_text(
-        [");", c, ",", b, ",", a],
-        lambda edge: [(edge[1], w) for w in t.adj[edge[1]] if w != edge[0]],
-        lambda edge: t.leaf_label.get(edge[1]),
-        first,
-    )

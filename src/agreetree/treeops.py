@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .treecore import (
     RootedTree,
     TreeError,
-    edge_expand,
     postorder,
     rebuild,
+    root_at_edge,
     to_newick,
     unroot,
 )
@@ -65,7 +65,7 @@ def restrict(t, labels):
     if not X <= t.leaves:
         raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
     v = t.label_vertex[min(X)]
-    return unroot(rebuild(None, edge_expand(t, (v, t.adj[v][0])), keep=X))
+    return unroot(root_at_edge(t, (v, t.adj[v][0]), keep=X))
 
 
 def join(s_left: RootedTree, s_right: RootedTree) -> RootedTree:
@@ -108,6 +108,18 @@ def extract_balanced(t: RootedTree, k: int) -> frozenset:
     vals = _balanced_heights(t)
     if k > vals[t][0]:
         raise TreeError(f"tree has no balanced restriction of height {k}")
+    return _pick_balanced(t, k, vals)
+
+
+def largest_balanced(t: RootedTree):
+    """(max_balanced_height(t), extract_balanced(t, that height)) from one
+    fold of the tree."""
+    vals = _balanced_heights(t)
+    return vals[t][0], _pick_balanced(t, vals[t][0], vals)
+
+
+def _pick_balanced(t: RootedTree, k: int, vals: dict) -> frozenset:
+    """``extract_balanced``'s descent over the ``_balanced_heights`` table."""
     out = []
     stack = [(t, k)]
     while stack:

@@ -7,7 +7,14 @@ quadratic DP.  None of it shares code with the implementations it checks.
 from itertools import combinations, count
 
 from agreetree.matchers import Match1Step, Match1Trace, Match2Node, Match2Trace
-from agreetree.treecore import RootedTree, UnrootedTree, postorder, root_at_edge, unroot
+from agreetree.treecore import (
+    RootedTree,
+    UnrootedTree,
+    directed_postorder,
+    postorder,
+    root_at_edge,
+    unroot,
+)
 from agreetree.treeops import restrict
 
 
@@ -160,6 +167,36 @@ def restrict_unrooted_by_rooting(t: UnrootedTree, X) -> UnrootedTree:
     """Root at the pendant edge of min(X), restrict, unroot."""
     v = t.label_vertex[min(X)]
     return unroot(restrict_rooted_by_postorder(root_at_edge_by_stack(t, (v, t.adj[v][0])), X))
+
+
+def to_newick_by_directed_edges(t: UnrootedTree) -> str:
+    """Canonical unrooted Newick as a fold over directed edges: the top is
+    the internal vertex next to the smallest leaf, and every branch's
+    children go in order of their smallest leaf label."""
+    leaf_v = t.label_vertex[min(t.leaves)]
+    top = t.adj[leaf_v][0]
+    starts = [(top, w) for w in t.adj[top]]
+    first = {}  # (u, v) -> smallest leaf label on v's side
+    for u, v in directed_postorder(t, starts):
+        if v in t.leaf_label:
+            first[(u, v)] = t.leaf_label[v]
+        else:
+            first[(u, v)] = min(first[(v, w)] for w in t.adj[v] if w != u)
+    a, b, c = sorted(starts, key=first.get)
+    out = ["("]
+    stack = [");", c, ",", b, ",", a]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item[1] in t.leaf_label:
+            out.append(str(t.leaf_label[item[1]]))
+        else:
+            u, v = item
+            x, y = sorted(((v, w) for w in t.adj[v] if w != u), key=first.get)
+            out.append("(")
+            stack += [")", y, ",", x]
+    return "".join(out)
 
 
 def relabel_by_postorder(t: RootedTree, mapping: dict) -> RootedTree:

@@ -34,7 +34,6 @@ from agreetree.decompose import (
     circular_leaf_order,
     caterpillar_spine_order,
     lis,
-    max_balanced_height,
     ramsey_split,
 )
 from agreetree.exactmast import (
@@ -56,7 +55,7 @@ from agreetree.generators import (
 )
 from agreetree.matchers import class_c_prunings, match1, match1_unrooted, match2, match2_unrooted
 from agreetree.treecore import is_caterpillar
-from agreetree.treeops import restrict, verify_agreement
+from agreetree.treeops import max_balanced_height, restrict, verify_agreement
 
 from cliproc import cli_env
 from oracles import lis_quadratic, mast_subsets_unrooted, rooted_shapes_up_to_height

@@ -1,19 +1,19 @@
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from agreetree._rng import SplitMix64
+import agreetree.treecore as treecore
 from agreetree.bounds import general_bound
 from agreetree.decompose import (
     agree_general,
     caterpillar_agree,
     caterpillar_spine_order,
     circular_leaf_order,
-    extract_balanced,
     lis,
-    max_balanced_height,
     max_caterpillar,
     ramsey_split,
 )
@@ -35,7 +35,7 @@ from agreetree.treecore import (
     is_caterpillar,
     to_newick,
 )
-from agreetree.treeops import restrict, verify_agreement
+from agreetree.treeops import extract_balanced, max_balanced_height, restrict, verify_agreement
 
 from oracles import (
     lis_quadratic,
@@ -260,3 +260,24 @@ class TestAgreeGeneral:
     def test_leafset_mismatch(self):
         with pytest.raises(TreeError):
             agree_general(gen_caterpillar(4), gen_caterpillar(5))
+
+    def test_builds_two_full_size_trees(self, monkeypatch):
+        """Only ``ramsey_split`` roots the whole inputs; the balanced branch
+        roots the first tree keeping just the balanced leaf set."""
+        n = 512
+        t1 = gen_random(n, RandomModel("uniform", 1))
+        t2 = gen_random(n, RandomModel("uniform", 2))
+        assert [ramsey_split(t).kind for t in (t1, t2)] == ["balanced", "balanced"]
+        original = treecore.rebuild
+        built = []
+
+        def counting(*args, **kwargs):
+            out = original(*args, **kwargs)
+            built.append(0 if out is None else out.nleaves)
+            return out
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("agreetree") and getattr(module, "rebuild", None) is original:
+                monkeypatch.setattr(module, "rebuild", counting)
+        agree_general(t1, t2)
+        assert built.count(n) == 2, built

@@ -4,7 +4,9 @@ stay linear in memory on caterpillars and on a 20,000-leaf uniform tree.
 ``match-ab`` runs on a 4096-leaf Yule pair at k = 3, where a balanced
 supertree of the required height would have 2^36 leaves.  ``match1`` runs a balanced
 2^14-leaf tree against a 16,384-leaf rooted caterpillar (Θ(n²) labels of
-per-node leaf sets), and ``match2`` two balanced 2^14-leaf trees.
+per-node leaf sets), and ``match2`` two balanced 2^14-leaf trees.  CLI
+``agree`` runs the 20,000-leaf caterpillar (path branch) against a
+relabelled 20,000-leaf uniform tree (balanced branch).
 
 The checks run in a fresh interpreter whose address space is capped at
 1 GiB, so a quadratic leaf-set cache fails there with MemoryError instead of
@@ -109,6 +111,14 @@ with tempfile.TemporaryDirectory() as tmp:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["match-ab", *paths, "--k", "3"]) == 0
+    assert "bound_met: True" in out.getvalue()
+    paths = [os.path.join(tmp, "caterpillar.nwk"), os.path.join(tmp, "uniform.nwk")]
+    for path, t in zip(paths, (unrooted, shuffled(uniform))):
+        with open(path, "w") as fh:
+            fh.write(to_newick(t))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["agree", *paths]) == 0
     assert "bound_met: True" in out.getvalue()
 print("ok")
 """

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from agreetree.bounds import f_closed
-from agreetree.decompose import max_balanced_height
+from agreetree.treeops import max_balanced_height
 from agreetree.generators import (
     RandomModel,
     enumerate_topologies,

@@ -14,7 +14,7 @@ from agreetree.bounds import (
     match2_bound,
     t2_constant,
 )
-from agreetree.decompose import max_balanced_height
+from agreetree.treeops import max_balanced_height
 from agreetree.exactmast import mast_rooted
 from agreetree.generators import (
     RandomModel,

@@ -30,6 +30,7 @@ from agreetree.treecore import (
     radius,
     rebuild,
     root_at_edge,
+    root_at_leaf_edge,
     to_newick,
     unroot,
 )
@@ -43,6 +44,7 @@ from oracles import (
     restrict_rooted_by_postorder,
     restrict_unrooted_by_rooting,
     root_at_edge_by_stack,
+    to_newick_by_directed_edges,
 )
 
 
@@ -149,6 +151,24 @@ class TestSerialise:
 
     def test_extremal_tree_2_1(self):
         assert to_newick(gen_extremal_fhk(2, 1)) == "((1,2),3);"
+
+    def test_unrooted_text_equals_directed_edge_fold(self):
+        """Unrooted text goes through the smallest-leaf rooting; the
+        reference fold over directed edges gives the same bytes."""
+        rng = SplitMix64(5)
+        trees = [
+            gen_random(n, RandomModel(model, n))
+            for model in ("uniform", "yule")
+            for n in range(3, 65)
+        ]
+        trees += [gen_caterpillar(n) for n in range(3, 40)]
+        trees += [gen_class_b(m) for m in range(2, 7)]
+        trees += [gen_class_c(m) for m in range(1, 7)]
+        for t in trees:
+            labels = list(range(1, 3 * t.nleaves + 1))
+            rng.shuffle(labels)
+            t = relabel(t, dict(zip(sorted(t.leaves), labels)))
+            assert to_newick(t) == to_newick_by_directed_edges(t)
 
     @given(st.integers(0, 2**63), st.integers(4, 40))
     def test_roundtrip_rooted(self, seed, n):
@@ -276,6 +296,35 @@ class TestRooting:
         t = parse_newick("(1,2,3);")
         with pytest.raises(TreeError):
             root_at_edge(t, (99, 100))
+
+    def test_keep_equals_restricting_the_rooting(self):
+        rng = SplitMix64(7)
+        for model, n in (("uniform", 9), ("yule", 14), ("uniform", 23)):
+            t = gen_random(n, RandomModel(model, n))
+            labels = sorted(t.leaves)
+            rng.shuffle(labels)
+            subsets = [{labels[0]}, {1}, t.leaves - {1}, set(labels[: n // 2]), t.leaves]
+            for u, v in t.edges():
+                for edge in ((u, v), (v, u)):
+                    for X in subsets:
+                        assert ordered_text(root_at_edge(t, edge, keep=X)) == ordered_text(
+                            restrict(root_at_edge(t, edge), X)
+                        )
+            for X in subsets:
+                assert ordered_text(root_at_leaf_edge(t, X)) == ordered_text(
+                    restrict(root_at_leaf_edge(t), X)
+                )
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [(set(), "empty leaf set"), ({1, 6}, r"labels \[6\] not in tree"), ([9], r"labels \[9\]")],
+    )
+    def test_keep_must_be_a_nonempty_subset(self, keep, message):
+        t = parse_newick("((1,2),3,(4,5));")
+        with pytest.raises(TreeError, match=message):
+            root_at_edge(t, t.edges()[0], keep=keep)
+        with pytest.raises(TreeError, match=message):
+            root_at_leaf_edge(t, keep)
 
     def test_unroot_small(self):
         assert to_newick(unroot(parse_newick("((1,2),3);"))) == "(1,2,3);"
