@@ -250,6 +250,7 @@ class GuaranteeReport:
     bound_value: float  # already clamped to >= 1
     achieved: int
     params: dict = field(default_factory=dict)
+    certificate: object = None  # the treeops.AgreementCertificate that checked the result
 
     @property
     def satisfied(self) -> bool:

@@ -5,9 +5,9 @@ match-multi / match-ab (guaranteed greedy matchers), agree (general
 pipeline), decompose (balanced-or-path split), bounds (constant tables),
 and bench (trial harness with CSV persistence).
 
-Exit codes: 0 success with every guarantee met; 1 usage or input errors;
-2 a guarantee bound was violated (the loudest signal this harness can
-produce, since it would contradict a proved inequality).
+Exit codes: 0 success with every guarantee met; 1 usage or input errors,
+or out of memory; 2 a guarantee bound was violated (the loudest signal this
+harness can produce, since it would contradict a proved inequality).
 
 Every command is deterministic given explicit seeds; bench rows carry
 runtime_ms = 0 unless --measure-time is passed, so reruns are
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -76,10 +77,12 @@ def _emit_report(args, payload: dict):
             print(f"{key}: {value}")
 
 
-def _finish(args, algorithm, trees, witness, bound_value, params, extra=None):
-    """Verify, report, and turn a matcher result into an exit code."""
+def _finish(args, algorithm, trees, witness, bound_value, params, extra=None, cert=None):
+    """Verify (unless ``cert`` already checked the first two trees), report,
+    and turn a matcher result into an exit code."""
     witness = frozenset(witness)
-    cert = verify_agreement(trees[0], trees[1], witness)
+    if cert is None:
+        cert = verify_agreement(trees[0], trees[1], witness)
     for other in trees[2:]:
         verify_agreement(trees[0], other, witness)
         verify_agreement(trees[1], other, witness)
@@ -245,7 +248,8 @@ def cmd_agree(args) -> int:
     t2 = _read_tree(args.tree2)
     leaves, report = dc.agree_general(t1, t2)
     return _finish(
-        args, "agree", (t1, t2), leaves, report.bound_value, report.params
+        args, "agree", (t1, t2), leaves, report.bound_value, report.params,
+        cert=report.certificate,
     )
 
 
@@ -537,11 +541,22 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command allocates hundreds of thousands of tree objects and no
+    # cycles, so the cyclic collector's passes are pure cost; reference
+    # counting frees the trees.  The caller's GC state comes back after.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # TreeError is a ValueError
         print(f"agreetree {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print(f"agreetree {args.command}: out of memory", file=sys.stderr)
+        return EXIT_USAGE
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

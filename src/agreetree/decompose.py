@@ -247,7 +247,8 @@ def agree_general(t1: UnrootedTree, t2: UnrootedTree):
     Tries the balanced-or-path split on each tree (matching a balanced
     restriction with match1, or a maximum caterpillar with
     caterpillar_agree), plus the exact oracle for n <= 64, and returns the
-    largest valid result with its guarantee report."""
+    largest result with its guarantee report, whose ``certificate`` is the
+    check of that result on t1 and t2."""
     if not isinstance(t1, UnrootedTree) or not isinstance(t2, UnrootedTree):
         raise TreeError("agree_general works on unrooted trees")
     if t1.leaves != t2.leaves:
@@ -268,13 +269,15 @@ def agree_general(t1: UnrootedTree, t2: UnrootedTree):
             rooted_second = root_at_leaf_edge(restrict(second, A))
             leaves, _ = match1(balanced_first, rooted_second, delta_star)
             attempts.append(frozenset(leaves))
+        elif A == first.leaves:  # first is a caterpillar: no copy to restrict
+            attempts.append(caterpillar_agree(first, second))
         else:
             attempts.append(caterpillar_agree(restrict(first, A), restrict(second, A)))
     if n <= EXACT_CUTOFF:
         attempts.append(mast_unrooted(t1, t2).witness)
     best = min(attempts, key=lambda X: (-len(X), tuple(sorted(X))))
-    verify_agreement(t1, t2, best)
     report = GuaranteeReport(
-        "agree", clamp(general_bound(n)), len(best), params={"n": n, "delta": delta_star}
+        "agree", clamp(general_bound(n)), len(best), {"n": n, "delta": delta_star},
+        certificate=verify_agreement(t1, t2, best),
     )
     return best, report

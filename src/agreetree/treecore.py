@@ -418,26 +418,26 @@ def unroot(t: RootedTree) -> UnrootedTree:
     ids follow preorder from the left child of the root."""
     if t.nleaves < 3:
         raise TreeError("unrooting needs at least 3 leaves")
-    adj = {}
+    return _number_preorder({}, [(t.right, 0), (t.left, None)])
+
+
+def _number_preorder(adj: dict, stack: list) -> UnrootedTree:
+    """The UnrootedTree of ``adj`` plus the rooted subtrees on ``stack``,
+    pairs (node, vertex it hangs from or None), the next one last; the new
+    vertices are numbered on from len(adj) in preorder."""
     labels = {}
-    stack = [(t.right, None), (t.left, None)]
-    tops = []  # the vertices of the root's two children
     while stack:
         node, parent = stack.pop()
         vid = len(adj)
-        adj[vid] = []
         if parent is None:
-            tops.append(vid)
+            adj[vid] = []
         else:
-            adj[vid].append(parent)
+            adj[vid] = [parent]
             adj[parent].append(vid)
-        if node.is_leaf:
-            labels[vid] = node.label
+        if node.label is None:
+            stack += ((node.right, vid), (node.left, vid))
         else:
-            stack += [(node.right, vid), (node.left, vid)]
-    a, b = tops
-    adj[a].append(b)
-    adj[b].append(a)
+            labels[vid] = node.label
     return UnrootedTree(adj, labels)
 
 
@@ -453,10 +453,11 @@ def parse_newick(text: str):
     """Parse Newick text into a RootedTree (top arity 1-2) or UnrootedTree
     (top arity 3).  Raises NewickError with a character position.
 
-    One scan numbers the leaves and groups ("items") in text order.  The
-    first syntax error stops it; after a clean scan the first repeated
-    label is reported (at the end of its second occurrence), then the
-    leftmost '(' with the wrong number of children."""
+    One token scan builds each node when its ')' closes.  The first syntax
+    error stops it; after a clean scan the first repeated label is reported
+    (at the end of its second occurrence), then the leftmost '(' with the
+    wrong number of children.  An unrooted tree numbers its vertices in
+    text order, the centre 0."""
     tokens = _TOKEN.findall(text)
     tokens.append("")  # end of input
 
@@ -464,21 +465,15 @@ def parse_newick(text: str):
         """Text position of token i, worked out only for an error."""
         return ([m.start() for m in _TOKEN.finditer(text)] + [len(text)])[i]
 
-    kids = []  # per item: its child items, None for a leaf
-    labels = []  # per item: its leaf label, None for a group
-    groups = []  # (item, token index of its '(') per open group, innermost last
+    built = []  # finished subtrees of the open groups, left before right
+    groups = []  # (len(built) at its '(', token index of it) per open group
     seen = set()
     duplicate = arity = None  # (message, token index, offset) of the first such fault
     i = 0
     while True:
         token = tokens[i]
-        item = len(kids)
-        if groups:
-            kids[groups[-1][0]].append(item)
         if token == "(":
-            kids.append([])
-            labels.append(None)
-            groups.append((item, i))
+            groups.append((len(built), i))
             i += 1
             continue
         if not token:
@@ -491,20 +486,28 @@ def parse_newick(text: str):
         if label in seen and duplicate is None:
             duplicate = (f"duplicate leaf label {label}", i, len(token))
         seen.add(label)
-        kids.append(None)
-        labels.append(label)
+        built.append(RootedTree(label, None, None, 1, 0, True))
         i += 1
         while groups and tokens[i] == ")":
-            group, opened = groups.pop()
-            count = len(kids[group])
-            if groups and count != 2:
-                fault = f"internal node has {count} children (expected 2)"
-            elif not groups and count not in (2, 3):
-                fault = f"top-level node has {count} children (expected 2 or 3)"
-            else:
-                fault = None
-            if fault and (arity is None or opened < arity[1]):
-                arity = (fault, opened, 0)
+            start, opened = groups.pop()
+            count = len(built) - start
+            if count == 2:
+                right = built.pop()
+                left = built[-1]
+                lh, rh = left.height, right.height  # RootedTree.branch, inlined
+                built[-1] = RootedTree(
+                    None, left, right, left.nleaves + right.nleaves,
+                    1 + (lh if lh > rh else rh), lh == rh and left.balanced and right.balanced,
+                )
+            elif groups or count != 3:
+                fault = (
+                    f"internal node has {count} children (expected 2)"
+                    if groups
+                    else f"top-level node has {count} children (expected 2 or 3)"
+                )
+                if arity is None or opened < arity[1]:
+                    arity = (fault, opened, 0)
+                del built[start + 1 :]  # the group's first child stands in for it
             i += 1
         if not groups:
             break
@@ -519,22 +522,9 @@ def parse_newick(text: str):
         if fault:
             message, i, offset = fault
             raise NewickError(message, at(i) + offset)
-
-    if labels[0] is None and len(kids[0]) == 3:
-        # Unrooted: the items are the vertex ids, the centre is item 0.
-        adj = {v: list(ks or ()) for v, ks in enumerate(kids)}
-        for v, ks in enumerate(kids):
-            for child in ks or ():
-                adj[child].append(v)
-        return UnrootedTree(adj, {v: lab for v, lab in enumerate(labels) if lab is not None})
-    nodes = [None] * len(kids)
-    for item in range(len(kids) - 1, -1, -1):  # an item's children come after it
-        ks = kids[item]
-        if ks is None:
-            nodes[item] = RootedTree.leaf(labels[item])
-        else:
-            nodes[item] = RootedTree.branch(nodes[ks[0]], nodes[ks[1]])
-    return nodes[0]
+    if len(built) == 3:  # unrooted: the centre, then its subtrees in text order
+        return _number_preorder({0: []}, [(node, 0) for node in reversed(built)])
+    return built[0]
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,12 @@ Everything here is deliberately naive: exhaustive search, all-pairs BFS,
 quadratic DP.  None of it shares code with the implementations it checks.
 """
 
+import re
 from itertools import combinations, count
 
 from agreetree.matchers import Match1Step, Match1Trace, Match2Node, Match2Trace
 from agreetree.treecore import (
+    NewickError,
     RootedTree,
     UnrootedTree,
     directed_postorder,
@@ -462,3 +464,86 @@ def match2_walk_by_sets(t1: RootedTree, t2: RootedTree, delta: float):
     trace = Match2Trace(delta, t1.height, t2.height, len(t1.leaves & t2.leaves))
     trace.root = call(t1, t2)
     return frozenset(out), trace
+
+
+# The two-pass Newick parser that ``treecore.parse_newick`` replaced, kept as
+# the reference for its trees, unrooted vertex ids, messages and positions.
+
+_NEWICK_TOKEN = re.compile(r"\d+|\S")
+
+
+def parse_newick_two_pass(text: str):
+    """A token scan into per-item child and label lists (items numbered in
+    text order), then a loop that builds the nodes from the last item back."""
+    tokens = _NEWICK_TOKEN.findall(text)
+    tokens.append("")
+    positions = [m.start() for m in _NEWICK_TOKEN.finditer(text)] + [len(text)]
+    kids = []  # per item: its child items, None for a leaf
+    labels = []  # per item: its leaf label, None for a group
+    groups = []  # (item, token index of its '(') per open group
+    seen = set()
+    duplicate = arity = None
+    i = 0
+    while True:
+        token = tokens[i]
+        item = len(kids)
+        if groups:
+            kids[groups[-1][0]].append(item)
+        if token == "(":
+            kids.append([])
+            labels.append(None)
+            groups.append((item, i))
+            i += 1
+            continue
+        if not token:
+            raise NewickError("unexpected end of input", positions[i])
+        if not token.isdecimal():
+            raise NewickError(f"expected a leaf label or '(', found {token!r}", positions[i])
+        if token[0] == "0":
+            raise NewickError("leaf labels may not start with 0", positions[i])
+        label = int(token)
+        if label in seen and duplicate is None:
+            duplicate = (f"duplicate leaf label {label}", i, len(token))
+        seen.add(label)
+        kids.append(None)
+        labels.append(label)
+        i += 1
+        while groups and tokens[i] == ")":
+            group, opened = groups.pop()
+            n = len(kids[group])
+            if groups and n != 2:
+                fault = f"internal node has {n} children (expected 2)"
+            elif not groups and n not in (2, 3):
+                fault = f"top-level node has {n} children (expected 2 or 3)"
+            else:
+                fault = None
+            if fault and (arity is None or opened < arity[1]):
+                arity = (fault, opened, 0)
+            i += 1
+        if not groups:
+            break
+        if tokens[i] != ",":
+            raise NewickError("expected ',' or ')'", positions[i])
+        i += 1
+    if tokens[i] != ";":
+        raise NewickError("expected ';'", positions[i])
+    if tokens[i + 1]:
+        raise NewickError("trailing text after ';'", positions[i + 1])
+    for fault in (duplicate, arity):
+        if fault:
+            message, i, offset = fault
+            raise NewickError(message, positions[i] + offset)
+    if labels[0] is None and len(kids[0]) == 3:
+        adj = {v: list(ks or ()) for v, ks in enumerate(kids)}
+        for v, ks in enumerate(kids):
+            for child in ks or ():
+                adj[child].append(v)
+        return UnrootedTree(adj, {v: lab for v, lab in enumerate(labels) if lab is not None})
+    nodes = [None] * len(kids)
+    for item in range(len(kids) - 1, -1, -1):
+        ks = kids[item]
+        if ks is None:
+            nodes[item] = RootedTree.leaf(labels[item])
+        else:
+            nodes[item] = RootedTree.branch(nodes[ks[0]], nodes[ks[1]])
+    return nodes[0]

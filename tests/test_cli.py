@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -453,3 +454,82 @@ class TestDeterminism:
         a = run_proc("match1", str(t1), str(t2), "--trace")
         b = run_proc("match1", str(t1), str(t2), "--trace")
         assert a.stdout == b.stdout and a.returncode == 0
+
+
+class TestGcPause:
+    """``main`` pauses the cyclic GC for the command and hands the caller's
+    GC state back on every way out."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_exit_0(self, gc_state, monkeypatch):
+        seen = []
+        original = cli.cmd_gen
+
+        def probe(args):
+            seen.append(gc.isenabled())
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_gen", probe)
+        assert run_cli("gen", "balanced", "--m", "3")[0] == 0
+        assert seen == [False]
+        assert gc.isenabled() == gc_state
+
+    def test_exit_1_bad_newick(self, gc_state, tmp_path, capsys):
+        bad = tmp_path / "bad.nwk"
+        bad.write_text("(1,2;")
+        assert main(["agree", str(bad), str(bad)]) == 1
+        assert gc.isenabled() == gc_state
+
+    def test_memory_error(self, gc_state, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_bounds", exhausted)
+        assert main(["bounds"]) == 1
+        assert capsys.readouterr().err == "agreetree bounds: out of memory\n"
+        assert gc.isenabled() == gc_state
+
+    def test_argparse_error(self, gc_state, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["agree", "--no-such-option"])
+        assert exc.value.code == 1
+        assert gc.isenabled() == gc_state
+
+    def test_no_cycles_grow_with_n(self, trees):
+        """A command's cyclic garbage (argparse's) does not depend on the
+        tree size, so no per-node cycle leaks while the GC is paused."""
+        found = []
+        for n in ("256", "2048"):
+            t1 = trees(f"a{n}.nwk", ["random", "--n", n, "--seed", "1"])
+            t2 = trees(f"b{n}.nwk", ["random", "--n", n, "--seed", "2"])
+            gc.collect()
+            assert run_cli("agree", t1, t2)[0] == 0
+            found.append(gc.collect())
+        assert found[0] == found[1], found
+
+
+def test_agree_checks_its_witness_once(trees, monkeypatch):
+    """``agree_general``'s certificate is the one the report prints."""
+    import agreetree.decompose as dc
+    import agreetree.treeops as treeops
+
+    calls = []
+    original = treeops.verify_agreement
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return original(*args, **kwargs)
+
+    for module in (cli, dc, treeops):
+        monkeypatch.setattr(module, "verify_agreement", counting)
+    t1 = trees("a.nwk", ["random", "--n", "512", "--seed", "1"])
+    t2 = trees("b.nwk", ["random", "--n", "512", "--seed", "2"])
+    code, out = run_cli("agree", t1, t2)
+    assert code == 0 and "bound_met: True" in out
+    assert len(calls) == 1, calls

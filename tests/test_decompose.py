@@ -281,3 +281,29 @@ class TestAgreeGeneral:
                 monkeypatch.setattr(module, "rebuild", counting)
         agree_general(t1, t2)
         assert built.count(n) == 2, built
+
+    def test_path_branch_builds_no_full_size_tree(self, monkeypatch):
+        """When the first tree is a caterpillar its maximum caterpillar is
+        every leaf, and ``caterpillar_agree`` reads both inputs as they are,
+        not restricted copies.  The full-size trees left are the two roots
+        ``ramsey_split`` builds and the one ``to_newick`` writes the second
+        tree's circular leaf order through (5 when the branch copied)."""
+        n = 512
+        t1 = gen_caterpillar(n)
+        t2 = gen_random(n, RandomModel("uniform", 3))
+        assert ramsey_split(t1).kind == "path"
+        original = treecore.rebuild
+        built = []
+
+        def counting(*args, **kwargs):
+            out = original(*args, **kwargs)
+            built.append(0 if out is None else out.nleaves)
+            return out
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("agreetree") and getattr(module, "rebuild", None) is original:
+                monkeypatch.setattr(module, "rebuild", counting)
+        for first, second in ((t1, t2), (t2, t1)):
+            built.clear()
+            agree_general(first, second)
+            assert built.count(n) == 3, built

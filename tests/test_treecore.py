@@ -27,6 +27,7 @@ from agreetree.treecore import (
     diameter_path,
     is_caterpillar,
     parse_newick,
+    postorder,
     radius,
     rebuild,
     root_at_edge,
@@ -40,6 +41,7 @@ from oracles import (
     all_pairs_eccentricities,
     extremal_fhk_by_stack,
     ordered_text,
+    parse_newick_two_pass,
     relabel_by_postorder,
     restrict_rooted_by_postorder,
     restrict_unrooted_by_rooting,
@@ -140,6 +142,78 @@ class TestParse:
             parse_newick(text)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
+
+
+def _parse_like_reference(text):
+    """``parse_newick`` and the two-pass reference give the same tree (the
+    ordered text and every node's fields, or the vertex ids) or the same
+    error message and position."""
+    try:
+        want = parse_newick_two_pass(text)
+    except NewickError as exc:
+        with pytest.raises(NewickError) as err:
+            parse_newick(text)
+        assert (str(err.value), err.value.position) == (str(exc), exc.position), text
+        return
+    got = parse_newick(text)
+    assert type(got) is type(want), text
+    if isinstance(want, RootedTree):
+        def fields(t):
+            return [(x.label, x.nleaves, x.height, x.balanced) for x in postorder(t)]
+
+        assert ordered_text(got) == ordered_text(want)
+        assert fields(got) == fields(want)
+    else:
+        assert (got.adj, got.leaf_label) == (want.adj, want.leaf_label), text
+
+
+def _valid_texts(sizes):
+    """Seeded rooted and unrooted texts, children in random (not canonical)
+    order: an unrooted one is a rooted one with the top right node's two
+    children moved up."""
+    rng = SplitMix64(2024)
+    for n in sizes:
+        for model in ("uniform", "yule"):
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            t = gen_random(n, RandomModel(model, rng.next_u64()), rooted=True)
+            t = relabel(t, {i + 1: lab for i, lab in enumerate(labels)})
+            text = ordered_text(t)
+            yield text + ";"
+            if not t.is_leaf and not t.right.is_leaf:
+                yield f"({ordered_text(t.left)},{ordered_text(t.right)[1:-1]});"
+    yield to_newick(gen_caterpillar(40)) + "\n"
+    yield " " + to_newick(gen_balanced(5)).replace(",", " , ")
+
+
+class TestParseAgainstReference:
+    def test_valid_trees(self):
+        for text in _valid_texts(range(1, 65)):
+            _parse_like_reference(text)
+
+    def test_mutated_texts(self):
+        """Delete, insert or swap one character of a valid text: both parsers
+        raise the same message at the same position (or accept the text and
+        build the same tree)."""
+        rng = SplitMix64(7)
+        alphabet = "(),; 0123456789x"
+        bases = list(_valid_texts([2, 3, 4, 5, 7, 10]))
+        cases = 0
+        for text in bases:
+            for _ in range(150):
+                i = rng.next_u64() % (len(text) + 1)
+                kind = rng.next_u64() % 3
+                if kind == 0 and i < len(text):
+                    mutated = text[:i] + text[i + 1 :]
+                elif kind == 1:
+                    mutated = text[:i] + alphabet[rng.next_u64() % len(alphabet)] + text[i:]
+                elif i + 1 < len(text):
+                    mutated = text[:i] + text[i + 1] + text[i] + text[i + 2 :]
+                else:
+                    continue
+                _parse_like_reference(mutated)
+                cases += 1
+        assert cases > 2000
 
 
 class TestSerialise:
