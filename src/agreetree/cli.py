@@ -364,7 +364,11 @@ def _bench_trial(algorithm: str, n: int, model_kind: str, seed: int, measure: bo
             leaves, report = dc.agree_general(t1, t2)
             delta = report.params.get("delta", "")
             bound = report.bound_value
-        ok = _cert_ok(t1, t2, leaves)
+        try:  # agree_general has checked its witness: the report holds the certificate
+            cert = report.certificate if algorithm == "agree" else verify_agreement(t1, t2, leaves)
+            ok = cert is not None
+        except TreeError:
+            ok = False
         if n <= dc.EXACT_CUTOFF:
             mast = xm.mast_rooted if isinstance(t1, RootedTree) else xm.mast_unrooted
             exact = mast(t1, t2).size
@@ -373,14 +377,6 @@ def _bench_trial(algorithm: str, n: int, model_kind: str, seed: int, measure: bo
     return TrialRecord(
         n, model, seed, algorithm, delta, result, bound, exact, runtime_ms, ok
     )
-
-
-def _cert_ok(t1, t2, leaves) -> bool:
-    try:
-        verify_agreement(t1, t2, leaves)
-        return True
-    except TreeError:
-        return False
 
 
 def cmd_bench(args) -> int:

@@ -12,7 +12,6 @@ least (alpha*/2) sqrt(log n) + alpha* log(2/3) leaves.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -32,10 +31,10 @@ from .treecore import (
     TreeError,
     UnrootedTree,
     diameter_path,
+    directed_postorder,
     is_caterpillar,
     root_at_leaf_edge,
     side_leaves,
-    to_newick,
     unroot,
 )
 from .treeops import largest_balanced, restrict, verify_agreement
@@ -204,8 +203,20 @@ def caterpillar_spine_order(t: UnrootedTree) -> list:
 def circular_leaf_order(t: UnrootedTree) -> list:
     """Leaves in the circular order of the canonical planar embedding, cut
     so the smallest label comes first: the labels of ``to_newick(t)`` in
-    text order (its first label is the smallest)."""
-    return [int(x) for x in re.findall(r"\d+", to_newick(t))]
+    text order, read off the default rooting without building it."""
+    adj, leaf_label = t.adj, t.leaf_label
+    v0 = t.label_vertex[min(t.leaves)]
+    first = {}  # vertex -> smallest label of its branch away from v0
+    for p, w in directed_postorder(t, [(v0, adj[v0][0])]):
+        first[w] = leaf_label.get(w) or min(first[x] for x in adj[w] if x != p)
+    out, stack = [], [(v0, adj[v0][0]), (adj[v0][0], v0)]  # v0 first
+    while stack:
+        p, w = stack.pop()
+        if w in leaf_label:
+            out.append(leaf_label[w])
+        else:
+            stack += sorted(((w, x) for x in adj[w] if x != p), key=lambda e: -first[e[1]])
+    return out
 
 
 def caterpillar_agree(t1: UnrootedTree, t2: UnrootedTree) -> frozenset:

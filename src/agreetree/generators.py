@@ -256,15 +256,15 @@ def _uniform_unrooted(n: int, rng: SplitMix64) -> UnrootedTree:
         w = next_vertex
         x = next_vertex + 1
         next_vertex += 2
-        adj[u][adj[u].index(v)] = w
-        adj[v][adj[v].index(u)] = w
-        adj[w] = [u, v, x]
+        adj[u] = [y for y in adj[u] if y != v] + [w]  # w is the largest id yet,
+        adj[v] = [y for y in adj[v] if y != u] + [w]  # so every list stays sorted
+        adj[w] = sorted((u, v)) + [x]
         adj[x] = [w]
         labels[x] = lab
         edges[pick] = (u, w)
         edges.append((w, v))
         edges.append((w, x))
-    return UnrootedTree(adj, labels)
+    return UnrootedTree._built(adj, labels)
 
 
 def gen_random(n: int, model: RandomModel, rooted: bool = False):

@@ -4,10 +4,12 @@ Two kinds of tree live here:
 
 * ``RootedTree``: a plain node structure.  Every internal node has
   exactly two children; a single-leaf tree is one node that is both root
-  and leaf.  Nodes cache no leaf sets, and no function here recurses.
+  and leaf.  Nodes cache no leaf sets; a node given to ``treeops.restrict``
+  or ``verify_agreement`` keeps its DFS leaf order.  No function recurses.
 * ``UnrootedTree``: an adjacency map.  Every internal vertex has degree 3,
   leaves have degree 1, and at least three leaves are required (degree
-  constraints force this).
+  constraints force this).  Trees the package builds valid (parse,
+  ``unroot``, the uniform generator) skip the full validation.
 
 Leaf labels are positive integers, distinct within a tree.  There are no
 branch lengths and no internal labels.
@@ -28,7 +30,8 @@ An unrooted tree is rooted one way by default: ``root_at_leaf_edge`` roots
 it on the pendant edge of its smallest leaf m, and ``to_newick`` writes it
 as that rooting "(m,(A,B));" with the inner parentheses dropped,
 "(m,A,B);".  ``root_at_edge`` and ``root_at_leaf_edge`` take ``keep``, a
-leaf subset, and then build only the restriction to it.
+leaf subset, and then walk only the vertices spanning it and the branches
+they prune, which a span index (two int arrays kept on the tree) finds.
 
 All values are immutable after construction and all functions are pure.
 """
@@ -36,6 +39,8 @@ All values are immutable after construction and all functions are pure.
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -70,7 +75,7 @@ class RootedTree:
     balanced : bool         True iff every leaf is at depth == height
     """
 
-    __slots__ = ("label", "left", "right", "nleaves", "height", "balanced")
+    __slots__ = ("label", "left", "right", "nleaves", "height", "balanced", "_order")
 
     def __init__(self, label, left, right, nleaves, height, balanced):
         self.label = label
@@ -79,6 +84,7 @@ class RootedTree:
         self.nleaves = nleaves
         self.height = height
         self.balanced = balanced
+        self._order = None
 
     @classmethod
     def leaf(cls, label: int) -> "RootedTree":
@@ -100,7 +106,13 @@ class RootedTree:
 
     @property
     def leaves(self) -> frozenset:
-        """Leaf-label set below this node (one walk per call, not cached)."""
+        """Leaf-label set below this node (from ``_leaf_order``)."""
+        return frozenset(self._leaf_order())
+
+    def _leaf_order(self, keep: bool = False) -> list:
+        """Leaf labels below in DFS order, left first; ``keep`` stores them."""
+        if self._order is not None:
+            return self._order
         out = []
         stack = [self]
         while stack:
@@ -110,7 +122,9 @@ class RootedTree:
                 stack.append(node.left)
             else:
                 out.append(node.label)
-        return frozenset(out)
+        if keep:
+            self._order = out
+        return out
 
     def __repr__(self):
         return f"<RootedTree {to_newick(self)!r}>"
@@ -171,14 +185,24 @@ class UnrootedTree:
     meaning.  Instances are treated as immutable.
     """
 
-    __slots__ = ("adj", "leaf_label", "label_vertex", "_leaves")
+    __slots__ = ("adj", "leaf_label", "label_vertex", "_leaves", "_span")
 
     def __init__(self, adj: dict, leaf_label: dict):
         self.adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self.leaf_label = dict(leaf_label)
         self.label_vertex = {}
-        self._leaves = None
+        self._leaves = self._span = None
         self._validate()
+
+    @classmethod
+    def _built(cls, adj: dict, leaf_label: dict) -> "UnrootedTree":
+        """A tree the package built valid (vertices 0 … |V|-1, neighbours sorted):
+        only a repeated label, which ``RootedTree.branch`` allows, gets the full check."""
+        t = cls.__new__(cls)
+        t.adj = {v: tuple(ns) for v, ns in adj.items()}
+        t.leaf_label, t._leaves, t._span = leaf_label, None, None
+        t.label_vertex = {lab: v for v, lab in leaf_label.items()}
+        return t if len(t.label_vertex) == len(leaf_label) else cls(adj, leaf_label)
 
     def _validate(self):
         adj = self.adj
@@ -390,6 +414,10 @@ def root_at_edge(t: UnrootedTree, edge, keep=None) -> RootedTree:
         if not keep <= t.leaves:
             raise TreeError(f"labels {sorted(keep - t.leaves)} not in tree")
     adj, leaf_label = t.adj, t.leaf_label
+    span = keep is not None and _span_index(t)
+    if span:
+        lo, hi = span
+        P = sorted(lo[t.label_vertex[x]] for x in keep)
 
     def expand(item):
         """Item (p, w) is the branch at w away from p."""
@@ -398,12 +426,43 @@ def root_at_edge(t: UnrootedTree, edge, keep=None) -> RootedTree:
         p, w = item
         if w in leaf_label:
             return leaf_label[w]
+        if span:  # the branch is w's interval, or the complement of p's when p is below w
+            below = hi[w] - lo[w] < hi[p] - lo[p]
+            a, b = (lo[w], hi[w]) if below else (lo[p], hi[p])
+            if bisect_left(P, b) - bisect_left(P, a) == (0 if below else len(P)):
+                return 0  # no kept leaf on the branch: rebuild drops the label 0
         a, b, c = adj[w]
         if a == p:
             return (w, b), (w, c)
         return ((w, a), (w, c)) if b == p else ((w, a), (w, b))
 
     return rebuild(None, expand, keep)
+
+
+def _span_index(t: UnrootedTree):
+    """(lo, hi), kept on ``t``: in one DFS from the smallest leaf v0, the
+    leaves below vertex w sit at positions lo[w] … hi[w]-1, and v0 spans
+    them all.  None (no index) when the vertex ids are not 0 … |V|-1."""
+    adj, leaf_label = t.adj, t.leaf_label
+    if t._span is None and min(adj) == 0 and max(adj) == len(adj) - 1:
+        lo, hi = array("i", [0]) * len(adj), array("i", [0]) * len(adj)
+        v0 = t.label_vertex[min(t.leaves)]
+        lo[v0], pos = 1, 2  # 0 marks a vertex not reached yet
+        stack = [~v0, adj[v0][0]]
+        while stack:
+            w = stack.pop()
+            if w < 0:  # every branch below ~w is done
+                hi[~w] = pos
+            elif not lo[w]:
+                lo[w] = pos
+                if w in leaf_label:
+                    pos += 1
+                    hi[w] = pos
+                else:
+                    stack.append(~w)
+                    stack += adj[w]  # the parent among them is reached already
+        t._span = lo, hi
+    return t._span
 
 
 def root_at_leaf_edge(t: UnrootedTree, keep=None) -> RootedTree:
@@ -438,7 +497,7 @@ def _number_preorder(adj: dict, stack: list) -> UnrootedTree:
             stack += ((node.right, vid), (node.left, vid))
         else:
             labels[vid] = node.label
-    return UnrootedTree(adj, labels)
+    return UnrootedTree._built(adj, labels)
 
 
 # --------------------------------------------------------------------------

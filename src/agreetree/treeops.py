@@ -5,11 +5,13 @@ Tree identity has one test: two trees of the same kind are
 label-respecting isomorphic iff their canonical Newick texts (``to_newick``)
 are equal, so isomorphism and agreement certificates compare texts.  A
 rooted restriction is rooted at the most recent common ancestor of the kept
-leaves.
+leaves.  A restriction walks only the kept leaves' span and the branches it
+prunes, found by DFS positions (``RootedTree._leaf_order``, ``_span_index``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .treecore import (
@@ -56,10 +58,19 @@ def restrict(t, labels):
     if isinstance(t, RootedTree):
         if not X:
             raise TreeError("cannot restrict to an empty leaf set")
-        out = rebuild(t, lambda node: node.label or (node.left, node.right), keep=X)
-        if out is None or out.nleaves != len(X):
+        P = [i for i, x in enumerate(t._leaf_order(keep=True)) if x in X]
+        if len(P) != len(X):
             raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
-        return out
+
+        def expand(item):  # item (node, lo): its leaves sit at DFS positions lo on
+            node, lo = item
+            if node.label is not None:
+                return node.label
+            if bisect_left(P, lo) == bisect_left(P, lo + node.nleaves):
+                return 0  # no kept leaf below: rebuild drops the label 0
+            return (node.left, lo), (node.right, lo + node.left.nleaves)
+
+        return rebuild((t, 0), expand, keep=X)
     if len(X) < 3:
         raise TreeError("unrooted restriction needs at least 3 leaves")
     if not X <= t.leaves:
@@ -176,6 +187,8 @@ def verify_agreement(t1, t2, labels) -> AgreementCertificate:
     """
     _same_kind(t1, t2)
     X = frozenset(labels)
+    if isinstance(t1, RootedTree):  # keep each DFS leaf order for restrict
+        t1._leaf_order(keep=True), t2._leaf_order(keep=True)
     common = t1.leaves & t2.leaves
     if not X <= common:
         raise TreeError(f"labels {sorted(X - common)} not shared by both trees")

@@ -533,3 +533,27 @@ def test_agree_checks_its_witness_once(trees, monkeypatch):
     code, out = run_cli("agree", t1, t2)
     assert code == 0 and "bound_met: True" in out
     assert len(calls) == 1, calls
+
+
+def test_bench_agree_checks_each_witness_once(tmp_path, monkeypatch):
+    """``bench --algorithms agree`` reads ``certificate_ok`` from the
+    report of ``agree_general``, which has checked the witness."""
+    import agreetree.decompose as dc
+    import agreetree.treeops as treeops
+
+    calls = []
+    original = treeops.verify_agreement
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return original(*args, **kwargs)
+
+    for module in (cli, dc, treeops):
+        monkeypatch.setattr(module, "verify_agreement", counting)
+    out_path = tmp_path / "bench.csv"
+    code, _ = run_cli(
+        "bench", "--n", "256", "--trials", "1", "--algorithms", "agree", "--out", str(out_path)
+    )
+    assert code == 0
+    assert calls == [6], calls
+    assert out_path.read_text().splitlines()[1].endswith(",True")

@@ -285,9 +285,10 @@ class TestAgreeGeneral:
     def test_path_branch_builds_no_full_size_tree(self, monkeypatch):
         """When the first tree is a caterpillar its maximum caterpillar is
         every leaf, and ``caterpillar_agree`` reads both inputs as they are,
-        not restricted copies.  The full-size trees left are the two roots
-        ``ramsey_split`` builds and the one ``to_newick`` writes the second
-        tree's circular leaf order through (5 when the branch copied)."""
+        not restricted copies, and ``circular_leaf_order`` reads the second
+        tree without a rooted copy.  The full-size trees left are the two
+        roots ``ramsey_split`` builds (3 while the circular order was read
+        from ``to_newick``, 5 when the branch copied)."""
         n = 512
         t1 = gen_caterpillar(n)
         t2 = gen_random(n, RandomModel("uniform", 3))
@@ -306,4 +307,4 @@ class TestAgreeGeneral:
         for first, second in ((t1, t2), (t2, t1)):
             built.clear()
             agree_general(first, second)
-            assert built.count(n) == 3, built
+            assert built.count(n) == 2, built

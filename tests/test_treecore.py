@@ -389,6 +389,21 @@ class TestRooting:
                     restrict(root_at_leaf_edge(t), X)
                 )
 
+    def test_keep_without_span_index(self):
+        """Vertex ids other than 0 … |V|-1 leave a tree without a span index;
+        its restrictions walk in full and come out the same."""
+        t = gen_random(40, RandomModel("uniform", 5))
+        shifted = UnrootedTree(
+            {v + 100: [w + 100 for w in ns] for v, ns in t.adj.items()},
+            {v + 100: lab for v, lab in t.leaf_label.items()},
+        )
+        for X in ({3, 17, 29}, set(range(1, 41, 3)), t.leaves - {1}):
+            for u, v in t.edges()[:10]:
+                assert ordered_text(root_at_edge(shifted, (u + 100, v + 100), keep=X)) == (
+                    ordered_text(root_at_edge(t, (u, v), keep=X))
+                )
+            assert to_newick(restrict(shifted, X)) == to_newick(restrict(t, X))
+
     @pytest.mark.parametrize(
         "keep, message",
         [(set(), "empty leaf set"), ({1, 6}, r"labels \[6\] not in tree"), ([9], r"labels \[9\]")],
@@ -483,6 +498,14 @@ class TestValidation:
                 {0: [1, 2, 3], 1: [0], 2: [0], 3: [0], 4: [5], 5: [4]},
                 {1: 1, 2: 2, 3: 3, 4: 4, 5: 5},
             )
+
+    def test_unroot_keeps_the_duplicate_check(self):
+        """``unroot`` skips the full validation of a tree it builds valid,
+        but a hand-built ``RootedTree.branch`` may still repeat a label."""
+        leaf = RootedTree.leaf
+        t = RootedTree.branch(leaf(1), RootedTree.branch(leaf(2), leaf(1)))
+        with pytest.raises(TreeError, match="^duplicate leaf label 1$"):
+            unroot(t)
 
     def test_nonpositive_label_rejected(self):
         with pytest.raises(TreeError):

@@ -8,7 +8,7 @@ from agreetree.generators import (
     gen_random,
     gen_swap_pair,
 )
-from agreetree.treecore import RootedTree, TreeError, parse_newick, to_newick
+from agreetree.treecore import RootedTree, TreeError, parse_newick, to_newick, unroot
 from agreetree.treeops import (
     AgreementError,
     is_isomorphic,
@@ -23,6 +23,7 @@ from oracles import (
     clusters,
     iso_rooted_search,
     iso_unrooted_search,
+    restrict_rooted_by_postorder,
     restrict_unrooted_by_paths,
     splits,
 )
@@ -74,6 +75,34 @@ class TestRestrict:
         got = restrict(t, rng_labels)
         want = restrict_unrooted_by_paths(t, rng_labels)
         assert splits(got) == splits(want)
+
+    @pytest.mark.parametrize("kind", ["rooted", "unrooted"])
+    def test_walk_is_pruned_to_the_kept_leaves(self, kind, monkeypatch):
+        """A restriction expands only the nodes spanning the kept leaves and
+        the pruned branches next to them, not all 2^15 - 1 nodes."""
+        import agreetree.treecore as treecore
+        import agreetree.treeops as treeops
+
+        calls = [0]
+
+        def counting(top, expand, keep=None):
+            def counted(item):
+                calls[0] += 1
+                return expand(item)
+
+            return original(top, counted, keep)
+
+        original = treecore.rebuild
+        t = gen_balanced(14) if kind == "rooted" else unroot(gen_balanced(14))
+        X = {1, 1000, 2047, 5000, 8193, 12000, 15001, 16384}
+        for module in (treecore, treeops):
+            monkeypatch.setattr(module, "rebuild", counting)
+        got = restrict(t, X)
+        assert calls[0] <= 2 * len(X) * 15, calls
+        if kind == "rooted":
+            assert to_newick(got) == to_newick(restrict_rooted_by_postorder(t, X))
+        else:
+            assert splits(got) == splits(restrict_unrooted_by_paths(t, X))
 
     @given(st.integers(0, 2**63))
     def test_restriction_composes(self, seed):
