@@ -30,8 +30,8 @@ from .treecore import (
     RootedTree,
     TreeError,
     UnrootedTree,
+    _newick_tokens,
     diameter_path,
-    directed_postorder,
     is_caterpillar,
     root_at_leaf_edge,
     side_leaves,
@@ -187,36 +187,15 @@ def caterpillar_spine_order(t: UnrootedTree) -> list:
     order = [t.leaf_label[x] for x in (path[0], *(w for _, w in hanging), path[-1])]
     if len(order) == 3:
         return sorted(order)
-    candidates = []
-    for swap_front in (False, True):
-        for swap_back in (False, True):
-            cand = list(order)
-            if swap_front:
-                cand[0], cand[1] = cand[1], cand[0]
-            if swap_back:
-                cand[-1], cand[-2] = cand[-2], cand[-1]
-            candidates.append(cand)
-            candidates.append(cand[::-1])
-    return min(candidates)
+    front, back, middle = sorted(order[:2]), sorted(order[-2:]), order[2:-2]
+    return min(front + middle + back, back + middle[::-1] + front)  # each end cherry sorted
 
 
 def circular_leaf_order(t: UnrootedTree) -> list:
     """Leaves in the circular order of the canonical planar embedding, cut
     so the smallest label comes first: the labels of ``to_newick(t)`` in
-    text order, read off the default rooting without building it."""
-    adj, leaf_label = t.adj, t.leaf_label
-    v0 = t.label_vertex[min(t.leaves)]
-    first = {}  # vertex -> smallest label of its branch away from v0
-    for p, w in directed_postorder(t, [(v0, adj[v0][0])]):
-        first[w] = leaf_label.get(w) or min(first[x] for x in adj[w] if x != p)
-    out, stack = [], [(v0, adj[v0][0]), (adj[v0][0], v0)]  # v0 first
-    while stack:
-        p, w = stack.pop()
-        if w in leaf_label:
-            out.append(leaf_label[w])
-        else:
-            stack += sorted(((w, x) for x in adj[w] if x != p), key=lambda e: -first[e[1]])
-    return out
+    text order, read off its tokens."""
+    return [x for x in _newick_tokens(t) if type(x) is int]
 
 
 def caterpillar_agree(t1: UnrootedTree, t2: UnrootedTree) -> frozenset:

@@ -3,7 +3,8 @@
 One recurrence, the quadratic node-pair DP of Steel & Warnow ("Kaikoura
 tree theorems", IPL 1993), fills every exact table here.  It runs over
 tables of subtrees listed children before parents: a rooted tree is its
-nodes in postorder with one root entry (the last); an unrooted tree is its
+nodes in reversed DFS preorder (``RootedTree.dfs``), so the root entry is
+the last; an unrooted tree is its
 2E directed edges (each names the pending rooted subtree on its far side)
 followed by one root entry per edge, as ``root_at_edge`` roots it.  The
 recurrence takes one of two value types: sizes (merged by ``+``, picked by
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .generators import enumerate_topologies, guards_lifted
-from .treecore import RootedTree, UnrootedTree, directed_postorder, postorder, root_at_edge
+from .treecore import RootedTree, UnrootedTree, directed_postorder, root_at_edge
 from .treeops import AgreementCertificate, is_isomorphic, restrict, verify_agreement
 
 BRUTEFORCE_GUARD = 12
@@ -58,12 +59,14 @@ _WITNESSES = (lambda x: (x,), (), _merge, _pick)
 
 
 def _rooted_table(t: RootedTree):
-    """(children, labels) per node in postorder; children are entry indices
-    (None for a leaf) and the root entry is the last."""
-    nodes = postorder(t)
-    index = {id(u): i for i, u in enumerate(nodes)}
-    kids = [None if u.is_leaf else (index[id(u.left)], index[id(u.right)]) for u in nodes]
-    return kids, [u.label for u in nodes]
+    """(children, labels) per node in reversed DFS preorder; children are
+    entry indices (None for a leaf) and the root entry is the last."""
+    label, nleaves = t.dfs().label, t.dfs().nleaves
+    last = len(label) - 1  # preorder number i is entry last - i
+    kids = [
+        None if label[i] else (last - i - 1, last - i - 2 * nleaves[i + 1]) for i in range(last, -1, -1)
+    ]
+    return kids, label[::-1]
 
 
 def _unrooted_table(t: UnrootedTree):

@@ -167,7 +167,7 @@ def relabel(t, mapping: dict):
     """Replace every leaf label via ``mapping`` (a bijection on the labels)."""
     if isinstance(t, RootedTree):
         out = rebuild(t, lambda node: mapping[node.label] if node.label else (node.left, node.right))
-        if len(out.leaves) != out.nleaves:
+        if len(set(out.dfs().order)) != out.nleaves:  # the index stays for the copy's readers
             raise TreeError("relabel mapping is not injective on the leaves")
         return out
     new_labels = {v: mapping[lab] for v, lab in t.leaf_label.items()}

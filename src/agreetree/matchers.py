@@ -18,11 +18,11 @@ Every "choose any leaf" step picks the smallest label, and every "swap if
 necessary" performs no swap when the required inequalities already hold, so
 runs are exactly reproducible.
 
-The walks build no leaf set per node.  Each call lists both trees' leaves
-in DFS order, so every node is a slice of that order and every label has a
-position (``_LeafOrder``, O(n) memory).  A step's 2x2 shared-leaf counts
-come from scanning smaller child slices against the other tree's positions
-(``_orient``).
+The walks build no leaf set per node.  They run on the preorder numbers of
+both trees' DFS indexes (``RootedTree.dfs``, kept on each tree, O(n)
+memory), where every node is a slice of the DFS leaf order and every label
+has a position.  A step's 2x2 shared-leaf counts come from scanning smaller
+child slices against the other tree's positions (``_orient``).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .bounds import BETA_DELTA_SUP, SLACK, delta_for_alpha_k, delta_for_beta_k
 from .treecore import (
     CLASS_B,
     CLASS_C,
+    DfsIndex,
     RootedTree,
     TreeError,
     UnrootedTree,
@@ -50,70 +51,35 @@ from .treeops import largest_balanced, restrict
 logger = logging.getLogger(__name__)
 
 
-class _LeafOrder:
-    """One tree's leaf labels in DFS order, left child first.  The leaves
-    below a node are the ``node.nleaves`` labels of ``order`` from
-    ``start[node]`` on, and ``pos`` maps each label to its place in
-    ``order``.  O(n) memory."""
-
-    __slots__ = ("order", "start", "pos")
-
-    def __init__(self, t: RootedTree):
-        order, start = [], {}
-        stack = [t]
-        while stack:
-            node = stack.pop()
-            start[node] = len(order)
-            if node.is_leaf:
-                order.append(node.label)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        self.order, self.start = order, start
-        self.pos = {x: i for i, x in enumerate(order)}
-
-    def leaves(self, node: RootedTree) -> list:
-        lo = self.start[node]
-        return self.order[lo : lo + node.nleaves]
-
-    def below(self, labels, node: RootedTree) -> list:
-        """The members of ``labels`` that are leaves below ``node``."""
-        lo = self.start[node]
-        hi = lo + node.nleaves
-        get = self.pos.get
-        return [x for x in labels if lo <= get(x, -1) < hi]
-
-
-def _shared(u: RootedTree, v: RootedTree, a: _LeafOrder, b: _LeafOrder) -> list:
-    """L(u) & L(v) for u in the tree of ``a`` and v in that of ``b``,
-    scanning only the smaller of the two leaf slices."""
-    if u.nleaves <= v.nleaves:
+def _shared(u: int, v: int, a: DfsIndex, b: DfsIndex) -> list:
+    """L(u) & L(v) for node u of the tree indexed by ``a`` and node v of
+    that of ``b``, scanning only the smaller of the two leaf slices."""
+    if a.nleaves[u] <= b.nleaves[v]:
         return b.below(a.leaves(u), v)
     return a.below(b.leaves(v), u)
 
 
-def _orient(u: RootedTree, v: RootedTree, t: int, rows, a: _LeafOrder, b: _LeafOrder):
+def _orient(u: int, v: int, t: int, rows, a: DfsIndex, b: DfsIndex):
     """Swap children (virtually) so that the cross counts do not exceed the
     diagonal counts and t_ll <= t_rr; no swap when already admissible.
 
-    The counts come from the leaf orders ``a`` (u's tree) and ``b`` (v's
-    tree); no leaf set is built.  ``t`` is |L(u) & L(v)|, and ``rows``
-    maps each child of u to its shared-leaf count with v; when it is None,
-    u's smaller child is scanned for it.  Then v's smaller child is
-    scanned for one column of the 2x2 counts, and the rows minus that
-    column give the other.  Each scan walks the smaller of the two leaf
-    slices it intersects, so a walk down a balanced tree takes O(n log n)
-    time.
+    u and v are nodes of the DFS indexes ``a`` and ``b``; no leaf set is
+    built.  ``t`` is |L(u) & L(v)|, and ``rows`` maps each child of u to
+    its shared-leaf count with v; when it is None, u's smaller child is
+    scanned for it.  Then v's smaller child is scanned for one column of
+    the 2x2 counts, and the rows minus that column give the other.  Each
+    scan walks the smaller of the two leaf slices it intersects, so a walk
+    down a balanced tree takes O(n log n) time.
 
     Returns ((u_left, u_right, v_left, v_right), (t_ll, t_lr, t_rl, t_rr)).
     """
-    ku = (u.left, u.right)
-    kv = (v.left, v.right)
+    ku = u + 1, u + 2 * a.nleaves[u + 1]
+    kv = v + 1, v + 2 * b.nleaves[v + 1]
     if rows is None:
-        s = 0 if ku[0].nleaves <= ku[1].nleaves else 1
+        s = 0 if a.nleaves[ku[0]] <= a.nleaves[ku[1]] else 1
         k = len(_shared(ku[s], v, a, b))
         rows = {ku[s]: k, ku[1 - s]: t - k}
-    j = 0 if kv[0].nleaves <= kv[1].nleaves else 1
+    j = 0 if b.nleaves[kv[0]] <= b.nleaves[kv[1]] else 1
     inner = _shared(u, kv[j], a, b)
     top = len(a.below(inner, ku[0]))
     col = (top, len(inner) - top)
@@ -202,52 +168,42 @@ def _match1_walk(t1: RootedTree, t2: RootedTree, delta: float):
     new labels.  The walk reads only shared-leaf counts, and from a node
     that shares x alone it only skips or shrinks until it emits x.  So it
     returns on t1 the set that match1 returns on the balanced tree."""
-    a, b = _LeafOrder(t1), _LeafOrder(t2)
+    a, b = t1.dfs(), t2.dfs()
     if not a.pos.keys() >= b.pos.keys():
         raise TreeError("match1 requires L(t2) to be a subset of L(t1)")
     if not 0 < delta < 0.5:
         raise ValueError(f"match1 needs delta in (0, 1/2), got {delta}")
     trace = Match1Trace(delta, t1.height, t2.nleaves)
-    out = []
-    u, v, t_uv, rows = t1, t2, t2.nleaves, None
+    u, v, t_uv, rows = 0, 0, t2.nleaves, None
     while True:
         if t_uv == 0:
             raise AssertionError("recursed into an empty intersection")
-        if u.nleaves == 1 or v.nleaves == 1:
-            z = min(_shared(u, v, a, b))
-            trace.steps.append(Match1Step("base", t_uv, u.nleaves, v.nleaves, z))
-            out.append(z)
+        step = Match1Step("base", t_uv, a.nleaves[u], b.nleaves[v])
+        trace.steps.append(step)
+        if step.u_size == 1 or step.v_size == 1:
+            step.emitted = min(_shared(u, v, a, b))
             break
         (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v, t_uv, rows, a, b)
         rows = None
         if t_ll > 0:
-            z = min(_shared(ul, vl, a, b))
-            trace.steps.append(Match1Step("case1", t_uv, u.nleaves, v.nleaves, z))
-            out.append(z)
+            step.rule, step.emitted = "case1", min(_shared(ul, vl, a, b))
             u, v, t_uv = ur, vr, t_rr
-            continue
-        if t_rl == 0:
-            # nothing under v's left child is shared with u
-            trace.steps.append(Match1Step("skip-left", t_uv, u.nleaves, v.nleaves))
+        elif t_rl == 0:  # nothing under v's left child is shared with u
+            step.rule = "skip-left"
             v, rows = vr, {ul: t_lr, ur: t_rr}
-            continue
-        if t_lr == 0:
-            # nothing under u's left child is shared with v
-            trace.steps.append(Match1Step("skip-right", t_uv, u.nleaves, v.nleaves))
+        elif t_lr == 0:  # nothing under u's left child is shared with v
+            step.rule = "skip-right"
             u = ur
-            continue
-        if t_lr + t_rl >= delta * t_uv:
+        elif t_lr + t_rl >= delta * t_uv:
             if t_lr > t_rl:
                 ul, ur, vl, vr = ur, ul, vr, vl
                 t_lr, t_rl = t_rl, t_lr
-            z = min(_shared(ul, vr, a, b))
-            trace.steps.append(Match1Step("cross", t_uv, u.nleaves, v.nleaves, z))
-            out.append(z)
+            step.rule, step.emitted = "cross", min(_shared(ul, vr, a, b))
             u, v, t_uv = ur, vl, t_rl
-            continue
-        trace.steps.append(Match1Step("heavy", t_uv, u.nleaves, v.nleaves))
-        u, v, t_uv = ur, vr, t_rr
-    return frozenset(out), trace
+        else:
+            step.rule = "heavy"
+            u, v, t_uv = ur, vr, t_rr
+    return frozenset(s.emitted for s in trace.steps if s.emitted is not None), trace
 
 
 # --------------------------------------------------------------------------
@@ -325,8 +281,8 @@ def _match2_walk(t1: RootedTree, t2: RootedTree, delta: float):
     new labels that the two trees do not share."""
     if not 0 < delta < 0.25:
         raise ValueError(f"match2 needs delta in (0, 1/4), got {delta}")
-    a, b = _LeafOrder(t1), _LeafOrder(t2)
-    t0 = len(_shared(t1, t2, a, b))
+    a, b = t1.dfs(), t2.dfs()
+    t0 = len(_shared(0, 0, a, b))
     if t0 == 0:
         raise TreeError("match2 requires a nonempty shared leaf set")
     trace = Match2Trace(delta, t1.height, t2.height, t0)
@@ -334,14 +290,14 @@ def _match2_walk(t1: RootedTree, t2: RootedTree, delta: float):
     out = []
     top = []
     # calls still to make: (u, v, |L(u) & L(v)|, rows for _orient, parent's children)
-    stack = [(t1, t2, t0, None, top)]
+    stack = [(0, 0, t0, None, top)]
     while stack:
         u, v, t_uv, rows, siblings = stack.pop()
         if t_uv == 0:
             raise AssertionError("recursed into an empty intersection")
-        node = Match2Node("base", t_uv, u.nleaves, v.nleaves)
+        node = Match2Node("base", t_uv, a.nleaves[u], b.nleaves[v])
         siblings.append(node)
-        if u.nleaves == 1 or v.nleaves == 1:
+        if node.u_size == 1 or node.v_size == 1:
             node.emitted = min(_shared(u, v, a, b))
             out.append(node.emitted)
             continue

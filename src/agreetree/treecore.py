@@ -4,8 +4,11 @@ Two kinds of tree live here:
 
 * ``RootedTree``: a plain node structure.  Every internal node has
   exactly two children; a single-leaf tree is one node that is both root
-  and leaf.  Nodes cache no leaf sets; a node given to ``treeops.restrict``
-  or ``verify_agreement`` keeps its DFS leaf order.  No function recurses.
+  and leaf.  Nodes cache no leaf sets.  The one numbering of a tree's
+  nodes is its ``DfsIndex`` (preorder numbers, leaf counts, DFS leaf
+  positions), which ``RootedTree.dfs`` builds once and keeps on the node
+  it is asked of; restriction, the matchers, the exact DP, the balanced
+  fold and the writer all read it.  No function recurses.
 * ``UnrootedTree``: an adjacency map.  Every internal vertex has degree 3,
   leaves have degree 1, and at least three leaves are required (degree
   constraints force this).  Trees the package builds valid (parse,
@@ -27,11 +30,12 @@ ordered by the smallest leaf label in their subtree), so label-respecting
 isomorphic trees serialise identically.
 
 An unrooted tree is rooted one way by default: ``root_at_leaf_edge`` roots
-it on the pendant edge of its smallest leaf m, and ``to_newick`` writes it
-as that rooting "(m,(A,B));" with the inner parentheses dropped,
-"(m,A,B);".  ``root_at_edge`` and ``root_at_leaf_edge`` take ``keep``, a
-leaf subset, and then walk only the vertices spanning it and the branches
-they prune, which a span index (two int arrays kept on the tree) finds.
+it on the pendant edge of its smallest leaf m, and ``to_newick`` writes it,
+straight from the adjacency, as that rooting "(m,(A,B));" with the inner
+parentheses dropped, "(m,A,B);".  ``root_at_edge`` and
+``root_at_leaf_edge`` take ``keep``, a leaf subset, and then walk only the
+vertices spanning it and the branches they prune, which a span index (two
+int arrays kept on the tree) finds.
 
 All values are immutable after construction and all functions are pure.
 """
@@ -75,7 +79,7 @@ class RootedTree:
     balanced : bool         True iff every leaf is at depth == height
     """
 
-    __slots__ = ("label", "left", "right", "nleaves", "height", "balanced", "_order")
+    __slots__ = ("label", "left", "right", "nleaves", "height", "balanced", "_dfs")
 
     def __init__(self, label, left, right, nleaves, height, balanced):
         self.label = label
@@ -84,7 +88,7 @@ class RootedTree:
         self.nleaves = nleaves
         self.height = height
         self.balanced = balanced
-        self._order = None
+        self._dfs = None
 
     @classmethod
     def leaf(cls, label: int) -> "RootedTree":
@@ -106,43 +110,66 @@ class RootedTree:
 
     @property
     def leaves(self) -> frozenset:
-        """Leaf-label set below this node (from ``_leaf_order``)."""
-        return frozenset(self._leaf_order())
+        """Leaf-label set below this node, read from its kept DFS index or
+        from one built for the call."""
+        return frozenset((self._dfs or DfsIndex(self)).order)
 
-    def _leaf_order(self, keep: bool = False) -> list:
-        """Leaf labels below in DFS order, left first; ``keep`` stores them."""
-        if self._order is not None:
-            return self._order
-        out = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.label is None:
-                stack.append(node.right)
-                stack.append(node.left)
-            else:
-                out.append(node.label)
-        if keep:
-            self._order = out
-        return out
+    def dfs(self) -> "DfsIndex":
+        """The DFS index of the tree below this node, built once and kept."""
+        if self._dfs is None:
+            self._dfs = DfsIndex(self)
+        return self._dfs
 
     def __repr__(self):
         return f"<RootedTree {to_newick(self)!r}>"
 
 
-def postorder(t: RootedTree) -> list:
-    """All nodes of ``t``, children before parents, root last."""
-    out = []
-    stack = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded or node.is_leaf:
-            out.append(node)
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    return out
+class DfsIndex:
+    """A rooted tree's nodes numbered in preorder, left child first, by one
+    explicit-stack pass: node i has ``label[i]`` (None if internal),
+    ``nleaves[i]`` and ``first[i]``, the DFS position of its first leaf;
+    ``order`` lists the leaf labels in DFS order and ``pos`` maps each to
+    its position.  The children of internal node i are i + 1 and
+    i + 2 * nleaves[i + 1], so reversed preorder lists children first."""
+
+    __slots__ = ("label", "nleaves", "first", "order", "_pos")
+
+    def __init__(self, t: RootedTree):
+        label, nleaves, first, order = [], [], array("i"), []
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            label.append(node.label)
+            nleaves.append(node.nleaves)
+            first.append(len(order))
+            if node.label is None:
+                stack += (node.right, node.left)
+            else:
+                order.append(node.label)
+        self.label, self.nleaves, self.first, self.order = label, nleaves, first, order
+        self._pos = None
+
+    @property
+    def pos(self) -> dict:
+        """Built on first use; a repeated label (``RootedTree.branch`` allows
+        one) raises TreeError, naming the first one in DFS order."""
+        if self._pos is None:
+            pos = {x: i for i, x in enumerate(self.order)}  # a repeat keeps its last position
+            if len(pos) < len(self.order):
+                x = next(x for i, x in enumerate(self.order) if pos[x] != i)
+                raise TreeError(f"duplicate leaf label {x}")
+            self._pos = pos
+        return self._pos
+
+    def leaves(self, i: int) -> list:
+        """The leaf labels below node i, in DFS order."""
+        return self.order[self.first[i] : self.first[i] + self.nleaves[i]]
+
+    def below(self, labels, i: int) -> list:
+        """The members of ``labels`` that are leaves below node i."""
+        lo, get = self.first[i], self.pos.get
+        hi = lo + self.nleaves[i]
+        return [x for x in labels if lo <= get(x, -1) < hi]
 
 
 _JOIN = object()  # stack marker: join the last two built subtrees
@@ -375,16 +402,11 @@ def is_caterpillar(t) -> bool:
     spine node hangs at least one leaf).  Unrooted form: every internal
     vertex has at most two internal neighbours.
     """
-    if isinstance(t, RootedTree):
+    if isinstance(t, RootedTree):  # down the spine while a child is a leaf
         node = t
-        while not node.is_leaf:
-            internal = [c for c in (node.left, node.right) if not c.is_leaf]
-            if len(internal) == 2:
-                return False
-            if not internal:
-                return True
-            node = internal[0]
-        return True
+        while node.label is None and min(node.left.nleaves, node.right.nleaves) == 1:
+            node = node.left if node.right.nleaves == 1 else node.right
+        return node.label is not None
     for v, ns in t.adj.items():
         if v in t.leaf_label:
             continue
@@ -595,22 +617,46 @@ def to_newick(t) -> str:
     """Canonical Newick text; children ordered by smallest leaf label.  An
     unrooted tree is written as its rooting at the smallest leaf m's
     pendant edge, "(m,(A,B));", with the inner parentheses dropped."""
-    if isinstance(t, UnrootedTree):
-        r = root_at_leaf_edge(t)
-        return f"({r.left.label},{to_newick(r.right)[1:]}"
-    first = {}  # node -> smallest leaf label below it
-    for node in postorder(t):
-        first[node] = node.label or min(first[node.left], first[node.right])
+    return "".join(map(str, _newick_tokens(t)))
+
+
+def _newick_tokens(t) -> list:
+    """``to_newick``'s tokens: leaf labels (ints), "(", ",", ")" and ";".
+    One pass, children first, orders each internal node's two children by
+    their smallest labels: over the reversed DFS index of a rooted tree, or
+    the adjacency in reversed BFS order from the smallest leaf v0."""
+    if isinstance(t, RootedTree):
+        ix = t.dfs()
+        label, nleaves = ix.label, ix.nleaves
+        kids, small = [None] * len(label), label[:]  # small: the smallest label below
+        for i in range(len(label) - 1, -1, -1):
+            if label[i] is None:
+                a, b = i + 1, i + 2 * nleaves[i + 1]
+                kids[i] = (a, b) if small[a] <= small[b] else (b, a)
+                small[i] = small[kids[i][0]]
+        stack = [";", 0]
+    else:
+        adj, label = t.adj, t.leaf_label
+        v0 = t.label_vertex[min(t.leaves)]
+        dist = _bfs(t, [v0])  # in BFS order: a vertex's children come after it
+        kids, small = {}, {}
+        for w in reversed(dist):
+            if w in label:
+                kids[w], small[w] = None, label[w]
+            else:
+                a, b = [x for x in adj[w] if dist[x] > dist[w]]
+                kids[w] = (a, b) if small[a] <= small[b] else (b, a)
+                small[w] = small[kids[w][0]]
+        a, b = kids[adj[v0][0]]
+        stack = [";", ")", b, ",", a, ",", v0, "("]
     out = []
-    stack = [";", t]
     while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif node.label is not None:
-            out.append(str(node.label))
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        elif kids[x] is None:
+            out.append(label[x])
         else:
-            a, b = sorted((node.left, node.right), key=first.get)
             out.append("(")
-            stack += [")", b, ",", a]
-    return "".join(out)
+            stack += (")", kids[x][1], ",", kids[x][0])
+    return out

@@ -6,7 +6,8 @@ label-respecting isomorphic iff their canonical Newick texts (``to_newick``)
 are equal, so isomorphism and agreement certificates compare texts.  A
 rooted restriction is rooted at the most recent common ancestor of the kept
 leaves.  A restriction walks only the kept leaves' span and the branches it
-prunes, found by DFS positions (``RootedTree._leaf_order``, ``_span_index``).
+prunes, found by DFS positions (a rooted tree's ``DfsIndex``, an unrooted
+tree's ``_span_index``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from .treecore import (
     RootedTree,
     TreeError,
-    postorder,
     rebuild,
     root_at_edge,
     to_newick,
@@ -30,21 +30,31 @@ class AgreementError(TreeError):
     canonical texts."""
 
 
+def _positions(t: RootedTree, X: frozenset) -> list:
+    """The sorted DFS positions of the labels X in the rooted tree t."""
+    pos = t.dfs().pos
+    if not X <= pos.keys():
+        raise TreeError(f"labels {sorted(X - pos.keys())} not in tree")
+    return sorted(pos[x] for x in X)
+
+
 def lca(t: RootedTree, labels) -> RootedTree:
     """Most recent common ancestor of a non-empty set of leaf labels: the
-    first node in postorder whose subtree holds all of them."""
+    lowest node whose DFS positions span all of theirs."""
     X = frozenset(labels)
     if not X:
         raise TreeError("lca of an empty set")
-    count = {}  # node -> number of labels of X below it
-    for node in postorder(t):
-        if node.is_leaf:
-            count[node] = node.label in X
+    P = _positions(t, X)
+    node, start = t, 0  # node's leaves sit at DFS positions start on
+    while node.label is None:
+        mid = start + node.left.nleaves
+        if P[-1] < mid:
+            node = node.left
+        elif P[0] >= mid:
+            node, start = node.right, mid
         else:
-            count[node] = count[node.left] + count[node.right]
-        if count[node] == len(X):
-            return node
-    raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
+            break
+    return node
 
 
 def restrict(t, labels):
@@ -58,19 +68,18 @@ def restrict(t, labels):
     if isinstance(t, RootedTree):
         if not X:
             raise TreeError("cannot restrict to an empty leaf set")
-        P = [i for i, x in enumerate(t._leaf_order(keep=True)) if x in X]
-        if len(P) != len(X):
-            raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
+        P = _positions(t, X)
+        ix = t.dfs()
+        label, nleaves, first = ix.label, ix.nleaves, ix.first
 
-        def expand(item):  # item (node, lo): its leaves sit at DFS positions lo on
-            node, lo = item
-            if node.label is not None:
-                return node.label
-            if bisect_left(P, lo) == bisect_left(P, lo + node.nleaves):
+        def expand(i):  # node i of the index
+            if label[i] is not None:
+                return label[i]
+            if bisect_left(P, first[i]) == bisect_left(P, first[i] + nleaves[i]):
                 return 0  # no kept leaf below: rebuild drops the label 0
-            return (node.left, lo), (node.right, lo + node.left.nleaves)
+            return i + 1, i + 2 * nleaves[i + 1]
 
-        return rebuild((t, 0), expand, keep=X)
+        return rebuild(0, expand, keep=X)
     if len(X) < 3:
         raise TreeError("unrooted restriction needs at least 3 leaves")
     if not X <= t.leaves:
@@ -88,24 +97,24 @@ def join(s_left: RootedTree, s_right: RootedTree) -> RootedTree:
     return RootedTree.branch(s_left, s_right)
 
 
-def _balanced_heights(t: RootedTree) -> dict:
-    """{node: (b, smallest leaf label)} where b is the height of the highest
-    balanced restriction below the node: b(leaf) = 0,
+def _balanced_heights(t: RootedTree) -> list:
+    """b per node of t's DFS index, the height of the highest balanced
+    restriction below the node: b(leaf) = 0,
     b(u) = max(b(l), b(r), 1 + min(b(l), b(r)))."""
-    vals = {}
-    for node in postorder(t):
-        if node.is_leaf:
-            vals[node] = (0, node.label)
-        else:
-            (bl, ml), (br, mr) = vals[node.left], vals[node.right]
-            vals[node] = (max(bl, br, 1 + min(bl, br)), min(ml, mr))
-    return vals
+    ix = t.dfs()
+    label, nleaves = ix.label, ix.nleaves
+    b = [0] * len(label)
+    for i in range(len(label) - 1, -1, -1):
+        if label[i] is None:
+            bl, br = b[i + 1], b[i + 2 * nleaves[i + 1]]
+            b[i] = bl + 1 if bl == br else max(bl, br)
+    return b
 
 
 def max_balanced_height(t: RootedTree) -> int:
     """Largest k such that some leaf subset restricts to a balanced tree of
     height k."""
-    return _balanced_heights(t)[t][0]
+    return _balanced_heights(t)[0]
 
 
 def extract_balanced(t: RootedTree, k: int) -> frozenset:
@@ -116,35 +125,36 @@ def extract_balanced(t: RootedTree, k: int) -> frozenset:
     label."""
     if k < 0:
         raise TreeError(f"balanced height k must be >= 0, got k={k}")
-    vals = _balanced_heights(t)
-    if k > vals[t][0]:
+    b = _balanced_heights(t)
+    if k > b[0]:
         raise TreeError(f"tree has no balanced restriction of height {k}")
-    return _pick_balanced(t, k, vals)
+    return _pick_balanced(t, k, b)
 
 
 def largest_balanced(t: RootedTree):
     """(max_balanced_height(t), extract_balanced(t, that height)) from one
     fold of the tree."""
-    vals = _balanced_heights(t)
-    return vals[t][0], _pick_balanced(t, vals[t][0], vals)
+    b = _balanced_heights(t)
+    return b[0], _pick_balanced(t, b[0], b)
 
 
-def _pick_balanced(t: RootedTree, k: int, vals: dict) -> frozenset:
-    """``extract_balanced``'s descent over the ``_balanced_heights`` table."""
+def _pick_balanced(t: RootedTree, k: int, b: list) -> frozenset:
+    """``extract_balanced``'s descent over the ``_balanced_heights`` list."""
+    ix = t.dfs()
     out = []
-    stack = [(t, k)]
+    stack = [(0, k)]
     while stack:
-        node, k = stack.pop()
+        i, k = stack.pop()
         if k == 0:
-            out.append(vals[node][1])
+            out.append(min(ix.leaves(i)))
             continue
-        bl, br = vals[node.left][0], vals[node.right][0]
-        if 1 + min(bl, br) >= k:
-            stack += [(node.left, k - 1), (node.right, k - 1)]
-        elif bl >= k:
-            stack.append((node.left, k))
+        left, right = i + 1, i + 2 * ix.nleaves[i + 1]
+        if 1 + min(b[left], b[right]) >= k:
+            stack += [(left, k - 1), (right, k - 1)]
+        elif b[left] >= k:
+            stack.append((left, k))
         else:
-            stack.append((node.right, k))
+            stack.append((right, k))
     return frozenset(out)
 
 
@@ -187,9 +197,10 @@ def verify_agreement(t1, t2, labels) -> AgreementCertificate:
     """
     _same_kind(t1, t2)
     X = frozenset(labels)
-    if isinstance(t1, RootedTree):  # keep each DFS leaf order for restrict
-        t1._leaf_order(keep=True), t2._leaf_order(keep=True)
-    common = t1.leaves & t2.leaves
+    if isinstance(t1, RootedTree):  # the DFS indexes that restrict reads too
+        common = t1.dfs().pos.keys() & t2.dfs().pos.keys()
+    else:
+        common = t1.leaves & t2.leaves
     if not X <= common:
         raise TreeError(f"labels {sorted(X - common)} not shared by both trees")
     if not X:

@@ -13,11 +13,87 @@ from agreetree.treecore import (
     RootedTree,
     UnrootedTree,
     directed_postorder,
-    postorder,
     root_at_edge,
     unroot,
 )
 from agreetree.treeops import restrict
+
+
+def postorder(t: RootedTree) -> list:
+    """All nodes of ``t``, children before parents, root last."""
+    out = []
+    stack = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded or node.is_leaf:
+            out.append(node)
+        else:
+            stack.append((node, True))
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+    return out
+
+
+def lca_by_postorder(t: RootedTree, X) -> RootedTree:
+    """The first node in postorder whose subtree holds all of X."""
+    count = {}  # node -> number of labels of X below it
+    for node in postorder(t):
+        if node.is_leaf:
+            count[node] = node.label in X
+        else:
+            count[node] = count[node.left] + count[node.right]
+        if count[node] == len(X):
+            return node
+
+
+def dfs_index_by_nodes(t: RootedTree) -> dict:
+    """The fields of ``t.dfs()`` worked out on node objects: nodes numbered
+    by a left-first preorder stack, leaf counts and first-leaf positions
+    folded in postorder, children looked up by node identity."""
+    nodes, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    number = {id(node): i for i, node in enumerate(nodes)}
+    order = [node.label for node in nodes if node.is_leaf]
+    pos = {x: i for i, x in enumerate(order)}
+    count, first = {}, {}
+    for node in postorder(t):
+        if node.is_leaf:
+            count[id(node)], first[id(node)] = 1, pos[node.label]
+        else:
+            count[id(node)] = count[id(node.left)] + count[id(node.right)]
+            first[id(node)] = first[id(node.left)]
+    return {
+        "label": [node.label for node in nodes],
+        "nleaves": [count[id(node)] for node in nodes],
+        "first": [first[id(node)] for node in nodes],
+        "order": order,
+        "pos": pos,
+        "children": {
+            number[id(node)]: (number[id(node.left)], number[id(node.right)])
+            for node in nodes
+            if not node.is_leaf
+        },
+    }
+
+
+def dfs_index_fields(t: RootedTree) -> dict:
+    """The same fields read from ``t.dfs()``, the children of internal node
+    i by its rule: i + 1 and i + 2 * nleaves[i + 1]."""
+    ix = t.dfs()
+    return {
+        "label": ix.label,
+        "nleaves": ix.nleaves,
+        "first": list(ix.first),
+        "order": ix.order,
+        "pos": ix.pos,
+        "children": {
+            i: (i + 1, i + 2 * ix.nleaves[i + 1]) for i, x in enumerate(ix.label) if x is None
+        },
+    }
 
 
 def clusters(t: RootedTree) -> frozenset:

@@ -6,7 +6,8 @@ supertree of the required height would have 2^36 leaves.  ``match1`` runs a bala
 2^14-leaf tree against a 16,384-leaf rooted caterpillar (Θ(n²) labels of
 per-node leaf sets), and ``match2`` two balanced 2^14-leaf trees.  CLI
 ``agree`` runs the 20,000-leaf caterpillar (path branch) against a
-relabelled 20,000-leaf uniform tree (balanced branch).
+relabelled 20,000-leaf uniform tree (balanced branch).  The rooted
+caterpillar's DFS index equals the naive node walk of ``tests/oracles.py``.
 
 The checks run in a fresh interpreter whose address space is capped at
 1 GiB, so a quadratic leaf-set cache fails there with MemoryError instead of
@@ -14,6 +15,7 @@ taking the test process down, and the interpreter's own recursion limit is
 the one in force.
 """
 
+import pathlib
 import subprocess
 import sys
 
@@ -40,11 +42,15 @@ from agreetree import (
 from agreetree.cli import main
 from agreetree.treecore import root_at_leaf_edge
 
+sys.path.insert(0, sys.argv[1])
+from oracles import dfs_index_by_nodes, dfs_index_fields
+
 assert sys.getrecursionlimit() == limit, (limit, sys.getrecursionlimit())
 
 N = 20_000
 sample = range(1, N + 1, N // 1000)
 rooted = gen_caterpillar(N, rooted=True)
+assert dfs_index_fields(rooted) == dfs_index_by_nodes(rooted)
 unrooted = gen_caterpillar(N)
 unrooted_text = to_newick(unrooted)
 reverse = {i: N + 1 - i for i in range(1, N + 1)}
@@ -126,7 +132,7 @@ print("ok")
 
 def test_20000_leaf_caterpillars():
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD],
+        [sys.executable, "-c", CHILD, str(pathlib.Path(__file__).resolve().parent)],
         capture_output=True,
         timeout=600,
         env=cli_env(),

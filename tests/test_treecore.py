@@ -27,7 +27,6 @@ from agreetree.treecore import (
     diameter_path,
     is_caterpillar,
     parse_newick,
-    postorder,
     radius,
     rebuild,
     root_at_edge,
@@ -39,9 +38,12 @@ from agreetree.treeops import is_isomorphic, restrict
 
 from oracles import (
     all_pairs_eccentricities,
+    dfs_index_by_nodes,
+    dfs_index_fields,
     extremal_fhk_by_stack,
     ordered_text,
     parse_newick_two_pass,
+    postorder,
     relabel_by_postorder,
     restrict_rooted_by_postorder,
     restrict_unrooted_by_rooting,
@@ -227,8 +229,9 @@ class TestSerialise:
         assert to_newick(gen_extremal_fhk(2, 1)) == "((1,2),3);"
 
     def test_unrooted_text_equals_directed_edge_fold(self):
-        """Unrooted text goes through the smallest-leaf rooting; the
-        reference fold over directed edges gives the same bytes."""
+        """Unrooted text is written from the adjacency; the reference fold
+        over directed edges, and the rooting at the smallest leaf's pendant
+        edge with its inner parentheses dropped, give the same bytes."""
         rng = SplitMix64(5)
         trees = [
             gen_random(n, RandomModel(model, n))
@@ -243,6 +246,8 @@ class TestSerialise:
             rng.shuffle(labels)
             t = relabel(t, dict(zip(sorted(t.leaves), labels)))
             assert to_newick(t) == to_newick_by_directed_edges(t)
+            r = root_at_leaf_edge(t)
+            assert to_newick(t) == f"({r.left.label},{to_newick(r.right)[1:]}"
 
     @given(st.integers(0, 2**63), st.integers(4, 40))
     def test_roundtrip_rooted(self, seed, n):
@@ -253,6 +258,36 @@ class TestSerialise:
     def test_roundtrip_unrooted(self, seed, n):
         t = gen_random(n, RandomModel("uniform", seed))
         assert is_isomorphic(parse_newick(to_newick(t)), t)
+
+
+class TestDfsIndex:
+    """``RootedTree.dfs`` against a walk over the node objects."""
+
+    @pytest.mark.parametrize("model", ["uniform", "yule"])
+    def test_random_trees(self, model):
+        rng = SplitMix64(7)
+        for n in range(1, 90, 4):
+            t = gen_random(n, RandomModel(model, rng.next_u64()), rooted=True)
+            assert dfs_index_fields(t) == dfs_index_by_nodes(t), n
+
+    def test_balanced_trees(self):
+        for m in range(9):
+            t = gen_balanced(m)
+            assert dfs_index_fields(t) == dfs_index_by_nodes(t), m
+            assert t.dfs().order == list(range(1, 2**m + 1))
+
+    def test_single_leaf(self):
+        for t in (RootedTree.leaf(7), parse_newick("7;")):
+            assert dfs_index_fields(t) == dfs_index_by_nodes(t)
+            assert (t.dfs().label, t.dfs().first.tolist(), t.dfs().pos) == ([7], [0], {7: 0})
+
+    def test_kept_on_the_node_asked(self):
+        """The index is built once per node it is asked of; reading the
+        leaves of a node builds none to keep."""
+        t = parse_newick("((1,2),(3,4));")
+        assert t.leaves == {1, 2, 3, 4} and t._dfs is None
+        assert t.dfs() is t.dfs()
+        assert t.left._dfs is None and t.left.leaves == {1, 2} and t.left._dfs is None
 
 
 class TestMetrics:

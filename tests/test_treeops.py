@@ -1,13 +1,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from agreetree._rng import SplitMix64
+from agreetree.exactmast import mast_rooted
 from agreetree.generators import (
     RandomModel,
     enumerate_topologies,
     gen_balanced,
     gen_random,
     gen_swap_pair,
+    relabel,
 )
+from agreetree.matchers import match1, match2
 from agreetree.treecore import RootedTree, TreeError, parse_newick, to_newick, unroot
 from agreetree.treeops import (
     AgreementError,
@@ -23,6 +27,7 @@ from oracles import (
     clusters,
     iso_rooted_search,
     iso_unrooted_search,
+    lca_by_postorder,
     restrict_rooted_by_postorder,
     restrict_unrooted_by_paths,
     splits,
@@ -45,6 +50,53 @@ class TestLca:
     def test_missing_label(self):
         with pytest.raises(TreeError):
             lca(gen_balanced(2), {9})
+
+    @pytest.mark.parametrize("model", ["uniform", "yule"])
+    def test_matches_postorder_count(self, model):
+        """The descent over DFS positions finds the node that the first
+        full count in postorder finds, for random X of every size."""
+        rng = SplitMix64(11)
+        for n in range(1, 60):
+            t = gen_random(n, RandomModel(model, rng.next_u64()), rooted=True)
+            labels = sorted(t.leaves)
+            for _ in range(5):
+                rng.shuffle(labels)
+                X = labels[: 1 + rng.randrange(n)]
+                assert lca(t, X) is lca_by_postorder(t, frozenset(X)), (n, X)
+
+
+def _repeating_one():
+    leaf, branch = RootedTree.leaf, RootedTree.branch
+    return branch(branch(leaf(1), leaf(2)), branch(leaf(3), leaf(1)))
+
+
+class TestRepeatedLabel:
+    """``RootedTree.branch`` lets a hand-built tree repeat a label.  Every
+    reader of the DFS positions names it; the writer does not need them,
+    and ``relabel`` keeps its own message."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: restrict(t, {1, 2}),
+            lambda t: verify_agreement(t, t, {1, 2}),
+            lambda t: mast_rooted(t, t),
+            lambda t: match1(t, t, 0.3),
+            lambda t: match2(t, t, 0.2),
+            lambda t: lca(t, {2, 3}),
+        ],
+        ids=["restrict", "verify_agreement", "mast_rooted", "match1", "match2", "lca"],
+    )
+    def test_named_as_duplicate(self, call):
+        with pytest.raises(TreeError, match="^duplicate leaf label 1$"):
+            call(_repeating_one())
+
+    def test_text_still_written(self):
+        t = _repeating_one()
+        assert to_newick(t) == "((1,2),(1,3));"
+        assert repr(t) == "<RootedTree '((1,2),(1,3));'>"
+        with pytest.raises(TreeError, match="^relabel mapping is not injective on the leaves$"):
+            relabel(t, {1: 1, 2: 2, 3: 3})
 
 
 class TestRestrict:
