@@ -27,7 +27,6 @@ from .bounds import (
 from .exactmast import mast_unrooted
 from .matchers import match1
 from .treecore import (
-    RootedTree,
     TreeError,
     UnrootedTree,
     _newick_tokens,
@@ -158,8 +157,7 @@ def ramsey_split(t, a: float = 0.5) -> RamseyOutcome:
     psi_v = psi(n, 1 - a)
     bal_threshold = slack_ceil(phi_v)
     path_threshold = slack_ceil(math.log2(n) ** psi_v)
-    rooted = t if isinstance(t, RootedTree) else root_at_leaf_edge(t)
-    best_height, leaves = largest_balanced(rooted)
+    best_height, leaves = largest_balanced(t)
     if best_height >= bal_threshold:
         return RamseyOutcome(
             "balanced", leaves, best_height, None, phi_v, psi_v, bal_threshold, path_threshold

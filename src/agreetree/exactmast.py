@@ -61,7 +61,8 @@ _WITNESSES = (lambda x: (x,), (), _merge, _pick)
 def _rooted_table(t: RootedTree):
     """(children, labels) per node in reversed DFS preorder; children are
     entry indices (None for a leaf) and the root entry is the last."""
-    label, nleaves = t.dfs().label, t.dfs().nleaves
+    ix = t.dfs()
+    label, nleaves, _ = ix.label, ix.nleaves, ix.pos  # pos names a repeated label before the DP
     last = len(label) - 1  # preorder number i is entry last - i
     kids = [
         None if label[i] else (last - i - 1, last - i - 2 * nleaves[i + 1]) for i in range(last, -1, -1)

@@ -432,7 +432,7 @@ def match2_multi(trees, delta: float) -> frozenset:
     for pos, nxt in enumerate(trees[2:], start=2):
         _, kept = largest_balanced(cur)
         cur_bal = restrict(cur, kept)
-        if not cur_bal.leaves & nxt.leaves:
+        if not cur_bal.dfs().pos.keys() & nxt.dfs().pos.keys():  # the indexes match2 reads
             logger.warning(
                 "match2_multi: empty intersection with tree %d; "
                 "returning the agreement of the first %d trees",

@@ -4,15 +4,16 @@ Two kinds of tree live here:
 
 * ``RootedTree``: a plain node structure.  Every internal node has
   exactly two children; a single-leaf tree is one node that is both root
-  and leaf.  Nodes cache no leaf sets.  The one numbering of a tree's
-  nodes is its ``DfsIndex`` (preorder numbers, leaf counts, DFS leaf
-  positions), which ``RootedTree.dfs`` builds once and keeps on the node
-  it is asked of; restriction, the matchers, the exact DP, the balanced
-  fold and the writer all read it.  No function recurses.
+  and leaf.  Nodes cache no leaf sets.  No function recurses.
 * ``UnrootedTree``: an adjacency map.  Every internal vertex has degree 3,
   leaves have degree 1, and at least three leaves are required (degree
   constraints force this).  Trees the package builds valid (parse,
   ``unroot``, the uniform generator) skip the full validation.
+
+Either kind's one numbering is its ``DfsIndex``, which ``dfs()`` builds
+once and keeps on the node or tree asked (an unrooted tree's indexes its
+default rooting, below); restriction, the matchers, the exact DP, the
+balanced fold and the writer read it.
 
 Leaf labels are positive integers, distinct within a tree.  There are no
 branch lengths and no internal labels.
@@ -31,11 +32,11 @@ isomorphic trees serialise identically.
 
 An unrooted tree is rooted one way by default: ``root_at_leaf_edge`` roots
 it on the pendant edge of its smallest leaf m, and ``to_newick`` writes it,
-straight from the adjacency, as that rooting "(m,(A,B));" with the inner
+from its DFS index, as that rooting "(m,(A,B));" with the inner
 parentheses dropped, "(m,A,B);".  ``root_at_edge`` and
 ``root_at_leaf_edge`` take ``keep``, a leaf subset, and then walk only the
-vertices spanning it and the branches they prune, which a span index (two
-int arrays kept on the tree) finds.
+vertices spanning it and the branches they prune, which the DFS positions
+in the tree's index find.
 
 All values are immutable after construction and all functions are pure.
 """
@@ -115,7 +116,8 @@ class RootedTree:
         return frozenset((self._dfs or DfsIndex(self)).order)
 
     def dfs(self) -> "DfsIndex":
-        """The DFS index of the tree below this node, built once and kept."""
+        """The DFS index below this node (of an unrooted tree: of its
+        default rooting), built once and kept."""
         if self._dfs is None:
             self._dfs = DfsIndex(self)
         return self._dfs
@@ -125,29 +127,57 @@ class RootedTree:
 
 
 class DfsIndex:
-    """A rooted tree's nodes numbered in preorder, left child first, by one
+    """A tree's nodes numbered in preorder, left child first, by one
     explicit-stack pass: node i has ``label[i]`` (None if internal),
     ``nleaves[i]`` and ``first[i]``, the DFS position of its first leaf;
     ``order`` lists the leaf labels in DFS order and ``pos`` maps each to
     its position.  The children of internal node i are i + 1 and
-    i + 2 * nleaves[i + 1], so reversed preorder lists children first."""
+    i + 2 * nleaves[i + 1], so reversed preorder lists children first.
+    An unrooted tree is walked as ``root_at_leaf_edge`` roots it, by
+    ``root_at_edge``'s own ``expand``, and ``number[w]`` is vertex w's
+    preorder number: an ``array('i')`` on vertex ids 0 … |V|-1, else a
+    dict (None for a rooted tree)."""
 
-    __slots__ = ("label", "nleaves", "first", "order", "_pos")
+    __slots__ = ("label", "nleaves", "first", "order", "number", "_pos")
 
-    def __init__(self, t: RootedTree):
-        label, nleaves, first, order = [], [], array("i"), []
-        stack = [t]
-        while stack:
-            node = stack.pop()
-            label.append(node.label)
-            nleaves.append(node.nleaves)
-            first.append(len(order))
-            if node.label is None:
-                stack += (node.right, node.left)
-            else:
-                order.append(node.label)
+    def __init__(self, t):
+        label, first, order = [], array("i"), []
+        if isinstance(t, RootedTree):
+            nleaves, number = [], None
+            stack = [t]
+            while stack:
+                node = stack.pop()
+                label.append(node.label)
+                nleaves.append(node.nleaves)
+                first.append(len(order))
+                if node.label is None:
+                    stack += (node.right, node.left)
+                else:
+                    order.append(node.label)
+        else:
+            n, v0 = len(t.adj), t.label_vertex[min(t.leaves)]
+            number = array("i", [0]) * n if min(t.adj) == 0 and max(t.adj) == n - 1 else {}
+            expand = _branches(t, (v0, t.adj[v0][0]))
+            stack = [None]
+            while stack:
+                item = stack.pop()
+                if item is not None:
+                    number[item[1]] = len(label)
+                first.append(len(order))
+                out = expand(item)
+                if type(out) is tuple:
+                    label.append(None)
+                    stack += (out[1], out[0])
+                else:
+                    label.append(out)
+                    order.append(out)
+            nleaves = [1] * len(label)
+            for i in range(len(label) - 1, -1, -1):  # children first
+                if label[i] is None:
+                    left = nleaves[i + 1]
+                    nleaves[i] = left + nleaves[i + 2 * left]
         self.label, self.nleaves, self.first, self.order = label, nleaves, first, order
-        self._pos = None
+        self.number, self._pos = number, None
 
     @property
     def pos(self) -> dict:
@@ -212,13 +242,13 @@ class UnrootedTree:
     meaning.  Instances are treated as immutable.
     """
 
-    __slots__ = ("adj", "leaf_label", "label_vertex", "_leaves", "_span")
+    __slots__ = ("adj", "leaf_label", "label_vertex", "_leaves", "_dfs")
 
     def __init__(self, adj: dict, leaf_label: dict):
         self.adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self.leaf_label = dict(leaf_label)
         self.label_vertex = {}
-        self._leaves = self._span = None
+        self._leaves = self._dfs = None
         self._validate()
 
     @classmethod
@@ -227,7 +257,7 @@ class UnrootedTree:
         only a repeated label, which ``RootedTree.branch`` allows, gets the full check."""
         t = cls.__new__(cls)
         t.adj = {v: tuple(ns) for v, ns in adj.items()}
-        t.leaf_label, t._leaves, t._span = leaf_label, None, None
+        t.leaf_label, t._leaves, t._dfs = leaf_label, None, None
         t.label_vertex = {lab: v for v, lab in leaf_label.items()}
         return t if len(t.label_vertex) == len(leaf_label) else cls(adj, leaf_label)
 
@@ -269,6 +299,8 @@ class UnrootedTree:
     @property
     def nleaves(self) -> int:
         return len(self.leaf_label)
+
+    dfs = RootedTree.dfs
 
     def edges(self) -> list:
         """Undirected edges as (u, v) with u < v, sorted."""
@@ -425,7 +457,7 @@ def root_at_edge(t: UnrootedTree, edge, keep=None) -> RootedTree:
     v's side right, every vertex's branches in the order of its sorted
     neighbours.  With ``keep`` set (a non-empty subset of the leaves) the
     result is the restriction to ``keep``, rooted at its MRCA; only nodes
-    over ``keep`` are built."""
+    over ``keep`` and the branches they prune are visited."""
     u, v = edge
     if u not in t.adj or v not in t.adj[u]:
         raise TreeError(f"edge {edge!r} not in tree")
@@ -435,56 +467,38 @@ def root_at_edge(t: UnrootedTree, edge, keep=None) -> RootedTree:
             raise TreeError("cannot restrict to an empty leaf set")
         if not keep <= t.leaves:
             raise TreeError(f"labels {sorted(keep - t.leaves)} not in tree")
+    return rebuild(None, _branches(t, edge, keep), keep)
+
+
+def _branches(t: UnrootedTree, edge, keep=None):
+    """``root_at_edge``'s ``expand``: item None is the new root over the
+    two sides of ``edge``, item (p, w) the branch at w away from p; with
+    ``keep``, a branch holding none of it is the label 0 (``rebuild`` drops it)."""
+    u, v = edge
     adj, leaf_label = t.adj, t.leaf_label
-    span = keep is not None and _span_index(t)
-    if span:
-        lo, hi = span
-        P = sorted(lo[t.label_vertex[x]] for x in keep)
+    if keep is not None:
+        ix = t.dfs()
+        number, first, nleaves = ix.number, ix.first, ix.nleaves
+        P = sorted(first[number[t.label_vertex[x]]] for x in keep)
 
     def expand(item):
-        """Item (p, w) is the branch at w away from p."""
         if item is None:
             return (v, u), (u, v)
         p, w = item
         if w in leaf_label:
             return leaf_label[w]
-        if span:  # the branch is w's interval, or the complement of p's when p is below w
-            below = hi[w] - lo[w] < hi[p] - lo[p]
-            a, b = (lo[w], hi[w]) if below else (lo[p], hi[p])
-            if bisect_left(P, b) - bisect_left(P, a) == (0 if below else len(P)):
-                return 0  # no kept leaf on the branch: rebuild drops the label 0
+        if keep is not None:  # the branch is node i's DFS interval, or the complement of node j's
+            i, j = number[w], number[p]
+            k = i if nleaves[i] < nleaves[j] else j  # the one below the other
+            held = bisect_left(P, first[k] + nleaves[k]) - bisect_left(P, first[k])
+            if held == (0 if k == i else len(P)):
+                return 0
         a, b, c = adj[w]
         if a == p:
             return (w, b), (w, c)
         return ((w, a), (w, c)) if b == p else ((w, a), (w, b))
 
-    return rebuild(None, expand, keep)
-
-
-def _span_index(t: UnrootedTree):
-    """(lo, hi), kept on ``t``: in one DFS from the smallest leaf v0, the
-    leaves below vertex w sit at positions lo[w] … hi[w]-1, and v0 spans
-    them all.  None (no index) when the vertex ids are not 0 … |V|-1."""
-    adj, leaf_label = t.adj, t.leaf_label
-    if t._span is None and min(adj) == 0 and max(adj) == len(adj) - 1:
-        lo, hi = array("i", [0]) * len(adj), array("i", [0]) * len(adj)
-        v0 = t.label_vertex[min(t.leaves)]
-        lo[v0], pos = 1, 2  # 0 marks a vertex not reached yet
-        stack = [~v0, adj[v0][0]]
-        while stack:
-            w = stack.pop()
-            if w < 0:  # every branch below ~w is done
-                hi[~w] = pos
-            elif not lo[w]:
-                lo[w] = pos
-                if w in leaf_label:
-                    pos += 1
-                    hi[w] = pos
-                else:
-                    stack.append(~w)
-                    stack += adj[w]  # the parent among them is reached already
-        t._span = lo, hi
-    return t._span
+    return expand
 
 
 def root_at_leaf_edge(t: UnrootedTree, keep=None) -> RootedTree:
@@ -622,34 +636,17 @@ def to_newick(t) -> str:
 
 def _newick_tokens(t) -> list:
     """``to_newick``'s tokens: leaf labels (ints), "(", ",", ")" and ";".
-    One pass, children first, orders each internal node's two children by
-    their smallest labels: over the reversed DFS index of a rooted tree, or
-    the adjacency in reversed BFS order from the smallest leaf v0."""
-    if isinstance(t, RootedTree):
-        ix = t.dfs()
-        label, nleaves = ix.label, ix.nleaves
-        kids, small = [None] * len(label), label[:]  # small: the smallest label below
-        for i in range(len(label) - 1, -1, -1):
-            if label[i] is None:
-                a, b = i + 1, i + 2 * nleaves[i + 1]
-                kids[i] = (a, b) if small[a] <= small[b] else (b, a)
-                small[i] = small[kids[i][0]]
-        stack = [";", 0]
-    else:
-        adj, label = t.adj, t.leaf_label
-        v0 = t.label_vertex[min(t.leaves)]
-        dist = _bfs(t, [v0])  # in BFS order: a vertex's children come after it
-        kids, small = {}, {}
-        for w in reversed(dist):
-            if w in label:
-                kids[w], small[w] = None, label[w]
-            else:
-                a, b = [x for x in adj[w] if dist[x] > dist[w]]
-                kids[w] = (a, b) if small[a] <= small[b] else (b, a)
-                small[w] = small[kids[w][0]]
-        a, b = kids[adj[v0][0]]
-        stack = [";", ")", b, ",", a, ",", v0, "("]
-    out = []
+    One pass over the reversed DFS index, children first, orders each
+    internal node's two children by their smallest labels."""
+    ix = t.dfs()
+    label, nleaves = ix.label, ix.nleaves
+    kids, small = [None] * len(label), label[:]  # small: the smallest label below
+    for i in range(len(label) - 1, -1, -1):
+        if label[i] is None:
+            a, b = i + 1, i + 2 * nleaves[i + 1]
+            kids[i] = (a, b) if small[a] <= small[b] else (b, a)
+            small[i] = small[kids[i][0]]
+    out, stack = [], [";", 0]
     while stack:
         x = stack.pop()
         if type(x) is str:
@@ -659,4 +656,6 @@ def _newick_tokens(t) -> list:
         else:
             out.append("(")
             stack += (")", kids[x][1], ",", kids[x][0])
+    if not isinstance(t, RootedTree):  # "(m,(A,B));" loses its second "(" and that one's ")"
+        del out[-3], out[3]
     return out

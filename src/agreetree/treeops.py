@@ -6,8 +6,8 @@ label-respecting isomorphic iff their canonical Newick texts (``to_newick``)
 are equal, so isomorphism and agreement certificates compare texts.  A
 rooted restriction is rooted at the most recent common ancestor of the kept
 leaves.  A restriction walks only the kept leaves' span and the branches it
-prunes, found by DFS positions (a rooted tree's ``DfsIndex``, an unrooted
-tree's ``_span_index``).
+prunes, found by DFS positions in the tree's ``DfsIndex`` (an unrooted
+tree's is that of its default rooting, which the balanced fold reads too).
 """
 
 from __future__ import annotations
@@ -131,9 +131,10 @@ def extract_balanced(t: RootedTree, k: int) -> frozenset:
     return _pick_balanced(t, k, b)
 
 
-def largest_balanced(t: RootedTree):
+def largest_balanced(t):
     """(max_balanced_height(t), extract_balanced(t, that height)) from one
-    fold of the tree."""
+    fold of the tree; an unrooted tree is folded as ``root_at_leaf_edge``
+    roots it."""
     b = _balanced_heights(t)
     return b[0], _pick_balanced(t, b[0], b)
 

@@ -80,9 +80,10 @@ def dfs_index_by_nodes(t: RootedTree) -> dict:
     }
 
 
-def dfs_index_fields(t: RootedTree) -> dict:
-    """The same fields read from ``t.dfs()``, the children of internal node
-    i by its rule: i + 1 and i + 2 * nleaves[i + 1]."""
+def dfs_index_fields(t) -> dict:
+    """The same fields read from ``t.dfs()`` (either tree kind), the
+    children of internal node i by its rule: i + 1 and
+    i + 2 * nleaves[i + 1]."""
     ix = t.dfs()
     return {
         "label": ix.label,
@@ -274,6 +275,42 @@ def to_newick_by_directed_edges(t: UnrootedTree) -> str:
             x, y = sorted(((v, w) for w in t.adj[v] if w != u), key=first.get)
             out.append("(")
             stack += [")", y, ",", x]
+    return "".join(out)
+
+
+def to_newick_by_bfs(t: UnrootedTree) -> str:
+    """Canonical unrooted Newick written from the adjacency in BFS order
+    from the smallest leaf v0: a reversed pass orders each internal
+    vertex's two children (its neighbours farther from v0) by their
+    smallest labels, then "(m,A,B);" is written from v0's neighbour."""
+    v0 = t.label_vertex[min(t.leaves)]
+    dist = {v0: 0}
+    queue = [v0]
+    for v in queue:  # grows while it is read: BFS order
+        for w in t.adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    kids, small = {}, {}
+    for w in reversed(queue):
+        if w in t.leaf_label:
+            kids[w], small[w] = None, t.leaf_label[w]
+        else:
+            a, b = [x for x in t.adj[w] if dist[x] > dist[w]]
+            kids[w] = (a, b) if small[a] <= small[b] else (b, a)
+            small[w] = small[kids[w][0]]
+    a, b = kids[t.adj[v0][0]]
+    out = []
+    stack = [";", ")", b, ",", a, ",", v0, "("]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        elif kids[x] is None:
+            out.append(str(t.leaf_label[x]))
+        else:
+            out.append("(")
+            stack += (")", kids[x][1], ",", kids[x][0])
     return "".join(out)
 
 

@@ -261,9 +261,10 @@ class TestAgreeGeneral:
         with pytest.raises(TreeError):
             agree_general(gen_caterpillar(4), gen_caterpillar(5))
 
-    def test_builds_two_full_size_trees(self, monkeypatch):
-        """Only ``ramsey_split`` roots the whole inputs; the balanced branch
-        roots the first tree keeping just the balanced leaf set."""
+    def test_balanced_branch_builds_no_full_size_tree(self, monkeypatch):
+        """``ramsey_split`` folds each input's DFS index, not a rooted copy
+        (2 full-size trees while it rooted both); the balanced branch roots
+        the first tree keeping just the balanced leaf set."""
         n = 512
         t1 = gen_random(n, RandomModel("uniform", 1))
         t2 = gen_random(n, RandomModel("uniform", 2))
@@ -280,15 +281,16 @@ class TestAgreeGeneral:
             if name.startswith("agreetree") and getattr(module, "rebuild", None) is original:
                 monkeypatch.setattr(module, "rebuild", counting)
         agree_general(t1, t2)
-        assert built.count(n) == 2, built
+        assert built.count(n) == 0, built
 
     def test_path_branch_builds_no_full_size_tree(self, monkeypatch):
         """When the first tree is a caterpillar its maximum caterpillar is
         every leaf, and ``caterpillar_agree`` reads both inputs as they are,
-        not restricted copies, and ``circular_leaf_order`` reads the second
-        tree without a rooted copy.  The full-size trees left are the two
-        roots ``ramsey_split`` builds (3 while the circular order was read
-        from ``to_newick``, 5 when the branch copied)."""
+        not restricted copies, and ``circular_leaf_order`` and
+        ``ramsey_split`` read the trees' DFS indexes, so no full-size tree
+        is built (2 while ``ramsey_split`` rooted both inputs, 3 while the
+        circular order was read from ``to_newick``, 5 when the branch
+        copied)."""
         n = 512
         t1 = gen_caterpillar(n)
         t2 = gen_random(n, RandomModel("uniform", 3))
@@ -307,4 +309,4 @@ class TestAgreeGeneral:
         for first, second in ((t1, t2), (t2, t1)):
             built.clear()
             agree_general(first, second)
-            assert built.count(n) == 2, built
+            assert built.count(n) == 0, built

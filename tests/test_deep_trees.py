@@ -7,7 +7,9 @@ supertree of the required height would have 2^36 leaves.  ``match1`` runs a bala
 per-node leaf sets), and ``match2`` two balanced 2^14-leaf trees.  CLI
 ``agree`` runs the 20,000-leaf caterpillar (path branch) against a
 relabelled 20,000-leaf uniform tree (balanced branch).  The rooted
-caterpillar's DFS index equals the naive node walk of ``tests/oracles.py``.
+caterpillar's DFS index equals the naive node walk of ``tests/oracles.py``,
+the unrooted one's equals that of its rooting at the smallest leaf's
+pendant edge, and its text equals the oracles' BFS writer.
 
 The checks run in a fresh interpreter whose address space is capped at
 1 GiB, so a quadratic leaf-set cache fails there with MemoryError instead of
@@ -43,7 +45,7 @@ from agreetree.cli import main
 from agreetree.treecore import root_at_leaf_edge
 
 sys.path.insert(0, sys.argv[1])
-from oracles import dfs_index_by_nodes, dfs_index_fields
+from oracles import dfs_index_by_nodes, dfs_index_fields, to_newick_by_bfs
 
 assert sys.getrecursionlimit() == limit, (limit, sys.getrecursionlimit())
 
@@ -53,6 +55,8 @@ rooted = gen_caterpillar(N, rooted=True)
 assert dfs_index_fields(rooted) == dfs_index_by_nodes(rooted)
 unrooted = gen_caterpillar(N)
 unrooted_text = to_newick(unrooted)
+assert unrooted_text == to_newick_by_bfs(unrooted)
+assert dfs_index_fields(unrooted) == dfs_index_fields(root_at_leaf_edge(unrooted))
 reverse = {i: N + 1 - i for i in range(1, N + 1)}
 for t in (rooted, unrooted):
     text = to_newick(t)

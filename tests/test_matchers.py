@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from agreetree import treecore
 from agreetree._rng import SplitMix64
 from agreetree.bounds import (
     alpha,
@@ -349,6 +350,22 @@ class TestMatch2Multi:
         for i in range(3):
             for j in range(i + 1, 3):
                 verify_agreement(trees[i], trees[j], leaves)
+
+    def test_builds_no_throwaway_index(self, monkeypatch):
+        """The shared-leaf check reads the DFS indexes ``match2`` goes on
+        to use: 3 ``DfsIndex`` builds on three permuted balanced trees (4
+        while it intersected ``.leaves``, which builds one and drops it)."""
+        trees = [permuted_balanced(6, seed) for seed in (1, 2, 3)]
+        original = treecore.DfsIndex.__init__
+        built = []
+
+        def counting(self, t):
+            built.append(t)
+            original(self, t)
+
+        monkeypatch.setattr(treecore.DfsIndex, "__init__", counting)
+        match2_multi(trees, DELTA2)
+        assert len(built) == 3
 
     def test_needs_two(self):
         with pytest.raises(TreeError):

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +33,7 @@ from agreetree.treecore import (
     rebuild,
     root_at_edge,
     root_at_leaf_edge,
+    side_leaves,
     to_newick,
     unroot,
 )
@@ -48,6 +51,7 @@ from oracles import (
     restrict_rooted_by_postorder,
     restrict_unrooted_by_rooting,
     root_at_edge_by_stack,
+    to_newick_by_bfs,
     to_newick_by_directed_edges,
 )
 
@@ -229,9 +233,10 @@ class TestSerialise:
         assert to_newick(gen_extremal_fhk(2, 1)) == "((1,2),3);"
 
     def test_unrooted_text_equals_directed_edge_fold(self):
-        """Unrooted text is written from the adjacency; the reference fold
-        over directed edges, and the rooting at the smallest leaf's pendant
-        edge with its inner parentheses dropped, give the same bytes."""
+        """Unrooted text is written from the tree's DFS index; the reference
+        fold over directed edges, the BFS writer it replaced, and the
+        rooting at the smallest leaf's pendant edge with its inner
+        parentheses dropped, give the same bytes."""
         rng = SplitMix64(5)
         trees = [
             gen_random(n, RandomModel(model, n))
@@ -245,7 +250,7 @@ class TestSerialise:
             labels = list(range(1, 3 * t.nleaves + 1))
             rng.shuffle(labels)
             t = relabel(t, dict(zip(sorted(t.leaves), labels)))
-            assert to_newick(t) == to_newick_by_directed_edges(t)
+            assert to_newick(t) == to_newick_by_directed_edges(t) == to_newick_by_bfs(t)
             r = root_at_leaf_edge(t)
             assert to_newick(t) == f"({r.left.label},{to_newick(r.right)[1:]}"
 
@@ -280,6 +285,37 @@ class TestDfsIndex:
         for t in (RootedTree.leaf(7), parse_newick("7;")):
             assert dfs_index_fields(t) == dfs_index_by_nodes(t)
             assert (t.dfs().label, t.dfs().first.tolist(), t.dfs().pos) == ([7], [0], {7: 0})
+
+    def test_unrooted_is_the_leaf_edge_rooting(self):
+        """``UnrootedTree.dfs`` equals the index of ``root_at_leaf_edge``,
+        and ``number`` gives each vertex the preorder number of the branch
+        it heads: an array on vertex ids 0 … |V|-1, a dict on others."""
+        rng = SplitMix64(11)
+        trees = [
+            gen_random(n, RandomModel(model, rng.next_u64()))
+            for model in ("uniform", "yule")
+            for n in range(3, 90, 4)
+        ]
+        trees += [gen_caterpillar(n) for n in (3, 4, 5, 17, 40)]
+        trees += [gen_class_b(m) for m in range(2, 6)] + [gen_class_c(m) for m in range(1, 6)]
+        last = trees[-1]
+        trees.append(
+            UnrootedTree(
+                {v + 100: [w + 100 for w in ns] for v, ns in last.adj.items()},
+                {v + 100: lab for v, lab in last.leaf_label.items()},
+            )
+        )
+        for t in trees:
+            assert dfs_index_fields(t) == dfs_index_fields(root_at_leaf_edge(t)), to_newick(t)
+            ix = t.dfs()
+            numbers = sorted(ix.number[w] for w in t.adj)
+            assert numbers == list(range(1, len(ix.label)))
+            for w, ns in t.adj.items():
+                below = frozenset(ix.leaves(ix.number[w]))
+                assert sum(below == side_leaves(t, p, w) for p in ns) == 1
+        assert isinstance(trees[0].dfs().number, array)
+        assert isinstance(trees[-1].dfs().number, dict)
+        assert trees[0].dfs() is trees[0].dfs()
 
     def test_kept_on_the_node_asked(self):
         """The index is built once per node it is asked of; reading the
@@ -424,9 +460,9 @@ class TestRooting:
                     restrict(root_at_leaf_edge(t), X)
                 )
 
-    def test_keep_without_span_index(self):
-        """Vertex ids other than 0 … |V|-1 leave a tree without a span index;
-        its restrictions walk in full and come out the same."""
+    def test_keep_on_shifted_vertex_ids(self):
+        """Vertex ids other than 0 … |V|-1 number their vertices in a dict;
+        their restrictions take the same pruned walk and come out the same."""
         t = gen_random(40, RandomModel("uniform", 5))
         shifted = UnrootedTree(
             {v + 100: [w + 100 for w in ns] for v, ns in t.adj.items()},

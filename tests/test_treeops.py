@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agreetree._rng import SplitMix64
+from agreetree import exactmast
 from agreetree.exactmast import mast_rooted
 from agreetree.generators import (
     RandomModel,
@@ -90,6 +91,17 @@ class TestRepeatedLabel:
     def test_named_as_duplicate(self, call):
         with pytest.raises(TreeError, match="^duplicate leaf label 1$"):
             call(_repeating_one())
+
+    def test_mast_rooted_names_it_before_the_table(self, monkeypatch):
+        """The exact DP reads the DFS positions first, so a repeated label
+        fails before the quadratic table is filled."""
+
+        def table(*args):
+            raise AssertionError("the table was filled")
+
+        monkeypatch.setattr(exactmast, "_mast_table", table)
+        with pytest.raises(TreeError, match="^duplicate leaf label 1$"):
+            mast_rooted(_repeating_one(), _repeating_one())
 
     def test_text_still_written(self):
         t = _repeating_one()
