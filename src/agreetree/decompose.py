@@ -33,7 +33,6 @@ from .treecore import (
     diameter_path,
     is_caterpillar,
     root_at_leaf_edge,
-    side_leaves,
     unroot,
 )
 from .treeops import largest_balanced, restrict, verify_agreement
@@ -58,7 +57,7 @@ def max_caterpillar(t: UnrootedTree) -> frozenset:
     vertex, so one leaf more than the path has edges."""
     path, hanging = _spine(t)
     labels = [t.leaf_label[path[0]], t.leaf_label[path[-1]]]
-    return frozenset(labels + [min(side_leaves(t, v, w)) for v, w in hanging])
+    return frozenset(labels + [min(t.dfs().side(v, w)) for v, w in hanging])
 
 
 # --------------------------------------------------------------------------

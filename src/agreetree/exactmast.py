@@ -4,11 +4,11 @@ One recurrence, the quadratic node-pair DP of Steel & Warnow ("Kaikoura
 tree theorems", IPL 1993), fills every exact table here.  It runs over
 tables of subtrees listed children before parents: a rooted tree is its
 nodes in reversed DFS preorder (``RootedTree.dfs``), so the root entry is
-the last; an unrooted tree is its
-2E directed edges (each names the pending rooted subtree on its far side)
-followed by one root entry per edge, as ``root_at_edge`` roots it.  The
-recurrence takes one of two value types: sizes (merged by ``+``, picked by
-``max``) or sorted witness leaf tuples.
+the last.  An unrooted tree is read from the same index of its default
+rooting: the branch below each node, then the branch above each node, then
+one root entry per edge, as ``root_at_edge`` roots it.  The recurrence
+takes one of two value types: sizes (merged by ``+``, picked by ``max``)
+or sorted witness leaf tuples.
 
 ``mast_rooted`` reads the root cell of the witness table.  ``mast_unrooted``
 fills the size table of the two unrooted tables, takes the first maximising
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .generators import enumerate_topologies, guards_lifted
-from .treecore import RootedTree, UnrootedTree, directed_postorder, root_at_edge
+from .treecore import RootedTree, UnrootedTree, root_at_edge
 from .treeops import AgreementCertificate, is_isomorphic, restrict, verify_agreement
 
 BRUTEFORCE_GUARD = 12
@@ -58,9 +58,10 @@ _SIZES = (lambda x: 1, 0, operator.add, max)
 _WITNESSES = (lambda x: (x,), (), _merge, _pick)
 
 
-def _rooted_table(t: RootedTree):
-    """(children, labels) per node in reversed DFS preorder; children are
-    entry indices (None for a leaf) and the root entry is the last."""
+def _rooted_table(t):
+    """(children, labels) per node of ``t.dfs()`` in reversed preorder;
+    children are entry indices (None for a leaf) and the root entry is the
+    last."""
     ix = t.dfs()
     label, nleaves, _ = ix.label, ix.nleaves, ix.pos  # pos names a repeated label before the DP
     last = len(label) - 1  # preorder number i is entry last - i
@@ -71,19 +72,24 @@ def _rooted_table(t: RootedTree):
 
 
 def _unrooted_table(t: UnrootedTree):
-    """(children, labels) for the 2E directed edges, then one root entry per
-    edge (u, v) of ``t.edges()`` with children (u side, v side)."""
-    dirs = directed_postorder(t, [(u, v) for u in t.adj for v in t.adj[u]])
-    index = {e: i for i, e in enumerate(dirs)}
-    kids = [
-        None if v in t.leaf_label else tuple(index[(v, w)] for w in t.adj[v] if w != u)
-        for u, v in dirs
-    ]
-    labels = [t.leaf_label.get(v) for _, v in dirs]
+    """(children, labels) for ``_rooted_table`` of ``t.dfs()``, one entry
+    below each node; then the branch above each node i >= 3, (above its
+    parent, its sibling), in the order of the parents (above node 1 or 2 is
+    its sibling); then one root entry per edge of ``t.edges()``, (its lower
+    end, above it)."""
+    kids, labels = _rooted_table(t)
+    ix, size = t.dfs(), len(kids)  # node i is entry size - 1 - i
+    up = [None, size - 3, size - 2] + [None] * (size - 3)  # entry above node i
+    for p in range(2, size):
+        if ix.label[p] is None:
+            a, b = p + 1, p + 2 * ix.nleaves[p + 1]
+            for c, sibling in ((a, b), (b, a)):
+                up[c] = len(kids)
+                kids.append((up[p], size - 1 - sibling))
     for u, v in t.edges():
-        kids.append((index[(v, u)], index[(u, v)]))
-        labels.append(None)
-    return kids, labels
+        k = max(ix.number[u], ix.number[v])  # the lower end
+        kids.append((size - 1 - k, up[k]))
+    return kids, labels + [None] * (len(kids) - size)
 
 
 def _mast_table(table1, table2, one, zero, merge, pick):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ._rng import SplitMix64
 from .bounds import f_closed
-from .treecore import RootedTree, TreeError, UnrootedTree, rebuild, unroot
+from .treecore import RootedTree, TreeError, UnrootedTree, _number_preorder, rebuild, unroot
 
 UNIFORM = "uniform"
 YULE = "yule"
@@ -91,24 +91,9 @@ def gen_class_c(m: int) -> UnrootedTree:
     """Unrooted balanced tree with a vertex center and 3 * 2^(m-1) leaves."""
     if m < 1:
         raise ValueError("class-C trees need m >= 1")
-    adj = {0: []}
-    labels = {}
-    counter = itertools.count(1)
-    next_label = itertools.count(1)
-
-    def bal(parent, depth):
-        vid = next(counter)
-        adj[vid] = [parent]
-        adj[parent].append(vid)
-        if depth == 0:
-            labels[vid] = next(next_label)
-        else:
-            bal(vid, depth - 1)
-            bal(vid, depth - 1)
-
-    for _ in range(3):
-        bal(0, m - 1)
-    return UnrootedTree(adj, labels)
+    h = 2 ** (m - 1)
+    branches = [rebuild(range(1 + j * h, 1 + (j + 1) * h), _halves) for j in range(3)]
+    return _number_preorder({0: []}, [(node, 0) for node in reversed(branches)])
 
 
 def gen_extremal_fhk(h: int, k: int) -> RootedTree:
@@ -187,20 +172,9 @@ class _MNode:
         self.left = left
         self.right = right
 
-
-def _freeze(root: _MNode) -> RootedTree:
-    built = []  # finished subtrees, left before right
-    stack = [(root, False)]  # (node, children built)
-    while stack:
-        node, expanded = stack.pop()
-        if node.label is not None:
-            built.append(RootedTree.leaf(node.label))
-        elif expanded:
-            right = built.pop()
-            built[-1] = RootedTree.branch(built[-1], right)
-        else:
-            stack += [(node, True), (node.right, False), (node.left, False)]
-    return built[0]
+    def expand(self):
+        """``rebuild`` callback: the leaf label, or the two children."""
+        return self.label if self.label is not None else (self.left, self.right)
 
 
 def _uniform_rooted(n: int, rng: SplitMix64) -> RootedTree:
@@ -222,7 +196,7 @@ def _uniform_rooted(n: int, rng: SplitMix64) -> RootedTree:
             setattr(parent, side, mid)
             edges.append((mid, "left"))
             edges.append((mid, "right"))
-    return _freeze(root)
+    return rebuild(root, _MNode.expand)
 
 
 def _yule_rooted(n: int, rng: SplitMix64) -> RootedTree:
@@ -240,7 +214,7 @@ def _yule_rooted(n: int, rng: SplitMix64) -> RootedTree:
         node.label = None
         tips[i] = node.left
         tips.append(node.right)
-    return _freeze(root)
+    return rebuild(root, _MNode.expand)
 
 
 def _uniform_unrooted(n: int, rng: SplitMix64) -> UnrootedTree:

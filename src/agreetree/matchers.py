@@ -43,8 +43,6 @@ from .treecore import (
     classify_balanced,
     radius,
     root_at_edge,
-    root_at_leaf_edge,
-    side_leaves,
 )
 from .treeops import largest_balanced, restrict
 
@@ -161,8 +159,9 @@ def match1(t1: RootedTree, t2: RootedTree, delta: float):
     return _match1_walk(t1, t2, delta)
 
 
-def _match1_walk(t1: RootedTree, t2: RootedTree, delta: float):
-    """match1 without the balance check on t1.
+def _match1_walk(t1: RootedTree, t2, delta: float):
+    """match1 without the balance check on t1; an unrooted t2 is read as
+    its default rooting, which its DFS index numbers.
 
     Make t1 balanced by growing each shallow leaf x into a subtree of x and
     new labels.  The walk reads only shared-leaf counts, and from a node
@@ -327,7 +326,7 @@ def _center_branches(t: UnrootedTree) -> list:
     """The leaf sets of the three branches at the center vertex of a
     vertex-centered tree, sorted by smallest leaf label."""
     (z,) = center(t)
-    return sorted((side_leaves(t, z, w) for w in t.adj[z]), key=min)
+    return sorted((t.dfs().side(z, w) for w in t.adj[z]), key=min)
 
 
 def _root_near_center(t: UnrootedTree) -> RootedTree:
@@ -337,7 +336,7 @@ def _root_near_center(t: UnrootedTree) -> RootedTree:
     if len(c) == 2:
         return root_at_edge(t, tuple(sorted(c)))
     (z,) = c
-    w = min(t.adj[z], key=lambda w: min(side_leaves(t, z, w)))
+    w = min(t.adj[z], key=lambda w: min(t.dfs().side(z, w)))
     return root_at_edge(t, (z, w))
 
 
@@ -361,7 +360,7 @@ def match1_unrooted(t1: UnrootedTree, t2: UnrootedTree, delta: float) -> frozens
             return frozenset(t1.leaves)  # 3 leaves: the unique topology
         keep = t1.leaves - max(_center_branches(t1), key=min)
         return match1_unrooted(restrict(t1, keep), restrict(t2, keep), delta)
-    leaves, _ = match1(_root_near_center(t1), root_at_leaf_edge(t2), delta)
+    leaves, _ = _match1_walk(_root_near_center(t1), t2, delta)  # t1 is class B: balanced
     return leaves
 
 
@@ -486,7 +485,7 @@ def match_almost_balanced(
             )
         if delta is None:
             delta = delta_for_alpha_k(k)
-        leaves, _ = _match1_walk(_root_near_center(t1), root_at_leaf_edge(t2), delta)
+        leaves, _ = _match1_walk(_root_near_center(t1), t2, delta)
         return leaves, mode, delta
     if mode != "both":
         raise ValueError(f"mode must be auto, single, or both, got {mode!r}")

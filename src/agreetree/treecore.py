@@ -13,7 +13,9 @@ Two kinds of tree live here:
 Either kind's one numbering is its ``DfsIndex``, which ``dfs()`` builds
 once and keeps on the node or tree asked (an unrooted tree's indexes its
 default rooting, below); restriction, the matchers, the exact DP, the
-balanced fold and the writer read it.
+balanced fold and the writer read it.  So does every reader of an
+unrooted tree's branches: an edge's lower end in that rooting is the end
+with the larger preorder number, and ``DfsIndex.side`` reads either side.
 
 Leaf labels are positive integers, distinct within a tree.  There are no
 branch lengths and no internal labels.
@@ -201,6 +203,14 @@ class DfsIndex:
         hi = lo + self.nleaves[i]
         return [x for x in labels if lo <= get(x, -1) < hi]
 
+    def side(self, p, w) -> frozenset:
+        """The leaf labels on vertex w's side of edge p-w of an unrooted
+        tree: the slice of ``order`` below the edge's lower end (its larger
+        preorder number), or the rest of ``order``."""
+        k, order = max(self.number[p], self.number[w]), self.order
+        lo, hi = self.first[k], self.first[k] + self.nleaves[k]
+        return frozenset(order[lo:hi] if k == self.number[w] else order[:lo] + order[hi:])
+
 
 _JOIN = object()  # stack marker: join the last two built subtrees
 
@@ -308,38 +318,6 @@ class UnrootedTree:
 
     def __repr__(self):
         return f"<UnrootedTree {to_newick(self)!r}>"
-
-
-def directed_postorder(t: UnrootedTree, starts) -> list:
-    """The directed edges below the ``starts``, each once, children before
-    parents.  A directed edge (u, v) names the branch on v's side of edge
-    u-v; its children are the edges (v, w) with w != u."""
-    out = []
-    seen = set()
-    for start in starts:
-        if start in seen:
-            continue  # already walked below an earlier start
-        seen.add(start)
-        stack = [(start, False)]
-        while stack:
-            edge, expanded = stack.pop()
-            if expanded:
-                out.append(edge)
-                continue
-            stack.append((edge, True))
-            u, v = edge
-            for w in t.adj[v]:
-                if w != u and (v, w) not in seen:
-                    seen.add((v, w))
-                    stack.append(((v, w), False))
-    return out
-
-
-def side_leaves(t: UnrootedTree, u: int, v: int) -> frozenset:
-    """Leaf labels on v's side of edge u-v."""
-    return frozenset(
-        t.leaf_label[b] for _, b in directed_postorder(t, [(u, v)]) if b in t.leaf_label
-    )
 
 
 def _bfs(t: UnrootedTree, sources) -> dict:
@@ -489,7 +467,7 @@ def _branches(t: UnrootedTree, edge, keep=None):
             return leaf_label[w]
         if keep is not None:  # the branch is node i's DFS interval, or the complement of node j's
             i, j = number[w], number[p]
-            k = i if nleaves[i] < nleaves[j] else j  # the one below the other
+            k = i if i > j else j  # the lower end: the larger preorder number
             held = bisect_left(P, first[k] + nleaves[k]) - bisect_left(P, first[k])
             if held == (0 if k == i else len(P)):
                 return 0

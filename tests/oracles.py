@@ -12,7 +12,6 @@ from agreetree.treecore import (
     NewickError,
     RootedTree,
     UnrootedTree,
-    directed_postorder,
     root_at_edge,
     unroot,
 )
@@ -246,6 +245,55 @@ def restrict_unrooted_by_rooting(t: UnrootedTree, X) -> UnrootedTree:
     """Root at the pendant edge of min(X), restrict, unroot."""
     v = t.label_vertex[min(X)]
     return unroot(restrict_rooted_by_postorder(root_at_edge_by_stack(t, (v, t.adj[v][0])), X))
+
+
+def directed_postorder(t: UnrootedTree, starts) -> list:
+    """The directed edges below the ``starts``, each once, children before
+    parents.  A directed edge (u, v) names the branch on v's side of edge
+    u-v; its children are the edges (v, w) with w != u."""
+    out = []
+    seen = set()
+    for start in starts:
+        if start in seen:
+            continue  # already walked below an earlier start
+        seen.add(start)
+        stack = [(start, False)]
+        while stack:
+            edge, expanded = stack.pop()
+            if expanded:
+                out.append(edge)
+                continue
+            stack.append((edge, True))
+            u, v = edge
+            for w in t.adj[v]:
+                if w != u and (v, w) not in seen:
+                    seen.add((v, w))
+                    stack.append(((v, w), False))
+    return out
+
+
+def side_leaves(t: UnrootedTree, u: int, v: int) -> frozenset:
+    """Leaf labels on v's side of edge u-v, by walking that branch."""
+    return frozenset(
+        t.leaf_label[b] for _, b in directed_postorder(t, [(u, v)]) if b in t.leaf_label
+    )
+
+
+def unrooted_table_by_directed_edges(t: UnrootedTree):
+    """An unrooted MAST table as (children, labels): the 2E directed edges
+    in postorder, each the branch on its far side, then one root entry per
+    edge (u, v) of ``t.edges()`` with children (u side, v side)."""
+    dirs = directed_postorder(t, [(u, v) for u in t.adj for v in t.adj[u]])
+    index = {e: i for i, e in enumerate(dirs)}
+    kids = [
+        None if v in t.leaf_label else tuple(index[(v, w)] for w in t.adj[v] if w != u)
+        for u, v in dirs
+    ]
+    labels = [t.leaf_label.get(v) for _, v in dirs]
+    for u, v in t.edges():
+        kids.append((index[(v, u)], index[(u, v)]))
+        labels.append(None)
+    return kids, labels
 
 
 def to_newick_by_directed_edges(t: UnrootedTree) -> str:
@@ -660,3 +708,27 @@ def parse_newick_two_pass(text: str):
         else:
             nodes[item] = RootedTree.branch(nodes[ks[0]], nodes[ks[1]])
     return nodes[0]
+
+
+def class_c_by_recursion(m: int) -> UnrootedTree:
+    """The class-C tree on 3 * 2^(m-1) leaves built by a recursive walk:
+    centre 0, then three balanced branches of height m-1, vertices and
+    labels numbered in preorder."""
+    adj = {0: []}
+    labels = {}
+    vertices = count(1)
+    next_label = count(1)
+
+    def bal(parent, depth):
+        vid = next(vertices)
+        adj[vid] = [parent]
+        adj[parent].append(vid)
+        if depth == 0:
+            labels[vid] = next(next_label)
+        else:
+            bal(vid, depth - 1)
+            bal(vid, depth - 1)
+
+    for _ in range(3):
+        bal(0, m - 1)
+    return UnrootedTree(adj, labels)

@@ -3,7 +3,11 @@ from itertools import combinations
 import pytest
 
 from agreetree.exactmast import (
+    _SIZES,
+    _WITNESSES,
+    _mast_table,
     _rooted_size,
+    _unrooted_table,
     mast_bruteforce,
     mast_floor,
     mast_rooted,
@@ -19,10 +23,10 @@ from agreetree.generators import (
     relabel,
 )
 from agreetree._rng import SplitMix64
-from agreetree.treecore import parse_newick, root_at_edge
+from agreetree.treecore import UnrootedTree, parse_newick, root_at_edge, to_newick
 from agreetree.treeops import restrict, verify_agreement
 
-from oracles import clusters, mast_subsets_unrooted
+from oracles import clusters, mast_subsets_unrooted, unrooted_table_by_directed_edges
 
 
 def _random_rooted(n, seed):
@@ -145,6 +149,34 @@ class TestUnrooted:
             )
             want = mast_rooted(root_at_edge(a, e1), root_at_edge(b, e2)).witness
             assert mast_unrooted(a, b).witness == want, (a, b)
+
+    def test_table_from_index_equals_directed_edge_table(self):
+        """The table read from each tree's DFS index gives the same value at
+        every pair of rootings as the table of directed edges: sizes on
+        seeded uniform and Yule pairs, caterpillars, parsed and shifted
+        vertex ids; witnesses on the smaller pairs."""
+        rng = SplitMix64(15)
+        pairs = []
+        for model in ("uniform", "yule"):
+            for n in list(range(3, 40, 3)) + [64]:
+                a, b = (gen_random(n, RandomModel(model, rng.next_u64())) for _ in "ab")
+                pairs.append((a, b))
+                pairs.append((parse_newick(to_newick(b)), a))
+        pairs.append((gen_caterpillar(17), _random_unrooted(17, 4)))
+        a, b = pairs[5]  # n = 9, parsed first tree
+        shifted = UnrootedTree(
+            {v + 7: [w + 7 for w in ns] for v, ns in b.adj.items()},
+            {v + 7: lab for v, lab in b.leaf_label.items()},
+        )
+        pairs.append((a, shifted))
+        for a, b in pairs:
+            E1, E2 = len(a.edges()), len(b.edges())
+            for values in (_SIZES, _WITNESSES) if a.nleaves <= 12 else (_SIZES,):
+                blocks = [
+                    [row[-E2:] for row in _mast_table(table(a), table(b), *values)[-E1:]]
+                    for table in (_unrooted_table, unrooted_table_by_directed_edges)
+                ]
+                assert blocks[0] == blocks[1], (to_newick(a), to_newick(b))
 
     def test_caterpillar_vs_balanced_at_most_logarithmic(self):
         for m in (2, 3, 4):

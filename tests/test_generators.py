@@ -9,6 +9,7 @@ from agreetree.generators import (
     enumerate_topologies,
     gen_balanced,
     gen_caterpillar,
+    gen_class_c,
     gen_extremal_fhk,
     gen_random,
     gen_swap_pair,
@@ -25,7 +26,7 @@ from agreetree.treecore import (
     to_newick,
 )
 
-from oracles import ordered_text
+from oracles import class_c_by_recursion, ordered_text
 
 
 class TestBalanced:
@@ -82,7 +83,24 @@ class TestCaterpillar:
         assert t.leaf_label == {v: v + 1 for v in range(5)}
 
 
+class TestClassC:
+    def test_equals_recursive_construction(self):
+        """Three balanced branches joined at vertex 0 give the vertex ids,
+        neighbour order and labels of the recursive preorder walk."""
+        for m in range(1, 8):
+            t, ref = gen_class_c(m), class_c_by_recursion(m)
+            assert list(t.adj.items()) == list(ref.adj.items()), m
+            assert t.leaf_label == ref.leaf_label, m
+
+
 class TestRandom:
+    def test_rooted_child_order(self):
+        """The node structure is copied left child first, as it was built."""
+        t = gen_random(9, RandomModel("uniform", 3), rooted=True)
+        assert ordered_text(t) == "(((((1,2),(3,4)),5),(7,8)),(6,9))"
+        t = gen_random(9, RandomModel("yule", 3), rooted=True)
+        assert ordered_text(t) == "((((1,9),7),4),(((2,8),5),(3,6)))"
+
     def test_three_leaves_unique(self):
         assert to_newick(gen_random(3, RandomModel("uniform", 123))) == "(1,2,3);"
 

@@ -68,6 +68,23 @@ def random_subset_tree(m, t, seed, model="uniform"):
     return relabel(shape, {i + 1: chosen[i] for i in range(t)})
 
 
+def count_builds(monkeypatch) -> list:
+    """Patch ``rebuild`` wherever agreetree imported it; the list returned
+    collects the leaf count of every tree built from then on."""
+    original = treecore.rebuild
+    built = []
+
+    def counting(*args, **kwargs):
+        out = original(*args, **kwargs)
+        built.append(0 if out is None else out.nleaves)
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("agreetree") and getattr(module, "rebuild", None) is original:
+            monkeypatch.setattr(module, "rebuild", counting)
+    return built
+
+
 def permuted_balanced(m, seed):
     rng = SplitMix64(seed)
     perm = list(range(1, 2**m + 1))
@@ -302,6 +319,25 @@ class TestMatch1Unrooted:
         with pytest.raises(TreeError, match="balanced"):
             match1_unrooted(t, t, DELTA1)
 
+    def test_equals_match1_on_the_leaf_edge_rooting(self):
+        """The second tree is walked through its DFS index, which numbers
+        its rooting at the smallest leaf's pendant edge."""
+        rng = SplitMix64(10)
+        for m in range(2, 8):
+            t1 = gen_class_b(m)
+            t2 = gen_random(2**m, RandomModel("yule", rng.next_u64()))
+            want, _ = match1(_root_near_center(t1), root_at_leaf_edge(t2), DELTA1)
+            assert match1_unrooted(t1, t2, DELTA1) == want, m
+
+    def test_builds_one_full_size_tree(self, monkeypatch):
+        """Only the first tree is rooted in full, at its central edge (2
+        full-size trees while the second was rooted at its leaf edge)."""
+        t1 = gen_class_b(9)
+        t2 = gen_random(512, RandomModel("uniform", 4))
+        built = count_builds(monkeypatch)
+        match1_unrooted(t1, t2, DELTA1)
+        assert built.count(512) == 1, built
+
 
 class TestMatch2Unrooted:
     def test_identical_class_b(self):
@@ -381,6 +417,15 @@ class TestMatchAlmostBalanced:
         assert leaves and mode == "single"
         verify_agreement(t1, t2, leaves)
         assert leaves <= t1.leaves
+
+    def test_single_mode_builds_one_full_size_tree(self, monkeypatch):
+        """Mode "single" roots only the first tree in full, near its center
+        (2 full-size trees while the second was rooted at its leaf edge)."""
+        t1 = gen_class_b(9)
+        t2 = gen_random(512, RandomModel("yule", 4))
+        built = count_builds(monkeypatch)
+        match_almost_balanced(t1, t2, 2, mode="single")
+        assert built.count(512) == 1, built
 
     def test_both_mode_guarantee(self):
         rng = SplitMix64(60)

@@ -33,7 +33,6 @@ from agreetree.treecore import (
     rebuild,
     root_at_edge,
     root_at_leaf_edge,
-    side_leaves,
     to_newick,
     unroot,
 )
@@ -51,6 +50,7 @@ from oracles import (
     restrict_rooted_by_postorder,
     restrict_unrooted_by_rooting,
     root_at_edge_by_stack,
+    side_leaves,
     to_newick_by_bfs,
     to_newick_by_directed_edges,
 )
@@ -289,7 +289,9 @@ class TestDfsIndex:
     def test_unrooted_is_the_leaf_edge_rooting(self):
         """``UnrootedTree.dfs`` equals the index of ``root_at_leaf_edge``,
         and ``number`` gives each vertex the preorder number of the branch
-        it heads: an array on vertex ids 0 … |V|-1, a dict on others."""
+        it heads: an array on vertex ids 0 … |V|-1, a dict on others.
+        ``side`` reads either side of every edge as the walk over that
+        branch finds it."""
         rng = SplitMix64(11)
         trees = [
             gen_random(n, RandomModel(model, rng.next_u64()))
@@ -313,6 +315,8 @@ class TestDfsIndex:
             for w, ns in t.adj.items():
                 below = frozenset(ix.leaves(ix.number[w]))
                 assert sum(below == side_leaves(t, p, w) for p in ns) == 1
+                for p in ns:
+                    assert ix.side(p, w) == side_leaves(t, p, w), (to_newick(t), p, w)
         assert isinstance(trees[0].dfs().number, array)
         assert isinstance(trees[-1].dfs().number, dict)
         assert trees[0].dfs() is trees[0].dfs()
