@@ -30,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 from .bounds import BETA_DELTA_SUP, SLACK, delta_for_alpha_k, delta_for_beta_k
 from .treecore import (
@@ -332,12 +333,10 @@ def _center_branches(t: UnrootedTree) -> list:
 def _root_near_center(t: UnrootedTree) -> RootedTree:
     """Root at the central edge, or (vertex center) at the center edge
     leading toward the smallest leaf; height <= radius + 1."""
-    c = center(t)
-    if len(c) == 2:
-        return root_at_edge(t, tuple(sorted(c)))
-    (z,) = c
-    w = min(t.adj[z], key=lambda w: min(t.dfs().side(z, w)))
-    return root_at_edge(t, (z, w))
+    c = sorted(center(t))
+    if len(c) == 1:  # z's parent in the DFS index, rooted at the smallest leaf
+        c.append(min(t.adj[c[0]], key=t.dfs().number.__getitem__))
+    return root_at_edge(t, tuple(c))
 
 
 def match1_unrooted(t1: UnrootedTree, t2: UnrootedTree, delta: float) -> frozenset:
@@ -368,14 +367,9 @@ def class_c_prunings(t1: UnrootedTree, t2: UnrootedTree):
     """Leaf sets (X, Y) after deleting one center branch from each
     vertex-centered tree, chosen to maximise |X & Y| over the 3x3 choices
     (ties toward the branch pair with the smallest minimum labels)."""
-    branches2 = _center_branches(t2)
-    best = None
-    for b1 in _center_branches(t1):
-        for b2 in branches2:
-            overlap = len(b1 & b2)
-            if best is None or overlap > best[0]:
-                best = (overlap, b1, b2)
-    return t1.leaves - best[1], t2.leaves - best[2]
+    pairs = product(_center_branches(t1), _center_branches(t2))
+    b1, b2 = max(pairs, key=lambda pair: len(pair[0] & pair[1]))  # the first maximum
+    return t1.leaves - b1, t2.leaves - b2
 
 
 def match2_unrooted(t1: UnrootedTree, t2: UnrootedTree, delta: float) -> frozenset:
@@ -475,24 +469,20 @@ def match_almost_balanced(
         raise TreeError("match_almost_balanced requires identical leaf sets")
     logn = math.log2(t1.nleaves)
     r1 = radius(t1)
-    r2 = radius(t2)
-    if mode == "auto":
-        mode = "both" if (r1 <= k * logn and r2 <= k * logn) else "single"
+    if mode == "auto":  # "single" never reads t2's radius
+        mode = "both" if (r1 <= k * logn and radius(t2) <= k * logn) else "single"
     if mode == "single":
         if r1 > k * logn - 1:
-            raise TreeError(
-                f"radius {r1} exceeds k log n - 1 = {k * logn - 1:.3f}"
-            )
+            raise TreeError(f"radius {r1} exceeds k log n - 1 = {k * logn - 1:.3f}")
         if delta is None:
             delta = delta_for_alpha_k(k)
         leaves, _ = _match1_walk(_root_near_center(t1), t2, delta)
         return leaves, mode, delta
     if mode != "both":
         raise ValueError(f"mode must be auto, single, or both, got {mode!r}")
+    r2 = radius(t2)
     if r1 > k * logn or r2 > k * logn:
-        raise TreeError(
-            f"radii ({r1}, {r2}) exceed k log n = {k * logn:.3f}"
-        )
+        raise TreeError(f"radii ({r1}, {r2}) exceed k log n = {k * logn:.3f}")
     if delta is None:
         delta = delta_for_beta_k(k)
     leaves, _ = _match2_walk(_root_near_center(t1), _root_near_center(t2), delta)

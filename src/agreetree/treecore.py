@@ -13,9 +13,10 @@ Two kinds of tree live here:
 Either kind's one numbering is its ``DfsIndex``, which ``dfs()`` builds
 once and keeps on the node or tree asked (an unrooted tree's indexes its
 default rooting, below); restriction, the matchers, the exact DP, the
-balanced fold and the writer read it.  So does every reader of an
-unrooted tree's branches: an edge's lower end in that rooting is the end
-with the larger preorder number, and ``DfsIndex.side`` reads either side.
+balanced fold, the diameter fold (``Diameter``: centers, radii, balance
+classes) and the writer read it.  So does every reader of an unrooted
+tree's branches: an edge's lower end in that rooting is the end with the
+larger preorder number, and ``DfsIndex.side`` reads either side.
 
 Leaf labels are positive integers, distinct within a tree.  There are no
 branch lengths and no internal labels.
@@ -48,7 +49,6 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -252,13 +252,13 @@ class UnrootedTree:
     meaning.  Instances are treated as immutable.
     """
 
-    __slots__ = ("adj", "leaf_label", "label_vertex", "_leaves", "_dfs")
+    __slots__ = ("adj", "leaf_label", "label_vertex", "_leaves", "_dfs", "_diameter")
 
     def __init__(self, adj: dict, leaf_label: dict):
         self.adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self.leaf_label = dict(leaf_label)
         self.label_vertex = {}
-        self._leaves = self._dfs = None
+        self._leaves = self._dfs = self._diameter = None
         self._validate()
 
     @classmethod
@@ -267,7 +267,7 @@ class UnrootedTree:
         only a repeated label, which ``RootedTree.branch`` allows, gets the full check."""
         t = cls.__new__(cls)
         t.adj = {v: tuple(ns) for v, ns in adj.items()}
-        t.leaf_label, t._leaves, t._dfs = leaf_label, None, None
+        t.leaf_label, t._leaves, t._dfs, t._diameter = leaf_label, None, None, None
         t.label_vertex = {lab: v for v, lab in leaf_label.items()}
         return t if len(t.label_vertex) == len(leaf_label) else cls(adj, leaf_label)
 
@@ -296,8 +296,13 @@ class UnrootedTree:
             if lab in self.label_vertex:
                 raise TreeError(f"duplicate leaf label {lab}")
             self.label_vertex[lab] = v
-        # Connectivity (acyclicity follows from the edge count).
-        if len(_bfs(self, [next(iter(adj))])) != nvert:
+        seen, stack = set(), [next(iter(adj))]
+        while stack:  # connectivity; acyclicity follows from the edge count
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack += adj[v]
+        if len(seen) != nvert:
             raise TreeError("unrooted tree is not connected")
 
     @property
@@ -312,6 +317,12 @@ class UnrootedTree:
 
     dfs = RootedTree.dfs
 
+    def diameter(self) -> "Diameter":
+        """The tree's ``Diameter``, built once and kept."""
+        if self._diameter is None:
+            self._diameter = Diameter(self)
+        return self._diameter
+
     def edges(self) -> list:
         """Undirected edges as (u, v) with u < v, sorted."""
         return sorted((u, v) for u, ns in self.adj.items() for v in ns if u < v)
@@ -320,50 +331,59 @@ class UnrootedTree:
         return f"<UnrootedTree {to_newick(self)!r}>"
 
 
-def _bfs(t: UnrootedTree, sources) -> dict:
-    """Distances from a set of source vertices."""
-    dist = {s: 0 for s in sources}
-    queue = deque(sources)
-    while queue:
-        v = queue.popleft()
-        for w in t.adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+class Diameter:
+    """An unrooted tree's longest path, by one fold over its DFS index read
+    as rooted at node 1, the smallest leaf.  Keys rank leaves by (distance,
+    -vertex id): each node's is its farthest leaf below, then outside.
+    ``path`` runs from u, farthest from the smallest leaf, to w, farthest
+    from u; ``balanced`` says every leaf is that far from another."""
 
+    __slots__ = ("path", "balanced")
 
-def _farthest(t: UnrootedTree, source):
-    """(vertex, distance map) for the farthest vertex from ``source``;
-    ties broken toward the smallest vertex id."""
-    dist = _bfs(t, [source])
-    return max(dist, key=lambda v: (dist[v], -v)), dist
+    def __init__(self, t: "UnrootedTree"):
+        ix = t.dfs()
+        label, nleaves, number, size = ix.label, ix.nleaves, ix.number, len(ix.label)
+        ids = number.keys() if type(number) is dict else range(len(number))
+        hi, span = max(ids), max(ids) - min(ids) + 1  # key: distance * span + hi - vertex id
+        key, parent, vertex = [0] * size, [1] * size, [0] * size
+        for v in ids:
+            vertex[number[v]], key[number[v]] = v, hi - v
+        for i in range(size - 1, 1, -1):
+            if label[i] is None:
+                a, b = i + 1, i + 2 * nleaves[i + 1]
+                parent[a] = parent[b] = i
+                key[i] = max(key[a], key[b]) + span
+        below, key[2] = key[2], key[1] + span  # outside node 2 lies node 1 alone
+        for i in range(2, size):
+            if label[i] is None:
+                a, b = i + 1, i + 2 * nleaves[i + 1]
+                up = key[i] + span
+                key[a], key[b] = max(up, key[b] + 2 * span), max(up, key[a] + 2 * span)
+        u = number[hi - below % span]
+        least = min(key[i] for i in range(2, size) if label[i] is not None)  # leaves but node 1
+        self.balanced = below // span + 1 == key[u] // span == least // span
+        at, climbs = [u, number[hi - key[u] % span]], ([], [])  # u and w climb to meet
+        while at[0] != at[1]:
+            k = at[0] < at[1]  # the larger preorder number is no ancestor of the other
+            climbs[k].append(vertex[at[k]])
+            at[k] = parent[at[k]]
+        self.path = climbs[0] + [vertex[at[0]]] + climbs[1][::-1]
 
 
 def diameter_path(t: UnrootedTree) -> list:
     """A longest leaf-to-leaf path, as a vertex list (deterministic)."""
-    v0 = t.label_vertex[min(t.leaves)]
-    u, _ = _farthest(t, v0)
-    w, dist = _farthest(t, u)
-    path = [w]
-    while dist[path[-1]]:  # the one neighbour nearer to u comes next
-        path.append(min(t.adj[path[-1]], key=dist.__getitem__))
-    path.reverse()  # runs u -> w
-    return path
+    return list(t.diameter().path)
 
 
 def center(t: UnrootedTree) -> frozenset:
     """The 1 or 2 vertices of minimum eccentricity (2 => adjacent)."""
-    path = diameter_path(t)
-    d = len(path) - 1
-    if d % 2 == 0:
-        return frozenset((path[d // 2],))
-    return frozenset((path[d // 2], path[d // 2 + 1]))
+    path = t.diameter().path
+    return frozenset(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
 
 
 def radius(t: UnrootedTree) -> int:
     """Eccentricity of a center vertex: ceil(diameter / 2)."""
-    return (len(diameter_path(t))) // 2
+    return len(t.diameter().path) // 2
 
 
 # --------------------------------------------------------------------------
@@ -390,39 +410,26 @@ def classify_balanced(t) -> BalanceClass:
     distance m-1 from it (2^m leaves); class C_m when the center is a single
     vertex and every leaf is at distance m from it (3 * 2^(m-1) leaves).
     """
+    if not (t.balanced if isinstance(t, RootedTree) else t.diameter().balanced):
+        return BalanceClass(NOT_BALANCED)
     if isinstance(t, RootedTree):
-        if t.balanced:
-            return BalanceClass(ROOTED_BALANCED, t.height)
-        return BalanceClass(NOT_BALANCED)
-    c = center(t)
-    dist = _bfs(t, list(c))
-    leaf_dists = {dist[v] for v in t.leaf_label}
-    if len(leaf_dists) != 1:
-        return BalanceClass(NOT_BALANCED)
-    d = leaf_dists.pop()
-    if len(c) == 2:
-        return BalanceClass(CLASS_B, d + 1)
-    return BalanceClass(CLASS_C, d)
+        return BalanceClass(ROOTED_BALANCED, t.height)
+    return BalanceClass(CLASS_C if len(t.diameter().path) % 2 else CLASS_B, radius(t))
 
 
 def is_caterpillar(t) -> bool:
     """True iff the internal vertices form a single path.
 
     Rooted form: every internal node has at most one internal child (so each
-    spine node hangs at least one leaf).  Unrooted form: every internal
-    vertex has at most two internal neighbours.
+    spine node hangs at least one leaf).  Unrooted form: a longest path
+    holds all n - 2 internal vertices, so n vertices.
     """
     if isinstance(t, RootedTree):  # down the spine while a child is a leaf
         node = t
         while node.label is None and min(node.left.nleaves, node.right.nleaves) == 1:
             node = node.left if node.right.nleaves == 1 else node.right
         return node.label is not None
-    for v, ns in t.adj.items():
-        if v in t.leaf_label:
-            continue
-        if sum(1 for w in ns if w not in t.leaf_label) > 2:
-            return False
-    return True
+    return len(t.diameter().path) == t.nleaves
 
 
 # --------------------------------------------------------------------------

@@ -174,9 +174,11 @@ def is_isomorphic(t1, t2) -> bool:
 def is_subtree(s, t) -> bool:
     """True iff restricting t to s's leaves recovers s exactly."""
     _same_kind(s, t)
-    if not s.leaves <= t.leaves:
-        return False
-    return is_isomorphic(s, restrict(t, s.leaves))
+    if isinstance(s, RootedTree):  # the DFS indexes that restrict and to_newick read
+        X, Y = s.dfs().pos.keys(), t.dfs().pos.keys()
+    else:
+        X, Y = s.leaves, t.leaves
+    return X <= Y and is_isomorphic(s, restrict(t, X))
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,21 @@
 
 Everything here is deliberately naive: exhaustive search, all-pairs BFS,
 quadratic DP.  None of it shares code with the implementations it checks.
+``count_calls`` is the one patch-and-record helper of the tests that
+count builds, folds and checks.
 """
 
 import re
+import sys
+from collections import deque
 from itertools import combinations, count
 
 from agreetree.matchers import Match1Step, Match1Trace, Match2Node, Match2Trace
 from agreetree.treecore import (
+    CLASS_B,
+    CLASS_C,
+    NOT_BALANCED,
+    BalanceClass,
     NewickError,
     RootedTree,
     UnrootedTree,
@@ -163,7 +171,7 @@ def restrict_unrooted_by_paths(t: UnrootedTree, X) -> UnrootedTree:
     vertices = set()
     edges = set()
     for a, b in combinations(X, 2):
-        path = _vertex_path(t, t.label_vertex[a], t.label_vertex[b])
+        path = vertex_path(t, t.label_vertex[a], t.label_vertex[b])
         vertices.update(path)
         edges.update(frozenset(e) for e in zip(path, path[1:]))
     adj = {v: [] for v in vertices}
@@ -396,7 +404,8 @@ def extremal_fhk_by_stack(h: int, k: int) -> RootedTree:
     return built[0]
 
 
-def _vertex_path(t: UnrootedTree, src, dst):
+def vertex_path(t: UnrootedTree, src, dst):
+    """The vertices on the path from src to dst, by a DFS from src."""
     parent = {src: None}
     stack = [src]
     while stack:
@@ -415,8 +424,6 @@ def _vertex_path(t: UnrootedTree, src, dst):
 
 def all_pairs_eccentricities(t: UnrootedTree) -> dict:
     """vertex -> eccentricity by BFS from every vertex."""
-    from collections import deque
-
     ecc = {}
     for s in t.adj:
         dist = {s: 0}
@@ -429,6 +436,61 @@ def all_pairs_eccentricities(t: UnrootedTree) -> dict:
                     queue.append(w)
         ecc[s] = max(dist.values())
     return ecc
+
+
+def _bfs(t: UnrootedTree, sources) -> dict:
+    """Distances from a set of source vertices."""
+    dist = {s: 0 for s in sources}
+    queue = deque(sources)
+    while queue:
+        v = queue.popleft()
+        for w in t.adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def _farthest(t: UnrootedTree, source):
+    """(vertex, distance map) for the farthest vertex from ``source``;
+    ties broken toward the smallest vertex id."""
+    dist = _bfs(t, [source])
+    return max(dist, key=lambda v: (dist[v], -v)), dist
+
+
+def diameter_path_by_bfs(t: UnrootedTree) -> list:
+    """A longest leaf-to-leaf path by three BFS passes: u farthest from the
+    smallest leaf, w farthest from u, then back from w toward u."""
+    v0 = t.label_vertex[min(t.leaves)]
+    u, _ = _farthest(t, v0)
+    w, dist = _farthest(t, u)
+    path = [w]
+    while dist[path[-1]]:  # the one neighbour nearer to u comes next
+        path.append(min(t.adj[path[-1]], key=dist.__getitem__))
+    path.reverse()  # runs u -> w
+    return path
+
+
+def center_by_bfs(t: UnrootedTree) -> frozenset:
+    """The middle vertex or vertices of ``diameter_path_by_bfs``."""
+    path = diameter_path_by_bfs(t)
+    d = len(path) - 1
+    if d % 2 == 0:
+        return frozenset((path[d // 2],))
+    return frozenset((path[d // 2], path[d // 2 + 1]))
+
+
+def classify_balanced_by_bfs(t: UnrootedTree) -> BalanceClass:
+    """An unrooted tree's balance class from a BFS out of its center."""
+    c = center_by_bfs(t)
+    dist = _bfs(t, list(c))
+    leaf_dists = {dist[v] for v in t.leaf_label}
+    if len(leaf_dists) != 1:
+        return BalanceClass(NOT_BALANCED)
+    d = leaf_dists.pop()
+    if len(c) == 2:
+        return BalanceClass(CLASS_B, d + 1)
+    return BalanceClass(CLASS_C, d)
 
 
 def mast_subsets_unrooted(t1: UnrootedTree, t2: UnrootedTree) -> int:
@@ -732,3 +794,28 @@ def class_c_by_recursion(m: int) -> UnrootedTree:
     for _ in range(3):
         bal(0, m - 1)
     return UnrootedTree(adj, labels)
+
+
+def count_calls(monkeypatch, owner, name, record=lambda args, out: args) -> list:
+    """Patch ``owner.name`` there and wherever agreetree imported it; the
+    list returned collects ``record(args, result)`` for every call from
+    then on."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(record(args, out))
+        return out
+
+    monkeypatch.setattr(owner, name, counting)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("agreetree") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def built_leaves(args, out) -> int:
+    """``count_calls``'s record for ``rebuild``: the leaf count of the tree
+    built, 0 for none."""
+    return 0 if out is None else out.nleaves

@@ -9,6 +9,7 @@ from agreetree import cli
 from agreetree.cli import main
 
 from cliproc import cli_env
+from oracles import count_calls
 
 
 def run_cli(*argv):
@@ -516,18 +517,9 @@ class TestGcPause:
 
 def test_agree_checks_its_witness_once(trees, monkeypatch):
     """``agree_general``'s certificate is the one the report prints."""
-    import agreetree.decompose as dc
     import agreetree.treeops as treeops
 
-    calls = []
-    original = treeops.verify_agreement
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[2]))
-        return original(*args, **kwargs)
-
-    for module in (cli, dc, treeops):
-        monkeypatch.setattr(module, "verify_agreement", counting)
+    calls = count_calls(monkeypatch, treeops, "verify_agreement", lambda args, out: len(args[2]))
     t1 = trees("a.nwk", ["random", "--n", "512", "--seed", "1"])
     t2 = trees("b.nwk", ["random", "--n", "512", "--seed", "2"])
     code, out = run_cli("agree", t1, t2)
@@ -538,18 +530,9 @@ def test_agree_checks_its_witness_once(trees, monkeypatch):
 def test_bench_agree_checks_each_witness_once(tmp_path, monkeypatch):
     """``bench --algorithms agree`` reads ``certificate_ok`` from the
     report of ``agree_general``, which has checked the witness."""
-    import agreetree.decompose as dc
     import agreetree.treeops as treeops
 
-    calls = []
-    original = treeops.verify_agreement
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[2]))
-        return original(*args, **kwargs)
-
-    for module in (cli, dc, treeops):
-        monkeypatch.setattr(module, "verify_agreement", counting)
+    calls = count_calls(monkeypatch, treeops, "verify_agreement", lambda args, out: len(args[2]))
     out_path = tmp_path / "bench.csv"
     code, _ = run_cli(
         "bench", "--n", "256", "--trials", "1", "--algorithms", "agree", "--out", str(out_path)

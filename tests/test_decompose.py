@@ -1,6 +1,5 @@
 import math
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +37,8 @@ from agreetree.treecore import (
 from agreetree.treeops import extract_balanced, max_balanced_height, restrict, verify_agreement
 
 from oracles import (
+    built_leaves,
+    count_calls,
     lis_quadratic,
     max_balanced_height_subsets,
     max_caterpillar_subsets,
@@ -269,17 +270,7 @@ class TestAgreeGeneral:
         t1 = gen_random(n, RandomModel("uniform", 1))
         t2 = gen_random(n, RandomModel("uniform", 2))
         assert [ramsey_split(t).kind for t in (t1, t2)] == ["balanced", "balanced"]
-        original = treecore.rebuild
-        built = []
-
-        def counting(*args, **kwargs):
-            out = original(*args, **kwargs)
-            built.append(0 if out is None else out.nleaves)
-            return out
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("agreetree") and getattr(module, "rebuild", None) is original:
-                monkeypatch.setattr(module, "rebuild", counting)
+        built = count_calls(monkeypatch, treecore, "rebuild", built_leaves)
         agree_general(t1, t2)
         assert built.count(n) == 0, built
 
@@ -295,18 +286,17 @@ class TestAgreeGeneral:
         t1 = gen_caterpillar(n)
         t2 = gen_random(n, RandomModel("uniform", 3))
         assert ramsey_split(t1).kind == "path"
-        original = treecore.rebuild
-        built = []
-
-        def counting(*args, **kwargs):
-            out = original(*args, **kwargs)
-            built.append(0 if out is None else out.nleaves)
-            return out
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("agreetree") and getattr(module, "rebuild", None) is original:
-                monkeypatch.setattr(module, "rebuild", counting)
+        built = count_calls(monkeypatch, treecore, "rebuild", built_leaves)
         for first, second in ((t1, t2), (t2, t1)):
             built.clear()
             agree_general(first, second)
             assert built.count(n) == 0, built
+
+    def test_path_branch_folds_the_caterpillar_once(self, monkeypatch):
+        """``ramsey_split`` and ``caterpillar_spine_order`` read one kept
+        ``Diameter`` of the caterpillar."""
+        t1 = gen_caterpillar(128)
+        t2 = gen_random(128, RandomModel("uniform", 3))
+        folded = count_calls(monkeypatch, treecore.Diameter, "__init__", lambda args, out: args[1])
+        agree_general(t1, t2)
+        assert sum(t is t1 for t in folded) == 1, folded

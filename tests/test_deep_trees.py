@@ -9,7 +9,9 @@ per-node leaf sets), and ``match2`` two balanced 2^14-leaf trees.  CLI
 relabelled 20,000-leaf uniform tree (balanced branch).  The rooted
 caterpillar's DFS index equals the naive node walk of ``tests/oracles.py``,
 the unrooted one's equals that of its rooting at the smallest leaf's
-pendant edge, and its text equals the oracles' BFS writer.
+pendant edge, and its text equals the oracles' BFS writer.  Its diameter
+path and balance class, and those of the 2^14-leaf class-B tree, equal the
+oracles' BFS references.
 
 The checks run in a fresh interpreter whose address space is capped at
 1 GiB, so a quadratic leaf-set cache fails there with MemoryError instead of
@@ -35,17 +37,21 @@ resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 limit = sys.getrecursionlimit()
 import agreetree
 from agreetree import (
-    RandomModel, RootedTree, SplitMix64, extract_balanced, f_closed,
-    f_recurrence, gen_balanced, gen_caterpillar, gen_extremal_fhk, gen_random,
-    is_caterpillar, is_isomorphic, match1, match1_bound, match2, match2_bound,
-    optimal_delta_match1, optimal_delta_match2, parse_newick, ramsey_split,
-    relabel, restrict, root_at_edge, to_newick, unroot, verify_agreement,
+    RandomModel, RootedTree, SplitMix64, classify_balanced, extract_balanced,
+    f_closed, f_recurrence, gen_balanced, gen_caterpillar, gen_class_b,
+    gen_extremal_fhk, gen_random, is_caterpillar, is_isomorphic, match1,
+    match1_bound, match2, match2_bound, optimal_delta_match1,
+    optimal_delta_match2, parse_newick, ramsey_split, relabel, restrict,
+    root_at_edge, to_newick, unroot, verify_agreement,
 )
 from agreetree.cli import main
-from agreetree.treecore import root_at_leaf_edge
+from agreetree.treecore import diameter_path, root_at_leaf_edge
 
 sys.path.insert(0, sys.argv[1])
-from oracles import dfs_index_by_nodes, dfs_index_fields, to_newick_by_bfs
+from oracles import (
+    classify_balanced_by_bfs, dfs_index_by_nodes, dfs_index_fields,
+    diameter_path_by_bfs, to_newick_by_bfs,
+)
 
 assert sys.getrecursionlimit() == limit, (limit, sys.getrecursionlimit())
 
@@ -57,6 +63,9 @@ unrooted = gen_caterpillar(N)
 unrooted_text = to_newick(unrooted)
 assert unrooted_text == to_newick_by_bfs(unrooted)
 assert dfs_index_fields(unrooted) == dfs_index_fields(root_at_leaf_edge(unrooted))
+for t in (unrooted, gen_class_b(14)):
+    assert diameter_path(t) == diameter_path_by_bfs(t)
+    assert classify_balanced(t) == classify_balanced_by_bfs(t)
 reverse = {i: N + 1 - i for i in range(1, N + 1)}
 for t in (rooted, unrooted):
     text = to_newick(t)

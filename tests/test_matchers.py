@@ -40,14 +40,25 @@ from agreetree.matchers import (
     match2_unrooted,
     match_almost_balanced,
 )
-from agreetree.treecore import TreeError, is_caterpillar, radius, root_at_leaf_edge
+from agreetree.treecore import (
+    TreeError,
+    center,
+    is_caterpillar,
+    radius,
+    root_at_edge,
+    root_at_leaf_edge,
+)
 from agreetree.treeops import is_subtree, restrict, verify_agreement
 
 from oracles import (
     PAD_LABEL_BASE,
+    built_leaves,
+    count_calls,
     match1_walk_by_sets,
     match2_walk_by_sets,
+    ordered_text,
     pad_to_balanced,
+    vertex_path,
 )
 
 DELTA1 = 0.1705
@@ -66,23 +77,6 @@ def random_subset_tree(m, t, seed, model="uniform"):
     else:
         shape = gen_random(t, RandomModel(model, rng.next_u64()), rooted=True)
     return relabel(shape, {i + 1: chosen[i] for i in range(t)})
-
-
-def count_builds(monkeypatch) -> list:
-    """Patch ``rebuild`` wherever agreetree imported it; the list returned
-    collects the leaf count of every tree built from then on."""
-    original = treecore.rebuild
-    built = []
-
-    def counting(*args, **kwargs):
-        out = original(*args, **kwargs)
-        built.append(0 if out is None else out.nleaves)
-        return out
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("agreetree") and getattr(module, "rebuild", None) is original:
-            monkeypatch.setattr(module, "rebuild", counting)
-    return built
 
 
 def permuted_balanced(m, seed):
@@ -334,7 +328,7 @@ class TestMatch1Unrooted:
         full-size trees while the second was rooted at its leaf edge)."""
         t1 = gen_class_b(9)
         t2 = gen_random(512, RandomModel("uniform", 4))
-        built = count_builds(monkeypatch)
+        built = count_calls(monkeypatch, treecore, "rebuild", built_leaves)
         match1_unrooted(t1, t2, DELTA1)
         assert built.count(512) == 1, built
 
@@ -374,6 +368,42 @@ class TestMatch2Unrooted:
             match2_unrooted(gen_class_b(2), gen_class_c(2), DELTA2)
 
 
+class TestDiameterFolds:
+    """A call folds each distinct unrooted tree it reads once (``Diameter``);
+    its center, radius and class are read from the kept fold."""
+
+    @staticmethod
+    def folds(monkeypatch) -> list:
+        return count_calls(monkeypatch, treecore.Diameter, "__init__", lambda args, out: args[1])
+
+    @pytest.mark.parametrize("mode, want", [("single", 1), ("auto", 2)])
+    def test_almost_balanced(self, monkeypatch, mode, want):
+        """Mode "single" reads only the first tree's radius (6 BFS passes
+        while it found t2's radius and t1's center again)."""
+        t1, t2 = gen_class_b(8), gen_random(256, RandomModel("yule", 5))
+        folded = self.folds(monkeypatch)
+        match_almost_balanced(t1, t2, 2, mode=mode)
+        assert len(folded) == want
+
+    def test_match2_unrooted_class_c(self, monkeypatch):
+        """Both inputs and both pruned restrictions (15 BFS passes while
+        classification, pruning and rooting each found the center)."""
+        n = 96
+        perm = list(range(1, n + 1))
+        SplitMix64(1).shuffle(perm)
+        t1 = gen_class_c(6)
+        t2 = relabel(gen_class_c(6), {i + 1: perm[i] for i in range(n)})
+        folded = self.folds(monkeypatch)
+        match2_unrooted(t1, t2, DELTA2)
+        assert len(folded) == len({id(t) for t in folded}) == 4
+
+    def test_match1_unrooted_class_b(self, monkeypatch):
+        t1, t2 = gen_class_b(6), gen_random(64, RandomModel("uniform", 3))
+        folded = self.folds(monkeypatch)
+        match1_unrooted(t1, t2, DELTA1)
+        assert folded == [t1]
+
+
 class TestMatch2Multi:
     def test_identical_trees(self):
         t = gen_balanced(4)
@@ -392,14 +422,7 @@ class TestMatch2Multi:
         to use: 3 ``DfsIndex`` builds on three permuted balanced trees (4
         while it intersected ``.leaves``, which builds one and drops it)."""
         trees = [permuted_balanced(6, seed) for seed in (1, 2, 3)]
-        original = treecore.DfsIndex.__init__
-        built = []
-
-        def counting(self, t):
-            built.append(t)
-            original(self, t)
-
-        monkeypatch.setattr(treecore.DfsIndex, "__init__", counting)
+        built = count_calls(monkeypatch, treecore.DfsIndex, "__init__")
         match2_multi(trees, DELTA2)
         assert len(built) == 3
 
@@ -423,7 +446,7 @@ class TestMatchAlmostBalanced:
         (2 full-size trees while the second was rooted at its leaf edge)."""
         t1 = gen_class_b(9)
         t2 = gen_random(512, RandomModel("yule", 4))
-        built = count_builds(monkeypatch)
+        built = count_calls(monkeypatch, treecore, "rebuild", built_leaves)
         match_almost_balanced(t1, t2, 2, mode="single")
         assert built.count(512) == 1, built
 
@@ -451,6 +474,21 @@ class TestMatchAlmostBalanced:
         assert _root_near_center(t).height > sys.getrecursionlimit()
         leaves, mode, _ = match_almost_balanced(t, t, 1000)
         assert mode == "both" and leaves == t.leaves
+
+    def test_vertex_center_roots_toward_the_smallest_leaf(self):
+        """A vertex center z is rooted at its edge on the path to the
+        smallest leaf, z's side left."""
+        rng = SplitMix64(71)
+        hits = 0
+        for n in range(5, 40):
+            t = gen_random(n, RandomModel("yule", rng.next_u64()))
+            if len(center(t)) == 2:
+                continue
+            (z,) = center(t)
+            w = vertex_path(t, z, t.label_vertex[min(t.leaves)])[1]
+            assert ordered_text(_root_near_center(t)) == ordered_text(root_at_edge(t, (z, w)))
+            hits += 1
+        assert hits >= 10
 
     def test_radius_precondition(self):
         t1 = gen_caterpillar(64)  # radius 16 >> 2 log 64 = 12

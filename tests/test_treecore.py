@@ -40,8 +40,11 @@ from agreetree.treeops import is_isomorphic, restrict
 
 from oracles import (
     all_pairs_eccentricities,
+    center_by_bfs,
+    classify_balanced_by_bfs,
     dfs_index_by_nodes,
     dfs_index_fields,
+    diameter_path_by_bfs,
     extremal_fhk_by_stack,
     ordered_text,
     parse_newick_two_pass,
@@ -374,6 +377,48 @@ class TestMetrics:
         assert path[0] in t.leaf_label and path[-1] in t.leaf_label
         ecc = all_pairs_eccentricities(t)
         assert len(path) - 1 == max(ecc.values())
+
+
+class TestDiameterFold:
+    @staticmethod
+    def family():
+        """Seeded uniform and Yule trees, caterpillars, classes B and C,
+        then each one's canonical re-parse, a restriction, and a copy with
+        vertex ids shifted by 5 (indexed through a dict)."""
+        trees = [
+            gen_random(n, RandomModel(model, 7 * n + 1))
+            for model in ("uniform", "yule")
+            for n in [*range(3, 90), 128, 257, 1000]
+        ]
+        trees += [gen_caterpillar(n) for n in range(3, 40)]
+        trees += [gen_class_b(m) for m in range(2, 8)] + [gen_class_c(m) for m in range(1, 8)]
+        for t in list(trees):
+            labels = sorted(t.leaves)
+            yield from (t, parse_newick(to_newick(t)))
+            if t.nleaves > 3:
+                yield restrict(t, labels[::2] if t.nleaves > 5 else labels[1:])
+            yield UnrootedTree(
+                {v + 5: [w + 5 for w in ns] for v, ns in t.adj.items()},
+                {v + 5: x for v, x in t.leaf_label.items()},
+            )
+
+    def test_equals_the_bfs_references(self):
+        """Same path, center, radius and class as three BFS passes and a
+        BFS from the center, which break ties the same way."""
+        count = 0
+        for t in self.family():
+            path = diameter_path_by_bfs(t)
+            assert diameter_path(t) == path, to_newick(t)
+            assert center(t) == center_by_bfs(t) and radius(t) == len(path) // 2
+            assert classify_balanced(t) == classify_balanced_by_bfs(t), to_newick(t)
+            count += 1
+        assert count > 900
+
+    def test_kept_once(self):
+        t = gen_random(64, RandomModel("yule", 2))
+        assert t.diameter() is t.diameter()
+        assert diameter_path(t) == t.diameter().path
+        assert diameter_path(t) is not t.diameter().path
 
 
 class TestClassify:

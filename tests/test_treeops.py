@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agreetree._rng import SplitMix64
-from agreetree import exactmast
+from agreetree import exactmast, treecore
 from agreetree.exactmast import mast_rooted
 from agreetree.generators import (
     RandomModel,
@@ -26,6 +26,7 @@ from agreetree.treeops import (
 
 from oracles import (
     clusters,
+    count_calls,
     iso_rooted_search,
     iso_unrooted_search,
     lca_by_postorder,
@@ -278,6 +279,17 @@ class TestIsSubtree:
     def test_wrong_quartet(self):
         host = parse_newick("((1,3),2,4);")
         assert not is_subtree(parse_newick("((1,2),3,4);"), host)
+
+    def test_builds_no_throwaway_index(self, monkeypatch):
+        """The leaf-subset check reads the DFS indexes of s and t, which
+        ``restrict`` and ``to_newick`` reuse: 3 ``DfsIndex`` builds, the
+        third for the restriction (6 while it read ``.leaves``)."""
+        text = to_newick(gen_random(200, RandomModel("yule", 3), rooted=True))
+        t = parse_newick(text)
+        s = restrict(parse_newick(text), sorted(t.leaves)[::3][:59])
+        built = count_calls(monkeypatch, treecore.DfsIndex, "__init__")
+        assert is_subtree(s, t)
+        assert len(built) == 3
 
 
 class TestVerifyAgreement:
