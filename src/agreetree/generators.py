@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ._rng import SplitMix64
 from .bounds import f_closed
-from .treecore import RootedTree, TreeError, UnrootedTree, _number_preorder, rebuild, unroot
+from .treecore import RootedTree, TreeError, UnrootedTree, _unrooted, rebuild, unroot
 
 UNIFORM = "uniform"
 YULE = "yule"
@@ -92,8 +92,12 @@ def gen_class_c(m: int) -> UnrootedTree:
     if m < 1:
         raise ValueError("class-C trees need m >= 1")
     h = 2 ** (m - 1)
-    branches = [rebuild(range(1 + j * h, 1 + (j + 1) * h), _halves) for j in range(3)]
-    return _number_preorder({0: []}, [(node, 0) for node in reversed(branches)])
+    branches = [rebuild(range(1 + j * h, 1 + (j + 1) * h), _halves).dfs() for j in range(3)]
+    label, nleaves = [None], [3 * h]  # the centre, then the three branches in preorder
+    for ix in branches:
+        label += ix.label
+        nleaves += ix.nleaves
+    return _unrooted(label, nleaves)
 
 
 def gen_extremal_fhk(h: int, k: int) -> RootedTree:
@@ -238,7 +242,7 @@ def _uniform_unrooted(n: int, rng: SplitMix64) -> UnrootedTree:
         edges[pick] = (u, w)
         edges.append((w, v))
         edges.append((w, x))
-    return UnrootedTree._built(adj, labels)
+    return UnrootedTree._built({v: tuple(ns) for v, ns in adj.items()}, labels)
 
 
 def gen_random(n: int, model: RandomModel, rooted: bool = False):

@@ -10,13 +10,15 @@ Two kinds of tree live here:
   constraints force this).  Trees the package builds valid (parse,
   ``unroot``, the uniform generator) skip the full validation.
 
-Either kind's one numbering is its ``DfsIndex``, which ``dfs()`` builds
-once and keeps on the node or tree asked (an unrooted tree's indexes its
-default rooting, below); restriction, the matchers, the exact DP, the
-balanced fold, the diameter fold (``Diameter``: centers, radii, balance
-classes) and the writer read it.  So does every reader of an unrooted
-tree's branches: an edge's lower end in that rooting is the end with the
-larger preorder number, and ``DfsIndex.side`` reads either side.
+Either kind's one numbering is its ``DfsIndex``, which ``parse_newick``
+writes during its scan (for an unrooted text, when it starts with its
+smallest leaf) and ``dfs()`` otherwise walks once and keeps on the node
+or tree asked (an unrooted tree's indexes its default rooting, below);
+restriction, the matchers, the exact DP, the balanced fold, the diameter
+fold (``Diameter``: centers, radii, balance classes) and the writer read
+it.  So does every reader of an unrooted tree's branches: an edge's lower
+end in that rooting is the end with the larger preorder number, and
+``DfsIndex.side`` reads either side.
 
 Leaf labels are positive integers, distinct within a tree.  There are no
 branch lengths and no internal labels.
@@ -115,13 +117,13 @@ class RootedTree:
     def leaves(self) -> frozenset:
         """Leaf-label set below this node, read from its kept DFS index or
         from one built for the call."""
-        return frozenset((self._dfs or DfsIndex(self)).order)
+        return frozenset((self._dfs or DfsIndex.walk(self)).order)
 
     def dfs(self) -> "DfsIndex":
         """The DFS index below this node (of an unrooted tree: of its
         default rooting), built once and kept."""
         if self._dfs is None:
-            self._dfs = DfsIndex(self)
+            self._dfs = DfsIndex.walk(self)
         return self._dfs
 
     def __repr__(self):
@@ -129,20 +131,27 @@ class RootedTree:
 
 
 class DfsIndex:
-    """A tree's nodes numbered in preorder, left child first, by one
-    explicit-stack pass: node i has ``label[i]`` (None if internal),
-    ``nleaves[i]`` and ``first[i]``, the DFS position of its first leaf;
-    ``order`` lists the leaf labels in DFS order and ``pos`` maps each to
-    its position.  The children of internal node i are i + 1 and
-    i + 2 * nleaves[i + 1], so reversed preorder lists children first.
-    An unrooted tree is walked as ``root_at_leaf_edge`` roots it, by
-    ``root_at_edge``'s own ``expand``, and ``number[w]`` is vertex w's
-    preorder number: an ``array('i')`` on vertex ids 0 … |V|-1, else a
-    dict (None for a rooted tree)."""
+    """A tree's nodes numbered in preorder, left child first, as
+    ``parse_newick`` writes them or ``walk`` finds them: node i has
+    ``label[i]`` (None if internal), ``nleaves[i]`` and ``first[i]``, the
+    DFS position of its first leaf; ``order`` lists the leaf labels in DFS
+    order and ``pos`` maps each to its position.  The children of internal
+    node i are i + 1 and i + 2 * nleaves[i + 1], so reversed preorder lists
+    children first.  An unrooted tree is indexed as ``root_at_leaf_edge``
+    roots it, and ``number[w]`` is vertex w's preorder number: an
+    ``array('i')`` on vertex ids 0 … |V|-1, else a dict (None for a rooted
+    tree)."""
 
     __slots__ = ("label", "nleaves", "first", "order", "number", "_pos")
 
-    def __init__(self, t):
+    def __init__(self, label, nleaves, first, order, number=None):
+        self.label, self.nleaves, self.first, self.order = label, nleaves, first, order
+        self.number, self._pos = number, None
+
+    @classmethod
+    def walk(cls, t) -> "DfsIndex":
+        """The index of t by one explicit-stack walk over its nodes, or over
+        its adjacency by ``root_at_edge``'s own ``expand``."""
         label, first, order = [], array("i"), []
         if isinstance(t, RootedTree):
             nleaves, number = [], None
@@ -178,8 +187,7 @@ class DfsIndex:
                 if label[i] is None:
                     left = nleaves[i + 1]
                     nleaves[i] = left + nleaves[i + 2 * left]
-        self.label, self.nleaves, self.first, self.order = label, nleaves, first, order
-        self.number, self._pos = number, None
+        return cls(label, nleaves, first, order, number)
 
     @property
     def pos(self) -> dict:
@@ -263,12 +271,12 @@ class UnrootedTree:
 
     @classmethod
     def _built(cls, adj: dict, leaf_label: dict) -> "UnrootedTree":
-        """A tree the package built valid (vertices 0 … |V|-1, neighbours sorted):
-        only a repeated label, which ``RootedTree.branch`` allows, gets the full check."""
+        """A tree the package built valid (vertices 0 … |V|-1, neighbours in
+        sorted tuples): only a repeated label, which ``RootedTree.branch``
+        allows, gets the full check."""
         t = cls.__new__(cls)
-        t.adj = {v: tuple(ns) for v, ns in adj.items()}
-        t.leaf_label, t._leaves, t._dfs, t._diameter = leaf_label, None, None, None
-        t.label_vertex = {lab: v for v, lab in leaf_label.items()}
+        t.adj, t.leaf_label, t._leaves, t._dfs, t._diameter = adj, leaf_label, None, None, None
+        t.label_vertex = dict(zip(leaf_label.values(), leaf_label))
         return t if len(t.label_vertex) == len(leaf_label) else cls(adj, leaf_label)
 
     def _validate(self):
@@ -498,27 +506,31 @@ def unroot(t: RootedTree) -> UnrootedTree:
     ids follow preorder from the left child of the root."""
     if t.nleaves < 3:
         raise TreeError("unrooting needs at least 3 leaves")
-    return _number_preorder({}, [(t.right, 0), (t.left, None)])
+    ix = t.dfs()
+    return _unrooted(ix.label[1:], ix.nleaves[1:])
 
 
-def _number_preorder(adj: dict, stack: list) -> UnrootedTree:
-    """The UnrootedTree of ``adj`` plus the rooted subtrees on ``stack``,
-    pairs (node, vertex it hangs from or None), the next one last; the new
-    vertices are numbered on from len(adj) in preorder."""
-    labels = {}
-    while stack:
-        node, parent = stack.pop()
-        vid = len(adj)
-        if parent is None:
-            adj[vid] = []
+def _unrooted(label: list, nleaves: list) -> UnrootedTree:
+    """The UnrootedTree whose vertex v is node v of a preorder in which the
+    children of internal node i are i + 1 and i + 2 * nleaves[i + 1].
+    Node 0 is a leaf hanging from node 1, or has a third neighbour: the
+    node after its second child's subtree."""
+    if label[0] is None:
+        b = 2 * nleaves[1]
+        adj, leaf_label = {0: (1, b, b + 2 * nleaves[b] - 1)}, {}
+    else:
+        adj, leaf_label = {0: (1,)}, {0: label[0]}
+    parent = [0] * len(label)
+    for i in range(1, len(label)):
+        x = label[i]
+        if x is None:
+            a, b = i + 1, i + 2 * nleaves[i + 1]
+            parent[a] = parent[b] = i
+            adj[i] = (parent[i], a, b)
         else:
-            adj[vid] = [parent]
-            adj[parent].append(vid)
-        if node.label is None:
-            stack += ((node.right, vid), (node.left, vid))
-        else:
-            labels[vid] = node.label
-    return UnrootedTree._built(adj, labels)
+            adj[i] = (parent[i],)
+            leaf_label[i] = x
+    return UnrootedTree._built(adj, leaf_label)
 
 
 # --------------------------------------------------------------------------
@@ -526,6 +538,8 @@ def _number_preorder(adj: dict, stack: list) -> UnrootedTree:
 # --------------------------------------------------------------------------
 
 
+_LEAF = re.compile(r"(\(*)((?!0)\d+)(\)*)([,;])|.")  # '(' run, leaf, ')' run, separator; or junk
+_SPLIT = re.compile(r"\d\s+\d")  # whitespace between digits: two labels, not one
 _TOKEN = re.compile(r"\d+|\S")  # a label or one other non-space character
 
 
@@ -533,78 +547,134 @@ def parse_newick(text: str):
     """Parse Newick text into a RootedTree (top arity 1-2) or UnrootedTree
     (top arity 3).  Raises NewickError with a character position.
 
-    One token scan builds each node when its ')' closes.  The first syntax
-    error stops it; after a clean scan the first repeated label is reported
-    (at the end of its second occurrence), then the leftmost '(' with the
-    wrong number of children.  An unrooted tree numbers its vertices in
-    text order, the centre 0."""
-    tokens = _TOKEN.findall(text)
-    tokens.append("")  # end of input
+    One scan, a leaf at a time, writes the DFS index arrays in text
+    preorder, which are a rooted tree's index: its root keeps them, and one
+    pass in reverse builds the nodes.  An unrooted tree numbers its
+    vertices in text order, the centre 0; when its first top-level child is
+    its smallest leaf m, one node inserted after m ("(m,(A,B))") makes the
+    arrays its index too, else ``dfs()`` walks it when asked.  A text the
+    scan refuses is read again token by token for its first fault."""
+    label, nleaves, first, order = _scan(text)
+    n = len(order)
+    if len(label) == 2 * n - 1:  # rooted
+        built = []
+        for i in range(len(label) - 1, -1, -1):
+            x = label[i]
+            if x is not None:
+                built.append(RootedTree(x, None, None, 1, 0, True))
+                continue
+            left, right = built.pop(), built[-1]
+            lh, rh = left.height, right.height  # RootedTree.branch, inlined
+            built[-1] = RootedTree(
+                None, left, right, nleaves[i],
+                1 + (lh if lh > rh else rh), lh == rh and left.balanced and right.balanced,
+            )
+        built[0]._dfs = DfsIndex(label, nleaves, array("i", first), order)
+        return built[0]
+    t = _unrooted(label, nleaves)
+    if label[1] == min(order):
+        label.insert(2, None)
+        nleaves.insert(2, n - 1)
+        first.insert(2, 1)
+        number = array("i", range(1, len(label)))
+        number[0], number[1] = 2, 1
+        t._dfs = DfsIndex(label, nleaves, array("i", first), order, number)
+    return t
 
-    def at(i):
-        """Text position of token i, worked out only for an error."""
-        return ([m.start() for m in _TOKEN.finditer(text)] + [len(text)])[i]
 
-    built = []  # finished subtrees of the open groups, left before right
-    groups = []  # (len(built) at its '(', token index of it) per open group
+def _scan(text: str):
+    """(label, nleaves, first, order) in text preorder, from one match per
+    leaf over the text without its whitespace; ``_fault``'s error when the
+    text breaks the grammar.  A group's leaf count is written when its ')'
+    closes; it has two children exactly when its subtree has
+    2 * nleaves - 1 nodes, once every group inside it has."""
+    s = "".join(text.split())
+    if len(s) < len(text) and _SPLIT.search(text):
+        raise _fault(text)
+    label, nleaves, first, order, groups = [], [], [], [], []
+    for m in _LEAF.finditer(s):
+        opens, x, closes, _ = m.groups()
+        if x is None:
+            raise _fault(text)
+        k = len(order)
+        if opens:  # most leaves open no group
+            for _ in opens:
+                groups.append(len(label))
+                label.append(None)
+                first.append(k)
+                nleaves.append(0)  # written when the group closes
+        try:
+            x = int(x)
+        except ValueError:  # past int()'s digit limit: the token scan says what comes first
+            raise _fault(text) from None
+        label.append(x)
+        first.append(k)
+        nleaves.append(1)
+        order.append(x)
+        if closes:
+            if len(closes) > len(groups):
+                raise _fault(text)
+            size, k = len(label), k + 1
+            for _ in closes:
+                g = groups.pop()
+                nleaves[g] = k - first[g]
+                if g and size - g != 2 * nleaves[g] - 1:
+                    raise _fault(text)
+    n = len(order)  # one leaf, or a top group that closes last with 2 or 3 children
+    top = len(label) == 1 or n and label[0] is None and nleaves[0] == n
+    if not top or 2 * n - len(label) not in (1, 2) or groups or s[-1] != ";":
+        raise _fault(text)
+    if s.count(";") > 1 or len(set(order)) < n:  # a ';' before the end, or a repeated label
+        raise _fault(text)
+    return label, nleaves, first, order
+
+
+def _fault(text: str) -> NewickError:
+    """The error of a text ``_scan`` refused, found token by token: the
+    first syntax error, else the first repeated label (at the end of its
+    second occurrence), else the leftmost '(' with the wrong number of
+    children."""
+    tokens = _TOKEN.findall(text) + [""]  # "" ends the input
+    at = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+    groups = []  # [children so far, token index of its '('] per open group
     seen = set()
-    duplicate = arity = None  # (message, token index, offset) of the first such fault
+    duplicate = arity = None  # (message, position) of the first such fault
     i = 0
     while True:
         token = tokens[i]
+        if groups:
+            groups[-1][0] += 1
         if token == "(":
-            groups.append((len(built), i))
+            groups.append([0, i])
             i += 1
             continue
         if not token:
-            raise NewickError("unexpected end of input", at(i))
+            return NewickError("unexpected end of input", at[i])
         if not token.isdecimal():
-            raise NewickError(f"expected a leaf label or '(', found {token!r}", at(i))
+            return NewickError(f"expected a leaf label or '(', found {token!r}", at[i])
         if token[0] == "0":
-            raise NewickError("leaf labels may not start with 0", at(i))
+            return NewickError("leaf labels may not start with 0", at[i])
         label = int(token)
         if label in seen and duplicate is None:
-            duplicate = (f"duplicate leaf label {label}", i, len(token))
+            duplicate = (f"duplicate leaf label {label}", at[i] + len(token))
         seen.add(label)
-        built.append(RootedTree(label, None, None, 1, 0, True))
         i += 1
         while groups and tokens[i] == ")":
-            start, opened = groups.pop()
-            count = len(built) - start
-            if count == 2:
-                right = built.pop()
-                left = built[-1]
-                lh, rh = left.height, right.height  # RootedTree.branch, inlined
-                built[-1] = RootedTree(
-                    None, left, right, left.nleaves + right.nleaves,
-                    1 + (lh if lh > rh else rh), lh == rh and left.balanced and right.balanced,
-                )
-            elif groups or count != 3:
-                fault = (
-                    f"internal node has {count} children (expected 2)"
-                    if groups
-                    else f"top-level node has {count} children (expected 2 or 3)"
-                )
-                if arity is None or opened < arity[1]:
-                    arity = (fault, opened, 0)
-                del built[start + 1 :]  # the group's first child stands in for it
+            count, opened = groups.pop()
+            if count != 2 and (groups or count != 3) and (arity is None or at[opened] < arity[1]):
+                node, expected = ("internal", "2") if groups else ("top-level", "2 or 3")
+                arity = (f"{node} node has {count} children (expected {expected})", at[opened])
             i += 1
         if not groups:
             break
         if tokens[i] != ",":
-            raise NewickError("expected ',' or ')'", at(i))
+            return NewickError("expected ',' or ')'", at[i])
         i += 1
     if tokens[i] != ";":
-        raise NewickError("expected ';'", at(i))
+        return NewickError("expected ';'", at[i])
     if tokens[i + 1]:
-        raise NewickError("trailing text after ';'", at(i + 1))
-    for fault in (duplicate, arity):
-        if fault:
-            message, i, offset = fault
-            raise NewickError(message, at(i) + offset)
-    if len(built) == 3:  # unrooted: the centre, then its subtrees in text order
-        return _number_preorder({0: []}, [(node, 0) for node in reversed(built)])
-    return built[0]
+        return NewickError("trailing text after ';'", at[i + 1])
+    return NewickError(*(duplicate or arity))
 
 
 # --------------------------------------------------------------------------

@@ -90,10 +90,9 @@ def restrict(t, labels):
 
 def join(s_left: RootedTree, s_right: RootedTree) -> RootedTree:
     """New root over two rooted trees with disjoint leaf sets."""
-    if s_left.leaves & s_right.leaves:
-        raise TreeError(
-            f"joined trees share leaves {sorted(s_left.leaves & s_right.leaves)}"
-        )
+    shared = s_left.dfs().pos.keys() & s_right.dfs().pos.keys()
+    if shared:
+        raise TreeError(f"joined trees share leaves {sorted(shared)}")
     return RootedTree.branch(s_left, s_right)
 
 

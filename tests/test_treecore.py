@@ -20,6 +20,7 @@ from agreetree.treecore import (
     NOT_BALANCED,
     ROOTED_BALANCED,
     BalanceClass,
+    DfsIndex,
     NewickError,
     RootedTree,
     TreeError,
@@ -122,6 +123,8 @@ class TestParse:
             ("12a;", "expected ';'", 2),
             ("(1;", "expected ',' or ')'", 2),
             ("((1,2);", "expected ',' or ')'", 6),
+            ("(1;2);", "expected ',' or ')'", 2),
+            ("((1,2);(3,4));", "expected ',' or ')'", 6),
             ("(1 2);", "expected ',' or ')'", 3),
             ("(x,2);", "expected a leaf label or '(', found 'x'", 1),
             ("()", "expected a leaf label or '(', found ')'", 1),
@@ -325,12 +328,66 @@ class TestDfsIndex:
         assert trees[0].dfs() is trees[0].dfs()
 
     def test_kept_on_the_node_asked(self):
-        """The index is built once per node it is asked of; reading the
-        leaves of a node builds none to keep."""
+        """A parsed root carries the index its parse wrote; any other node's
+        is built once, when asked, and reading a node's leaves keeps none."""
         t = parse_newick("((1,2),(3,4));")
-        assert t.leaves == {1, 2, 3, 4} and t._dfs is None
-        assert t.dfs() is t.dfs()
+        assert t._dfs is not None and t.dfs() is t._dfs and t.leaves == {1, 2, 3, 4}
         assert t.left._dfs is None and t.left.leaves == {1, 2} and t.left._dfs is None
+        assert t.left.dfs() is t.left.dfs()
+
+
+class TestParseWritesIndex:
+    """The index ``parse_newick`` writes during its scan equals the one the
+    walk builds over the parsed rooted tree's nodes, or over a hand-built
+    copy of the parsed unrooted tree.  Unrooted text whose first top-level
+    child is not its smallest leaf keeps no index until asked."""
+
+    @staticmethod
+    def check(text):
+        """Compare the two indexes of ``text``; the tree, and True iff the
+        parse wrote its index."""
+        t = parse_newick(text)
+        written = t._dfs is not None
+        if isinstance(t, RootedTree):
+            assert written
+            walked = DfsIndex.walk(t)
+        else:
+            assert written == (t.leaf_label.get(1) == min(t.leaves)), text
+            walked = UnrootedTree(t.adj, t.leaf_label).dfs()
+        got = t.dfs()
+        for name in ("label", "nleaves", "first", "order", "number"):
+            assert getattr(got, name) == getattr(walked, name), (name, text)
+        return t, written
+
+    def test_valid_texts(self):
+        """Children in random order: an unrooted text starts with its
+        smallest leaf only sometimes, so both cases occur."""
+        parsed = [self.check(text) for text in _valid_texts(range(1, 65))]
+        unrooted = [written for t, written in parsed if isinstance(t, UnrootedTree)]
+        assert 0 < sum(unrooted) < len(unrooted)
+
+    def test_canonical_texts(self):
+        rng = SplitMix64(17)
+        trees = [
+            gen_random(n, RandomModel(model, rng.next_u64()), rooted=rooted)
+            for model in ("uniform", "yule")
+            for rooted in (True, False)
+            for n in range(1 if rooted else 3, 65)
+        ]
+        trees += [gen_caterpillar(n, rooted=True) for n in range(1, 65)]
+        trees += [gen_caterpillar(n) for n in range(3, 65)]
+        trees += [gen_class_b(m) for m in range(2, 7)] + [gen_class_c(m) for m in range(1, 6)]
+        assert all(self.check(to_newick(t))[1] for t in trees)
+
+    def test_deep_caterpillars(self):
+        """20,000 leaves: unrooted, rooted nested to the right, and rooted
+        nested to the left (one run of 19,999 '(')."""
+        n = 20_000
+        rooted = gen_caterpillar(n, rooted=True)
+        flipped = relabel(rooted, {x: n + 1 - x for x in range(1, n + 1)})
+        texts = [to_newick(t) for t in (gen_caterpillar(n), rooted, flipped)]
+        assert texts[2].startswith("(" * (n - 1) + "1,2)")
+        assert all(self.check(text)[1] for text in texts)
 
 
 class TestMetrics:

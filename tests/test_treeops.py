@@ -187,8 +187,19 @@ class TestJoin:
         assert to_newick(s) == "((1,2),(3,4));"
 
     def test_overlap_rejected(self):
-        with pytest.raises(TreeError):
+        with pytest.raises(TreeError, match=r"joined trees share leaves \[2\]"):
             join(parse_newick("(1,2);"), parse_newick("(2,3);"))
+
+    def test_reads_the_kept_indexes(self, monkeypatch):
+        """The disjointness check builds each side's DFS index once and
+        keeps it on that side (it dropped one per side while it read
+        ``.leaves``)."""
+        t = gen_random(80, RandomModel("yule", 5), rooted=True)
+        left, right = restrict(t, range(1, 41)), restrict(t, range(41, 81))
+        built = count_calls(monkeypatch, treecore.DfsIndex, "__init__")
+        join(left, right)
+        join(left, right)
+        assert len(built) == 2 and left._dfs is not None and right._dfs is not None
 
     @given(st.integers(0, 2**63))
     def test_join_of_subtrees_is_subtree(self, seed):
@@ -282,14 +293,16 @@ class TestIsSubtree:
 
     def test_builds_no_throwaway_index(self, monkeypatch):
         """The leaf-subset check reads the DFS indexes of s and t, which
-        ``restrict`` and ``to_newick`` reuse: 3 ``DfsIndex`` builds, the
-        third for the restriction (6 while it read ``.leaves``)."""
+        ``restrict`` and ``to_newick`` reuse: 2 ``DfsIndex`` builds, for s
+        and for the restriction, as the parsed t carries the index its
+        parse wrote (3 while t's was walked, 6 while the check read
+        ``.leaves``)."""
         text = to_newick(gen_random(200, RandomModel("yule", 3), rooted=True))
         t = parse_newick(text)
         s = restrict(parse_newick(text), sorted(t.leaves)[::3][:59])
         built = count_calls(monkeypatch, treecore.DfsIndex, "__init__")
         assert is_subtree(s, t)
-        assert len(built) == 3
+        assert len(built) == 2
 
 
 class TestVerifyAgreement:
