@@ -11,12 +11,12 @@ takes one of two value types: sizes (merged by ``+``, picked by ``max``)
 or sorted witness leaf tuples.
 
 ``mast_rooted`` reads the root cell of the witness table.  ``mast_unrooted``
-fills the size table of the two unrooted tables, takes the first maximising
-pair of root entries in ``edges()`` order, and takes its witness from
-``mast_rooted`` on those two rootings.  ``mast_bruteforce`` is the
-independent subset-enumeration oracle used to validate both.  These are
-oracles, not performance-tuned algorithms; they are exact and fast enough
-at desk scale.
+roots t1 once, at its first edge in ``edges()`` order, against t2's unrooted
+table: every rooting of t1 reaches the maximum against some rooting of t2,
+so the first maximising pair of all rootings has that edge, and its
+``mast_rooted`` witness is returned.  ``mast_bruteforce`` is the independent
+subset-enumeration oracle used to validate both.  These are oracles, not
+performance-tuned algorithms; they are exact and fast enough at desk scale.
 
 Witnesses are deterministic: each cell keeps the candidate with the
 lexicographically smallest sorted leaf tuple among the largest, so the
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .generators import enumerate_topologies, guards_lifted
 from .treecore import RootedTree, UnrootedTree, root_at_edge
@@ -143,23 +143,19 @@ def _rooted_size(t1: RootedTree, t2: RootedTree) -> int:
 
 
 def _unrooted_best_rooting(t1: UnrootedTree, t2: UnrootedTree):
-    """(value, edge of t1, edge of t2) for the first maximising pair of
-    rootings in ``edges()`` order."""
-    T = _mast_table(_unrooted_table(t1), _unrooted_table(t2), *_SIZES)
-    edges1, edges2 = t1.edges(), t2.edges()
-    root1, root2 = len(T) - len(edges1), len(T[0]) - len(edges2)
-    a, b = max(
-        product(range(len(edges1)), range(len(edges2))),
-        key=lambda p: T[root1 + p[0]][root2 + p[1]],
-    )
-    return T[root1 + a][root2 + b], edges1[a], edges2[b]
+    """(value, t1 rooted at its first edge, the first edge of t2 in
+    ``edges()`` order whose rooting reaches value against it)."""
+    r1, edges2 = root_at_edge(t1, t1.edges()[0]), t2.edges()
+    roots = _mast_table(_rooted_table(r1), _unrooted_table(t2), *_SIZES)[-1][-len(edges2) :]
+    value = max(roots)
+    return value, r1, edges2[roots.index(value)]
 
 
 def mast_unrooted(t1: UnrootedTree, t2: UnrootedTree) -> MastResult:
-    """Exact unrooted MAST: the maximum rooted MAST over all pairs of edge
-    rootings, with the witness taken from the first maximising pair."""
-    value, e1, e2 = _unrooted_best_rooting(t1, t2)
-    rooted = mast_rooted(root_at_edge(t1, e1), root_at_edge(t2, e2))
+    """Exact unrooted MAST: t1 rooted once against every edge rooting of
+    t2; the witness is that of the first maximising pair of rootings."""
+    value, r1, e2 = _unrooted_best_rooting(t1, t2)
+    rooted = mast_rooted(r1, root_at_edge(t2, e2))
     if rooted.size != value:
         raise AssertionError(
             f"rooting sweep found {value} but the witness DP returned {rooted.size}"

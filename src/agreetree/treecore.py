@@ -507,7 +507,10 @@ def unroot(t: RootedTree) -> UnrootedTree:
     if t.nleaves < 3:
         raise TreeError("unrooting needs at least 3 leaves")
     ix = t.dfs()
-    return _unrooted(ix.label[1:], ix.nleaves[1:])
+    u = _unrooted(ix.label[1:], ix.nleaves[1:])
+    if ix.label[1] == min(ix.order):  # then ix is u's default-rooting index, as in a restrict
+        u._dfs = DfsIndex(ix.label, ix.nleaves, ix.first, ix.order, array("i", range(1, len(ix.label))))
+    return u
 
 
 def _unrooted(label: list, nleaves: list) -> UnrootedTree:

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to validate the fast paths.
 
 Everything here is deliberately naive: exhaustive search, all-pairs BFS,
-quadratic DP.  None of it shares code with the implementations it checks.
+quadratic DP.  None of it shares code with the implementations it checks,
+except ``unrooted_best_rooting_by_pairs``, which reruns the exact DP to
+check how ``mast_unrooted`` picks its rootings.
 ``count_calls`` is the one patch-and-record helper of the tests that
 count builds, folds and checks.
 """
@@ -9,8 +11,9 @@ count builds, folds and checks.
 import re
 import sys
 from collections import deque
-from itertools import combinations, count
+from itertools import combinations, count, product
 
+from agreetree.exactmast import _SIZES, _mast_table
 from agreetree.matchers import Match1Step, Match1Trace, Match2Node, Match2Trace
 from agreetree.treecore import (
     CLASS_B,
@@ -302,6 +305,23 @@ def unrooted_table_by_directed_edges(t: UnrootedTree):
         kids.append((index[(v, u)], index[(u, v)]))
         labels.append(None)
     return kids, labels
+
+
+def unrooted_best_rooting_by_pairs(t1: UnrootedTree, t2: UnrootedTree):
+    """(value, edge of t1, edge of t2) for the first maximising pair of edge
+    rootings in ``edges()`` order: the sweep over every pair of rootings
+    that ``exactmast`` made before it rooted t1 once, on the directed-edge
+    tables above.  It runs the package's recurrence, so it checks the choice
+    of rootings, not the DP."""
+    tables = (unrooted_table_by_directed_edges(t) for t in (t1, t2))
+    T = _mast_table(*tables, *_SIZES)
+    edges1, edges2 = t1.edges(), t2.edges()
+    root1, root2 = len(T) - len(edges1), len(T[0]) - len(edges2)
+    a, b = max(
+        product(range(len(edges1)), range(len(edges2))),
+        key=lambda p: T[root1 + p[0]][root2 + p[1]],
+    )
+    return T[root1 + a][root2 + b], edges1[a], edges2[b]
 
 
 def to_newick_by_directed_edges(t: UnrootedTree) -> str:

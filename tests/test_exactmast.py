@@ -2,11 +2,13 @@ from itertools import combinations
 
 import pytest
 
+from agreetree import exactmast
 from agreetree.exactmast import (
     _SIZES,
     _WITNESSES,
     _mast_table,
     _rooted_size,
+    _unrooted_best_rooting,
     _unrooted_table,
     mast_bruteforce,
     mast_floor,
@@ -18,6 +20,7 @@ from agreetree.generators import (
     gen_balanced,
     gen_caterpillar,
     gen_class_b,
+    gen_class_c,
     gen_random,
     gen_swap_pair,
     relabel,
@@ -26,7 +29,13 @@ from agreetree._rng import SplitMix64
 from agreetree.treecore import UnrootedTree, parse_newick, root_at_edge, to_newick
 from agreetree.treeops import restrict, verify_agreement
 
-from oracles import clusters, mast_subsets_unrooted, unrooted_table_by_directed_edges
+from oracles import (
+    clusters,
+    count_calls,
+    mast_subsets_unrooted,
+    unrooted_best_rooting_by_pairs,
+    unrooted_table_by_directed_edges,
+)
 
 
 def _random_rooted(n, seed):
@@ -178,12 +187,79 @@ class TestUnrooted:
                 ]
                 assert blocks[0] == blocks[1], (to_newick(a), to_newick(b))
 
+    def test_one_rooting_of_the_first_tree_equals_the_pair_sweep(self):
+        """Rooting t1 once, at its first edge, picks the pair of rootings a
+        sweep over all pairs picks first: same value and edge of t2, t1's
+        first edge, and the same witness."""
+        pairs = _rooting_pairs()
+        assert len(pairs) >= 700
+        differ = []
+        for a, b in pairs:
+            value, r1, e2 = _unrooted_best_rooting(a, b)
+            want = unrooted_best_rooting_by_pairs(a, b)
+            witness = mast_rooted(root_at_edge(a, want[1]), root_at_edge(b, want[2])).witness
+            if (value, a.edges()[0], e2) != want or mast_unrooted(a, b).witness != witness:
+                differ.append((to_newick(a), to_newick(b)))
+        assert differ == []
+
+    def test_one_unrooted_table_per_call(self, monkeypatch):
+        """The first tree is only rooted: its unrooted table is never built."""
+        built = count_calls(monkeypatch, exactmast, "_unrooted_table", lambda args, out: args[0])
+        a, b = _random_unrooted(20, 30), _random_unrooted(20, 31)
+        for t1, t2 in ((a, b), (b, a), (a, a)):
+            del built[:]
+            mast_unrooted(t1, t2)
+            assert len(built) == 1 and built[0] is t2
+
     def test_caterpillar_vs_balanced_at_most_logarithmic(self):
         for m in (2, 3, 4):
             n = 2**m
             cat = gen_caterpillar(n)
             bal = gen_class_b(m)
             assert mast_unrooted(cat, bal).size <= 2 * m + 1
+
+
+def _shuffled_ids(t: UnrootedTree, rng) -> UnrootedTree:
+    """A copy of t with its vertex ids permuted, so ``edges()`` lists its
+    edges in another order."""
+    ids = list(t.adj)
+    rng.shuffle(ids)
+    new = dict(zip(t.adj, ids))
+    return UnrootedTree(
+        {new[v]: [new[w] for w in ns] for v, ns in t.adj.items()},
+        {new[v]: x for v, x in t.leaf_label.items()},
+    )
+
+
+def _rooting_pairs() -> list:
+    """Seeded unrooted pairs: uniform and Yule pairs (n = 3 … 40 and 64),
+    their canonical re-parses, copies with shuffled vertex ids, caterpillars
+    against uniform trees in both orders, class B and C trees, swap pairs
+    k <= 3 and pairs sharing only part of their leaves."""
+    rng = SplitMix64(18)
+    pairs = []
+    for model in ("uniform", "yule"):
+        for n in list(range(3, 41)) + [64]:
+            for _ in range(3):
+                a, b = (gen_random(n, RandomModel(model, rng.next_u64())) for _ in "ab")
+                pairs += [(a, b), (parse_newick(to_newick(b)), parse_newick(to_newick(a)))]
+            pairs += [(_shuffled_ids(a, rng), b), (a, _shuffled_ids(b, rng))]
+    for n in range(3, 41):
+        cat, uni = gen_caterpillar(n), _random_unrooted(n, rng.next_u64())
+        pairs += [(cat, uni), (uni, cat)]
+    for t in [gen_class_b(m) for m in range(2, 6)] + [gen_class_c(m) for m in range(1, 5)]:
+        n, labels = t.nleaves, sorted(t.leaves)
+        rng.shuffle(labels)
+        other = relabel(t, dict(zip(sorted(t.leaves), labels)))
+        pairs += [(t, other), (t, _random_unrooted(n, rng.next_u64())), (gen_caterpillar(n), t)]
+    for k in (1, 2, 3):
+        a, b = gen_swap_pair(k, rooted=False)
+        pairs += [(a, b), (b, a)]
+    for n in range(6, 31, 2):
+        a = _random_unrooted(n, rng.next_u64())
+        b = relabel(_random_unrooted(n, rng.next_u64()), {i: i + n // 3 for i in range(1, n + 1)})
+        pairs += [(a, b), (b, a)]
+    return pairs
 
 
 class TestBruteforce:

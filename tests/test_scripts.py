@@ -15,7 +15,8 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_swap_pair_study_small():
-    """The exact rooted oracle gives MAST 2^k on the swap pairs k = 1, 2."""
+    """The exact oracles give MAST 2^k rooted and 3 * 2^(k-1) unrooted on
+    the swap pairs k = 1, 2."""
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "swap_pair_study.py"), "--kmax", "2"],
         capture_output=True,
@@ -26,3 +27,6 @@ def test_swap_pair_study_small():
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert "k=1 n=4: rooted mast=2 " in proc.stdout
     assert "k=2 n=16: rooted mast=4 " in proc.stdout
+    rows = {line.split(":")[0]: line for line in proc.stdout.splitlines()}
+    assert "unrooted mast=3 " in rows["k=1 n=4"]
+    assert "unrooted mast=6 " in rows["k=2 n=16"]

@@ -8,12 +8,21 @@ from agreetree.generators import (
     RandomModel,
     enumerate_topologies,
     gen_balanced,
+    gen_caterpillar,
     gen_random,
     gen_swap_pair,
     relabel,
 )
 from agreetree.matchers import match1, match2
-from agreetree.treecore import RootedTree, TreeError, parse_newick, to_newick, unroot
+from agreetree.treecore import (
+    DfsIndex,
+    RootedTree,
+    TreeError,
+    UnrootedTree,
+    parse_newick,
+    to_newick,
+    unroot,
+)
 from agreetree.treeops import (
     AgreementError,
     is_isomorphic,
@@ -168,6 +177,37 @@ class TestRestrict:
             assert to_newick(got) == to_newick(restrict_rooted_by_postorder(t, X))
         else:
             assert splits(got) == splits(restrict_unrooted_by_paths(t, X))
+
+    def test_unrooted_keeps_the_index_it_is_unrooted_from(self):
+        """An unrooted restriction keeps the index of the rooted restriction
+        ``unroot`` reads: field by field the walk over a hand-built copy."""
+        rng = SplitMix64(19)
+        trees = [
+            gen_random(n, RandomModel(model, rng.next_u64()))
+            for model in ("uniform", "yule")
+            for n in (3, 4, 9, 30, 64)
+        ]
+        trees += [gen_caterpillar(20), unroot(gen_balanced(5))]
+        trees += [parse_newick(to_newick(t)) for t in trees]
+        for t in trees:
+            labels = sorted(t.leaves)
+            for size in sorted({3, len(labels) // 2 + 2, len(labels)}):
+                rng.shuffle(labels)
+                r = restrict(t, labels[:size])
+                assert r._dfs is not None
+                walked = DfsIndex.walk(UnrootedTree(r.adj, r.leaf_label))
+                for name in ("label", "nleaves", "first", "order", "number"):
+                    assert getattr(r._dfs, name) == getattr(walked, name), (name, to_newick(r))
+
+    def test_unrooted_written_without_a_second_walk(self, monkeypatch):
+        """Writing an unrooted restriction of a parsed tree walks only the
+        rooted restriction that ``unroot`` reads, not the result again."""
+        t = parse_newick(to_newick(gen_random(128, RandomModel("uniform", 5))))
+        X = sorted(t.leaves)[::2]
+        want = to_newick(restrict_unrooted_by_paths(t, X))
+        walks = count_calls(monkeypatch, DfsIndex, "walk", lambda args, out: type(args[0]))
+        assert to_newick(restrict(t, X)) == want
+        assert walks == [RootedTree]
 
     @given(st.integers(0, 2**63))
     def test_restriction_composes(self, seed):
