@@ -369,9 +369,8 @@ def _bench_trial(algorithm: str, n: int, model_kind: str, seed: int, measure: bo
             ok = cert is not None
         except TreeError:
             ok = False
-        if n <= dc.EXACT_CUTOFF:
-            mast = xm.mast_rooted if isinstance(t1, RootedTree) else xm.mast_unrooted
-            exact = mast(t1, t2).size
+        if n <= dc.EXACT_CUTOFF:  # agree_general's attempts include the exact MAST there
+            exact = len(leaves) if algorithm == "agree" else xm.mast_rooted(t1, t2).size
         result = len(leaves)
     runtime_ms = int((time.perf_counter() - started) * 1000) if measure else 0
     return TrialRecord(

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 from ._rng import SplitMix64
 from .bounds import f_closed
-from .treecore import RootedTree, TreeError, UnrootedTree, _unrooted, rebuild, unroot
+from .treecore import RootedTree, TreeError, UnrootedTree, rebuild, unroot
 
 UNIFORM = "uniform"
 YULE = "yule"
 
-MAX_M = 20  # gen_balanced builds height <= MAX_M, gen_extremal_fhk <= 2^MAX_M leaves
+MAX_M = 20  # balanced height and class-B/C m <= MAX_M, gen_extremal_fhk <= 2^MAX_M leaves
 ENUM_GUARD_UNROOTED = 7
 ENUM_GUARD_ROOTED = 6
 
@@ -61,23 +61,14 @@ def gen_balanced(m: int) -> RootedTree:
 
 
 def gen_caterpillar(n: int, rooted: bool = False):
-    """Caterpillar with leaves 1..n in spine order."""
+    """Caterpillar (1,(2,(…,(n-1,n)))) on leaves 1..n in spine order, unrooted unless rooted."""
     if rooted:
         if n < 1:
             raise ValueError("rooted caterpillar needs n >= 1")
         return rebuild(range(1, n + 1), lambda r: (r[:1], r[1:]) if len(r) > 1 else r[0])
     if n < 3:
         raise ValueError("unrooted caterpillar needs n >= 3")
-    spine = list(range(n, 2 * n - 2))
-    adj = {v: [] for v in spine}
-    edges = list(zip(spine, spine[1:]))
-    for i in range(1, n + 1):  # leaf i is vertex i - 1 and hangs off spine[i - 2], clamped
-        adj[i - 1] = []
-        edges.append((i - 1, spine[min(max(i - 2, 0), n - 3)]))
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return UnrootedTree(adj, {i - 1: i for i in range(1, n + 1)})
+    return unroot(gen_caterpillar(n, rooted=True))
 
 
 def gen_class_b(m: int) -> UnrootedTree:
@@ -88,16 +79,14 @@ def gen_class_b(m: int) -> UnrootedTree:
 
 
 def gen_class_c(m: int) -> UnrootedTree:
-    """Unrooted balanced tree with a vertex center and 3 * 2^(m-1) leaves."""
+    """Unrooted balanced tree with a vertex center and 3 * 2^(m-1) leaves: (B1,(B2,B3)) unrooted."""
     if m < 1:
         raise ValueError("class-C trees need m >= 1")
+    if m > MAX_M:
+        raise ValueError(f"class-C m={m} out of range [1, {MAX_M}]")
     h = 2 ** (m - 1)
-    branches = [rebuild(range(1 + j * h, 1 + (j + 1) * h), _halves).dfs() for j in range(3)]
-    label, nleaves = [None], [3 * h]  # the centre, then the three branches in preorder
-    for ix in branches:
-        label += ix.label
-        nleaves += ix.nleaves
-    return _unrooted(label, nleaves)
+    top = range(1, 3 * h + 1)
+    return unroot(rebuild(top, lambda r: (r[:h], r[h:]) if len(r) > 2 * h else _halves(r)))
 
 
 def gen_extremal_fhk(h: int, k: int) -> RootedTree:

@@ -20,8 +20,8 @@ it.  So does every reader of an unrooted tree's branches: an edge's lower
 end in that rooting is the end with the larger preorder number, and
 ``DfsIndex.side`` reads either side.
 
-Leaf labels are positive integers, distinct within a tree.  There are no
-branch lengths and no internal labels.
+Leaf labels are positive integers (not bools), distinct within a tree.
+There are no branch lengths and no internal labels.
 
 Newick grammar (exact):
 
@@ -97,7 +97,7 @@ class RootedTree:
 
     @classmethod
     def leaf(cls, label: int) -> "RootedTree":
-        if not isinstance(label, int) or label <= 0:
+        if not isinstance(label, int) or isinstance(label, bool) or label <= 0:
             raise TreeError(f"leaf label must be a positive integer, got {label!r}")
         return cls(label, None, None, 1, 0, True)
 
@@ -299,7 +299,7 @@ class UnrootedTree:
         if len(self.leaf_label) < 3:
             raise TreeError("an unrooted tree needs at least 3 leaves")
         for v, lab in self.leaf_label.items():
-            if not isinstance(lab, int) or lab <= 0:
+            if not isinstance(lab, int) or isinstance(lab, bool) or lab <= 0:
                 raise TreeError(f"leaf label must be a positive integer, got {lab!r}")
             if lab in self.label_vertex:
                 raise TreeError(f"duplicate leaf label {lab}")

@@ -792,6 +792,22 @@ def parse_newick_two_pass(text: str):
     return nodes[0]
 
 
+def caterpillar_by_adjacency(n: int) -> UnrootedTree:
+    """The unrooted caterpillar on leaves 1..n from hand-built adjacency
+    lists: leaf i is vertex i - 1, the spine runs over vertices n .. 2n - 3,
+    and leaf i hangs off spine vertex i - 2, clamped to the spine."""
+    spine = list(range(n, 2 * n - 2))
+    adj = {v: [] for v in spine}
+    edges = list(zip(spine, spine[1:]))
+    for i in range(1, n + 1):
+        adj[i - 1] = []
+        edges.append((i - 1, spine[min(max(i - 2, 0), n - 3)]))
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return UnrootedTree(adj, {i - 1: i for i in range(1, n + 1)})
+
+
 def class_c_by_recursion(m: int) -> UnrootedTree:
     """The class-C tree on 3 * 2^(m-1) leaves built by a recursive walk:
     centre 0, then three balanced branches of height m-1, vertices and

@@ -527,6 +527,24 @@ def test_agree_checks_its_witness_once(trees, monkeypatch):
     assert len(calls) == 1, calls
 
 
+def test_bench_agree_runs_the_exact_mast_once(tmp_path, monkeypatch):
+    """At n <= EXACT_CUTOFF ``agree_general`` already tries the exact MAST,
+    and its result, a certified maximum, is the ``exact_size`` column."""
+    import agreetree.exactmast as exactmast
+
+    calls = count_calls(monkeypatch, exactmast, "mast_unrooted", lambda args, out: out.size)
+    out_path = tmp_path / "bench.csv"
+    code, _ = run_cli(
+        "bench", "--n", "16,24", "--trials", "2", "--algorithms", "agree", "--out", str(out_path)
+    )
+    assert code == 0 and len(calls) == 4, calls
+    rows = [line.split(",") for line in out_path.read_text().splitlines()]
+    header = rows[0]
+    result, exact = header.index("result_size"), header.index("exact_size")
+    assert [int(row[exact]) for row in rows[1:]] == calls
+    assert all(row[result] == row[exact] for row in rows[1:])
+
+
 def test_bench_agree_checks_each_witness_once(tmp_path, monkeypatch):
     """``bench --algorithms agree`` reads ``certificate_ok`` from the
     report of ``agree_general``, which has checked the witness."""

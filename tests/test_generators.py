@@ -17,8 +17,13 @@ from agreetree.generators import (
     swap_sequence,
 )
 from agreetree.treecore import (
+    CLASS_C,
     ROOTED_BALANCED,
+    DfsIndex,
+    RootedTree,
     TreeError,
+    UnrootedTree,
+    center,
     classify_balanced,
     diameter_path,
     is_caterpillar,
@@ -26,7 +31,7 @@ from agreetree.treecore import (
     to_newick,
 )
 
-from oracles import class_c_by_recursion, ordered_text
+from oracles import caterpillar_by_adjacency, class_c_by_recursion, count_calls, ordered_text
 
 
 class TestBalanced:
@@ -74,23 +79,57 @@ class TestCaterpillar:
         assert ordered_text(gen_caterpillar(5, rooted=True)) == "(1,(2,(3,(4,5))))"
 
     def test_unrooted_vertex_ids(self):
-        # Leaf i is vertex i - 1; the spine runs over vertices n .. 2n - 3.
+        """The unrooted caterpillar is ``unroot`` of the rooted one: vertex v
+        is node v + 1 of its preorder, and the rooted build's index stays."""
         t = gen_caterpillar(5)
-        assert list(t.adj.items()) == [
-            (5, (0, 1, 6)), (6, (2, 5, 7)), (7, (3, 4, 6)),
-            (0, (5,)), (1, (5,)), (2, (6,)), (3, (7,)), (4, (7,)),
-        ]
-        assert t.leaf_label == {v: v + 1 for v in range(5)}
+        assert t.adj == {
+            0: (1,), 1: (0, 2, 3), 2: (1,), 3: (1, 4, 5),
+            4: (3,), 5: (3, 6, 7), 6: (5,), 7: (5,),
+        }
+        assert t.leaf_label == {0: 1, 2: 2, 4: 3, 6: 4, 7: 5}
+        assert t._dfs is not None and list(t._dfs.number) == list(range(1, 9))
+
+    def test_kept_index_equals_a_walk(self):
+        for n in (3, 4, 5, 17, 64):
+            t = gen_caterpillar(n)
+            walked = DfsIndex.walk(UnrootedTree(t.adj, t.leaf_label))
+            for name in ("label", "nleaves", "first", "order", "number"):
+                assert getattr(t._dfs, name) == getattr(walked, name), (n, name)
+
+    def test_equals_adjacency_construction(self):
+        for n in range(3, 301):
+            t, ref = gen_caterpillar(n), caterpillar_by_adjacency(n)
+            assert to_newick(t) == to_newick(ref), n
+            assert is_caterpillar(t) and is_caterpillar(ref), n
+
+    def test_written_without_walking_the_adjacency(self, monkeypatch):
+        """Building and writing the caterpillar walks only the rooted build."""
+        want = to_newick(caterpillar_by_adjacency(50))
+        walks = count_calls(monkeypatch, DfsIndex, "walk", lambda args, out: type(args[0]))
+        assert to_newick(gen_caterpillar(50)) == want
+        assert walks == [RootedTree]
 
 
 class TestClassC:
     def test_equals_recursive_construction(self):
-        """Three balanced branches joined at vertex 0 give the vertex ids,
-        neighbour order and labels of the recursive preorder walk."""
-        for m in range(1, 8):
+        """Same tree as the recursive walk: canonical text and balance class."""
+        for m in range(1, 9):
             t, ref = gen_class_c(m), class_c_by_recursion(m)
-            assert list(t.adj.items()) == list(ref.adj.items()), m
-            assert t.leaf_label == ref.leaf_label, m
+            assert to_newick(t) == to_newick(ref), m
+            assert classify_balanced(t) == classify_balanced(ref), m
+            assert classify_balanced(t).kind == CLASS_C and classify_balanced(t).m == m
+
+    def test_centre_vertex(self):
+        """``unroot`` numbers (B1,(B2,B3)) in preorder from B1's root: the
+        centre, node (B2,B3), comes after B1's 2^m - 1 nodes."""
+        for m in range(1, 9):
+            assert center(gen_class_c(m)) == {2**m - 1}, m
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError, match="^class-C trees need m >= 1$"):
+            gen_class_c(0)
+        with pytest.raises(ValueError, match=r"^class-C m=21 out of range \[1, 20\]$"):
+            gen_class_c(21)
 
 
 class TestRandom:
@@ -242,6 +281,11 @@ class TestRelabel:
     def test_not_injective(self, text):
         with pytest.raises(TreeError):
             relabel(parse_newick(text), {1: 5, 2: 5, 3: 6})
+
+    @pytest.mark.parametrize("tree", [gen_balanced(1), gen_caterpillar(3)], ids=["rooted", "unrooted"])
+    def test_bool_label_rejected(self, tree):
+        with pytest.raises(TreeError, match="^leaf label must be a positive integer, got True$"):
+            relabel(tree, {1: True, 2: 5, 3: 6})
 
     def test_unrooted(self):
         t = relabel(gen_caterpillar(4), {1: 10, 2: 20, 3: 30, 4: 40})

@@ -687,3 +687,12 @@ class TestValidation:
     def test_nonpositive_label_rejected(self):
         with pytest.raises(TreeError):
             RootedTree.leaf(0)
+
+    def test_bool_label_rejected(self):
+        """``bool`` subclasses ``int``, but ``True`` is not a label: it
+        would be written as text the parser rejects."""
+        message = "^leaf label must be a positive integer, got True$"
+        with pytest.raises(TreeError, match=message):
+            RootedTree.leaf(True)
+        with pytest.raises(TreeError, match=message):
+            UnrootedTree({0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}, {1: True, 2: 2, 3: 3})
