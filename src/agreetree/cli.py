@@ -381,6 +381,9 @@ def _bench_trial(algorithm: str, n: int, model_kind: str, seed: int, measure: bo
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    last = args.seed + args.trials - 1
+    if args.seed < 0 or last >= 2**64:
+        raise ValueError(f"trial seeds must be in [0, 2^64), got {args.seed} to {last}")
     items = args.n.split(",")
     for item in items:
         if not item.strip().isdecimal() or int(item) < 1:

@@ -86,9 +86,8 @@ def _unrooted_table(t: UnrootedTree):
             for c, sibling in ((a, b), (b, a)):
                 up[c] = len(kids)
                 kids.append((up[p], size - 1 - sibling))
-    for u, v in t.edges():
-        k = max(ix.number[u], ix.number[v])  # the lower end
-        kids.append((size - 1 - k, up[k]))
+    for _, v in t.edges():  # the lower end v > u is node v + 1
+        kids.append((size - 2 - v, up[v + 1]))
     return kids, labels + [None] * (len(kids) - size)
 
 

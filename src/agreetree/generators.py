@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from ._rng import SplitMix64
 from .bounds import f_closed
-from .treecore import RootedTree, TreeError, UnrootedTree, rebuild, unroot
+from .treecore import DfsIndex, RootedTree, TreeError, UnrootedTree, rebuild, unroot
+from .treecore import _check_label, _unroot_index
 
 UNIFORM = "uniform"
 YULE = "yule"
@@ -40,6 +41,8 @@ class RandomModel:
     def __post_init__(self):
         if self.kind not in (UNIFORM, YULE):
             raise ValueError(f"unknown random model {self.kind!r}")
+        if not 0 <= self.seed < 2**64:  # SplitMix64 would reduce it mod 2^64
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
 # --------------------------------------------------------------------------
@@ -142,14 +145,23 @@ def gen_swap_pair(k: int, rooted: bool = True):
 
 
 def relabel(t, mapping: dict):
-    """Replace every leaf label via ``mapping`` (a bijection on the labels)."""
+    """Replace every leaf label via ``mapping`` (a bijection on the labels).
+    An unrooted copy shares t's adjacency and, with its smallest leaf still
+    vertex 0, t's index, labels mapped; else it is renumbered once."""
     if isinstance(t, RootedTree):
         out = rebuild(t, lambda node: mapping[node.label] if node.label else (node.left, node.right))
         if len(set(out.dfs().order)) != out.nleaves:  # the index stays for the copy's readers
             raise TreeError("relabel mapping is not injective on the leaves")
         return out
-    new_labels = {v: mapping[lab] for v, lab in t.leaf_label.items()}
-    return UnrootedTree({v: list(ns) for v, ns in t.adj.items()}, new_labels)
+    leaf_label = {v: mapping[x] for v, x in t.leaf_label.items()}
+    for x in leaf_label.values():
+        _check_label(x)
+    out = UnrootedTree._built(t.adj, leaf_label)  # a repeated label raises
+    if out.label_vertex[min(out.label_vertex)]:
+        return _unroot_index(DfsIndex.walk(out))
+    ix, get = t.dfs(), mapping.__getitem__
+    out._dfs = DfsIndex([x and get(x) for x in ix.label], ix.nleaves, ix.first, list(map(get, ix.order)))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -212,26 +224,22 @@ def _yule_rooted(n: int, rng: SplitMix64) -> RootedTree:
 
 def _uniform_unrooted(n: int, rng: SplitMix64) -> UnrootedTree:
     """Uniform over the (2n-5)!! labelled unrooted topologies by sequential
-    insertion of leaves 4..n into a uniformly random edge."""
+    insertion of leaves 4..n into a uniformly random edge; on insertion ids."""
     adj = {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}
     labels = {1: 1, 2: 2, 3: 3}
     edges = [(0, 1), (0, 2), (0, 3)]
-    next_vertex = 4
     for lab in range(4, n + 1):
         pick = rng.randrange(len(edges))
         u, v = edges[pick]
-        w = next_vertex
-        x = next_vertex + 1
-        next_vertex += 2
+        w, x = len(adj), len(adj) + 1
         adj[u] = [y for y in adj[u] if y != v] + [w]  # w is the largest id yet,
         adj[v] = [y for y in adj[v] if y != u] + [w]  # so every list stays sorted
         adj[w] = sorted((u, v)) + [x]
         adj[x] = [w]
         labels[x] = lab
         edges[pick] = (u, w)
-        edges.append((w, v))
-        edges.append((w, x))
-    return UnrootedTree._built({v: tuple(ns) for v, ns in adj.items()}, labels)
+        edges += ((w, v), (w, x))
+    return UnrootedTree._built(adj, labels)
 
 
 def gen_random(n: int, model: RandomModel, rooted: bool = False):
@@ -243,8 +251,8 @@ def gen_random(n: int, model: RandomModel, rooted: bool = False):
         return _uniform_rooted(n, rng) if model.kind == UNIFORM else _yule_rooted(n, rng)
     if n < 3:
         raise ValueError("unrooted random trees need n >= 3")
-    if model.kind == UNIFORM:
-        return _uniform_unrooted(n, rng)
+    if model.kind == UNIFORM:  # renumbered once its insertion lists are gone
+        return _unroot_index(DfsIndex.walk(_uniform_unrooted(n, rng)))
     return unroot(_yule_rooted(n, rng))
 
 
@@ -263,8 +271,8 @@ def _rooted_insertions(t: RootedTree, lab: int):
             yield RootedTree.branch(t.left, right)
 
 
-def _unrooted_insert(t: UnrootedTree, edge, lab: int) -> UnrootedTree:
-    adj = {v: list(ns) for v, ns in t.adj.items()}
+def _unrooted_insert(adj: dict, labels: dict, edge, lab: int):
+    adj = {v: list(ns) for v, ns in adj.items()}
     u, v = edge
     w = max(adj) + 1
     x = w + 1
@@ -272,9 +280,7 @@ def _unrooted_insert(t: UnrootedTree, edge, lab: int) -> UnrootedTree:
     adj[v][adj[v].index(u)] = w
     adj[w] = [u, v, x]
     adj[x] = [w]
-    labels = dict(t.leaf_label)
-    labels[x] = lab
-    return UnrootedTree(adj, labels)
+    return adj, {**labels, x: lab}
 
 
 def enumerate_topologies(n: int, rooted: bool = False, force: bool = False):
@@ -302,12 +308,12 @@ def enumerate_topologies(n: int, rooted: bool = False, force: bool = False):
     if n < 3:
         raise ValueError("unrooted enumeration needs n >= 3")
 
-    def rec_u(k):
+    def rec_u(k):  # on insertion ids, which fix the order of the topologies
         if k == 3:
-            yield UnrootedTree({0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}, {1: 1, 2: 2, 3: 3})
+            yield {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}, {1: 1, 2: 2, 3: 3}
             return
-        for t in rec_u(k - 1):
-            for edge in t.edges():
-                yield _unrooted_insert(t, edge, k)
+        for adj, labels in rec_u(k - 1):
+            for edge in sorted((u, v) for u, ns in adj.items() for v in ns if u < v):
+                yield _unrooted_insert(adj, labels, edge, k)
 
-    yield from rec_u(n)
+    yield from (UnrootedTree(adj, labels) for adj, labels in rec_u(n))

@@ -334,8 +334,8 @@ def _root_near_center(t: UnrootedTree) -> RootedTree:
     """Root at the central edge, or (vertex center) at the center edge
     leading toward the smallest leaf; height <= radius + 1."""
     c = sorted(center(t))
-    if len(c) == 1:  # z's parent in the DFS index, rooted at the smallest leaf
-        c.append(min(t.adj[c[0]], key=t.dfs().number.__getitem__))
+    if len(c) == 1:  # z's parent in the DFS index: its smallest neighbour
+        c.append(t.adj[c[0]][0])
     return root_at_edge(t, tuple(c))
 
 

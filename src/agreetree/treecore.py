@@ -10,15 +10,13 @@ Two kinds of tree live here:
   constraints force this).  Trees the package builds valid (parse,
   ``unroot``, the uniform generator) skip the full validation.
 
-Either kind's one numbering is its ``DfsIndex``, which ``parse_newick``
-writes during its scan (for an unrooted text, when it starts with its
-smallest leaf) and ``dfs()`` otherwise walks once and keeps on the node
-or tree asked (an unrooted tree's indexes its default rooting, below);
-restriction, the matchers, the exact DP, the balanced fold, the diameter
-fold (``Diameter``: centers, radii, balance classes) and the writer read
-it.  So does every reader of an unrooted tree's branches: an edge's lower
-end in that rooting is the end with the larger preorder number, and
-``DfsIndex.side`` reads either side.
+Either kind's one numbering is its ``DfsIndex``, written by the parse's
+scan or walked once by ``dfs()`` and kept.  An unrooted tree's indexes
+its default rooting (below), and every unrooted tree, however built, has
+vertex v at node v + 1 (``_unroot_index``), so an edge's lower end is its
+larger id and ``DfsIndex.side`` reads either side.  Restriction, the
+matchers, the exact DP, the balanced fold, the diameter fold
+(``Diameter``: centers, radii, balance classes) and the writer read it.
 
 Leaf labels are positive integers (not bools), distinct within a tree.
 There are no branch lengths and no internal labels.
@@ -66,6 +64,11 @@ class NewickError(TreeError):
         self.position = position
 
 
+def _check_label(x):
+    if not isinstance(x, int) or isinstance(x, bool) or x <= 0:
+        raise TreeError(f"leaf label must be a positive integer, got {x!r}")
+
+
 # --------------------------------------------------------------------------
 # Rooted trees
 # --------------------------------------------------------------------------
@@ -97,8 +100,7 @@ class RootedTree:
 
     @classmethod
     def leaf(cls, label: int) -> "RootedTree":
-        if not isinstance(label, int) or isinstance(label, bool) or label <= 0:
-            raise TreeError(f"leaf label must be a positive integer, got {label!r}")
+        _check_label(label)
         return cls(label, None, None, 1, 0, True)
 
     @classmethod
@@ -138,23 +140,21 @@ class DfsIndex:
     order and ``pos`` maps each to its position.  The children of internal
     node i are i + 1 and i + 2 * nleaves[i + 1], so reversed preorder lists
     children first.  An unrooted tree is indexed as ``root_at_leaf_edge``
-    roots it, and ``number[w]`` is vertex w's preorder number: an
-    ``array('i')`` on vertex ids 0 … |V|-1, else a dict (None for a rooted
-    tree)."""
+    roots it, and its vertex v is node v + 1."""
 
-    __slots__ = ("label", "nleaves", "first", "order", "number", "_pos")
+    __slots__ = ("label", "nleaves", "first", "order", "_pos")
 
-    def __init__(self, label, nleaves, first, order, number=None):
+    def __init__(self, label, nleaves, first, order):
         self.label, self.nleaves, self.first, self.order = label, nleaves, first, order
-        self.number, self._pos = number, None
+        self._pos = None
 
     @classmethod
     def walk(cls, t) -> "DfsIndex":
         """The index of t by one explicit-stack walk over its nodes, or over
-        its adjacency by ``root_at_edge``'s own ``expand``."""
+        its adjacency in sorted-neighbour order by ``root_at_edge``'s ``expand``."""
         label, first, order = [], array("i"), []
         if isinstance(t, RootedTree):
-            nleaves, number = [], None
+            nleaves = []
             stack = [t]
             while stack:
                 node = stack.pop()
@@ -166,16 +166,12 @@ class DfsIndex:
                 else:
                     order.append(node.label)
         else:
-            n, v0 = len(t.adj), t.label_vertex[min(t.leaves)]
-            number = array("i", [0]) * n if min(t.adj) == 0 and max(t.adj) == n - 1 else {}
+            v0 = t.label_vertex[min(t.label_vertex)]
             expand = _branches(t, (v0, t.adj[v0][0]))
             stack = [None]
             while stack:
-                item = stack.pop()
-                if item is not None:
-                    number[item[1]] = len(label)
                 first.append(len(order))
-                out = expand(item)
+                out = expand(stack.pop())
                 if type(out) is tuple:
                     label.append(None)
                     stack += (out[1], out[0])
@@ -187,7 +183,7 @@ class DfsIndex:
                 if label[i] is None:
                     left = nleaves[i + 1]
                     nleaves[i] = left + nleaves[i + 2 * left]
-        return cls(label, nleaves, first, order, number)
+        return cls(label, nleaves, first, order)
 
     @property
     def pos(self) -> dict:
@@ -213,11 +209,11 @@ class DfsIndex:
 
     def side(self, p, w) -> frozenset:
         """The leaf labels on vertex w's side of edge p-w of an unrooted
-        tree: the slice of ``order`` below the edge's lower end (its larger
-        preorder number), or the rest of ``order``."""
-        k, order = max(self.number[p], self.number[w]), self.order
+        tree: the slice of ``order`` below the edge's lower end (node
+        max(p, w) + 1), or the rest of ``order``."""
+        k, order = max(p, w) + 1, self.order
         lo, hi = self.first[k], self.first[k] + self.nleaves[k]
-        return frozenset(order[lo:hi] if k == self.number[w] else order[:lo] + order[hi:])
+        return frozenset(order[lo:hi] if w > p else order[:lo] + order[hi:])
 
 
 _JOIN = object()  # stack marker: join the last two built subtrees
@@ -256,24 +252,26 @@ class UnrootedTree:
     """Unrooted binary phylogenetic tree as an adjacency map.
 
     ``adj`` maps vertex id -> sorted tuple of neighbour ids; ``leaf_label``
-    maps leaf vertex id -> label.  Vertices are small integers with no other
-    meaning.  Instances are treated as immutable.
+    maps leaf vertex id -> label.  Vertex v is node v + 1 of ``dfs()``: the
+    smallest leaf is 0 and its neighbour 1.  The constructor checks the
+    caller's ids, then renumbers them so.  Instances are treated as immutable.
     """
 
     __slots__ = ("adj", "leaf_label", "label_vertex", "_leaves", "_dfs", "_diameter")
 
     def __init__(self, adj: dict, leaf_label: dict):
         self.adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self.leaf_label = dict(leaf_label)
-        self.label_vertex = {}
-        self._leaves = self._dfs = self._diameter = None
+        self.leaf_label, self.label_vertex = dict(leaf_label), {}
         self._validate()
+        t = _unroot_index(DfsIndex.walk(self))
+        self.adj, self.leaf_label, self.label_vertex = t.adj, t.leaf_label, t.label_vertex
+        self._leaves, self._dfs, self._diameter = None, t._dfs, None
 
     @classmethod
     def _built(cls, adj: dict, leaf_label: dict) -> "UnrootedTree":
-        """A tree the package built valid (vertices 0 … |V|-1, neighbours in
-        sorted tuples): only a repeated label, which ``RootedTree.branch``
-        allows, gets the full check."""
+        """A tree the package built valid (neighbours in sorted sequences),
+        numbered as it was built: only a repeated label, which
+        ``RootedTree.branch`` allows, gets the full check."""
         t = cls.__new__(cls)
         t.adj, t.leaf_label, t._leaves, t._dfs, t._diameter = adj, leaf_label, None, None, None
         t.label_vertex = dict(zip(leaf_label.values(), leaf_label))
@@ -299,8 +297,7 @@ class UnrootedTree:
         if len(self.leaf_label) < 3:
             raise TreeError("an unrooted tree needs at least 3 leaves")
         for v, lab in self.leaf_label.items():
-            if not isinstance(lab, int) or isinstance(lab, bool) or lab <= 0:
-                raise TreeError(f"leaf label must be a positive integer, got {lab!r}")
+            _check_label(lab)
             if lab in self.label_vertex:
                 raise TreeError(f"duplicate leaf label {lab}")
             self.label_vertex[lab] = v
@@ -350,32 +347,27 @@ class Diameter:
 
     def __init__(self, t: "UnrootedTree"):
         ix = t.dfs()
-        label, nleaves, number, size = ix.label, ix.nleaves, ix.number, len(ix.label)
-        ids = number.keys() if type(number) is dict else range(len(number))
-        hi, span = max(ids), max(ids) - min(ids) + 1  # key: distance * span + hi - vertex id
-        key, parent, vertex = [0] * size, [1] * size, [0] * size
-        for v in ids:
-            vertex[number[v]], key[number[v]] = v, hi - v
+        label, nleaves, size = ix.label, ix.nleaves, len(ix.label)
+        span = size - 1  # key at node i: distance * span + span - i, so ties go to the smaller id
+        key = list(range(span, -1, -1))
         for i in range(size - 1, 1, -1):
             if label[i] is None:
-                a, b = i + 1, i + 2 * nleaves[i + 1]
-                parent[a] = parent[b] = i
-                key[i] = max(key[a], key[b]) + span
+                key[i] = max(key[i + 1], key[i + 2 * nleaves[i + 1]]) + span
         below, key[2] = key[2], key[1] + span  # outside node 2 lies node 1 alone
         for i in range(2, size):
             if label[i] is None:
                 a, b = i + 1, i + 2 * nleaves[i + 1]
                 up = key[i] + span
                 key[a], key[b] = max(up, key[b] + 2 * span), max(up, key[a] + 2 * span)
-        u = number[hi - below % span]
+        u = span - below % span
         least = min(key[i] for i in range(2, size) if label[i] is not None)  # leaves but node 1
         self.balanced = below // span + 1 == key[u] // span == least // span
-        at, climbs = [u, number[hi - key[u] % span]], ([], [])  # u and w climb to meet
+        at, climbs = [u - 1, span - 1 - key[u] % span], ([], [])  # vertices u and w climb to meet
         while at[0] != at[1]:
-            k = at[0] < at[1]  # the larger preorder number is no ancestor of the other
-            climbs[k].append(vertex[at[k]])
-            at[k] = parent[at[k]]
-        self.path = climbs[0] + [vertex[at[0]]] + climbs[1][::-1]
+            k = at[0] < at[1]  # the larger id is no ancestor of the other
+            climbs[k].append(at[k])
+            at[k] = t.adj[at[k]][0]  # its parent: its smallest neighbour
+        self.path = climbs[0] + [at[0]] + climbs[1][::-1]
 
 
 def diameter_path(t: UnrootedTree) -> list:
@@ -471,8 +463,8 @@ def _branches(t: UnrootedTree, edge, keep=None):
     adj, leaf_label = t.adj, t.leaf_label
     if keep is not None:
         ix = t.dfs()
-        number, first, nleaves = ix.number, ix.first, ix.nleaves
-        P = sorted(first[number[t.label_vertex[x]]] for x in keep)
+        first, nleaves = ix.first, ix.nleaves
+        P = sorted(first[t.label_vertex[x] + 1] for x in keep)
 
     def expand(item):
         if item is None:
@@ -480,11 +472,10 @@ def _branches(t: UnrootedTree, edge, keep=None):
         p, w = item
         if w in leaf_label:
             return leaf_label[w]
-        if keep is not None:  # the branch is node i's DFS interval, or the complement of node j's
-            i, j = number[w], number[p]
-            k = i if i > j else j  # the lower end: the larger preorder number
+        if keep is not None:  # the branch is node w + 1's DFS interval, or the complement of node p + 1's
+            k = (w if w > p else p) + 1  # the lower end: the larger id
             held = bisect_left(P, first[k] + nleaves[k]) - bisect_left(P, first[k])
-            if held == (0 if k == i else len(P)):
+            if held == (0 if w > p else len(P)):
                 return 0
         a, b, c = adj[w]
         if a == p:
@@ -497,20 +488,24 @@ def _branches(t: UnrootedTree, edge, keep=None):
 def root_at_leaf_edge(t: UnrootedTree, keep=None) -> RootedTree:
     """Root at the pendant edge of the smallest leaf, which becomes the
     left child; ``keep`` as for ``root_at_edge``."""
-    v = t.label_vertex[min(t.leaves)]
-    return root_at_edge(t, (v, t.adj[v][0]), keep)
+    return root_at_edge(t, (0, 1), keep)
 
 
 def unroot(t: RootedTree) -> UnrootedTree:
-    """Suppress the degree-2 root, merging its two incident edges.  Vertex
-    ids follow preorder from the left child of the root."""
+    """Suppress the degree-2 root, merging its two incident edges."""
     if t.nleaves < 3:
         raise TreeError("unrooting needs at least 3 leaves")
-    ix = t.dfs()
-    u = _unrooted(ix.label[1:], ix.nleaves[1:])
-    if ix.label[1] == min(ix.order):  # then ix is u's default-rooting index, as in a restrict
-        u._dfs = DfsIndex(ix.label, ix.nleaves, ix.first, ix.order, array("i", range(1, len(ix.label))))
-    return u
+    return _unroot_index(t.dfs())
+
+
+def _unroot_index(ix: DfsIndex) -> UnrootedTree:
+    """The unrooted tree of rooted index ``ix``, vertex v at node v + 1: ``ix``
+    is its index if node 1 is the smallest leaf, else one walk renumbers it."""
+    if ix.label[1] != min(ix.order):  # the walk's node 1 is the smallest leaf
+        ix = DfsIndex.walk(_unrooted(ix.label[1:], ix.nleaves[1:]))
+    t = _unrooted(ix.label[1:], ix.nleaves[1:])
+    t._dfs = ix
+    return t
 
 
 def _unrooted(label: list, nleaves: list) -> UnrootedTree:
@@ -552,11 +547,11 @@ def parse_newick(text: str):
 
     One scan, a leaf at a time, writes the DFS index arrays in text
     preorder, which are a rooted tree's index: its root keeps them, and one
-    pass in reverse builds the nodes.  An unrooted tree numbers its
-    vertices in text order, the centre 0; when its first top-level child is
-    its smallest leaf m, one node inserted after m ("(m,(A,B))") makes the
-    arrays its index too, else ``dfs()`` walks it when asked.  A text the
-    scan refuses is read again token by token for its first fault."""
+    pass in reverse builds the nodes.  An unrooted text "(m,A,B)" whose
+    first top-level child is its smallest leaf is read as the rooted
+    "(m,(A,B))"; any other is built in text order, the centre 0, and
+    renumbered once.  A text the scan refuses is read again token by token
+    for its first fault."""
     label, nleaves, first, order = _scan(text)
     n = len(order)
     if len(label) == 2 * n - 1:  # rooted
@@ -574,15 +569,12 @@ def parse_newick(text: str):
             )
         built[0]._dfs = DfsIndex(label, nleaves, array("i", first), order)
         return built[0]
-    t = _unrooted(label, nleaves)
-    if label[1] == min(order):
-        label.insert(2, None)
-        nleaves.insert(2, n - 1)
-        first.insert(2, 1)
-        number = array("i", range(1, len(label)))
-        number[0], number[1] = 2, 1
-        t._dfs = DfsIndex(label, nleaves, array("i", first), order, number)
-    return t
+    if label[1] != min(order):
+        return _unroot_index(DfsIndex.walk(_unrooted(label, nleaves)))
+    label.insert(2, None)
+    nleaves.insert(2, n - 1)
+    first.insert(2, 1)
+    return _unroot_index(DfsIndex(label, nleaves, array("i", first), order))
 
 
 def _scan(text: str):

@@ -107,6 +107,41 @@ def dfs_index_fields(t) -> dict:
     }
 
 
+def unrooted_index_by_adjacency(t: UnrootedTree) -> dict:
+    """The fields of an unrooted ``t.dfs()`` worked out on the adjacency:
+    nodes numbered by a preorder stack from a new root on the smallest
+    leaf's pendant edge, that leaf first and every vertex's other
+    neighbours in increasing id order.  ``vertex`` lists each node's
+    vertex (None for the root); ``children`` lists the internal nodes'."""
+    m = min(t.leaf_label, key=t.leaf_label.get)
+    w = t.adj[m][0]
+    vertex, kids, stack = [None], {0: []}, [(0, m, w), (0, w, m)]  # (parent node, far end, vertex)
+    while stack:
+        parent, p, v = stack.pop()
+        i = len(vertex)
+        kids[parent].append(i)
+        kids[i] = []
+        vertex.append(v)
+        stack += [(i, v, x) for x in sorted(t.adj[v], reverse=True) if x != p]
+    label = [t.leaf_label.get(v) for v in vertex]
+    nleaves, first, order = [0] * len(vertex), [0] * len(vertex), []
+    for i, x in enumerate(label):
+        first[i] = len(order)
+        if x is not None:
+            order.append(x)
+    for i in range(len(vertex) - 1, -1, -1):
+        nleaves[i] = sum(nleaves[c] for c in kids[i]) if kids[i] else 1
+    return {
+        "label": label,
+        "nleaves": nleaves,
+        "first": first,
+        "order": order,
+        "pos": {x: i for i, x in enumerate(order)},
+        "children": {i: tuple(cs) for i, cs in kids.items() if cs},
+        "vertex": vertex,
+    }
+
+
 def clusters(t: RootedTree) -> frozenset:
     """{ leaf set of every node }; 2n-1 clusters for n leaves."""
     out = set()

@@ -65,6 +65,14 @@ class TestGen:
         assert captured.out == ""
         assert "agreetree gen: f(h=40, k=20) is above the cap of 2^20 leaves" in captured.err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+    def test_random_seed_outside_64_bits(self, capsys, seed):
+        """2^64 would print the seed-0 tree, and -1 that of 2^64 - 1."""
+        assert main(["gen", "random", "--n", "12", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"agreetree gen: seed must be in [0, 2^64), got {seed}\n"
+
     def test_enumerate(self):
         code, out = run_cli("gen", "enumerate", "--n", "4")
         assert code == 0 and len(out.splitlines()) == 3
@@ -327,6 +335,29 @@ class TestBench:
         assert captured.out == ""
         assert captured.err == f"agreetree bench: --trials must be at least 1, got {trials}\n"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "seed, trials, last",
+        [("-1", "1", "-1"), ("18446744073709551615", "2", "18446744073709551616"), ("2" + "0" * 19, "1", "2" + "0" * 19)],
+    )
+    def test_seeds_outside_64_bits(self, tmp_path, capsys, seed, trials, last):
+        """Every trial's seed, --seed to --seed + trials - 1, is checked
+        before any trial runs."""
+        out_path = tmp_path / "seeds.csv"
+        code = main(["bench", "--n", "4", "--seed", seed, "--trials", trials, "--out", str(out_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"agreetree bench: trial seeds must be in [0, 2^64), got {seed} to {last}\n"
+        )
+        assert not out_path.exists()
+
+    def test_last_64_bit_seed(self, tmp_path):
+        out_path = tmp_path / "seeds.csv"
+        argv = ["bench", "--n", "4", "--algorithms", "agree", "--seed", str(2**64 - 2), "--trials", "2"]
+        assert main([*argv, "--out", str(out_path)]) == 0
+        assert out_path.read_text().count(",agree,") == 2
 
     @pytest.mark.parametrize("n, item", [("0", "0"), ("-4", "-4"), ("abc", "abc"), ("8,,16", "")])
     def test_bad_n(self, tmp_path, capsys, n, item):

@@ -29,9 +29,16 @@ from agreetree.treecore import (
     is_caterpillar,
     parse_newick,
     to_newick,
+    unroot,
 )
 
-from oracles import caterpillar_by_adjacency, class_c_by_recursion, count_calls, ordered_text
+from oracles import (
+    caterpillar_by_adjacency,
+    class_c_by_recursion,
+    count_calls,
+    ordered_text,
+    unrooted_index_by_adjacency,
+)
 
 
 class TestBalanced:
@@ -87,13 +94,17 @@ class TestCaterpillar:
             4: (3,), 5: (3, 6, 7), 6: (5,), 7: (5,),
         }
         assert t.leaf_label == {0: 1, 2: 2, 4: 3, 6: 4, 7: 5}
-        assert t._dfs is not None and list(t._dfs.number) == list(range(1, 9))
+        assert t._dfs is not None and unrooted_index_by_adjacency(t)["vertex"] == [None, *range(8)]
 
     def test_kept_index_equals_a_walk(self):
+        """The kept index is the walk of a hand-built copy, which the
+        constructor renumbers to the same ids."""
         for n in (3, 4, 5, 17, 64):
             t = gen_caterpillar(n)
-            walked = DfsIndex.walk(UnrootedTree(t.adj, t.leaf_label))
-            for name in ("label", "nleaves", "first", "order", "number"):
+            copy = UnrootedTree(t.adj, t.leaf_label)
+            walked = DfsIndex.walk(copy)
+            assert (copy.adj, copy.leaf_label) == (t.adj, t.leaf_label), n
+            for name in ("label", "nleaves", "first", "order"):
                 assert getattr(t._dfs, name) == getattr(walked, name), (n, name)
 
     def test_equals_adjacency_construction(self):
@@ -120,10 +131,11 @@ class TestClassC:
             assert classify_balanced(t).kind == CLASS_C and classify_balanced(t).m == m
 
     def test_centre_vertex(self):
-        """``unroot`` numbers (B1,(B2,B3)) in preorder from B1's root: the
-        centre, node (B2,B3), comes after B1's 2^m - 1 nodes."""
+        """Vertex v is node v + 1 of the rooting at leaf 1: the walk climbs
+        from leaf 1 (vertex 0) to B1's root (vertex m - 1) and visits the
+        other half of B1, 2^(m-1) - 1 vertices, before the centre."""
         for m in range(1, 9):
-            assert center(gen_class_c(m)) == {2**m - 1}, m
+            assert center(gen_class_c(m)) == {2 ** (m - 1) + m - 1}, m
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="^class-C trees need m >= 1$"):
@@ -150,6 +162,13 @@ class TestRandom:
             assert to_newick(gen_random(25, m, rooted=True)) == to_newick(
                 gen_random(25, m, rooted=True)
             )
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits(self, seed):
+        """``SplitMix64`` would reduce these mod 2^64 to another seed's tree."""
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\^64\), got {seed}$"):
+            RandomModel("uniform", seed)
+        assert to_newick(gen_random(12, RandomModel("yule", 2**64 - 1)))
 
     def test_different_seeds_differ(self):
         a = to_newick(gen_random(20, RandomModel("uniform", 1)))
@@ -291,3 +310,35 @@ class TestRelabel:
         t = relabel(gen_caterpillar(4), {1: 10, 2: 20, 3: 30, 4: 40})
         assert t.leaves == {10, 20, 30, 40}
         assert is_caterpillar(t)
+
+    def test_unrooted_not_injective_message(self):
+        with pytest.raises(TreeError, match="^duplicate leaf label 5$"):
+            relabel(gen_caterpillar(4), {1: 2, 2: 5, 3: 5, 4: 6})
+
+    @staticmethod
+    def _counted(monkeypatch, build):
+        """(result, types walked, validations) of ``build()``."""
+        walks = count_calls(monkeypatch, DfsIndex, "walk", lambda args, out: type(args[0]))
+        checks = count_calls(monkeypatch, UnrootedTree, "_validate")
+        return build(), walks, checks
+
+    def test_unrooted_smallest_leaf_kept(self, monkeypatch):
+        """With the smallest leaf still on vertex 0, the copy shares the
+        adjacency and keeps the index, labels mapped: the caterpillar's
+        rooted build is all that is walked, and nothing is validated."""
+        n = 50
+        perm = {1: 1, **{x: n + 2 - x for x in range(2, n + 1)}}
+        want = to_newick(unroot(relabel(gen_caterpillar(n, rooted=True), perm)))
+        text, walks, checks = self._counted(monkeypatch, lambda: to_newick(relabel(gen_caterpillar(n), perm)))
+        assert (text, walks, checks) == (want, [RootedTree], [])
+        t = gen_caterpillar(n)
+        assert relabel(t, perm).adj is t.adj
+
+    def test_unrooted_smallest_leaf_moved(self, monkeypatch):
+        """Otherwise the copy is renumbered by one walk of it, unvalidated."""
+        n = 50
+        perm = {x: n + 1 - x for x in range(1, n + 1)}
+        want = to_newick(unroot(relabel(gen_caterpillar(n, rooted=True), perm)))
+        t, walks, checks = self._counted(monkeypatch, lambda: relabel(gen_caterpillar(n), perm))
+        assert (to_newick(t), walks, checks) == (want, [RootedTree, UnrootedTree], [])
+        assert t.leaf_label[0] == 1 and t.adj[0] == (1,)

@@ -1,4 +1,5 @@
-from array import array
+import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,12 +7,14 @@ from hypothesis import given, strategies as st
 from agreetree._rng import SplitMix64
 from agreetree.generators import (
     RandomModel,
+    enumerate_topologies,
     gen_balanced,
     gen_caterpillar,
     gen_class_b,
     gen_class_c,
     gen_extremal_fhk,
     gen_random,
+    gen_swap_pair,
     relabel,
 )
 from agreetree.treecore import (
@@ -43,6 +46,7 @@ from oracles import (
     all_pairs_eccentricities,
     center_by_bfs,
     classify_balanced_by_bfs,
+    count_calls,
     dfs_index_by_nodes,
     dfs_index_fields,
     diameter_path_by_bfs,
@@ -57,6 +61,7 @@ from oracles import (
     side_leaves,
     to_newick_by_bfs,
     to_newick_by_directed_edges,
+    unrooted_index_by_adjacency,
 )
 
 
@@ -294,10 +299,9 @@ class TestDfsIndex:
 
     def test_unrooted_is_the_leaf_edge_rooting(self):
         """``UnrootedTree.dfs`` equals the index of ``root_at_leaf_edge``,
-        and ``number`` gives each vertex the preorder number of the branch
-        it heads: an array on vertex ids 0 … |V|-1, a dict on others.
-        ``side`` reads either side of every edge as the walk over that
-        branch finds it."""
+        and vertex w heads the branch of node w + 1, also when the tree was
+        built by hand on other ids.  ``side`` reads either side of every
+        edge as the walk over that branch finds it."""
         rng = SplitMix64(11)
         trees = [
             gen_random(n, RandomModel(model, rng.next_u64()))
@@ -316,15 +320,13 @@ class TestDfsIndex:
         for t in trees:
             assert dfs_index_fields(t) == dfs_index_fields(root_at_leaf_edge(t)), to_newick(t)
             ix = t.dfs()
-            numbers = sorted(ix.number[w] for w in t.adj)
-            assert numbers == list(range(1, len(ix.label)))
+            assert sorted(t.adj) == list(range(len(ix.label) - 1))
             for w, ns in t.adj.items():
-                below = frozenset(ix.leaves(ix.number[w]))
+                below = frozenset(ix.leaves(w + 1))
                 assert sum(below == side_leaves(t, p, w) for p in ns) == 1
                 for p in ns:
                     assert ix.side(p, w) == side_leaves(t, p, w), (to_newick(t), p, w)
-        assert isinstance(trees[0].dfs().number, array)
-        assert isinstance(trees[-1].dfs().number, dict)
+        assert (trees[-1].adj, trees[-1].leaf_label) == (last.adj, last.leaf_label)
         assert trees[0].dfs() is trees[0].dfs()
 
     def test_kept_on_the_node_asked(self):
@@ -336,37 +338,102 @@ class TestDfsIndex:
         assert t.left.dfs() is t.left.dfs()
 
 
+def _unrooted_trees(seed):
+    """Unrooted trees made every way the package makes them, from one seed."""
+    rng = SplitMix64(seed)
+    generated = [
+        gen_random(n, RandomModel(model, rng.next_u64())) for model in ("uniform", "yule") for n in (3, 4, 7, 20, 45)
+    ]
+    generated += [gen_caterpillar(n) for n in (3, 6, 25)] + [gen_class_b(m) for m in (2, 3, 5)]
+    generated += [gen_class_c(m) for m in (1, 2, 4)] + list(gen_swap_pair(2, rooted=False))
+    yield from generated
+    yield from enumerate_topologies(6)
+    for t in generated:
+        yield parse_newick(to_newick(t))
+        ids = list(t.adj)
+        rng.shuffle(ids)
+        for new in ([v + 7 for v in t.adj], ids):  # shifted, permuted
+            yield UnrootedTree(
+                {new[v]: [new[w] for w in ns] for v, ns in t.adj.items()},
+                {new[v]: x for v, x in t.leaf_label.items()},
+            )
+        labels = sorted(t.leaves)
+        rng.shuffle(labels)
+        yield restrict(t, labels[: max(3, len(labels) // 2)])
+        yield relabel(t, dict(zip(sorted(t.leaves), labels)))
+        yield relabel(t, {x: x + 1 if x > 1 else 1 for x in t.leaves})  # the smallest leaf stays
+        yield relabel(t, {x: len(labels) + 1 - x for x in t.leaves})  # it moves
+        for rooted in (root_at_leaf_edge(t), root_at_edge(t, t.edges()[rng.randrange(len(t.edges()))])):
+            yield unroot(rooted)  # the first has the smallest leaf left of the root
+            yield unroot(rebuild(rooted, lambda node: node.label or (node.right, node.left)))  # mirrored
+    for text in _valid_texts(range(3, 40)):
+        t = parse_newick(text)
+        if isinstance(t, UnrootedTree):
+            yield t
+
+
+class TestOneNumbering:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_vertex_v_is_node_v_plus_1(self, seed):
+        """Whichever way an unrooted tree was made, its index is the walk
+        from its smallest leaf over its adjacency, field by field, and
+        that walk meets vertex v at node v + 1."""
+        ways = 0
+        for t in _unrooted_trees(seed):
+            want = unrooted_index_by_adjacency(t)
+            assert want.pop("vertex") == [None, *range(len(t.adj))], to_newick(t)
+            assert dfs_index_fields(t) == want, to_newick(t)
+            ways += 1
+        assert ways > 400
+
+    def test_pickled_copy_keeps_the_ids(self):
+        """The constructor renumbers in ``__init__``, so unpickling, which
+        skips it, restores the tree as it was."""
+        for t in (gen_caterpillar(9), UnrootedTree({5: [7], 6: [7], 7: [5, 6, 8], 8: [7]}, {5: 3, 6: 1, 8: 2})):
+            copy = pickle.loads(pickle.dumps(t))
+            assert (copy.adj, copy.leaf_label, to_newick(copy)) == (t.adj, t.leaf_label, to_newick(t))
+
+
 class TestParseWritesIndex:
     """The index ``parse_newick`` writes during its scan equals the one the
     walk builds over the parsed rooted tree's nodes, or over a hand-built
-    copy of the parsed unrooted tree.  Unrooted text whose first top-level
-    child is not its smallest leaf keeps no index until asked."""
+    copy of the parsed unrooted tree, which the constructor renumbers to
+    the same ids.  An unrooted text whose first top-level child is not its
+    smallest leaf is walked once, and so renumbered, by the parse."""
 
     @staticmethod
-    def check(text):
+    def check(text, monkeypatch):
         """Compare the two indexes of ``text``; the tree, and True iff the
-        parse wrote its index."""
-        t = parse_newick(text)
-        written = t._dfs is not None
+        parse wrote its index without a walk."""
+        with monkeypatch.context() as patch:
+            walks = count_calls(patch, DfsIndex, "walk", lambda args, out: type(args[0]))
+            t = parse_newick(text)
+        assert t._dfs is not None
+        written = not walks
         if isinstance(t, RootedTree):
             assert written
             walked = DfsIndex.walk(t)
         else:
-            assert written == (t.leaf_label.get(1) == min(t.leaves)), text
-            walked = UnrootedTree(t.adj, t.leaf_label).dfs()
+            assert walks in ([], [UnrootedTree]), text
+            starts = re.match(r"\s*\(\s*(\d+)", text)  # the first top-level child is a leaf
+            assert written == (starts is not None and int(starts[1]) == min(t.leaves)), text
+            copy = UnrootedTree(t.adj, t.leaf_label)
+            assert (copy.adj, copy.leaf_label) == (t.adj, t.leaf_label), text
+            assert unrooted_index_by_adjacency(t)["vertex"] == [None, *range(len(t.adj))], text
+            walked = copy.dfs()
         got = t.dfs()
-        for name in ("label", "nleaves", "first", "order", "number"):
+        for name in ("label", "nleaves", "first", "order"):
             assert getattr(got, name) == getattr(walked, name), (name, text)
         return t, written
 
-    def test_valid_texts(self):
+    def test_valid_texts(self, monkeypatch):
         """Children in random order: an unrooted text starts with its
         smallest leaf only sometimes, so both cases occur."""
-        parsed = [self.check(text) for text in _valid_texts(range(1, 65))]
+        parsed = [self.check(text, monkeypatch) for text in _valid_texts(range(1, 65))]
         unrooted = [written for t, written in parsed if isinstance(t, UnrootedTree)]
         assert 0 < sum(unrooted) < len(unrooted)
 
-    def test_canonical_texts(self):
+    def test_canonical_texts(self, monkeypatch):
         rng = SplitMix64(17)
         trees = [
             gen_random(n, RandomModel(model, rng.next_u64()), rooted=rooted)
@@ -377,9 +444,9 @@ class TestParseWritesIndex:
         trees += [gen_caterpillar(n, rooted=True) for n in range(1, 65)]
         trees += [gen_caterpillar(n) for n in range(3, 65)]
         trees += [gen_class_b(m) for m in range(2, 7)] + [gen_class_c(m) for m in range(1, 6)]
-        assert all(self.check(to_newick(t))[1] for t in trees)
+        assert all(self.check(to_newick(t), monkeypatch)[1] for t in trees)
 
-    def test_deep_caterpillars(self):
+    def test_deep_caterpillars(self, monkeypatch):
         """20,000 leaves: unrooted, rooted nested to the right, and rooted
         nested to the left (one run of 19,999 '(')."""
         n = 20_000
@@ -387,7 +454,7 @@ class TestParseWritesIndex:
         flipped = relabel(rooted, {x: n + 1 - x for x in range(1, n + 1)})
         texts = [to_newick(t) for t in (gen_caterpillar(n), rooted, flipped)]
         assert texts[2].startswith("(" * (n - 1) + "1,2)")
-        assert all(self.check(text)[1] for text in texts)
+        assert all(self.check(text, monkeypatch)[1] for text in texts)
 
 
 class TestMetrics:
@@ -567,19 +634,30 @@ class TestRooting:
                 )
 
     def test_keep_on_shifted_vertex_ids(self):
-        """Vertex ids other than 0 … |V|-1 number their vertices in a dict;
-        their restrictions take the same pruned walk and come out the same."""
+        """A tree built by hand is renumbered to the preorder of its default
+        rooting: on shifted vertex ids it is the generated tree, edges and
+        pruned rootings alike; on permuted ids, whose neighbour order
+        differs, it has other ids but the same restrictions."""
         t = gen_random(40, RandomModel("uniform", 5))
-        shifted = UnrootedTree(
-            {v + 100: [w + 100 for w in ns] for v, ns in t.adj.items()},
-            {v + 100: lab for v, lab in t.leaf_label.items()},
+        ids = list(t.adj)
+        SplitMix64(5).shuffle(ids)
+        shifted, permuted = (
+            UnrootedTree(
+                {new[v]: [new[w] for w in ns] for v, ns in t.adj.items()},
+                {new[v]: lab for v, lab in t.leaf_label.items()},
+            )
+            for new in ([v + 100 for v in t.adj], ids)
         )
+        assert (shifted.adj, shifted.leaf_label) == (t.adj, t.leaf_label)
+        assert permuted.adj != t.adj and sorted(permuted.adj) == sorted(t.adj)
         for X in ({3, 17, 29}, set(range(1, 41, 3)), t.leaves - {1}):
             for u, v in t.edges()[:10]:
-                assert ordered_text(root_at_edge(shifted, (u + 100, v + 100), keep=X)) == (
+                assert ordered_text(root_at_edge(shifted, (u, v), keep=X)) == (
                     ordered_text(root_at_edge(t, (u, v), keep=X))
                 )
-            assert to_newick(restrict(shifted, X)) == to_newick(restrict(t, X))
+            assert to_newick(restrict(shifted, X)) == to_newick(restrict(permuted, X)) == (
+                to_newick(restrict(t, X))
+            )
 
     @pytest.mark.parametrize(
         "keep, message",

@@ -42,6 +42,7 @@ from oracles import (
     restrict_rooted_by_postorder,
     restrict_unrooted_by_paths,
     splits,
+    unrooted_index_by_adjacency,
 )
 
 
@@ -180,7 +181,9 @@ class TestRestrict:
 
     def test_unrooted_keeps_the_index_it_is_unrooted_from(self):
         """An unrooted restriction keeps the index of the rooted restriction
-        ``unroot`` reads: field by field the walk over a hand-built copy."""
+        ``unroot`` reads: field by field the walk over a hand-built copy,
+        which the constructor renumbers to the same ids, and vertex v at
+        node v + 1."""
         rng = SplitMix64(19)
         trees = [
             gen_random(n, RandomModel(model, rng.next_u64()))
@@ -195,9 +198,12 @@ class TestRestrict:
                 rng.shuffle(labels)
                 r = restrict(t, labels[:size])
                 assert r._dfs is not None
-                walked = DfsIndex.walk(UnrootedTree(r.adj, r.leaf_label))
-                for name in ("label", "nleaves", "first", "order", "number"):
+                copy = UnrootedTree(r.adj, r.leaf_label)
+                walked = DfsIndex.walk(copy)
+                assert (copy.adj, copy.leaf_label) == (r.adj, r.leaf_label), to_newick(r)
+                for name in ("label", "nleaves", "first", "order"):
                     assert getattr(r._dfs, name) == getattr(walked, name), (name, to_newick(r))
+                assert unrooted_index_by_adjacency(r)["vertex"] == [None, *range(len(r.adj))]
 
     def test_unrooted_written_without_a_second_walk(self, monkeypatch):
         """Writing an unrooted restriction of a parsed tree walks only the
