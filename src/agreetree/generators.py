@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ._rng import SplitMix64
 from .bounds import f_closed
 from .treecore import DfsIndex, RootedTree, TreeError, UnrootedTree, rebuild, unroot
-from .treecore import _check_label, _unroot_index
+from .treecore import _check_label, _nodes, _unroot_index
 
 UNIFORM = "uniform"
 YULE = "yule"
@@ -146,21 +146,20 @@ def gen_swap_pair(k: int, rooted: bool = True):
 
 def relabel(t, mapping: dict):
     """Replace every leaf label via ``mapping`` (a bijection on the labels).
-    An unrooted copy shares t's adjacency and, with its smallest leaf still
-    vertex 0, t's index, labels mapped; else it is renumbered once."""
-    if isinstance(t, RootedTree):
-        out = rebuild(t, lambda node: mapping[node.label] if node.label else (node.left, node.right))
-        if len(set(out.dfs().order)) != out.nleaves:  # the index stays for the copy's readers
-            raise TreeError("relabel mapping is not injective on the leaves")
-        return out
-    leaf_label = {v: mapping[x] for v, x in t.leaf_label.items()}
-    for x in leaf_label.values():
-        _check_label(x)
-    out = UnrootedTree._built(t.adj, leaf_label)  # a repeated label raises
-    if out.label_vertex[min(out.label_vertex)]:
-        return _unroot_index(DfsIndex.walk(out))
+    The copy keeps t's index, labels mapped; an unrooted one shares t's
+    adjacency while its smallest leaf stays vertex 0, else it is rerooted."""
     ix, get = t.dfs(), mapping.__getitem__
-    out._dfs = DfsIndex([x and get(x) for x in ix.label], ix.nleaves, ix.first, list(map(get, ix.order)))
+    ix = DfsIndex([x and get(x) for x in ix.label], ix.nleaves, ix.first, list(map(get, ix.order)))
+    for x in ix.order:
+        _check_label(x)
+    if isinstance(t, RootedTree):
+        if len(set(ix.order)) != len(ix.order):
+            raise TreeError("relabel mapping is not injective on the leaves")
+        return _nodes(ix)
+    out = UnrootedTree._built(t.adj, {v: get(x) for v, x in t.leaf_label.items()})  # a repeated label raises
+    if out.label_vertex[min(out.label_vertex)]:
+        return _unroot_index(ix)
+    out._dfs = ix
     return out
 
 

@@ -11,8 +11,8 @@ Two kinds of tree live here:
   ``unroot``, the uniform generator) skip the full validation.
 
 Either kind's one numbering is its ``DfsIndex``, written by the parse's
-scan or walked once by ``dfs()`` and kept.  An unrooted tree's indexes
-its default rooting (below), and every unrooted tree, however built, has
+scan, ``_reroot`` or ``rebuild``, or walked once by ``dfs()``, and kept.
+An unrooted tree's indexes its default rooting (below), and every one has
 vertex v at node v + 1 (``_unroot_index``), so an edge's lower end is its
 larger id and ``DfsIndex.side`` reads either side.  Restriction, the
 matchers, the exact DP, the balanced fold, the diameter fold
@@ -36,10 +36,10 @@ isomorphic trees serialise identically.
 An unrooted tree is rooted one way by default: ``root_at_leaf_edge`` roots
 it on the pendant edge of its smallest leaf m, and ``to_newick`` writes it,
 from its DFS index, as that rooting "(m,(A,B));" with the inner
-parentheses dropped, "(m,A,B);".  ``root_at_edge`` and
-``root_at_leaf_edge`` take ``keep``, a leaf subset, and then walk only the
-vertices spanning it and the branches they prune, which the DFS positions
-in the tree's index find.
+parentheses dropped, "(m,A,B);".  Rootings, restrictions (``keep``) and
+the renumbering of rooted indexes are ``_reroot`` on an index, writing
+the result's preorder: a branch kept whole is a slice of the index, and
+only the nodes over the kept leaves are visited.
 
 All values are immutable after construction and all functions are pure.
 """
@@ -50,6 +50,7 @@ import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class TreeError(ValueError):
@@ -133,14 +134,14 @@ class RootedTree:
 
 
 class DfsIndex:
-    """A tree's nodes numbered in preorder, left child first, as
-    ``parse_newick`` writes them or ``walk`` finds them: node i has
-    ``label[i]`` (None if internal), ``nleaves[i]`` and ``first[i]``, the
-    DFS position of its first leaf; ``order`` lists the leaf labels in DFS
-    order and ``pos`` maps each to its position.  The children of internal
-    node i are i + 1 and i + 2 * nleaves[i + 1], so reversed preorder lists
-    children first.  An unrooted tree is indexed as ``root_at_leaf_edge``
-    roots it, and its vertex v is node v + 1."""
+    """A tree's nodes numbered in preorder, left child first, as the parse
+    writes them, ``walk`` finds them or ``derive`` reads them off their
+    labels: node i has ``label[i]`` (None if internal), ``nleaves[i]`` and
+    ``first[i]``, the DFS position of its first leaf; ``order`` lists the
+    leaf labels in DFS order and ``pos`` maps each to its position.  The
+    children of internal node i are i + 1 and i + 2 * nleaves[i + 1], so
+    reversed preorder lists children first.  An unrooted tree is indexed
+    as ``root_at_leaf_edge`` roots it; its vertex v is node v + 1."""
 
     __slots__ = ("label", "nleaves", "first", "order", "_pos")
 
@@ -151,39 +152,39 @@ class DfsIndex:
     @classmethod
     def walk(cls, t) -> "DfsIndex":
         """The index of t by one explicit-stack walk over its nodes, or over
-        its adjacency in sorted-neighbour order by ``root_at_edge``'s ``expand``."""
-        label, first, order = [], array("i"), []
+        its adjacency from its smallest leaf, each vertex's branches in the
+        order of its sorted neighbours."""
         if isinstance(t, RootedTree):
-            nleaves = []
-            stack = [t]
+            label, stack = [], [t]
             while stack:
                 node = stack.pop()
                 label.append(node.label)
-                nleaves.append(node.nleaves)
-                first.append(len(order))
                 if node.label is None:
                     stack += (node.right, node.left)
-                else:
-                    order.append(node.label)
-        else:
-            v0 = t.label_vertex[min(t.label_vertex)]
-            expand = _branches(t, (v0, t.adj[v0][0]))
-            stack = [None]
-            while stack:
-                first.append(len(order))
-                out = expand(stack.pop())
-                if type(out) is tuple:
-                    label.append(None)
-                    stack += (out[1], out[0])
-                else:
-                    label.append(out)
-                    order.append(out)
-            nleaves = [1] * len(label)
-            for i in range(len(label) - 1, -1, -1):  # children first
-                if label[i] is None:
-                    left = nleaves[i + 1]
-                    nleaves[i] = left + nleaves[i + 2 * left]
-        return cls(label, nleaves, first, order)
+            return cls.derive(label)
+        adj, leaf_label, v0 = t.adj, t.leaf_label, t.label_vertex[min(t.label_vertex)]
+        label, stack = [None, leaf_label[v0]], [(v0, adj[v0][0])]  # (p, w): the branch at w away from p
+        while stack:
+            p, w = stack.pop()
+            if w in leaf_label:
+                label.append(leaf_label[w])
+                continue
+            label.append(None)
+            a, b, c = adj[w]
+            stack += ((w, c), (w, b)) if a == p else ((w, c), (w, a)) if b == p else ((w, b), (w, a))
+        return cls.derive(label)
+
+    @classmethod
+    def derive(cls, label: list) -> "DfsIndex":
+        """The index of the preorder ``label``: ``nleaves`` by one pass in
+        reverse, children first, and ``first`` by a running leaf count."""
+        nleaves = [1] * len(label)
+        for i in range(len(label) - 1, -1, -1):
+            if label[i] is None:
+                left = nleaves[i + 1]
+                nleaves[i] = left + nleaves[i + 2 * left]
+        first = array("i", accumulate([x is not None for x in label[:-1]], initial=0))
+        return cls(label, nleaves, first, [x for x in label if x is not None])
 
     @property
     def pos(self) -> dict:
@@ -216,30 +217,36 @@ class DfsIndex:
         return frozenset(order[lo:hi] if w > p else order[:lo] + order[hi:])
 
 
-_JOIN = object()  # stack marker: join the last two built subtrees
-
-
-def rebuild(top, expand, keep=None):
-    """Build a RootedTree from ``top`` with an explicit stack.
-
-    ``expand(item)`` returns a leaf label or a tuple (left item, right
-    item); left subtrees are expanded before right ones.  With ``keep``
-    set, leaves outside it are dropped and nodes left with one child are
-    suppressed; the result is None when no leaf is kept."""
-    built = []  # finished subtrees (None when empty), left before right
-    stack = [top]
+def rebuild(top, expand) -> RootedTree:
+    """Build a RootedTree, with its index, from ``top``: ``expand(item)``
+    returns a leaf label or a tuple (left item, right item), and left
+    subtrees are expanded before right ones."""
+    label, stack = [], [top]
     while stack:
-        item = stack.pop()
-        if item is _JOIN:
-            right = built.pop()
-            left = built.pop()
-            built.append(RootedTree.branch(left, right) if left and right else left or right)
-            continue
-        out = expand(item)
+        out = expand(stack.pop())
         if type(out) is tuple:
-            stack += [_JOIN, out[1], out[0]]
+            label.append(None)
+            stack += (out[1], out[0])
         else:
-            built.append(RootedTree.leaf(out) if keep is None or out in keep else None)
+            _check_label(out)
+            label.append(out)
+    return _nodes(DfsIndex.derive(label))
+
+
+def _nodes(ix: DfsIndex) -> RootedTree:
+    """The RootedTree of index ``ix``, which it keeps: one pass in reverse
+    builds the nodes, children first."""
+    label, nleaves, built = ix.label, ix.nleaves, []
+    for i in range(len(label) - 1, -1, -1):
+        x = label[i]
+        if x is not None:
+            built.append(RootedTree(x, None, None, 1, 0, True))
+            continue
+        left, right = built.pop(), built[-1]
+        lh, rh = left.height, right.height  # RootedTree.branch, inlined
+        balanced = lh == rh and left.balanced and right.balanced
+        built[-1] = RootedTree(None, left, right, nleaves[i], 1 + (lh if lh > rh else rh), balanced)
+    built[0]._dfs = ix
     return built[0]
 
 
@@ -441,48 +448,86 @@ def root_at_edge(t: UnrootedTree, edge, keep=None) -> RootedTree:
     """Subdivide ``edge`` = (u, v) with a new degree-2 root: u's side left,
     v's side right, every vertex's branches in the order of its sorted
     neighbours.  With ``keep`` set (a non-empty subset of the leaves) the
-    result is the restriction to ``keep``, rooted at its MRCA; only nodes
-    over ``keep`` and the branches they prune are visited."""
+    result is the restriction to ``keep``, rooted at its MRCA.  Its nodes
+    are built from its index, which ``_reroot`` writes from t's."""
+    return _nodes(_edge_index(t, edge, keep))
+
+
+def _edge_index(t: UnrootedTree, edge, keep=None) -> DfsIndex:
+    """The DFS index of ``root_at_edge(t, edge, keep)``."""
+    if not isinstance(t, UnrootedTree):
+        raise TreeError(f"only an unrooted tree can be rooted at an edge, got {type(t).__name__}")
     u, v = edge
     if u not in t.adj or v not in t.adj[u]:
         raise TreeError(f"edge {edge!r} not in tree")
+    ix, P = t.dfs(), None
     if keep is not None:
         keep = frozenset(keep)
         if not keep:
             raise TreeError("cannot restrict to an empty leaf set")
         if not keep <= t.leaves:
             raise TreeError(f"labels {sorted(keep - t.leaves)} not in tree")
-    return rebuild(None, _branches(t, edge, keep), keep)
+        P = sorted(ix.first[t.label_vertex[x] + 1] for x in keep)
+    return DfsIndex.derive(_reroot(ix, max(u, v) + 1, u > v, P))
 
 
-def _branches(t: UnrootedTree, edge, keep=None):
-    """``root_at_edge``'s ``expand``: item None is the new root over the
-    two sides of ``edge``, item (p, w) the branch at w away from p; with
-    ``keep``, a branch holding none of it is the label 0 (``rebuild`` drops it)."""
-    u, v = edge
-    adj, leaf_label = t.adj, t.leaf_label
-    if keep is not None:
-        ix = t.dfs()
-        first, nleaves = ix.first, ix.nleaves
-        P = sorted(first[t.label_vertex[x] + 1] for x in keep)
+def _reroot(ix: DfsIndex, k: int, left: bool = True, P=None) -> list:
+    """The preorder ``label`` of ``ix``'s tree as ``_unroot_index`` reads
+    it, rooted at the edge above node k with k's side left (right if not
+    ``left``), or at node 0 for k = 0, and pruned to P, the sorted DFS
+    positions of the leaves kept (all if None): branches without one go, as
+    do nodes left with one child.  A branch below a node is a slice of ``label``
+    when it keeps all its leaves, else a preorder pruned by bisection.  The
+    branch above k climbs the ancestors a descent from node 0 finds, each
+    adding its parent's branch, then its other child (at node 1, the
+    other child first: its parent's branch is node 0's second child)."""
+    label, nleaves, first = ix.label, ix.nleaves, ix.first
+    P = range(nleaves[0]) if P is None else P
 
-    def expand(item):
-        if item is None:
-            return (v, u), (u, v)
-        p, w = item
-        if w in leaf_label:
-            return leaf_label[w]
-        if keep is not None:  # the branch is node w + 1's DFS interval, or the complement of node p + 1's
-            k = (w if w > p else p) + 1  # the lower end: the larger id
-            held = bisect_left(P, first[k] + nleaves[k]) - bisect_left(P, first[k])
-            if held == (0 if w > p else len(P)):
-                return 0
-        a, b, c = adj[w]
-        if a == p:
-            return (w, b), (w, c)
-        return ((w, a), (w, c)) if b == p else ((w, a), (w, b))
+    def below(i):  # the indexes into P of the kept leaves below node i
+        return range(bisect_left(P, first[i]), bisect_left(P, first[i] + nleaves[i]))
 
-    return expand
+    parts = [k]  # node i: the branch below it; None: a node over the next two
+    if len(below(k)) < len(P):
+        path, i = [0], 0
+        while i != k:
+            b = i + 2 * nleaves[i + 1]
+            i = b if k >= b else i + 1
+            path.append(i)
+        up, c = [], k  # the other children of the ancestors kept, lowest first
+        for w in reversed(path[:-1]):
+            o = w + 2 * nleaves[w + 1] if c == w + 1 else w + 1
+            if w == 1:  # vertex 0 meets its other child before node 0's second child
+                top = [x for x in (o, 2 * nleaves[1]) if below(x)]
+                break
+            if len(below(w)) == len(P):  # nothing kept above w, as at node 0
+                top = [o]
+                break
+            if below(o):
+                up.append(o)
+            c = w
+        up = [None] * (len(up) + len(top) - 1) + top + up[::-1]
+        parts = up if not below(k) else [None, k, *up] if left else [None, *up, k]
+    out = []
+    for part in parts:
+        if part is None:
+            out.append(None)
+            continue
+        r = below(part)
+        stack = [(part, r.start, r.stop)]
+        while stack:
+            i, lo, hi = stack.pop()
+            if hi - lo == nleaves[i]:
+                out += label[i : i + 2 * nleaves[i] - 1]
+                continue
+            a, b = i + 1, i + 2 * nleaves[i + 1]
+            mid = bisect_left(P, first[b], lo, hi)
+            if lo < mid < hi:
+                out.append(None)
+                stack += ((b, mid, hi), (a, lo, mid))
+            else:
+                stack.append((a, lo, hi) if mid == hi else (b, lo, hi))
+    return out
 
 
 def root_at_leaf_edge(t: UnrootedTree, keep=None) -> RootedTree:
@@ -499,36 +544,26 @@ def unroot(t: RootedTree) -> UnrootedTree:
 
 
 def _unroot_index(ix: DfsIndex) -> UnrootedTree:
-    """The unrooted tree of rooted index ``ix``, vertex v at node v + 1: ``ix``
-    is its index if node 1 is the smallest leaf, else one walk renumbers it."""
-    if ix.label[1] != min(ix.order):  # the walk's node 1 is the smallest leaf
-        ix = DfsIndex.walk(_unrooted(ix.label[1:], ix.nleaves[1:]))
-    t = _unrooted(ix.label[1:], ix.nleaves[1:])
+    """The unrooted tree of rooted index ``ix``, vertex v at node v + 1:
+    ``ix`` is its index if node 1 is the smallest leaf, else ``ix``
+    rerooted at that leaf's pendant edge.  Leaf 0 hangs from vertex 1."""
+    m = min(ix.order)
+    if ix.label[1] != m:
+        ix = DfsIndex.derive(_reroot(ix, ix.label.index(m)))
+    label, nleaves = ix.label, ix.nleaves
+    adj, leaf_label, parent = {0: (1,)}, {0: m}, [0] * len(label)
+    for v in range(1, len(label) - 1):
+        x = label[v + 1]
+        if x is None:
+            a, b = v + 1, v + 2 * nleaves[v + 2]
+            parent[a] = parent[b] = v
+            adj[v] = (parent[v], a, b)
+        else:
+            adj[v] = (parent[v],)
+            leaf_label[v] = x
+    t = UnrootedTree._built(adj, leaf_label)
     t._dfs = ix
     return t
-
-
-def _unrooted(label: list, nleaves: list) -> UnrootedTree:
-    """The UnrootedTree whose vertex v is node v of a preorder in which the
-    children of internal node i are i + 1 and i + 2 * nleaves[i + 1].
-    Node 0 is a leaf hanging from node 1, or has a third neighbour: the
-    node after its second child's subtree."""
-    if label[0] is None:
-        b = 2 * nleaves[1]
-        adj, leaf_label = {0: (1, b, b + 2 * nleaves[b] - 1)}, {}
-    else:
-        adj, leaf_label = {0: (1,)}, {0: label[0]}
-    parent = [0] * len(label)
-    for i in range(1, len(label)):
-        x = label[i]
-        if x is None:
-            a, b = i + 1, i + 2 * nleaves[i + 1]
-            parent[a] = parent[b] = i
-            adj[i] = (parent[i], a, b)
-        else:
-            adj[i] = (parent[i],)
-            leaf_label[i] = x
-    return UnrootedTree._built(adj, leaf_label)
 
 
 # --------------------------------------------------------------------------
@@ -546,34 +581,19 @@ def parse_newick(text: str):
     (top arity 3).  Raises NewickError with a character position.
 
     One scan, a leaf at a time, writes the DFS index arrays in text
-    preorder, which are a rooted tree's index: its root keeps them, and one
-    pass in reverse builds the nodes.  An unrooted text "(m,A,B)" whose
-    first top-level child is its smallest leaf is read as the rooted
-    "(m,(A,B))"; any other is built in text order, the centre 0, and
-    renumbered once.  A text the scan refuses is read again token by token
-    for its first fault."""
+    preorder, which are a rooted tree's index: its root keeps them, and
+    ``_nodes`` builds the nodes.  An unrooted text "(m,A,B)" whose first
+    top-level child is its smallest leaf is read as the rooted "(m,(A,B))";
+    any other "(A,B,C)" as "((A,B),C)", rerooted at its smallest leaf.  A
+    text the scan refuses is read again token by token for its first
+    fault."""
     label, nleaves, first, order = _scan(text)
-    n = len(order)
-    if len(label) == 2 * n - 1:  # rooted
-        built = []
-        for i in range(len(label) - 1, -1, -1):
-            x = label[i]
-            if x is not None:
-                built.append(RootedTree(x, None, None, 1, 0, True))
-                continue
-            left, right = built.pop(), built[-1]
-            lh, rh = left.height, right.height  # RootedTree.branch, inlined
-            built[-1] = RootedTree(
-                None, left, right, nleaves[i],
-                1 + (lh if lh > rh else rh), lh == rh and left.balanced and right.balanced,
-            )
-        built[0]._dfs = DfsIndex(label, nleaves, array("i", first), order)
-        return built[0]
-    if label[1] != min(order):
-        return _unroot_index(DfsIndex.walk(_unrooted(label, nleaves)))
-    label.insert(2, None)
-    nleaves.insert(2, n - 1)
-    first.insert(2, 1)
+    if len(label) == 2 * len(order) - 1:  # rooted
+        return _nodes(DfsIndex(label, nleaves, array("i", first), order))
+    at = 2 if label[1] == min(order) else 1  # group the two top-level children from here
+    label.insert(at, None)
+    nleaves.insert(at, nleaves[at] + nleaves[at + 2 * nleaves[at] - 1])
+    first.insert(at, first[at])
     return _unroot_index(DfsIndex(label, nleaves, array("i", first), order))
 
 

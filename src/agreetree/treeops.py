@@ -5,24 +5,16 @@ Tree identity has one test: two trees of the same kind are
 label-respecting isomorphic iff their canonical Newick texts (``to_newick``)
 are equal, so isomorphism and agreement certificates compare texts.  A
 rooted restriction is rooted at the most recent common ancestor of the kept
-leaves.  A restriction walks only the kept leaves' span and the branches it
-prunes, found by DFS positions in the tree's ``DfsIndex`` (an unrooted
-tree's is that of its default rooting, which the balanced fold reads too).
+leaves.  A restriction's index is written from the tree's ``DfsIndex`` by
+``treecore._reroot``, visiting only the nodes over the kept leaves (an
+unrooted tree's index is that of its default rooting, as the fold reads).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
-from .treecore import (
-    RootedTree,
-    TreeError,
-    rebuild,
-    root_at_edge,
-    to_newick,
-    unroot,
-)
+from .treecore import DfsIndex, RootedTree, TreeError, _edge_index, _nodes, _reroot, _unroot_index, to_newick
 
 
 class AgreementError(TreeError):
@@ -68,24 +60,13 @@ def restrict(t, labels):
     if isinstance(t, RootedTree):
         if not X:
             raise TreeError("cannot restrict to an empty leaf set")
-        P = _positions(t, X)
-        ix = t.dfs()
-        label, nleaves, first = ix.label, ix.nleaves, ix.first
-
-        def expand(i):  # node i of the index
-            if label[i] is not None:
-                return label[i]
-            if bisect_left(P, first[i]) == bisect_left(P, first[i] + nleaves[i]):
-                return 0  # no kept leaf below: rebuild drops the label 0
-            return i + 1, i + 2 * nleaves[i + 1]
-
-        return rebuild(0, expand, keep=X)
+        return _nodes(DfsIndex.derive(_reroot(t.dfs(), 0, P=_positions(t, X))))
     if len(X) < 3:
         raise TreeError("unrooted restriction needs at least 3 leaves")
     if not X <= t.leaves:
         raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
     v = t.label_vertex[min(X)]
-    return unroot(root_at_edge(t, (v, t.adj[v][0]), keep=X))
+    return _unroot_index(_edge_index(t, (v, t.adj[v][0]), X))
 
 
 def join(s_left: RootedTree, s_right: RootedTree) -> RootedTree:

@@ -10,6 +10,7 @@ count builds, folds and checks.
 
 import re
 import sys
+from bisect import bisect_left
 from collections import deque
 from itertools import combinations, count, product
 
@@ -291,6 +292,119 @@ def restrict_unrooted_by_rooting(t: UnrootedTree, X) -> UnrootedTree:
     """Root at the pendant edge of min(X), restrict, unroot."""
     v = t.label_vertex[min(X)]
     return unroot(restrict_rooted_by_postorder(root_at_edge_by_stack(t, (v, t.adj[v][0])), X))
+
+
+# The node-building path that ``treecore._reroot`` replaced, kept as the
+# reference for its child order and unrooted vertex ids: ``rebuild`` with
+# ``keep`` over ``root_at_edge``'s ``expand``, and an ``unroot`` that
+# builds the adjacency of the rooted index and, unless node 1 is the
+# smallest leaf, walks it once to build it again.
+
+_JOIN = object()
+
+
+def rebuild_keeping(top, expand, keep=None):
+    """``rebuild`` with ``keep``: leaves outside it are dropped and nodes
+    left with one child suppressed; None when no leaf is kept."""
+    built, stack = [], [top]  # finished subtrees (None when empty), left before right
+    while stack:
+        item = stack.pop()
+        if item is _JOIN:
+            right = built.pop()
+            left = built.pop()
+            built.append(RootedTree.branch(left, right) if left and right else left or right)
+            continue
+        out = expand(item)
+        if type(out) is tuple:
+            stack += [_JOIN, out[1], out[0]]
+        else:
+            built.append(RootedTree.leaf(out) if keep is None or out in keep else None)
+    return built[0]
+
+
+def edge_branches(t: UnrootedTree, edge, keep=None):
+    """The ``expand`` of ``root_at_edge``: item None is the new root over
+    the two sides of ``edge``, item (p, w) the branch at w away from p;
+    with ``keep``, a branch holding none of it is the label 0."""
+    u, v = edge
+    if keep is not None:
+        ix = t.dfs()
+        P = sorted(ix.first[t.label_vertex[x] + 1] for x in keep)
+
+    def expand(item):
+        if item is None:
+            return (v, u), (u, v)
+        p, w = item
+        if w in t.leaf_label:
+            return t.leaf_label[w]
+        if keep is not None:  # the branch is node w + 1's DFS interval, or the complement of node p + 1's
+            k = max(p, w) + 1
+            held = bisect_left(P, ix.first[k] + ix.nleaves[k]) - bisect_left(P, ix.first[k])
+            if held == (0 if w > p else len(P)):
+                return 0
+        a, b = (x for x in t.adj[w] if x != p)
+        return (w, a), (w, b)
+
+    return expand
+
+
+def root_at_edge_by_branches(t: UnrootedTree, edge, keep=None) -> RootedTree:
+    return rebuild_keeping(None, edge_branches(t, edge, keep), None if keep is None else frozenset(keep))
+
+
+def adjacency_of_preorder(label: list, nleaves: list):
+    """(adj, leaf_label) with vertex v at node v of the preorder: node 0 a
+    leaf hanging from node 1, or with a third neighbour, the node after its
+    second child's subtree."""
+    if label[0] is None:
+        b = 2 * nleaves[1]
+        adj, leaf_label = {0: (1, b, b + 2 * nleaves[b] - 1)}, {}
+    else:
+        adj, leaf_label = {0: (1,)}, {0: label[0]}
+    parent = [0] * len(label)
+    for i in range(1, len(label)):
+        if label[i] is None:
+            a, b = i + 1, i + 2 * nleaves[i + 1]
+            parent[a] = parent[b] = i
+            adj[i] = (parent[i], a, b)
+        else:
+            adj[i] = (parent[i],)
+            leaf_label[i] = label[i]
+    return adj, leaf_label
+
+
+def renumber_by_walk(adj: dict, leaf_label: dict) -> UnrootedTree:
+    """The tree on ``adj`` renumbered by one rebuild from its smallest
+    leaf's pendant edge: vertex v is node v + 1 of that rooting."""
+    t = UnrootedTree._built(adj, leaf_label)
+    v = t.label_vertex[min(t.label_vertex)]
+    index = dfs_index_by_nodes(rebuild_keeping(None, edge_branches(t, (v, adj[v][0]))))
+    return UnrootedTree._built(*adjacency_of_preorder(index["label"][1:], index["nleaves"][1:]))
+
+
+def unroot_by_walk(t: RootedTree) -> UnrootedTree:
+    index = dfs_index_by_nodes(t)
+    return renumber_by_walk(*adjacency_of_preorder(index["label"][1:], index["nleaves"][1:]))
+
+
+def restrict_by_branches(t, X):
+    """``restrict`` by the node-building path: a rooted tree by ``rebuild``
+    over its index, pruned by DFS positions; an unrooted one rooted at
+    min(X)'s pendant edge keeping X, then unrooted."""
+    if isinstance(t, RootedTree):
+        ix = t.dfs()
+        P = sorted(ix.pos[x] for x in X)
+
+        def expand(i):
+            if ix.label[i] is not None:
+                return ix.label[i]
+            if bisect_left(P, ix.first[i]) == bisect_left(P, ix.first[i] + ix.nleaves[i]):
+                return 0
+            return i + 1, i + 2 * ix.nleaves[i + 1]
+
+        return rebuild_keeping(0, expand, frozenset(X))
+    v = t.label_vertex[min(X)]
+    return unroot_by_walk(root_at_edge_by_branches(t, (v, t.adj[v][0]), X))
 
 
 def directed_postorder(t: UnrootedTree, starts) -> list:
@@ -887,6 +1001,27 @@ def count_calls(monkeypatch, owner, name, record=lambda args, out: args) -> list
 
 
 def built_leaves(args, out) -> int:
-    """``count_calls``'s record for ``rebuild``: the leaf count of the tree
-    built, 0 for none."""
-    return 0 if out is None else out.nleaves
+    """``count_calls``'s record for ``DfsIndex.derive``, which every
+    rooting, restriction and walk builds its index with: the leaf count of
+    the index built."""
+    return len(out.order)
+
+
+def lines_run(build, *modules):
+    """(``build()``, the number of lines of ``modules`` it ran), counted by
+    ``sys.settrace``."""
+    files, count = {module.__file__ for module in modules}, [0]
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename not in files:
+            return None
+        count[0] += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        out = build()
+    finally:
+        sys.settrace(previous)
+    return out, count[0]

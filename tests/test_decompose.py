@@ -32,6 +32,7 @@ from agreetree.treecore import (
     classify_balanced,
     diameter_path,
     is_caterpillar,
+    parse_newick,
     to_newick,
 )
 from agreetree.treeops import extract_balanced, max_balanced_height, restrict, verify_agreement
@@ -262,6 +263,17 @@ class TestAgreeGeneral:
         with pytest.raises(TreeError):
             agree_general(gen_caterpillar(4), gen_caterpillar(5))
 
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_parsed_inputs_walk_nothing(self, n, monkeypatch):
+        """On parsed unrooted inputs the pipeline, its exact attempt (n <=
+        64) and its certificate read the indexes that the parse, the
+        rootings and the restrictions wrote: no ``DfsIndex.walk``."""
+        t1 = parse_newick(to_newick(gen_random(n, RandomModel("uniform", 1))))
+        t2 = parse_newick(to_newick(gen_random(n, RandomModel("yule", 2))))
+        walks = count_calls(monkeypatch, treecore.DfsIndex, "walk")
+        agree_general(t1, t2)
+        assert walks == []
+
     def test_balanced_branch_builds_no_full_size_tree(self, monkeypatch):
         """``ramsey_split`` folds each input's DFS index, not a rooted copy
         (2 full-size trees while it rooted both); the balanced branch roots
@@ -270,7 +282,7 @@ class TestAgreeGeneral:
         t1 = gen_random(n, RandomModel("uniform", 1))
         t2 = gen_random(n, RandomModel("uniform", 2))
         assert [ramsey_split(t).kind for t in (t1, t2)] == ["balanced", "balanced"]
-        built = count_calls(monkeypatch, treecore, "rebuild", built_leaves)
+        built = count_calls(monkeypatch, treecore.DfsIndex, "derive", built_leaves)
         agree_general(t1, t2)
         assert built.count(n) == 0, built
 
@@ -286,7 +298,7 @@ class TestAgreeGeneral:
         t1 = gen_caterpillar(n)
         t2 = gen_random(n, RandomModel("uniform", 3))
         assert ramsey_split(t1).kind == "path"
-        built = count_calls(monkeypatch, treecore, "rebuild", built_leaves)
+        built = count_calls(monkeypatch, treecore.DfsIndex, "derive", built_leaves)
         for first, second in ((t1, t2), (t2, t1)):
             built.clear()
             agree_general(first, second)

@@ -26,7 +26,7 @@ from agreetree.generators import (
     relabel,
 )
 from agreetree._rng import SplitMix64
-from agreetree.treecore import UnrootedTree, parse_newick, root_at_edge, to_newick
+from agreetree.treecore import DfsIndex, UnrootedTree, parse_newick, root_at_edge, to_newick
 from agreetree.treeops import restrict, verify_agreement
 
 from oracles import (
@@ -201,6 +201,14 @@ class TestUnrooted:
             if (value, a.edges()[0], e2) != want or mast_unrooted(a, b).witness != witness:
                 differ.append((to_newick(a), to_newick(b)))
         assert differ == []
+
+    def test_parsed_inputs_walk_nothing(self, monkeypatch):
+        """The rootings of parsed trees carry the indexes they are built
+        from, which the DP and the certificate read: no ``DfsIndex.walk``."""
+        a, b = (parse_newick(to_newick(_random_unrooted(30, seed))) for seed in (40, 41))
+        walks = count_calls(monkeypatch, DfsIndex, "walk")
+        mast_unrooted(a, b)
+        assert walks == []
 
     def test_one_unrooted_table_per_call(self, monkeypatch):
         """The first tree is only rooted: its unrooted table is never built."""

@@ -114,11 +114,13 @@ class TestCaterpillar:
             assert is_caterpillar(t) and is_caterpillar(ref), n
 
     def test_written_without_walking_the_adjacency(self, monkeypatch):
-        """Building and writing the caterpillar walks only the rooted build."""
+        """Building and writing the caterpillar walks nothing: the rooted
+        build writes its index, which ``unroot`` keeps (the rooted build was
+        walked while ``rebuild`` built bare nodes)."""
         want = to_newick(caterpillar_by_adjacency(50))
         walks = count_calls(monkeypatch, DfsIndex, "walk", lambda args, out: type(args[0]))
         assert to_newick(gen_caterpillar(50)) == want
-        assert walks == [RootedTree]
+        assert walks == []
 
 
 class TestClassC:
@@ -262,6 +264,20 @@ class TestSwap:
         u1, u2 = gen_swap_pair(1, rooted=False)
         assert u1.leaves == u2.leaves == frozenset({1, 2, 3, 4})
 
+    def test_one_adjacency_per_tree(self, monkeypatch):
+        """``unroot`` of a rooted build whose first child is not its smallest
+        leaf (the second swap tree; a Yule tree whose leaf 1 was split)
+        reroots the build's index and builds one adjacency per tree,
+        walking nothing (it built a first adjacency to walk it)."""
+        yule = gen_random(200, RandomModel("yule", 3), rooted=True)
+        assert yule.dfs().label[1] is None
+        built = count_calls(monkeypatch, UnrootedTree, "_built")
+        walks = count_calls(monkeypatch, DfsIndex, "walk")
+        u1, u2 = gen_swap_pair(2, rooted=False)
+        assert (len(built), walks) == (2, [])
+        assert to_newick(unroot(yule)) == to_newick(gen_random(200, RandomModel("yule", 3)))
+        assert (len(built), walks) == (4, [])
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(3, 1), (4, 3), (5, 15), (6, 105), (7, 945)])
@@ -324,21 +340,23 @@ class TestRelabel:
 
     def test_unrooted_smallest_leaf_kept(self, monkeypatch):
         """With the smallest leaf still on vertex 0, the copy shares the
-        adjacency and keeps the index, labels mapped: the caterpillar's
-        rooted build is all that is walked, and nothing is validated."""
+        adjacency and keeps the index, labels mapped: nothing is walked (the
+        caterpillar's rooted build writes its index) or validated."""
         n = 50
         perm = {1: 1, **{x: n + 2 - x for x in range(2, n + 1)}}
         want = to_newick(unroot(relabel(gen_caterpillar(n, rooted=True), perm)))
         text, walks, checks = self._counted(monkeypatch, lambda: to_newick(relabel(gen_caterpillar(n), perm)))
-        assert (text, walks, checks) == (want, [RootedTree], [])
+        assert (text, walks, checks) == (want, [], [])
         t = gen_caterpillar(n)
         assert relabel(t, perm).adj is t.adj
 
     def test_unrooted_smallest_leaf_moved(self, monkeypatch):
-        """Otherwise the copy is renumbered by one walk of it, unvalidated."""
+        """Otherwise the copy is t's index rerooted at its smallest leaf,
+        unvalidated: no walk (one of the copy's adjacency while that was
+        how it was renumbered, and one of the rooted build)."""
         n = 50
         perm = {x: n + 1 - x for x in range(1, n + 1)}
         want = to_newick(unroot(relabel(gen_caterpillar(n, rooted=True), perm)))
         t, walks, checks = self._counted(monkeypatch, lambda: relabel(gen_caterpillar(n), perm))
-        assert (to_newick(t), walks, checks) == (want, [RootedTree, UnrootedTree], [])
+        assert (to_newick(t), walks, checks) == (want, [], [])
         assert t.leaf_label[0] == 1 and t.adj[0] == (1,)

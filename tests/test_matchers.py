@@ -328,7 +328,7 @@ class TestMatch1Unrooted:
         full-size trees while the second was rooted at its leaf edge)."""
         t1 = gen_class_b(9)
         t2 = gen_random(512, RandomModel("uniform", 4))
-        built = count_calls(monkeypatch, treecore, "rebuild", built_leaves)
+        built = count_calls(monkeypatch, treecore.DfsIndex, "derive", built_leaves)
         match1_unrooted(t1, t2, DELTA1)
         assert built.count(512) == 1, built
 
@@ -446,7 +446,7 @@ class TestMatchAlmostBalanced:
         (2 full-size trees while the second was rooted at its leaf edge)."""
         t1 = gen_class_b(9)
         t2 = gen_random(512, RandomModel("yule", 4))
-        built = count_calls(monkeypatch, treecore, "rebuild", built_leaves)
+        built = count_calls(monkeypatch, treecore.DfsIndex, "derive", built_leaves)
         match_almost_balanced(t1, t2, 2, mode="single")
         assert built.count(512) == 1, built
 

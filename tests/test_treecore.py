@@ -40,9 +40,11 @@ from agreetree.treecore import (
     to_newick,
     unroot,
 )
+from agreetree.treecore import _scan
 from agreetree.treeops import is_isomorphic, restrict
 
 from oracles import (
+    adjacency_of_preorder,
     all_pairs_eccentricities,
     center_by_bfs,
     classify_balanced_by_bfs,
@@ -55,12 +57,16 @@ from oracles import (
     parse_newick_two_pass,
     postorder,
     relabel_by_postorder,
+    renumber_by_walk,
+    restrict_by_branches,
     restrict_rooted_by_postorder,
     restrict_unrooted_by_rooting,
+    root_at_edge_by_branches,
     root_at_edge_by_stack,
     side_leaves,
     to_newick_by_bfs,
     to_newick_by_directed_edges,
+    unroot_by_walk,
     unrooted_index_by_adjacency,
 )
 
@@ -398,25 +404,21 @@ class TestParseWritesIndex:
     """The index ``parse_newick`` writes during its scan equals the one the
     walk builds over the parsed rooted tree's nodes, or over a hand-built
     copy of the parsed unrooted tree, which the constructor renumbers to
-    the same ids.  An unrooted text whose first top-level child is not its
-    smallest leaf is walked once, and so renumbered, by the parse."""
+    the same ids.  No text is walked: one whose first top-level child is not
+    its smallest leaf is rerooted on its index (it was walked once, and so
+    renumbered, while that took a built adjacency)."""
 
     @staticmethod
     def check(text, monkeypatch):
-        """Compare the two indexes of ``text``; the tree, and True iff the
-        parse wrote its index without a walk."""
+        """Compare the two indexes of ``text``, the parse's written with no
+        walk; the tree."""
         with monkeypatch.context() as patch:
             walks = count_calls(patch, DfsIndex, "walk", lambda args, out: type(args[0]))
             t = parse_newick(text)
-        assert t._dfs is not None
-        written = not walks
+        assert t._dfs is not None and walks == [], text
         if isinstance(t, RootedTree):
-            assert written
             walked = DfsIndex.walk(t)
         else:
-            assert walks in ([], [UnrootedTree]), text
-            starts = re.match(r"\s*\(\s*(\d+)", text)  # the first top-level child is a leaf
-            assert written == (starts is not None and int(starts[1]) == min(t.leaves)), text
             copy = UnrootedTree(t.adj, t.leaf_label)
             assert (copy.adj, copy.leaf_label) == (t.adj, t.leaf_label), text
             assert unrooted_index_by_adjacency(t)["vertex"] == [None, *range(len(t.adj))], text
@@ -424,14 +426,18 @@ class TestParseWritesIndex:
         got = t.dfs()
         for name in ("label", "nleaves", "first", "order"):
             assert getattr(got, name) == getattr(walked, name), (name, text)
-        return t, written
+        return t
 
     def test_valid_texts(self, monkeypatch):
         """Children in random order: an unrooted text starts with its
         smallest leaf only sometimes, so both cases occur."""
-        parsed = [self.check(text, monkeypatch) for text in _valid_texts(range(1, 65))]
-        unrooted = [written for t, written in parsed if isinstance(t, UnrootedTree)]
-        assert 0 < sum(unrooted) < len(unrooted)
+        starts = []
+        for text in _valid_texts(range(1, 65)):
+            t = self.check(text, monkeypatch)
+            if isinstance(t, UnrootedTree):
+                first = re.match(r"\s*\(\s*(\d+)", text)  # the first top-level child is a leaf
+                starts.append(first is not None and int(first[1]) == min(t.leaves))
+        assert 0 < sum(starts) < len(starts)
 
     def test_canonical_texts(self, monkeypatch):
         rng = SplitMix64(17)
@@ -444,7 +450,8 @@ class TestParseWritesIndex:
         trees += [gen_caterpillar(n, rooted=True) for n in range(1, 65)]
         trees += [gen_caterpillar(n) for n in range(3, 65)]
         trees += [gen_class_b(m) for m in range(2, 7)] + [gen_class_c(m) for m in range(1, 6)]
-        assert all(self.check(to_newick(t), monkeypatch)[1] for t in trees)
+        for t in trees:
+            self.check(to_newick(t), monkeypatch)
 
     def test_deep_caterpillars(self, monkeypatch):
         """20,000 leaves: unrooted, rooted nested to the right, and rooted
@@ -454,7 +461,8 @@ class TestParseWritesIndex:
         flipped = relabel(rooted, {x: n + 1 - x for x in range(1, n + 1)})
         texts = [to_newick(t) for t in (gen_caterpillar(n), rooted, flipped)]
         assert texts[2].startswith("(" * (n - 1) + "1,2)")
-        assert all(self.check(text, monkeypatch)[1] for text in texts)
+        for text in texts:
+            self.check(text, monkeypatch)
 
 
 class TestMetrics:
@@ -615,6 +623,25 @@ class TestRooting:
         with pytest.raises(TreeError):
             root_at_edge(t, (99, 100))
 
+    def test_rooted_tree_refused(self):
+        t = gen_balanced(2)
+        for root in (lambda: root_at_edge(t, (0, 1)), lambda: root_at_leaf_edge(t, {1, 2})):
+            with pytest.raises(TreeError, match="^only an unrooted tree can be rooted at an edge, got RootedTree$"):
+                root()
+
+    def test_keep_drops_leaves_and_suppresses_single_children(self):
+        """A rooted restriction and a pruned rooting keep the child order,
+        drop the leaves outside the set and suppress nodes left with one
+        child; an empty set is refused."""
+        t, u = parse_newick("((1,2),(3,(4,5)));"), parse_newick("(1,2,(3,(4,5)));")
+        assert ordered_text(restrict(t, t.leaves)) == "((1,2),(3,(4,5)))"
+        assert ordered_text(root_at_leaf_edge(u, u.leaves)) == "(1,(2,(3,(4,5))))"
+        for restricted in (lambda X: restrict(t, X), lambda X: root_at_leaf_edge(u, X)):
+            assert ordered_text(restricted({2, 4, 5})) == "(2,(4,5))"
+            assert ordered_text(restricted({3})) == "3"
+            with pytest.raises(TreeError, match="^cannot restrict to an empty leaf set$"):
+                restricted(set())
+
     def test_keep_equals_restricting_the_rooting(self):
         rng = SplitMix64(7)
         for model, n in (("uniform", 9), ("yule", 14), ("uniform", 23)):
@@ -689,19 +716,9 @@ class TestRooting:
 
 
 class TestRebuild:
-    """``rebuild`` is the one copy walk; its copies keep the child order and
-    unrooted vertex ids of the loops it replaced (``tests/oracles.py``)."""
-
-    def test_keep_drops_leaves_and_suppresses_single_children(self):
-        t = parse_newick("((1,2),(3,(4,5)));")
-
-        def expand(node):
-            return node.label or (node.left, node.right)
-
-        assert ordered_text(rebuild(t, expand)) == "((1,2),(3,(4,5)))"
-        assert ordered_text(rebuild(t, expand, keep={2, 4, 5})) == "(2,(4,5))"
-        assert ordered_text(rebuild(t, expand, keep={3})) == "3"
-        assert rebuild(t, expand, keep=set()) is None
+    """``rebuild`` and the rootings and restrictions on the index keep the
+    child order and unrooted vertex ids of the loops they replaced
+    (``tests/oracles.py``)."""
 
     @pytest.mark.parametrize("model", ["uniform", "yule", "caterpillar"])
     def test_copies_equal_reference(self, model):
@@ -740,6 +757,73 @@ class TestRebuild:
                 assert ordered_text(gen_extremal_fhk(h, k)) == ordered_text(
                     extremal_fhk_by_stack(h, k)
                 )
+
+
+def _same_tree(got, want):
+    """``got`` equals the reference ``want`` field by field: a rooted tree's
+    index against the one worked out on ``want``'s nodes, an unrooted
+    tree's ids, labels and index against ``want``'s adjacency."""
+    if isinstance(want, RootedTree):
+        assert isinstance(got, RootedTree) and dfs_index_fields(got) == dfs_index_by_nodes(want), ordered_text(want)
+        return
+    fields = unrooted_index_by_adjacency(want)
+    assert fields.pop("vertex") == [None, *range(len(want.adj))], to_newick(want)
+    assert (got.adj, got.leaf_label) == (want.adj, want.leaf_label), to_newick(want)
+    assert dfs_index_fields(got) == fields, to_newick(want)
+
+
+class TestIndexRooting:
+    """Rooting, restriction and renumbering on the DFS index give, field by
+    field, what the node-building path they replaced gave (``rebuild`` with
+    ``keep`` over the branches at an edge, then ``unroot`` by a walk over a
+    built adjacency; ``tests/oracles.py``), so vertex ids and child order
+    are unchanged."""
+
+    def test_rootings_and_restrictions(self):
+        rng = SplitMix64(21)
+        for n in range(3, 33):
+            for model in ("uniform", "yule"):
+                t = gen_random(n, RandomModel(model, rng.next_u64()))
+                r = gen_random(n, RandomModel(model, rng.next_u64()), rooted=True)
+                labels = sorted(t.leaves)
+                for size in sorted({3, n // 2 + 2, n}):
+                    rng.shuffle(labels)
+                    for tree in (t, r):
+                        _same_tree(restrict(tree, labels[:size]), restrict_by_branches(tree, labels[:size]))
+                for u, v in t.edges():
+                    for edge in ((u, v), (v, u)):
+                        rng.shuffle(labels)
+                        for keep in (None, labels[: 1 + rng.randrange(n)]):
+                            _same_tree(root_at_edge(t, edge, keep), root_at_edge_by_branches(t, edge, keep))
+                for keep in (None, labels[:1], labels[:3]):
+                    _same_tree(root_at_leaf_edge(t, keep), root_at_edge_by_branches(t, (0, 1), keep))
+
+    def test_unroot_relabel_and_parse(self):
+        """``unroot`` of Yule, balanced, class-C and swap-pair builds,
+        ``relabel`` and the parse of unrooted texts in random child order."""
+        rng = SplitMix64(22)
+        rooted = [gen_random(n, RandomModel("yule", rng.next_u64()), rooted=True) for n in range(3, 40)]
+        rooted += [gen_balanced(m) for m in range(2, 7)] + [t for k in (1, 2, 3) for t in gen_swap_pair(k)]
+        for m in range(1, 6):
+            h = 2 ** (m - 1)
+            b1, b2, b3 = (ordered_text(relabel(gen_balanced(m - 1), {x: x + i * h for x in range(1, h + 1)})) for i in range(3))
+            rooted.append(parse_newick(f"({b1},({b2},{b3}));"))
+            _same_tree(gen_class_c(m), unroot_by_walk(rooted[-1]))
+        for t in rooted:
+            _same_tree(unroot(t), unroot_by_walk(t))
+        for k in (1, 2, 3):
+            for got, t in zip(gen_swap_pair(k, rooted=False), gen_swap_pair(k)):
+                _same_tree(got, unroot_by_walk(t))
+        for t in (unroot(t) for t in rooted):
+            labels = sorted(t.leaves)
+            rng.shuffle(labels)
+            for mapping in (dict(zip(sorted(t.leaves), labels)), {x: len(labels) + 1 - x for x in labels}):
+                want = renumber_by_walk(t.adj, {v: mapping[x] for v, x in t.leaf_label.items()})
+                _same_tree(relabel(t, mapping), want)
+        for text in _valid_texts(range(3, 40)):
+            t = parse_newick(text)
+            if isinstance(t, UnrootedTree):
+                _same_tree(t, renumber_by_walk(*adjacency_of_preorder(*_scan(text)[:2])))
 
 
 class TestValidation:

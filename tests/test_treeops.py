@@ -39,6 +39,7 @@ from oracles import (
     iso_rooted_search,
     iso_unrooted_search,
     lca_by_postorder,
+    lines_run,
     restrict_rooted_by_postorder,
     restrict_unrooted_by_paths,
     splits,
@@ -152,28 +153,19 @@ class TestRestrict:
         assert splits(got) == splits(want)
 
     @pytest.mark.parametrize("kind", ["rooted", "unrooted"])
-    def test_walk_is_pruned_to_the_kept_leaves(self, kind, monkeypatch):
-        """A restriction expands only the nodes spanning the kept leaves and
-        the pruned branches next to them, not all 2^15 - 1 nodes."""
-        import agreetree.treecore as treecore
+    def test_walk_is_pruned_to_the_kept_leaves(self, kind):
+        """A restriction visits only the nodes spanning the kept leaves and
+        the pruned branches next to them, not all 2^15 - 1 nodes: it runs
+        at most 16 lines of ``treecore`` and ``treeops`` per node on the
+        kept leaves' paths (about 8), where a walk over every node runs
+        over 30,000."""
         import agreetree.treeops as treeops
 
-        calls = [0]
-
-        def counting(top, expand, keep=None):
-            def counted(item):
-                calls[0] += 1
-                return expand(item)
-
-            return original(top, counted, keep)
-
-        original = treecore.rebuild
         t = gen_balanced(14) if kind == "rooted" else unroot(gen_balanced(14))
+        t.dfs().pos  # the label positions, built once per tree on first use
         X = {1, 1000, 2047, 5000, 8193, 12000, 15001, 16384}
-        for module in (treecore, treeops):
-            monkeypatch.setattr(module, "rebuild", counting)
-        got = restrict(t, X)
-        assert calls[0] <= 2 * len(X) * 15, calls
+        got, lines = lines_run(lambda: restrict(t, X), treecore, treeops)
+        assert lines <= 16 * len(X) * 15, lines
         if kind == "rooted":
             assert to_newick(got) == to_newick(restrict_rooted_by_postorder(t, X))
         else:
@@ -206,14 +198,31 @@ class TestRestrict:
                 assert unrooted_index_by_adjacency(r)["vertex"] == [None, *range(len(r.adj))]
 
     def test_unrooted_written_without_a_second_walk(self, monkeypatch):
-        """Writing an unrooted restriction of a parsed tree walks only the
-        rooted restriction that ``unroot`` reads, not the result again."""
+        """Writing an unrooted restriction of a parsed tree walks nothing:
+        the restriction's index is written from the tree's (the rooted
+        restriction that ``unroot`` read was walked while it was built as
+        nodes)."""
         t = parse_newick(to_newick(gen_random(128, RandomModel("uniform", 5))))
         X = sorted(t.leaves)[::2]
         want = to_newick(restrict_unrooted_by_paths(t, X))
         walks = count_calls(monkeypatch, DfsIndex, "walk", lambda args, out: type(args[0]))
         assert to_newick(restrict(t, X)) == want
-        assert walks == [RootedTree]
+        assert walks == []
+
+    def test_unrooted_builds_no_nodes(self, monkeypatch):
+        """On parsed unrooted trees ``restrict`` and ``verify_agreement``
+        walk nothing and build no ``RootedTree``: a restriction's index is
+        written from the tree's, and its adjacency from that index."""
+        t1 = parse_newick(to_newick(gen_random(300, RandomModel("uniform", 1))))
+        t2 = parse_newick(to_newick(gen_random(300, RandomModel("yule", 2))))
+        X = sorted(t1.leaves)[::7]
+        walks = count_calls(monkeypatch, DfsIndex, "walk")
+        nodes = count_calls(monkeypatch, RootedTree, "__init__")
+        assert to_newick(restrict(t1, X)) == verify_agreement(t1, t1, X).restricted_shape
+        assert to_newick(restrict(t2, X[:3])) == verify_agreement(t1, t2, X[:3]).restricted_shape
+        with pytest.raises(AgreementError):
+            verify_agreement(t1, t2, X)
+        assert (walks, nodes) == ([], [])
 
     @given(st.integers(0, 2**63))
     def test_restriction_composes(self, seed):
@@ -237,15 +246,15 @@ class TestJoin:
             join(parse_newick("(1,2);"), parse_newick("(2,3);"))
 
     def test_reads_the_kept_indexes(self, monkeypatch):
-        """The disjointness check builds each side's DFS index once and
-        keeps it on that side (it dropped one per side while it read
-        ``.leaves``)."""
+        """The disjointness check reads the DFS index each side keeps, which
+        ``restrict`` wrote: no build (one per side while ``restrict`` built
+        bare nodes, two while the check read ``.leaves``)."""
         t = gen_random(80, RandomModel("yule", 5), rooted=True)
         left, right = restrict(t, range(1, 41)), restrict(t, range(41, 81))
         built = count_calls(monkeypatch, treecore.DfsIndex, "__init__")
         join(left, right)
         join(left, right)
-        assert len(built) == 2 and left._dfs is not None and right._dfs is not None
+        assert built == [] and left._dfs is not None and right._dfs is not None
 
     @given(st.integers(0, 2**63))
     def test_join_of_subtrees_is_subtree(self, seed):
@@ -339,16 +348,16 @@ class TestIsSubtree:
 
     def test_builds_no_throwaway_index(self, monkeypatch):
         """The leaf-subset check reads the DFS indexes of s and t, which
-        ``restrict`` and ``to_newick`` reuse: 2 ``DfsIndex`` builds, for s
-        and for the restriction, as the parsed t carries the index its
-        parse wrote (3 while t's was walked, 6 while the check read
-        ``.leaves``)."""
+        ``restrict`` and ``to_newick`` reuse: 1 ``DfsIndex`` build, the
+        restriction's, as s carries the index ``restrict`` wrote and the
+        parsed t the one its parse wrote (2 while s's nodes were walked, 3
+        while t's were too, 6 while the check read ``.leaves``)."""
         text = to_newick(gen_random(200, RandomModel("yule", 3), rooted=True))
         t = parse_newick(text)
         s = restrict(parse_newick(text), sorted(t.leaves)[::3][:59])
         built = count_calls(monkeypatch, treecore.DfsIndex, "__init__")
         assert is_subtree(s, t)
-        assert len(built) == 2
+        assert len(built) == 1
 
 
 class TestVerifyAgreement:
