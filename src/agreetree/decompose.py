@@ -192,7 +192,7 @@ def circular_leaf_order(t: UnrootedTree) -> list:
     """Leaves in the circular order of the canonical planar embedding, cut
     so the smallest label comes first: the labels of ``to_newick(t)`` in
     text order, read off its tokens."""
-    return [x for x in _newick_tokens(t) if type(x) is int]
+    return [x for x in _newick_tokens(t.dfs(), False) if type(x) is int]
 
 
 def caterpillar_agree(t1: UnrootedTree, t2: UnrootedTree) -> frozenset:

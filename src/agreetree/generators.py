@@ -4,8 +4,12 @@ topology enumeration for tiny leaf counts.
 
 Random generation is deterministic per (model, seed, n) using the portable
 splitmix64 stream, so every generated tree is reproducible from its recorded
-seed.  Enumeration is guarded against combinatorial explosion; set
-``AGREETREE_GUARDS=off`` (or pass ``force=True``) to lift the guard.
+seed.  The random models insert on flat lists and write the tree's preorder
+labels, from which ``DfsIndex.derive`` makes its index (and
+``_unroot_index`` an unrooted tree's adjacency): no node or throwaway
+adjacency is built.  Enumeration is guarded against combinatorial
+explosion; set ``AGREETREE_GUARDS=off`` (or pass ``force=True``) to lift
+the guard.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from ._rng import SplitMix64
 from .bounds import f_closed
 from .treecore import DfsIndex, RootedTree, TreeError, UnrootedTree, rebuild, unroot
-from .treecore import _check_label, _nodes, _unroot_index
+from .treecore import _adjacency_preorder, _check_label, _nodes, _unroot_index
 
 UNIFORM = "uniform"
 YULE = "yule"
@@ -168,77 +172,73 @@ def relabel(t, mapping: dict):
 # --------------------------------------------------------------------------
 
 
-class _MNode:
-    __slots__ = ("label", "left", "right")
-
-    def __init__(self, label, left=None, right=None):
-        self.label = label
-        self.left = left
-        self.right = right
-
-    def expand(self):
-        """``rebuild`` callback: the leaf label, or the two children."""
-        return self.label if self.label is not None else (self.left, self.right)
-
-
-def _uniform_rooted(n: int, rng: SplitMix64) -> RootedTree:
-    """Uniform over the (2n-3)!! labelled rooted topologies: each new leaf
-    goes into a uniformly random edge (counting the edge above the root)."""
-    root = _MNode(1)
-    edges = []  # (parent, "left"/"right"); the root position is index 0
-    for lab in range(2, n + 1):
-        pick = rng.randrange(len(edges) + 1)
-        new_leaf = _MNode(lab)
-        if pick == 0:
-            root = _MNode(None, root, new_leaf)
-            edges.append((root, "left"))
-            edges.append((root, "right"))
+def _preorder(root: int, kids: list) -> list:
+    """The preorder label list of a tree on flat lists: a leaf x is -x,
+    internal node j has children kids[2 * j] (left) and kids[2 * j + 1]."""
+    label, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            label.append(-v)
         else:
-            parent, side = edges[pick - 1]
-            child = getattr(parent, side)
-            mid = _MNode(None, child, new_leaf)
-            setattr(parent, side, mid)
-            edges.append((mid, "left"))
-            edges.append((mid, "right"))
-    return rebuild(root, _MNode.expand)
+            label.append(None)
+            stack += (kids[2 * v + 1], kids[2 * v])
+    return label
 
 
-def _yule_rooted(n: int, rng: SplitMix64) -> RootedTree:
+def _uniform_rooted(n: int, rng: SplitMix64) -> list:
+    """Uniform over the (2n-3)!! labelled rooted topologies: each new leaf
+    goes into a uniformly random edge (counting the edge above the root).
+    The edges are the child slots of ``kids`` in the order they were made,
+    after the edge above the root; returns the tree's preorder labels."""
+    root, kids = -1, []
+    for lab in range(2, n + 1):
+        pick = rng.randrange(len(kids) + 1)
+        if pick == 0:
+            kids += (root, -lab)
+            root = len(kids) // 2 - 1
+        else:
+            kids += (kids[pick - 1], -lab)
+            kids[pick - 1] = len(kids) // 2 - 1
+    return _preorder(root, kids)
+
+
+def _yule_rooted(n: int, rng: SplitMix64) -> list:
     """Yule (random splitting): repeatedly bifurcate a uniformly random
-    extant leaf; the new tip takes the next unused label."""
+    extant leaf; the new tip takes the next unused label.  ``tips`` lists
+    the slots of ``kids`` that hold leaves; returns the preorder labels."""
     if n == 1:
-        return RootedTree.leaf(1)
-    root = _MNode(None, _MNode(1), _MNode(2))
-    tips = [root.left, root.right]
+        return [1]
+    kids, tips = [-1, -2], [0, 1]
     for lab in range(3, n + 1):
         i = rng.randrange(len(tips))
-        node = tips[i]
-        node.left = _MNode(node.label)
-        node.right = _MNode(lab)
-        node.label = None
-        tips[i] = node.left
-        tips.append(node.right)
-    return rebuild(root, _MNode.expand)
+        slot, j = tips[i], len(kids) // 2
+        kids += (kids[slot], -lab)
+        kids[slot], tips[i] = j, 2 * j
+        tips.append(2 * j + 1)
+    return _preorder(0, kids)
 
 
-def _uniform_unrooted(n: int, rng: SplitMix64) -> UnrootedTree:
+def _uniform_unrooted(n: int, rng: SplitMix64) -> list:
     """Uniform over the (2n-5)!! labelled unrooted topologies by sequential
-    insertion of leaves 4..n into a uniformly random edge; on insertion ids."""
-    adj = {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}
-    labels = {1: 1, 2: 2, 3: 3}
-    edges = [(0, 1), (0, 2), (0, 3)]
+    insertion of leaves 4..n into a uniformly random edge, on insertion ids
+    with sorted neighbour lists; returns the preorder labels of the tree
+    rooted at leaf 1's pendant edge, as ``_unroot_index`` reads them."""
+    nbrs, labels = [[1, 2, 3], [0], [0], [0]], {1: 1, 2: 2, 3: 3}
+    eu, ev = [0, 0, 0], [1, 2, 3]  # edge k joins eu[k] and ev[k]
     for lab in range(4, n + 1):
-        pick = rng.randrange(len(edges))
-        u, v = edges[pick]
-        w, x = len(adj), len(adj) + 1
-        adj[u] = [y for y in adj[u] if y != v] + [w]  # w is the largest id yet,
-        adj[v] = [y for y in adj[v] if y != u] + [w]  # so every list stays sorted
-        adj[w] = sorted((u, v)) + [x]
-        adj[x] = [w]
-        labels[x] = lab
-        edges[pick] = (u, w)
-        edges += ((w, v), (w, x))
-    return UnrootedTree._built(adj, labels)
+        pick = rng.randrange(len(eu))
+        u, v, w = eu[pick], ev[pick], len(nbrs)
+        nbrs[u].remove(v)  # w is the largest id yet, so every list stays sorted
+        nbrs[u].append(w)
+        nbrs[v].remove(u)
+        nbrs[v].append(w)
+        nbrs += ([u, v, w + 1] if u < v else [v, u, w + 1], [w])
+        labels[w + 1] = lab
+        ev[pick] = w
+        eu += (w, w)
+        ev += (v, w + 1)
+    return _adjacency_preorder(nbrs, labels, 1)
 
 
 def gen_random(n: int, model: RandomModel, rooted: bool = False):
@@ -247,12 +247,12 @@ def gen_random(n: int, model: RandomModel, rooted: bool = False):
     if rooted:
         if n < 1:
             raise ValueError("rooted random trees need n >= 1")
-        return _uniform_rooted(n, rng) if model.kind == UNIFORM else _yule_rooted(n, rng)
+        build = _uniform_rooted if model.kind == UNIFORM else _yule_rooted
+        return _nodes(DfsIndex.derive(build(n, rng)))
     if n < 3:
         raise ValueError("unrooted random trees need n >= 3")
-    if model.kind == UNIFORM:  # renumbered once its insertion lists are gone
-        return _unroot_index(DfsIndex.walk(_uniform_unrooted(n, rng)))
-    return unroot(_yule_rooted(n, rng))
+    build = _uniform_unrooted if model.kind == UNIFORM else _yule_rooted
+    return _unroot_index(DfsIndex.derive(build(n, rng)))
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Two kinds of tree live here:
 
-* ``RootedTree``: a plain node structure.  Every internal node has
-  exactly two children; a single-leaf tree is one node that is both root
-  and leaf.  Nodes cache no leaf sets.  No function recurses.
+* ``RootedTree``: a node structure.  Every internal node has exactly two
+  children; a single-leaf tree is one node that is both root and leaf.
+  A root made from an index (the parse, ``rebuild``, rootings,
+  restrictions, the generators) holds the index and builds its nodes on
+  the first ``left`` or ``right``; its ``height`` and ``balanced`` are
+  one fold of the index.  Nodes cache no leaf sets.  No function recurses.
 * ``UnrootedTree``: an adjacency map.  Every internal vertex has degree 3,
   leaves have degree 1, and at least three leaves are required (degree
   constraints force this).  Trees the package builds valid (parse,
@@ -86,6 +89,12 @@ class RootedTree:
     nleaves  : int          number of leaves below (inclusive)
     height   : int          max root-to-leaf distance in edges; 0 for a leaf
     balanced : bool         True iff every leaf is at depth == height
+
+    A root built from a DFS index (``_nodes``) starts with ``label``,
+    ``nleaves`` and the index alone.  Its first ``height`` or ``balanced``
+    folds the index once, and its first ``left`` or ``right`` builds every
+    node below it, kept in its slots.  Copies and pickles of a root with an
+    index carry the index, not the nodes.
     """
 
     __slots__ = ("label", "left", "right", "nleaves", "height", "balanced", "_dfs")
@@ -98,6 +107,23 @@ class RootedTree:
         self.height = height
         self.balanced = balanced
         self._dfs = None
+
+    def __getattr__(self, name):  # reached only for a slot not yet set: a lazy root's
+        if name in ("height", "balanced"):
+            height = _height(self._dfs)
+            self.height, self.balanced = height, self.nleaves == 1 << height  # 2^height leaves
+        elif name in ("left", "right"):
+            top = _build(self._dfs)
+            self.left, self.right = top.left, top.right
+            self.height, self.balanced = top.height, top.balanced
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
+
+    def __reduce_ex__(self, protocol):
+        if self._dfs is None:
+            return super().__reduce_ex__(protocol)
+        return _nodes, (self._dfs,)
 
     @classmethod
     def leaf(cls, label: int) -> "RootedTree":
@@ -152,8 +178,7 @@ class DfsIndex:
     @classmethod
     def walk(cls, t) -> "DfsIndex":
         """The index of t by one explicit-stack walk over its nodes, or over
-        its adjacency from its smallest leaf, each vertex's branches in the
-        order of its sorted neighbours."""
+        its adjacency from its smallest leaf (``_adjacency_preorder``)."""
         if isinstance(t, RootedTree):
             label, stack = [], [t]
             while stack:
@@ -162,17 +187,7 @@ class DfsIndex:
                 if node.label is None:
                     stack += (node.right, node.left)
             return cls.derive(label)
-        adj, leaf_label, v0 = t.adj, t.leaf_label, t.label_vertex[min(t.label_vertex)]
-        label, stack = [None, leaf_label[v0]], [(v0, adj[v0][0])]  # (p, w): the branch at w away from p
-        while stack:
-            p, w = stack.pop()
-            if w in leaf_label:
-                label.append(leaf_label[w])
-                continue
-            label.append(None)
-            a, b, c = adj[w]
-            stack += ((w, c), (w, b)) if a == p else ((w, c), (w, a)) if b == p else ((w, b), (w, a))
-        return cls.derive(label)
+        return cls.derive(_adjacency_preorder(t.adj, t.leaf_label, t.label_vertex[min(t.label_vertex)]))
 
     @classmethod
     def derive(cls, label: list) -> "DfsIndex":
@@ -217,6 +232,22 @@ class DfsIndex:
         return frozenset(order[lo:hi] if w > p else order[:lo] + order[hi:])
 
 
+def _adjacency_preorder(adj, leaf_label: dict, v0: int) -> list:
+    """The preorder labels of the unrooted tree on ``adj`` (vertex ->
+    sorted neighbours) rooted at leaf v0's pendant edge, v0 left, each
+    vertex's branches in the order of its neighbours."""
+    label, stack = [None, leaf_label[v0]], [(v0, adj[v0][0])]  # (p, w): the branch at w away from p
+    while stack:
+        p, w = stack.pop()
+        if w in leaf_label:
+            label.append(leaf_label[w])
+            continue
+        label.append(None)
+        a, b, c = adj[w]
+        stack += ((w, c), (w, b)) if a == p else ((w, c), (w, a)) if b == p else ((w, b), (w, a))
+    return label
+
+
 def rebuild(top, expand) -> RootedTree:
     """Build a RootedTree, with its index, from ``top``: ``expand(item)``
     returns a leaf label or a tuple (left item, right item), and left
@@ -234,8 +265,21 @@ def rebuild(top, expand) -> RootedTree:
 
 
 def _nodes(ix: DfsIndex) -> RootedTree:
-    """The RootedTree of index ``ix``, which it keeps: one pass in reverse
-    builds the nodes, children first."""
+    """The root of index ``ix``, which it keeps: a leaf, or an internal
+    root with ``label`` and ``nleaves`` set, whose other slots are filled
+    when first read (``RootedTree.__getattr__``)."""
+    if ix.label[0] is not None:
+        t = RootedTree(ix.label[0], None, None, 1, 0, True)
+    else:
+        t = RootedTree.__new__(RootedTree)
+        t.label, t.nleaves = None, ix.nleaves[0]
+    t._dfs = ix
+    return t
+
+
+def _build(ix: DfsIndex) -> RootedTree:
+    """Every node of index ``ix``'s tree, by one pass in reverse, children
+    first; the root is returned."""
     label, nleaves, built = ix.label, ix.nleaves, []
     for i in range(len(label) - 1, -1, -1):
         x = label[i]
@@ -246,8 +290,18 @@ def _nodes(ix: DfsIndex) -> RootedTree:
         lh, rh = left.height, right.height  # RootedTree.branch, inlined
         balanced = lh == rh and left.balanced and right.balanced
         built[-1] = RootedTree(None, left, right, nleaves[i], 1 + (lh if lh > rh else rh), balanced)
-    built[0]._dfs = ix
     return built[0]
+
+
+def _height(ix: DfsIndex) -> int:
+    """The height of index ``ix``'s tree, by one fold in reverse."""
+    label, nleaves = ix.label, ix.nleaves
+    h = [0] * len(label)
+    for i in range(len(label) - 1, -1, -1):
+        if label[i] is None:
+            a, b = h[i + 1], h[i + 2 * nleaves[i + 1]]
+            h[i] = 1 + (a if a > b else b)
+    return h[0]
 
 
 # --------------------------------------------------------------------------
@@ -431,11 +485,16 @@ def is_caterpillar(t) -> bool:
     spine node hangs at least one leaf).  Unrooted form: a longest path
     holds all n - 2 internal vertices, so n vertices.
     """
-    if isinstance(t, RootedTree):  # down the spine while a child is a leaf
-        node = t
-        while node.label is None and min(node.left.nleaves, node.right.nleaves) == 1:
-            node = node.left if node.right.nleaves == 1 else node.right
-        return node.label is not None
+    if isinstance(t, RootedTree):  # down the index's spine while a child is a leaf
+        nleaves, i = t.dfs().nleaves, 0
+        while nleaves[i] > 1:
+            if nleaves[i + 1] == 1:
+                i += 2  # the left child is a leaf: on to the right one
+            elif nleaves[i] - nleaves[i + 1] == 1:
+                i += 1
+            else:
+                return False
+        return True
     return len(t.diameter().path) == t.nleaves
 
 
@@ -448,8 +507,8 @@ def root_at_edge(t: UnrootedTree, edge, keep=None) -> RootedTree:
     """Subdivide ``edge`` = (u, v) with a new degree-2 root: u's side left,
     v's side right, every vertex's branches in the order of its sorted
     neighbours.  With ``keep`` set (a non-empty subset of the leaves) the
-    result is the restriction to ``keep``, rooted at its MRCA.  Its nodes
-    are built from its index, which ``_reroot`` writes from t's."""
+    result is the restriction to ``keep``, rooted at its MRCA.  Its index
+    is written from t's by ``_reroot``; its nodes are built when read."""
     return _nodes(_edge_index(t, edge, keep))
 
 
@@ -581,12 +640,12 @@ def parse_newick(text: str):
     (top arity 3).  Raises NewickError with a character position.
 
     One scan, a leaf at a time, writes the DFS index arrays in text
-    preorder, which are a rooted tree's index: its root keeps them, and
-    ``_nodes`` builds the nodes.  An unrooted text "(m,A,B)" whose first
-    top-level child is its smallest leaf is read as the rooted "(m,(A,B))";
-    any other "(A,B,C)" as "((A,B),C)", rerooted at its smallest leaf.  A
-    text the scan refuses is read again token by token for its first
-    fault."""
+    preorder, which are a rooted tree's index: its root keeps them
+    (``_nodes``) and builds its nodes when they are read.  An unrooted
+    text "(m,A,B)" whose first top-level child is its smallest leaf is read
+    as the rooted "(m,(A,B))"; any other "(A,B,C)" as "((A,B),C)", rerooted
+    at its smallest leaf.  A text the scan refuses is read again token by
+    token for its first fault."""
     label, nleaves, first, order = _scan(text)
     if len(label) == 2 * len(order) - 1:  # rooted
         return _nodes(DfsIndex(label, nleaves, array("i", first), order))
@@ -701,14 +760,14 @@ def to_newick(t) -> str:
     """Canonical Newick text; children ordered by smallest leaf label.  An
     unrooted tree is written as its rooting at the smallest leaf m's
     pendant edge, "(m,(A,B));", with the inner parentheses dropped."""
-    return "".join(map(str, _newick_tokens(t)))
+    return "".join(map(str, _newick_tokens(t.dfs(), isinstance(t, RootedTree))))
 
 
-def _newick_tokens(t) -> list:
-    """``to_newick``'s tokens: leaf labels (ints), "(", ",", ")" and ";".
-    One pass over the reversed DFS index, children first, orders each
+def _newick_tokens(ix: DfsIndex, rooted: bool) -> list:
+    """``to_newick``'s tokens of the tree of index ``ix``, rooted or an
+    unrooted tree's default rooting: leaf labels (ints), "(", ",", ")" and
+    ";".  One pass over the reversed index, children first, orders each
     internal node's two children by their smallest labels."""
-    ix = t.dfs()
     label, nleaves = ix.label, ix.nleaves
     kids, small = [None] * len(label), label[:]  # small: the smallest label below
     for i in range(len(label) - 1, -1, -1):
@@ -726,6 +785,6 @@ def _newick_tokens(t) -> list:
         else:
             out.append("(")
             stack += (")", kids[x][1], ",", kids[x][0])
-    if not isinstance(t, RootedTree):  # "(m,(A,B));" loses its second "(" and that one's ")"
+    if not rooted:  # "(m,(A,B));" loses its second "(" and that one's ")"
         del out[-3], out[3]
     return out

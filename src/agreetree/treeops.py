@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .treecore import DfsIndex, RootedTree, TreeError, _edge_index, _nodes, _reroot, _unroot_index, to_newick
+from .treecore import DfsIndex, RootedTree, TreeError, _edge_index, _newick_tokens, _nodes, _reroot, _unroot_index
+from .treecore import to_newick
 
 
 class AgreementError(TreeError):
@@ -63,10 +64,16 @@ def restrict(t, labels):
         return _nodes(DfsIndex.derive(_reroot(t.dfs(), 0, P=_positions(t, X))))
     if len(X) < 3:
         raise TreeError("unrooted restriction needs at least 3 leaves")
+    return _unroot_index(_unrooted_index(t, X))
+
+
+def _unrooted_index(t, X: frozenset) -> DfsIndex:
+    """The index of unrooted ``restrict(t, X)``: t rooted at the pendant
+    edge of min(X), that leaf left, and pruned to X."""
     if not X <= t.leaves:
         raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
     v = t.label_vertex[min(X)]
-    return _unroot_index(_edge_index(t, (v, t.adj[v][0]), X))
+    return _edge_index(t, (v, t.adj[v][0]), X)
 
 
 def join(s_left: RootedTree, s_right: RootedTree) -> RootedTree:
@@ -192,8 +199,10 @@ def verify_agreement(t1, t2, labels) -> AgreementCertificate:
         body = ",".join(str(x) for x in sorted(X))
         shape = f"{body};" if len(X) == 1 else f"({body});"
         return AgreementCertificate(X, shape)
-    shape1 = to_newick(restrict(t1, X))
-    shape2 = to_newick(restrict(t2, X))
+    if isinstance(t1, RootedTree):
+        shape1, shape2 = to_newick(restrict(t1, X)), to_newick(restrict(t2, X))
+    else:  # each restriction written from its index, without its adjacency
+        shape1, shape2 = ("".join(map(str, _newick_tokens(_unrooted_index(t, X), False))) for t in (t1, t2))
     if shape1 != shape2:
         raise AgreementError(f"restrictions to {sorted(X)} differ: {shape1} vs {shape2}")
     return AgreementCertificate(X, shape1)

@@ -14,6 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from itertools import combinations, count, product
 
+from agreetree._rng import SplitMix64
 from agreetree.exactmast import _SIZES, _mast_table
 from agreetree.matchers import Match1Step, Match1Trace, Match2Node, Match2Trace
 from agreetree.treecore import (
@@ -22,11 +23,14 @@ from agreetree.treecore import (
     NOT_BALANCED,
     BalanceClass,
     NewickError,
+    DfsIndex,
     RootedTree,
     UnrootedTree,
+    rebuild,
     root_at_edge,
     unroot,
 )
+from agreetree.treecore import _unroot_index
 from agreetree.treeops import restrict
 
 
@@ -979,6 +983,110 @@ def class_c_by_recursion(m: int) -> UnrootedTree:
     for _ in range(3):
         bal(0, m - 1)
     return UnrootedTree(adj, labels)
+
+
+def is_caterpillar_by_nodes(t: RootedTree) -> bool:
+    """Rooted ``is_caterpillar`` down the spine of node objects, while one
+    child is a leaf."""
+    node = t
+    while node.label is None and min(node.left.nleaves, node.right.nleaves) == 1:
+        node = node.left if node.right.nleaves == 1 else node.right
+    return node.label is not None
+
+
+def leaf_depths_by_nodes(t: RootedTree) -> list:
+    """The depth of every leaf of ``t``, by a stack over its node objects."""
+    depths, stack = [], [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.is_leaf:
+            depths.append(depth)
+        else:
+            stack += [(node.right, depth + 1), (node.left, depth + 1)]
+    return depths
+
+
+class _MNode:
+    """A mutable node of the random models' node-object builds."""
+
+    __slots__ = ("label", "left", "right")
+
+    def __init__(self, label, left=None, right=None):
+        self.label = label
+        self.left = left
+        self.right = right
+
+    def expand(self):
+        """``rebuild`` callback: the leaf label, or the two children."""
+        return self.label if self.label is not None else (self.left, self.right)
+
+
+def _uniform_rooted_by_nodes(n: int, rng: SplitMix64) -> RootedTree:
+    root = _MNode(1)
+    edges = []  # (parent, "left"/"right"); the root position is index 0
+    for lab in range(2, n + 1):
+        pick = rng.randrange(len(edges) + 1)
+        new_leaf = _MNode(lab)
+        if pick == 0:
+            root = _MNode(None, root, new_leaf)
+            edges.append((root, "left"))
+            edges.append((root, "right"))
+        else:
+            parent, side = edges[pick - 1]
+            child = getattr(parent, side)
+            mid = _MNode(None, child, new_leaf)
+            setattr(parent, side, mid)
+            edges.append((mid, "left"))
+            edges.append((mid, "right"))
+    return rebuild(root, _MNode.expand)
+
+
+def _yule_rooted_by_nodes(n: int, rng: SplitMix64) -> RootedTree:
+    if n == 1:
+        return RootedTree.leaf(1)
+    root = _MNode(None, _MNode(1), _MNode(2))
+    tips = [root.left, root.right]
+    for lab in range(3, n + 1):
+        i = rng.randrange(len(tips))
+        node = tips[i]
+        node.left = _MNode(node.label)
+        node.right = _MNode(lab)
+        node.label = None
+        tips[i] = node.left
+        tips.append(node.right)
+    return rebuild(root, _MNode.expand)
+
+
+def _uniform_unrooted_by_insertion_ids(n: int, rng: SplitMix64) -> UnrootedTree:
+    """The insertion on adjacency dicts, vertices numbered as inserted."""
+    adj = {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}
+    labels = {1: 1, 2: 2, 3: 3}
+    edges = [(0, 1), (0, 2), (0, 3)]
+    for lab in range(4, n + 1):
+        pick = rng.randrange(len(edges))
+        u, v = edges[pick]
+        w, x = len(adj), len(adj) + 1
+        adj[u] = [y for y in adj[u] if y != v] + [w]  # w is the largest id yet,
+        adj[v] = [y for y in adj[v] if y != u] + [w]  # so every list stays sorted
+        adj[w] = sorted((u, v)) + [x]
+        adj[x] = [w]
+        labels[x] = lab
+        edges[pick] = (u, w)
+        edges += ((w, v), (w, x))
+    return UnrootedTree._built(adj, labels)
+
+
+def random_tree_by_nodes(n: int, kind: str, seed: int, rooted: bool):
+    """``gen_random`` by node objects: the rooted models on ``_MNode``s
+    through ``rebuild``, the unrooted uniform model on insertion ids,
+    walked once and renumbered, the unrooted Yule model by ``unroot``."""
+    rng = SplitMix64(seed)
+    if kind == "yule":
+        t = _yule_rooted_by_nodes(n, rng)
+        return t if rooted else unroot(t)
+    if rooted:
+        return _uniform_rooted_by_nodes(n, rng)
+    return _unroot_index(DfsIndex.walk(_uniform_unrooted_by_insertion_ids(n, rng)))
 
 
 def count_calls(monkeypatch, owner, name, record=lambda args, out: args) -> list:

@@ -37,6 +37,7 @@ from oracles import (
     class_c_by_recursion,
     count_calls,
     ordered_text,
+    random_tree_by_nodes,
     unrooted_index_by_adjacency,
 )
 
@@ -156,6 +157,28 @@ class TestRandom:
 
     def test_three_leaves_unique(self):
         assert to_newick(gen_random(3, RandomModel("uniform", 123))) == "(1,2,3);"
+
+    @pytest.mark.parametrize("kind", ["uniform", "yule"])
+    @pytest.mark.parametrize("rooted", [True, False])
+    def test_equals_node_reference(self, kind, rooted, monkeypatch):
+        """The flat-list models give the index fields, and an unrooted
+        tree's adjacency, of the node-object builds they replaced, with no
+        node built and no walk."""
+        walks = count_calls(monkeypatch, DfsIndex, "walk")
+        nodes = count_calls(monkeypatch, RootedTree, "__init__")
+        for n in (1, 2, 3, 4, 5, 8, 17, 100, 1000, 5000):
+            if n < 3 and not rooted:
+                continue
+            for seed in (0, 1, 2**64 - 1) if n > 100 else range(6):
+                walks.clear()
+                nodes.clear()
+                t = gen_random(n, RandomModel(kind, seed), rooted=rooted)
+                assert walks == [] and len(nodes) == (n == 1), (n, seed)  # a leaf is built as one node
+                want = random_tree_by_nodes(n, kind, seed, rooted)
+                for name in ("label", "nleaves", "first", "order"):
+                    assert getattr(t.dfs(), name) == getattr(want.dfs(), name), (name, n, seed)
+                if not rooted:
+                    assert (t.adj, t.leaf_label) == (want.adj, want.leaf_label), (n, seed)
 
     def test_determinism(self):
         for kind in ("uniform", "yule"):

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import re
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agreetree._rng import SplitMix64
+from agreetree.decompose import agree_general
 from agreetree.generators import (
     RandomModel,
     enumerate_topologies,
@@ -40,8 +42,9 @@ from agreetree.treecore import (
     to_newick,
     unroot,
 )
+from agreetree.matchers import match1, match2
 from agreetree.treecore import _scan
-from agreetree.treeops import is_isomorphic, restrict
+from agreetree.treeops import is_isomorphic, lca, restrict
 
 from oracles import (
     adjacency_of_preorder,
@@ -53,6 +56,8 @@ from oracles import (
     dfs_index_fields,
     diameter_path_by_bfs,
     extremal_fhk_by_stack,
+    is_caterpillar_by_nodes,
+    leaf_depths_by_nodes,
     ordered_text,
     parse_newick_two_pass,
     postorder,
@@ -599,6 +604,29 @@ class TestCaterpillar:
     def test_quartet_is_caterpillar_unrooted(self):
         assert is_caterpillar(parse_newick("((1,2),3,4);"))
 
+    def test_rooted_equals_node_loop(self, monkeypatch):
+        """The spine read on the index agrees with the loop over nodes, and
+        builds none."""
+        rng = SplitMix64(31)
+        trees = [parse_newick(text) for text in ("4;", "(1,2);", "(1,(2,((3,4),(5,6))));", "((1,(2,3)),(4,(5,6)));")]
+        for n in (1, 2, 3, 4, 9, 40):
+            rooted = gen_caterpillar(n, rooted=True)
+            trees += [rooted, rebuild(rooted, lambda node: node.label or (node.right, node.left))]  # mirrored
+            trees.append(parse_newick(f"({n + 1},{to_newick(rooted)[:-1]});"))  # one more leaf, left of the root
+        trees += [gen_balanced(m) for m in range(4)] + [gen_extremal_fhk(6, 2)]
+        trees += [
+            gen_random(n, RandomModel(model, rng.next_u64()), rooted=True)
+            for model in ("uniform", "yule")
+            for n in (3, 4, 5, 6, 8, 12, 30)
+            for _ in range(6)
+        ]
+        for t in trees:
+            want = is_caterpillar_by_nodes(copy.copy(t))
+            nodes = count_calls(monkeypatch, RootedTree, "__init__")
+            assert is_caterpillar(t) == want and nodes == [], ordered_text(t)
+            monkeypatch.undo()
+        assert 0 < sum(map(is_caterpillar, trees)) < len(trees)
+
 
 class TestRooting:
     def test_root_star_at_leaf_edge(self):
@@ -713,6 +741,87 @@ class TestRooting:
         t = gen_random(n, RandomModel("uniform", seed))
         for edge in t.edges():
             assert is_isomorphic(unroot(root_at_edge(t, edge)), t)
+
+
+class TestLazyRoot:
+    """A root made from an index builds no node below it until ``left`` or
+    ``right`` is read; ``height`` and ``balanced`` come from one fold of
+    the index and equal the values the nodes give."""
+
+    @staticmethod
+    def _made(t, nodes):
+        """``t`` was made with no node built; its first ``left`` builds them
+        all, once, and keeps them."""
+        assert nodes == [] and t.label is None, ordered_text(t)
+        left, right = t.left, t.right
+        assert len(nodes) == 2 * t.nleaves - 1 and t.left is left and t.right is right
+        assert lca(t, left.leaves) is left and lca(t, right.leaves) is right
+        assert len(nodes) == 2 * t.nleaves - 1
+
+    def test_made_without_nodes(self, monkeypatch):
+        u = gen_random(40, RandomModel("uniform", 3))
+        r = parse_newick(to_newick(gen_random(40, RandomModel("yule", 4), rooted=True)))
+        nodes = count_calls(monkeypatch, RootedTree, "__init__")
+        made = [
+            parse_newick("((1,2),(3,(4,5)));"),
+            rebuild(range(1, 9), lambda r: (r[:1], r[1:]) if len(r) > 1 else r[0]),
+            restrict(r, range(5, 30)),
+            root_at_edge(u, u.edges()[7]),
+            root_at_edge(u, u.edges()[7], keep=range(1, 20)),
+            relabel(r, {x: 100 - x for x in r.leaves}),
+            gen_random(30, RandomModel("uniform", 5), rooted=True),
+        ]
+        for t in made:
+            self._made(t, nodes)
+            nodes.clear()
+
+    def test_matchers_and_agree_build_no_nodes(self, monkeypatch):
+        balanced = parse_newick(to_newick(gen_balanced(5)))
+        other = parse_newick(to_newick(relabel(gen_balanced(5), {x: 33 - x for x in range(1, 33)})))
+        yule = parse_newick(to_newick(gen_random(32, RandomModel("yule", 6), rooted=True)))
+        u1, u2 = (parse_newick(to_newick(gen_random(40, RandomModel(m, 7)))) for m in ("uniform", "yule"))
+        nodes = count_calls(monkeypatch, RootedTree, "__init__")
+        match1(balanced, yule, 0.3)
+        match2(balanced, other, 0.1)
+        agree_general(u1, u2)
+        assert nodes == []
+        for t in (balanced, other, yule):
+            self._made(t, nodes)
+            nodes.clear()
+
+    def test_fold_equals_nodes(self, monkeypatch):
+        rng = SplitMix64(32)
+        trees = [parse_newick("6;")] + [gen_balanced(m) for m in range(9)]
+        trees += [gen_caterpillar(n, rooted=True) for n in (2, 3, 10, 100)]
+        trees += [gen_extremal_fhk(7, k) for k in range(8)]
+        trees += [
+            gen_random(n, RandomModel(model, rng.next_u64()), rooted=True)
+            for model in ("uniform", "yule")
+            for n in (1, 2, 3, 4, 7, 8, 16, 50, 300)
+        ]
+        for t in trees:
+            nodes = count_calls(monkeypatch, RootedTree, "__init__")
+            folded = (t.height, t.balanced)
+            assert nodes == [], ordered_text(t)
+            monkeypatch.undo()
+            depths = leaf_depths_by_nodes(t)  # builds the nodes
+            assert folded == (max(depths), min(depths) == max(depths)) == (t.height, t.balanced), ordered_text(t)
+        assert sum(t.balanced for t in trees) >= 10
+
+    def test_copies(self, monkeypatch):
+        """Copies and pickles of a root carry its index, lazy or built."""
+        lazy = gen_random(60, RandomModel("yule", 8), rooted=True)
+        built = gen_random(60, RandomModel("uniform", 8), rooted=True)
+        assert built.left.nleaves < 60  # its nodes built
+        for t in (lazy, built):
+            nodes = count_calls(monkeypatch, RootedTree, "__init__")
+            copies = [copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))]
+            assert nodes == []
+            monkeypatch.undo()
+            for c in copies:
+                assert c is not t and to_newick(c) == to_newick(t)
+                assert to_newick(c.left) == to_newick(t.left) and c.height == t.height
+        assert copy.deepcopy(built.left).leaves == built.left.leaves  # a node with no index
 
 
 class TestRebuild:

@@ -212,17 +212,19 @@ class TestRestrict:
     def test_unrooted_builds_no_nodes(self, monkeypatch):
         """On parsed unrooted trees ``restrict`` and ``verify_agreement``
         walk nothing and build no ``RootedTree``: a restriction's index is
-        written from the tree's, and its adjacency from that index."""
+        written from the tree's, and its adjacency from that index.
+        ``verify_agreement`` writes the index and builds no adjacency."""
         t1 = parse_newick(to_newick(gen_random(300, RandomModel("uniform", 1))))
         t2 = parse_newick(to_newick(gen_random(300, RandomModel("yule", 2))))
         X = sorted(t1.leaves)[::7]
         walks = count_calls(monkeypatch, DfsIndex, "walk")
         nodes = count_calls(monkeypatch, RootedTree, "__init__")
-        assert to_newick(restrict(t1, X)) == verify_agreement(t1, t1, X).restricted_shape
-        assert to_newick(restrict(t2, X[:3])) == verify_agreement(t1, t2, X[:3]).restricted_shape
+        shapes = [to_newick(restrict(t1, X)), to_newick(restrict(t2, X[:3]))]
+        unroots = count_calls(monkeypatch, treecore, "_unroot_index")
+        assert shapes == [verify_agreement(t1, t1, X).restricted_shape, verify_agreement(t1, t2, X[:3]).restricted_shape]
         with pytest.raises(AgreementError):
             verify_agreement(t1, t2, X)
-        assert (walks, nodes) == ([], [])
+        assert (walks, nodes, unroots) == ([], [], [])
 
     @given(st.integers(0, 2**63))
     def test_restriction_composes(self, seed):
