@@ -5,9 +5,9 @@ topology enumeration for tiny leaf counts.
 Random generation is deterministic per (model, seed, n) using the portable
 splitmix64 stream, so every generated tree is reproducible from its recorded
 seed.  The random models insert on flat lists and write the tree's preorder
-labels, from which ``DfsIndex.derive`` makes its index (and
-``_unroot_index`` an unrooted tree's adjacency): no node or throwaway
-adjacency is built.  Enumeration is guarded against combinatorial
+labels, from which ``DfsIndex.derive`` makes its index, which a rooted
+root or an unrooted tree (``_unroot_index``) holds: no node or adjacency
+is built until one is read.  Enumeration is guarded against combinatorial
 explosion; set ``AGREETREE_GUARDS=off`` (or pass ``force=True``) to lift
 the guard.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ._rng import SplitMix64
 from .bounds import f_closed
 from .treecore import DfsIndex, RootedTree, TreeError, UnrootedTree, rebuild, unroot
-from .treecore import _adjacency_preorder, _check_label, _nodes, _unroot_index
+from .treecore import _adjacency_preorder, _check_distinct, _check_label, _nodes, _unroot_index
 
 UNIFORM = "uniform"
 YULE = "yule"
@@ -150,8 +150,8 @@ def gen_swap_pair(k: int, rooted: bool = True):
 
 def relabel(t, mapping: dict):
     """Replace every leaf label via ``mapping`` (a bijection on the labels).
-    The copy keeps t's index, labels mapped; an unrooted one shares t's
-    adjacency while its smallest leaf stays vertex 0, else it is rerooted."""
+    The copy keeps t's index, labels mapped; an unrooted one is rerooted
+    if its smallest leaf moved, and builds its adjacency when it is read."""
     ix, get = t.dfs(), mapping.__getitem__
     ix = DfsIndex([x and get(x) for x in ix.label], ix.nleaves, ix.first, list(map(get, ix.order)))
     for x in ix.order:
@@ -160,11 +160,8 @@ def relabel(t, mapping: dict):
         if len(set(ix.order)) != len(ix.order):
             raise TreeError("relabel mapping is not injective on the leaves")
         return _nodes(ix)
-    out = UnrootedTree._built(t.adj, {v: get(x) for v, x in t.leaf_label.items()})  # a repeated label raises
-    if out.label_vertex[min(out.label_vertex)]:
-        return _unroot_index(ix)
-    out._dfs = ix
-    return out
+    _check_distinct(ix.order)  # named in t's leaf order, before any rerooting
+    return _unroot_index(ix)
 
 
 # --------------------------------------------------------------------------

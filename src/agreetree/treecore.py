@@ -8,10 +8,12 @@ Two kinds of tree live here:
   restrictions, the generators) holds the index and builds its nodes on
   the first ``left`` or ``right``; its ``height`` and ``balanced`` are
   one fold of the index.  Nodes cache no leaf sets.  No function recurses.
-* ``UnrootedTree``: an adjacency map.  Every internal vertex has degree 3,
-  leaves have degree 1, and at least three leaves are required (degree
-  constraints force this).  Trees the package builds valid (parse,
-  ``unroot``, the uniform generator) skip the full validation.
+* ``UnrootedTree``: an adjacency map over its index.  Every internal
+  vertex has degree 3, leaves have degree 1, and at least three leaves are
+  required (degree constraints force this).  A tree the package builds
+  valid (parse, ``unroot``, restrictions, ``relabel``, the generators)
+  skips the full validation and holds its index alone; its adjacency is
+  built on the first read of ``adj``, ``leaf_label`` or ``label_vertex``.
 
 Either kind's one numbering is its ``DfsIndex``, written by the parse's
 scan, ``_reroot`` or ``rebuild``, or walked once by ``dfs()``, and kept.
@@ -213,6 +215,14 @@ class DfsIndex:
             self._pos = pos
         return self._pos
 
+    def positions(self, labels: frozenset) -> list:
+        """The sorted DFS positions of ``labels``; TreeError names those
+        not in the tree."""
+        pos = self.pos
+        if not labels <= pos.keys():
+            raise TreeError(f"labels {sorted(labels - pos.keys())} not in tree")
+        return sorted(map(pos.__getitem__, labels))
+
     def leaves(self, i: int) -> list:
         """The leaf labels below node i, in DFS order."""
         return self.order[self.first[i] : self.first[i] + self.nleaves[i]]
@@ -310,12 +320,15 @@ def _height(ix: DfsIndex) -> int:
 
 
 class UnrootedTree:
-    """Unrooted binary phylogenetic tree as an adjacency map.
+    """Unrooted binary phylogenetic tree, held as its DFS index.
 
     ``adj`` maps vertex id -> sorted tuple of neighbour ids; ``leaf_label``
     maps leaf vertex id -> label.  Vertex v is node v + 1 of ``dfs()``: the
     smallest leaf is 0 and its neighbour 1.  The constructor checks the
-    caller's ids, then renumbers them so.  Instances are treated as immutable.
+    caller's ids, then renumbers them so.  A tree the package builds
+    (``_unroot_index``) holds only its index: ``adj``, ``leaf_label`` and
+    ``label_vertex`` are built from it when one is first read, and copies
+    and pickles carry the index.  Instances are treated as immutable.
     """
 
     __slots__ = ("adj", "leaf_label", "label_vertex", "_leaves", "_dfs", "_diameter")
@@ -328,15 +341,15 @@ class UnrootedTree:
         self.adj, self.leaf_label, self.label_vertex = t.adj, t.leaf_label, t.label_vertex
         self._leaves, self._dfs, self._diameter = None, t._dfs, None
 
-    @classmethod
-    def _built(cls, adj: dict, leaf_label: dict) -> "UnrootedTree":
-        """A tree the package built valid (neighbours in sorted sequences),
-        numbered as it was built: only a repeated label, which
-        ``RootedTree.branch`` allows, gets the full check."""
-        t = cls.__new__(cls)
-        t.adj, t.leaf_label, t._leaves, t._dfs, t._diameter = adj, leaf_label, None, None, None
-        t.label_vertex = dict(zip(leaf_label.values(), leaf_label))
-        return t if len(t.label_vertex) == len(leaf_label) else cls(adj, leaf_label)
+    def __getattr__(self, name):  # reached only for a slot not yet set: a lazy tree's
+        if name not in ("adj", "leaf_label", "label_vertex"):
+            raise AttributeError(name)
+        self.adj, self.leaf_label = _adjacency(self._dfs)
+        self.label_vertex = dict(zip(self.leaf_label.values(), self.leaf_label))
+        return object.__getattribute__(self, name)
+
+    def __reduce_ex__(self, protocol):
+        return _unroot_index, (self.dfs(),)
 
     def _validate(self):
         adj = self.adj
@@ -374,12 +387,12 @@ class UnrootedTree:
     @property
     def leaves(self) -> frozenset:
         if self._leaves is None:
-            self._leaves = frozenset(self.leaf_label.values())
+            self._leaves = frozenset(self.dfs().order)
         return self._leaves
 
     @property
     def nleaves(self) -> int:
-        return len(self.leaf_label)
+        return len(self.dfs().order)
 
     dfs = RootedTree.dfs
 
@@ -390,8 +403,15 @@ class UnrootedTree:
         return self._diameter
 
     def edges(self) -> list:
-        """Undirected edges as (u, v) with u < v, sorted."""
-        return sorted((u, v) for u, ns in self.adj.items() for v in ns if u < v)
+        """Undirected edges as (u, v) with u < v, sorted: read off the index
+        as each internal vertex v's edges to its children, v + 1 and
+        v + 2 * nleaves[v + 2], after leaf 0's to vertex 1."""
+        ix = self.dfs()
+        label, nleaves, out = ix.label, ix.nleaves, [(0, 1)]
+        for v in range(1, len(label) - 1):
+            if label[v + 1] is None:
+                out += ((v, v + 1), (v, v + 2 * nleaves[v + 2]))
+        return out
 
     def __repr__(self):
         return f"<UnrootedTree {to_newick(self)!r}>"
@@ -517,17 +537,28 @@ def _edge_index(t: UnrootedTree, edge, keep=None) -> DfsIndex:
     if not isinstance(t, UnrootedTree):
         raise TreeError(f"only an unrooted tree can be rooted at an edge, got {type(t).__name__}")
     u, v = edge
-    if u not in t.adj or v not in t.adj[u]:
-        raise TreeError(f"edge {edge!r} not in tree")
     ix, P = t.dfs(), None
+    if not _adjacent(ix, u, v):
+        raise TreeError(f"edge {edge!r} not in tree")
     if keep is not None:
         keep = frozenset(keep)
         if not keep:
             raise TreeError("cannot restrict to an empty leaf set")
-        if not keep <= t.leaves:
-            raise TreeError(f"labels {sorted(keep - t.leaves)} not in tree")
-        P = sorted(ix.first[t.label_vertex[x] + 1] for x in keep)
+        P = ix.positions(keep)
     return DfsIndex.derive(_reroot(ix, max(u, v) + 1, u > v, P))
+
+
+def _adjacent(ix: DfsIndex, u, v) -> bool:
+    """Whether vertices u and v of the unrooted tree indexed by ``ix`` share
+    an edge: the larger is a child of the smaller (vertex v is node v + 1),
+    or they are leaf 0 and its neighbour 1."""
+    vertices = range(len(ix.label) - 1)  # ids compare as dict keys would: True is 1
+    if u not in vertices or v not in vertices:
+        return False
+    a, b = (u, v) if u < v else (v, u)
+    if a == 0:
+        return b == 1
+    return ix.label[a + 1] is None and b in (a + 1, a + 2 * ix.nleaves[a + 2])
 
 
 def _reroot(ix: DfsIndex, k: int, left: bool = True, P=None) -> list:
@@ -603,14 +634,33 @@ def unroot(t: RootedTree) -> UnrootedTree:
 
 
 def _unroot_index(ix: DfsIndex) -> UnrootedTree:
-    """The unrooted tree of rooted index ``ix``, vertex v at node v + 1:
-    ``ix`` is its index if node 1 is the smallest leaf, else ``ix``
-    rerooted at that leaf's pendant edge.  Leaf 0 hangs from vertex 1."""
+    """The unrooted tree of rooted index ``ix``, holding only its index:
+    ``ix`` if node 1 is the smallest leaf, else ``ix`` rerooted at that
+    leaf's pendant edge.  A repeated label, which ``RootedTree.branch``
+    allows, raises TreeError naming the first repeat in the leaf order."""
     m = min(ix.order)
     if ix.label[1] != m:
         ix = DfsIndex.derive(_reroot(ix, ix.label.index(m)))
+    _check_distinct(ix.order)
+    t = UnrootedTree.__new__(UnrootedTree)
+    t._leaves, t._dfs, t._diameter = None, ix, None
+    return t
+
+
+def _check_distinct(order: list):
+    """Raise TreeError naming the first label of ``order`` seen before."""
+    if len(set(order)) < len(order):
+        seen = set()
+        raise TreeError(f"duplicate leaf label {next(x for x in order if x in seen or seen.add(x))}")
+
+
+def _adjacency(ix: DfsIndex):
+    """(adj, leaf_label) of the unrooted tree indexed by ``ix``, vertex v at
+    node v + 1, each vertex's parent its first neighbour: leaf 0 hangs from
+    vertex 1, and the children of vertex v are v + 1 and
+    v + 2 * nleaves[v + 2]."""
     label, nleaves = ix.label, ix.nleaves
-    adj, leaf_label, parent = {0: (1,)}, {0: m}, [0] * len(label)
+    adj, leaf_label, parent = {0: (1,)}, {0: label[1]}, [0] * len(label)
     for v in range(1, len(label) - 1):
         x = label[v + 1]
         if x is None:
@@ -620,9 +670,7 @@ def _unroot_index(ix: DfsIndex) -> UnrootedTree:
         else:
             adj[v] = (parent[v],)
             leaf_label[v] = x
-    t = UnrootedTree._built(adj, leaf_label)
-    t._dfs = ix
-    return t
+    return adj, leaf_label
 
 
 # --------------------------------------------------------------------------

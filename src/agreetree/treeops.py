@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .treecore import DfsIndex, RootedTree, TreeError, _edge_index, _newick_tokens, _nodes, _reroot, _unroot_index
+from .treecore import DfsIndex, RootedTree, TreeError, _newick_tokens, _nodes, _reroot, _unroot_index
 from .treecore import to_newick
 
 
@@ -23,21 +23,13 @@ class AgreementError(TreeError):
     canonical texts."""
 
 
-def _positions(t: RootedTree, X: frozenset) -> list:
-    """The sorted DFS positions of the labels X in the rooted tree t."""
-    pos = t.dfs().pos
-    if not X <= pos.keys():
-        raise TreeError(f"labels {sorted(X - pos.keys())} not in tree")
-    return sorted(pos[x] for x in X)
-
-
 def lca(t: RootedTree, labels) -> RootedTree:
     """Most recent common ancestor of a non-empty set of leaf labels: the
     lowest node whose DFS positions span all of theirs."""
     X = frozenset(labels)
     if not X:
         raise TreeError("lca of an empty set")
-    P = _positions(t, X)
+    P = t.dfs().positions(X)
     node, start = t, 0  # node's leaves sit at DFS positions start on
     while node.label is None:
         mid = start + node.left.nleaves
@@ -61,7 +53,7 @@ def restrict(t, labels):
     if isinstance(t, RootedTree):
         if not X:
             raise TreeError("cannot restrict to an empty leaf set")
-        return _nodes(DfsIndex.derive(_reroot(t.dfs(), 0, P=_positions(t, X))))
+        return _nodes(DfsIndex.derive(_reroot(t.dfs(), 0, P=t.dfs().positions(X))))
     if len(X) < 3:
         raise TreeError("unrooted restriction needs at least 3 leaves")
     return _unroot_index(_unrooted_index(t, X))
@@ -70,10 +62,9 @@ def restrict(t, labels):
 def _unrooted_index(t, X: frozenset) -> DfsIndex:
     """The index of unrooted ``restrict(t, X)``: t rooted at the pendant
     edge of min(X), that leaf left, and pruned to X."""
-    if not X <= t.leaves:
-        raise TreeError(f"labels {sorted(X - t.leaves)} not in tree")
-    v = t.label_vertex[min(X)]
-    return _edge_index(t, (v, t.adj[v][0]), X)
+    ix = t.dfs()
+    P = ix.positions(X)
+    return DfsIndex.derive(_reroot(ix, ix.label.index(min(X)), True, P))
 
 
 def join(s_left: RootedTree, s_right: RootedTree) -> RootedTree:

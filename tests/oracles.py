@@ -30,7 +30,7 @@ from agreetree.treecore import (
     root_at_edge,
     unroot,
 )
-from agreetree.treecore import _unroot_index
+from agreetree.treecore import _reroot
 from agreetree.treeops import restrict
 
 
@@ -377,13 +377,51 @@ def adjacency_of_preorder(label: list, nleaves: list):
     return adj, leaf_label
 
 
+def tree_as_given(adj: dict, leaf_label: dict, ix=None) -> UnrootedTree:
+    """An ``UnrootedTree`` holding ``adj`` and ``leaf_label`` as they are,
+    unchecked and not renumbered, with index ``ix`` (walked on first use
+    if None)."""
+    t = UnrootedTree.__new__(UnrootedTree)
+    t.adj, t.leaf_label, t._leaves, t._dfs, t._diameter = adj, leaf_label, None, ix, None
+    t.label_vertex = dict(zip(leaf_label.values(), leaf_label))
+    return t
+
+
+def unrooted_eagerly(ix: DfsIndex) -> UnrootedTree:
+    """The unrooted tree of rooted index ``ix`` with its adjacency built at
+    once, by the loop that built every unrooted tree before trees held only
+    their index: ``ix`` rerooted at its smallest leaf's pendant edge unless
+    node 1 is that leaf, then vertex v at node v + 1, each vertex's parent
+    its first neighbour."""
+    m = min(ix.order)
+    if ix.label[1] != m:
+        ix = DfsIndex.derive(_reroot(ix, ix.label.index(m)))
+    label, nleaves = ix.label, ix.nleaves
+    adj, leaf_label, parent = {0: (1,)}, {0: m}, [0] * len(label)
+    for v in range(1, len(label) - 1):
+        x = label[v + 1]
+        if x is None:
+            a, b = v + 1, v + 2 * nleaves[v + 2]
+            parent[a] = parent[b] = v
+            adj[v] = (parent[v], a, b)
+        else:
+            adj[v] = (parent[v],)
+            leaf_label[v] = x
+    return tree_as_given(adj, leaf_label, ix)
+
+
+def edges_by_adjacency(t: UnrootedTree) -> list:
+    """Undirected edges (u, v), u < v, sorted, read off ``t.adj``."""
+    return sorted((u, v) for u, ns in t.adj.items() for v in ns if u < v)
+
+
 def renumber_by_walk(adj: dict, leaf_label: dict) -> UnrootedTree:
     """The tree on ``adj`` renumbered by one rebuild from its smallest
     leaf's pendant edge: vertex v is node v + 1 of that rooting."""
-    t = UnrootedTree._built(adj, leaf_label)
+    t = tree_as_given(adj, leaf_label)
     v = t.label_vertex[min(t.label_vertex)]
     index = dfs_index_by_nodes(rebuild_keeping(None, edge_branches(t, (v, adj[v][0]))))
-    return UnrootedTree._built(*adjacency_of_preorder(index["label"][1:], index["nleaves"][1:]))
+    return tree_as_given(*adjacency_of_preorder(index["label"][1:], index["nleaves"][1:]))
 
 
 def unroot_by_walk(t: RootedTree) -> UnrootedTree:
@@ -1073,20 +1111,21 @@ def _uniform_unrooted_by_insertion_ids(n: int, rng: SplitMix64) -> UnrootedTree:
         labels[x] = lab
         edges[pick] = (u, w)
         edges += ((w, v), (w, x))
-    return UnrootedTree._built(adj, labels)
+    return tree_as_given(adj, labels)
 
 
 def random_tree_by_nodes(n: int, kind: str, seed: int, rooted: bool):
     """``gen_random`` by node objects: the rooted models on ``_MNode``s
     through ``rebuild``, the unrooted uniform model on insertion ids,
-    walked once and renumbered, the unrooted Yule model by ``unroot``."""
+    walked once and renumbered, the unrooted Yule model by unrooting; an
+    unrooted tree's adjacency is built at once (``unrooted_eagerly``)."""
     rng = SplitMix64(seed)
     if kind == "yule":
         t = _yule_rooted_by_nodes(n, rng)
-        return t if rooted else unroot(t)
+        return t if rooted else unrooted_eagerly(t.dfs())
     if rooted:
         return _uniform_rooted_by_nodes(n, rng)
-    return _unroot_index(DfsIndex.walk(_uniform_unrooted_by_insertion_ids(n, rng)))
+    return unrooted_eagerly(DfsIndex.walk(_uniform_unrooted_by_insertion_ids(n, rng)))
 
 
 def count_calls(monkeypatch, owner, name, record=lambda args, out: args) -> list:

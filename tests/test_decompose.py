@@ -267,24 +267,29 @@ class TestAgreeGeneral:
     def test_parsed_inputs_walk_nothing(self, n, monkeypatch):
         """On parsed unrooted inputs the pipeline, its exact attempt (n <=
         64) and its certificate read the indexes that the parse, the
-        rootings and the restrictions wrote: no ``DfsIndex.walk``."""
+        rootings and the restrictions wrote: no ``DfsIndex.walk``, and no
+        adjacency is built (the exact attempt built both inputs', and the
+        balanced branch that of ``restrict(second, A)``, to root it)."""
         t1 = parse_newick(to_newick(gen_random(n, RandomModel("uniform", 1))))
         t2 = parse_newick(to_newick(gen_random(n, RandomModel("yule", 2))))
         walks = count_calls(monkeypatch, treecore.DfsIndex, "walk")
+        adjacencies = count_calls(monkeypatch, treecore, "_adjacency", lambda args, out: len(out[1]))
         agree_general(t1, t2)
-        assert walks == []
+        assert (walks, adjacencies) == ([], [])
 
     def test_balanced_branch_builds_no_full_size_tree(self, monkeypatch):
         """``ramsey_split`` folds each input's DFS index, not a rooted copy
         (2 full-size trees while it rooted both); the balanced branch roots
-        the first tree keeping just the balanced leaf set."""
+        the first tree keeping just the balanced leaf set, and roots the
+        second's restriction from its index, building no adjacency."""
         n = 512
         t1 = gen_random(n, RandomModel("uniform", 1))
         t2 = gen_random(n, RandomModel("uniform", 2))
         assert [ramsey_split(t).kind for t in (t1, t2)] == ["balanced", "balanced"]
         built = count_calls(monkeypatch, treecore.DfsIndex, "derive", built_leaves)
+        adjacencies = count_calls(monkeypatch, treecore, "_adjacency", lambda args, out: len(out[1]))
         agree_general(t1, t2)
-        assert built.count(n) == 0, built
+        assert built.count(n) == 0 and adjacencies == [], (built, adjacencies)
 
     def test_path_branch_builds_no_full_size_tree(self, monkeypatch):
         """When the first tree is a caterpillar its maximum caterpillar is

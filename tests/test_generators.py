@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from agreetree import treecore
 from agreetree.bounds import f_closed
 from agreetree.treeops import max_balanced_height
 from agreetree.generators import (
@@ -290,16 +291,20 @@ class TestSwap:
     def test_one_adjacency_per_tree(self, monkeypatch):
         """``unroot`` of a rooted build whose first child is not its smallest
         leaf (the second swap tree; a Yule tree whose leaf 1 was split)
-        reroots the build's index and builds one adjacency per tree,
-        walking nothing (it built a first adjacency to walk it)."""
+        reroots the build's index, walking nothing (it built a first
+        adjacency to walk it), and builds no adjacency until ``adj`` is
+        read, then one per tree (one per tree at once before)."""
         yule = gen_random(200, RandomModel("yule", 3), rooted=True)
         assert yule.dfs().label[1] is None
-        built = count_calls(monkeypatch, UnrootedTree, "_built")
+        built = count_calls(monkeypatch, treecore, "_adjacency", lambda args, out: args[0])
         walks = count_calls(monkeypatch, DfsIndex, "walk")
         u1, u2 = gen_swap_pair(2, rooted=False)
-        assert (len(built), walks) == (2, [])
+        assert (built, walks) == ([], [])
         assert to_newick(unroot(yule)) == to_newick(gen_random(200, RandomModel("yule", 3)))
-        assert (len(built), walks) == (4, [])
+        assert (built, walks) == ([], [])
+        for t in (u1, u2, u1, u2):
+            assert t.adj is t.adj and t.leaf_label and t.label_vertex
+        assert built == [u1._dfs, u2._dfs] and walks == []
 
 
 class TestEnumeration:
@@ -362,16 +367,21 @@ class TestRelabel:
         return build(), walks, checks
 
     def test_unrooted_smallest_leaf_kept(self, monkeypatch):
-        """With the smallest leaf still on vertex 0, the copy shares the
-        adjacency and keeps the index, labels mapped: nothing is walked (the
-        caterpillar's rooted build writes its index) or validated."""
+        """With the smallest leaf still on vertex 0, the copy keeps the
+        index, labels mapped: nothing is walked (the caterpillar's rooted
+        build writes its index) or validated, and no adjacency is built
+        until the copy's is read, which equals t's (shared with t's before
+        unrooted trees held only their index)."""
         n = 50
         perm = {1: 1, **{x: n + 2 - x for x in range(2, n + 1)}}
         want = to_newick(unroot(relabel(gen_caterpillar(n, rooted=True), perm)))
+        built = count_calls(monkeypatch, treecore, "_adjacency")
         text, walks, checks = self._counted(monkeypatch, lambda: to_newick(relabel(gen_caterpillar(n), perm)))
-        assert (text, walks, checks) == (want, [], [])
+        assert (text, walks, checks, built) == (want, [], [], [])
         t = gen_caterpillar(n)
-        assert relabel(t, perm).adj is t.adj
+        copy = relabel(t, perm)
+        assert built == [] and copy._dfs.nleaves is t._dfs.nleaves
+        assert copy.adj == t.adj and len(built) == 2
 
     def test_unrooted_smallest_leaf_moved(self, monkeypatch):
         """Otherwise the copy is t's index rerooted at its smallest leaf,

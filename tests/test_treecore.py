@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from agreetree import treecore
 from agreetree._rng import SplitMix64
 from agreetree.decompose import agree_general
 from agreetree.generators import (
@@ -55,12 +56,14 @@ from oracles import (
     dfs_index_by_nodes,
     dfs_index_fields,
     diameter_path_by_bfs,
+    edges_by_adjacency,
     extremal_fhk_by_stack,
     is_caterpillar_by_nodes,
     leaf_depths_by_nodes,
     ordered_text,
     parse_newick_two_pass,
     postorder,
+    random_tree_by_nodes,
     relabel_by_postorder,
     renumber_by_walk,
     restrict_by_branches,
@@ -72,6 +75,7 @@ from oracles import (
     to_newick_by_bfs,
     to_newick_by_directed_edges,
     unroot_by_walk,
+    unrooted_eagerly,
     unrooted_index_by_adjacency,
 )
 
@@ -822,6 +826,168 @@ class TestLazyRoot:
                 assert c is not t and to_newick(c) == to_newick(t)
                 assert to_newick(c.left) == to_newick(t.left) and c.height == t.height
         assert copy.deepcopy(built.left).leaves == built.left.leaves  # a node with no index
+
+
+def _rooted_reading(text: str) -> str:
+    """The rooted text the parse reads an unrooted "(A,B,C);" as: "(A,(B,C));"
+    when A is the smallest leaf, else "((A,B),C);"."""
+    s, depth, cuts = "".join(text.split()), 0, []
+    for i, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 1:
+            cuts.append(i)
+    a, b, c = s[1 : cuts[0]], s[cuts[0] + 1 : cuts[1]], s[cuts[1] + 1 : -2]
+    smallest = min(map(int, re.findall(r"\d+", s)))
+    return f"({a},({b},{c}));" if a == str(smallest) else f"(({a},{b}),{c});"
+
+
+class TestLazyUnrooted:
+    """An unrooted tree the package builds holds only its index: ``adj``,
+    ``leaf_label`` and ``label_vertex`` are built on first read, and equal
+    what the eager loop that built them at once gives
+    (``tests/oracles.py::unrooted_eagerly``)."""
+
+    @staticmethod
+    def _made(monkeypatch, build):
+        """``build()``, checked to build no adjacency."""
+        built = count_calls(monkeypatch, treecore, "_adjacency")
+        out = build()
+        assert built == [], out
+        monkeypatch.undo()
+        return out
+
+    @staticmethod
+    def _equal(monkeypatch, got, want):
+        """``got``'s adjacency, built once on first read and kept, and its
+        edges and diameter path equal the eager reference's."""
+        text = to_newick(want)
+        built = count_calls(monkeypatch, treecore, "_adjacency")
+        assert (got.adj, got.leaf_label, got.label_vertex) == (want.adj, want.leaf_label, want.label_vertex), text
+        assert got.edges() == edges_by_adjacency(want), text
+        assert got.diameter().path == diameter_path_by_bfs(want), text
+        assert (got.adj, got.leaf_label, got.label_vertex) == (want.adj, want.leaf_label, want.label_vertex), text
+        assert len(built) == 1 and to_newick(got) == text
+        monkeypatch.undo()
+
+    def test_parse(self, monkeypatch):
+        """Canonical texts, and texts in random child order whose first
+        top-level child is or is not the smallest leaf."""
+        texts = [*_valid_texts(range(3, 48))]
+        texts += [to_newick(gen_random(n, RandomModel(model, n))) for n in (3, 4, 9, 100) for model in ("uniform", "yule")]
+        unrooted = 0
+        for text in texts:
+            t = self._made(monkeypatch, lambda: parse_newick(text))
+            if isinstance(t, UnrootedTree):
+                unrooted += 1
+                self._equal(monkeypatch, t, unrooted_eagerly(parse_newick(_rooted_reading(text)).dfs()))
+        assert unrooted >= 70
+
+    def test_unroot_and_generators(self, monkeypatch):
+        rng = SplitMix64(31)
+        for n in (3, 4, 5, 17, 64, 300):
+            for kind in ("uniform", "yule"):
+                seed = rng.next_u64()
+                r = gen_random(n, RandomModel(kind, seed), rooted=True)
+                self._equal(monkeypatch, self._made(monkeypatch, lambda: unroot(r)), unrooted_eagerly(r.dfs()))
+                got = self._made(monkeypatch, lambda: gen_random(n, RandomModel(kind, seed)))
+                self._equal(monkeypatch, got, random_tree_by_nodes(n, kind, seed, False))
+            got = self._made(monkeypatch, lambda: gen_caterpillar(n))
+            self._equal(monkeypatch, got, unrooted_eagerly(gen_caterpillar(n, rooted=True).dfs()))
+        for m in range(2, 7):
+            got = self._made(monkeypatch, lambda: gen_class_b(m))
+            self._equal(monkeypatch, got, unrooted_eagerly(gen_balanced(m).dfs()))
+        for m in range(1, 6):
+            h = 2 ** (m - 1)
+            b1, b2, b3 = (ordered_text(relabel(gen_balanced(m - 1), {x: x + i * h for x in range(1, h + 1)})) for i in range(3))
+            got = self._made(monkeypatch, lambda: gen_class_c(m))
+            self._equal(monkeypatch, got, unrooted_eagerly(parse_newick(f"({b1},({b2},{b3}));").dfs()))
+        for k in (1, 2, 3):
+            pair = self._made(monkeypatch, lambda: gen_swap_pair(k, rooted=False))
+            for got, rooted in zip(pair, gen_swap_pair(k)):
+                self._equal(monkeypatch, got, unrooted_eagerly(rooted.dfs()))
+
+    def test_restrict_and_relabel(self, monkeypatch):
+        """Restrictions, and relabellings that keep the smallest leaf on
+        vertex 0 (the index kept, labels mapped) or move it."""
+        rng = SplitMix64(32)
+        for n in (4, 9, 40, 200):
+            t = parse_newick(to_newick(gen_random(n, RandomModel("uniform", rng.next_u64()))))
+            labels = sorted(t.leaves)
+            for size in sorted({3, n // 2 + 1, n}):
+                rng.shuffle(labels)
+                X = labels[:size]
+                got = self._made(monkeypatch, lambda: restrict(t, X))
+                self._equal(monkeypatch, got, restrict_by_branches(t, X))
+            kept = {1: 1, **{x: n + 2 - x for x in range(2, n + 1)}}
+            moved = {x: n + 1 - x for x in range(1, n + 1)}
+            for mapping in (kept, moved):
+                got = self._made(monkeypatch, lambda: relabel(t, mapping))
+                mapped = DfsIndex.derive([x and mapping[x] for x in t.dfs().label])
+                self._equal(monkeypatch, got, unrooted_eagerly(mapped))
+            assert relabel(t, kept).dfs().nleaves is t.dfs().nleaves
+
+    def test_copies_stay_lazy(self, monkeypatch):
+        """Copies and pickles of an unrooted tree carry its index, whether
+        its adjacency was read or not, and build none until it is read."""
+        lazy = gen_random(60, RandomModel("yule", 9))
+        read = gen_random(60, RandomModel("uniform", 9))
+        assert read.adj
+        for t in (lazy, read):
+            copies = self._made(monkeypatch, lambda: [copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))])
+            for c in copies:
+                assert c is not t and type(c) is UnrootedTree and to_newick(c) == to_newick(t)
+                self._made(monkeypatch, lambda: (c.leaves, c.nleaves, c.edges(), root_at_leaf_edge(c, range(1, 9))))
+                self._equal(monkeypatch, c, unrooted_eagerly(t.dfs()))
+
+    def test_root_at_edge_refuses_as_the_adjacency_did(self):
+        """``root_at_edge`` accepts exactly the (u, v) that
+        ``u in t.adj and v in t.adj[u]`` accepts: either orientation of an
+        edge, and bools as the ids they equal.  A non-adjacent pair, an id
+        out of range or negative, (v, v) and a non-int id are refused with
+        the same message."""
+        t = gen_random(12, RandomModel("uniform", 4))
+        want = unrooted_eagerly(t.dfs())
+        ids = [*range(-2, len(want.adj) + 2), True, False, "1", None, 1.5]
+        accepted = []
+        for u in ids:
+            for v in ids:
+                if u in want.adj and v in want.adj[u]:
+                    accepted.append((u, v))
+                    got = ordered_text(root_at_edge(t, (u, v)))
+                    assert got == ordered_text(root_at_edge_by_branches(want, (int(u), int(v)))), (u, v)
+                else:
+                    with pytest.raises(TreeError, match=f"^edge {re.escape(repr((u, v)))} not in tree$"):
+                        root_at_edge(t, (u, v))
+        assert len(accepted) > 2 * len(edges_by_adjacency(want)) and (True, False) in accepted
+
+    @staticmethod
+    def _message(build) -> str:
+        with pytest.raises(TreeError) as caught:
+            build()
+        return str(caught.value)
+
+    def test_duplicate_label_messages(self):
+        """A repeated label is named as the eager build's full check named
+        it: the first repeat in the leaf order, after ``unroot``'s
+        rerooting and before ``relabel``'s.  On an order like [a, b, b, a]
+        that is b, where ``DfsIndex.pos`` names a."""
+        leaf, branch = RootedTree.leaf, RootedTree.branch
+        rooted = [
+            branch(leaf(1), branch(leaf(2), leaf(1))),
+            branch(leaf(2), branch(branch(leaf(3), leaf(3)), leaf(2))),  # order [2, 3, 3, 2]
+            branch(branch(leaf(3), leaf(2)), branch(leaf(2), leaf(3))),  # rerooted at the first 2
+            branch(branch(leaf(4), leaf(2)), branch(leaf(1), branch(leaf(4), leaf(2)))),
+        ]
+        for r in rooted:
+            want = unrooted_eagerly(r.dfs())
+            message = self._message(lambda: UnrootedTree(want.adj, want.leaf_label))
+            assert self._message(lambda: unroot(r)) == message, message
+        assert self._message(lambda: unroot(rooted[1])) == "duplicate leaf label 3"
+        assert self._message(lambda: rooted[1].dfs().pos) == "duplicate leaf label 2"
+        t = gen_caterpillar(4)  # leaf order [1, 2, 3, 4]
+        for mapping, named in (({1: 5, 2: 6, 3: 6, 4: 5}, 6), ({1: 7, 2: 5, 3: 5, 4: 7}, 5), ({1: 9, 2: 5, 3: 9, 4: 5}, 9)):
+            message = self._message(lambda: UnrootedTree(t.adj, {v: mapping[x] for v, x in t.leaf_label.items()}))
+            assert self._message(lambda: relabel(t, mapping)) == message == f"duplicate leaf label {named}"
 
 
 class TestRebuild:

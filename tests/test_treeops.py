@@ -20,6 +20,7 @@ from agreetree.treecore import (
     TreeError,
     UnrootedTree,
     parse_newick,
+    root_at_leaf_edge,
     to_newick,
     unroot,
 )
@@ -42,6 +43,7 @@ from oracles import (
     lines_run,
     restrict_rooted_by_postorder,
     restrict_unrooted_by_paths,
+    root_at_edge_by_branches,
     splits,
     unrooted_index_by_adjacency,
 )
@@ -210,21 +212,28 @@ class TestRestrict:
         assert walks == []
 
     def test_unrooted_builds_no_nodes(self, monkeypatch):
-        """On parsed unrooted trees ``restrict`` and ``verify_agreement``
-        walk nothing and build no ``RootedTree``: a restriction's index is
-        written from the tree's, and its adjacency from that index.
-        ``verify_agreement`` writes the index and builds no adjacency."""
+        """On parsed unrooted trees ``restrict``, ``root_at_leaf_edge(t,
+        keep)`` and ``verify_agreement`` walk nothing and build no
+        ``RootedTree`` and no adjacency: a restriction's index is written
+        from the tree's and rooted from its own, and ``verify_agreement``
+        writes the index alone (no ``_unroot_index``)."""
         t1 = parse_newick(to_newick(gen_random(300, RandomModel("uniform", 1))))
         t2 = parse_newick(to_newick(gen_random(300, RandomModel("yule", 2))))
         X = sorted(t1.leaves)[::7]
         walks = count_calls(monkeypatch, DfsIndex, "walk")
         nodes = count_calls(monkeypatch, RootedTree, "__init__")
-        shapes = [to_newick(restrict(t1, X)), to_newick(restrict(t2, X[:3]))]
+        adjacencies = count_calls(monkeypatch, treecore, "_adjacency")
+        restricted = [restrict(t1, X), restrict(t2, X[:3])]
+        shapes = [to_newick(r) for r in restricted]
+        rooted = [to_newick(root_at_leaf_edge(t, X)) for t in (t1, t2)]
+        rooted += [to_newick(root_at_leaf_edge(r, X[:3])) for r in restricted]
         unroots = count_calls(monkeypatch, treecore, "_unroot_index")
         assert shapes == [verify_agreement(t1, t1, X).restricted_shape, verify_agreement(t1, t2, X[:3]).restricted_shape]
         with pytest.raises(AgreementError):
             verify_agreement(t1, t2, X)
-        assert (walks, nodes, unroots) == ([], [], [])
+        assert (walks, nodes, unroots, adjacencies) == ([], [], [], [])
+        assert rooted == [to_newick(root_at_edge_by_branches(t, (0, 1), keep)) for t, keep in (
+            (t1, X), (t2, X), (restricted[0], X[:3]), (restricted[1], X[:3]))]
 
     @given(st.integers(0, 2**63))
     def test_restriction_composes(self, seed):
