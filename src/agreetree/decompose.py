@@ -30,7 +30,6 @@ from .treecore import (
     TreeError,
     UnrootedTree,
     _newick_tokens,
-    diameter_path,
     is_caterpillar,
     root_at_leaf_edge,
     unroot,
@@ -45,19 +44,28 @@ from .treeops import largest_balanced, restrict, verify_agreement
 
 def _spine(t: UnrootedTree):
     """A diameter path and, in path order, the edges (v, w) from each of
-    its internal vertices v to the neighbour w off the path."""
-    path = diameter_path(t)
-    onpath = set(path)
-    return path, [(v, w) for v in path[1:-1] for w in t.adj[v] if w not in onpath]
+    its internal vertices v to the neighbour w off the path: the child of v
+    in the DFS index (vertex v's are v + 1 and v + 2 * nleaves[v + 2]) that
+    is not on the path, or, when both are, the parent ``Diameter`` keeps."""
+    d, nleaves = t.diameter(), t.dfs().nleaves
+    onpath = set(d.path)
+    hanging = []
+    for v in d.path[1:-1]:
+        off = [w for w in (v + 1, v + 2 * nleaves[v + 2]) if w not in onpath]
+        hanging.append((v, off[0] if off else d.above))
+    return d.path, hanging
 
 
 def max_caterpillar(t: UnrootedTree) -> frozenset:
     """Leaf set of a maximum caterpillar restriction: both endpoints of a
     diameter path plus the smallest leaf hanging off each internal path
-    vertex, so one leaf more than the path has edges."""
+    vertex, so one leaf more than the path has edges.  A child w's leaves
+    are the slice below node w + 1; a parent's side holds the smallest
+    leaf, vertex 0."""
     path, hanging = _spine(t)
-    labels = [t.leaf_label[path[0]], t.leaf_label[path[-1]]]
-    return frozenset(labels + [min(t.dfs().side(v, w)) for v, w in hanging])
+    ix = t.dfs()
+    labels = [ix.label[path[0] + 1], ix.label[path[-1] + 1]]
+    return frozenset(labels + [min(ix.leaves(w + 1)) if w > v else ix.order[0] for v, w in hanging])
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +189,8 @@ def caterpillar_spine_order(t: UnrootedTree) -> list:
     if not is_caterpillar(t):
         raise TreeError("not a caterpillar")
     path, hanging = _spine(t)
-    order = [t.leaf_label[x] for x in (path[0], *(w for _, w in hanging), path[-1])]
+    label = t.dfs().label
+    order = [label[x + 1] for x in (path[0], *(w for _, w in hanging), path[-1])]
     if len(order) == 3:
         return sorted(order)
     front, back, middle = sorted(order[:2]), sorted(order[-2:]), order[2:-2]

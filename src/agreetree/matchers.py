@@ -18,17 +18,25 @@ Every "choose any leaf" step picks the smallest label, and every "swap if
 necessary" performs no swap when the required inequalities already hold, so
 runs are exactly reproducible.
 
-The walks build no leaf set per node.  They run on the preorder numbers of
-both trees' DFS indexes (``RootedTree.dfs``, kept on each tree, O(n)
-memory), where every node is a slice of the DFS leaf order and every label
-has a position.  A step's 2x2 shared-leaf counts come from scanning smaller
-child slices against the other tree's positions (``_orient``).
+The walks keep no leaf set per tree node.  They run on the preorder
+numbers of both trees' DFS indexes (``RootedTree.dfs``, kept on each tree,
+O(n) memory), where every node is a slice of the DFS leaf order and every
+label has a position.  match1 takes each step's 2x2 shared-leaf counts
+from scanning smaller child slices against the other tree's positions
+(``_scan``); its single path can keep t unchanged for n steps, so it
+carries nothing.  match2 on two balanced trees carries each pending
+pair's shared leaves (at most t0 in all) and splits them into the four
+child blocks (``_split``), so its counting costs the sum of the
+shared-leaf counts t over the pairs it visits; on other trees, as the
+almost-balanced matcher gives it, it scans as match1 does.  Both
+walks orient the counts by one rule (``_orientation``).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -58,19 +66,19 @@ def _shared(u: int, v: int, a: DfsIndex, b: DfsIndex) -> list:
     return a.below(b.leaves(v), u)
 
 
-def _orient(u: int, v: int, t: int, rows, a: DfsIndex, b: DfsIndex):
-    """Swap children (virtually) so that the cross counts do not exceed the
-    diagonal counts and t_ll <= t_rr; no swap when already admissible.
+def _scan(u: int, v: int, t: int, rows, a: DfsIndex, b: DfsIndex):
+    """The 2x2 shared-leaf counts of the children of node u of ``a`` and
+    node v of ``b``, by scans.
 
-    u and v are nodes of the DFS indexes ``a`` and ``b``; no leaf set is
-    built.  ``t`` is |L(u) & L(v)|, and ``rows`` maps each child of u to
-    its shared-leaf count with v; when it is None, u's smaller child is
+    ``t`` is |L(u) & L(v)|, and ``rows`` maps each child of u to its
+    shared-leaf count with v; when it is None, u's smaller child is
     scanned for it.  Then v's smaller child is scanned for one column of
     the 2x2 counts, and the rows minus that column give the other.  Each
     scan walks the smaller of the two leaf slices it intersects, so a walk
     down a balanced tree takes O(n log n) time.
 
-    Returns ((u_left, u_right, v_left, v_right), (t_ll, t_lr, t_rl, t_rr)).
+    Returns (ku, kv, c): u's and v's children, and c[i][j] = |L(ku[i]) &
+    L(kv[j])|.
     """
     ku = u + 1, u + 2 * a.nleaves[u + 1]
     kv = v + 1, v + 2 * b.nleaves[v + 1]
@@ -86,13 +94,24 @@ def _orient(u: int, v: int, t: int, rows, a: DfsIndex, b: DfsIndex):
     for i in (0, 1):
         c[i][j] = col[i]
         c[i][1 - j] = rows[ku[i]] - col[i]
+    return ku, kv, c
+
+
+def _orientation(c) -> tuple:
+    """Swap children (virtually) so that the cross counts do not exceed the
+    diagonal counts and t_ll <= t_rr; no swap when already admissible.
+
+    ``c[i][j]`` counts the leaves shared by u's child i and v's child j.
+    Returns (su, sv, (t_ll, t_lr, t_rl, t_rr)) for the first admissible
+    choice of u's child su and v's child sv as the left ones.
+    """
     for su, sv in ((0, 0), (0, 1), (1, 0), (1, 1)):
         t_ll = c[su][sv]
         t_lr = c[su][1 - sv]
         t_rl = c[1 - su][sv]
         t_rr = c[1 - su][1 - sv]
         if t_lr + t_rl <= t_ll + t_rr and t_ll <= t_rr:
-            return (ku[su], ku[1 - su], kv[sv], kv[1 - sv]), (t_ll, t_lr, t_rl, t_rr)
+            return su, sv, (t_ll, t_lr, t_rl, t_rr)
     raise AssertionError("some orientation always satisfies both inequalities")
 
 
@@ -183,7 +202,9 @@ def _match1_walk(t1: RootedTree, t2, delta: float):
         if step.u_size == 1 or step.v_size == 1:
             step.emitted = min(_shared(u, v, a, b))
             break
-        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v, t_uv, rows, a, b)
+        ku, kv, c = _scan(u, v, t_uv, rows, a, b)
+        su, sv, (t_ll, t_lr, t_rl, t_rr) = _orientation(c)
+        ul, ur, vl, vr = ku[su], ku[1 - su], kv[sv], kv[1 - sv]
         rows = None
         if t_ll > 0:
             step.rule, step.emitted = "case1", min(_shared(ul, vl, a, b))
@@ -275,45 +296,110 @@ def match2(t1: RootedTree, t2: RootedTree, delta: float):
     return _match2_walk(t1, t2, delta)
 
 
+def _split(u: int, v: int, shared: list, a: DfsIndex, b: DfsIndex):
+    """A carried match2 step at node u of ``a`` and node v of ``b``.
+
+    ``shared`` is L(u) & L(v) in a's DFS order.  It is split at u's right
+    child, a bisection on a's positions, and each half at v's right child,
+    in one pass over b's positions.  Returns (ku, kv, c, part): u's and
+    v's children, the 2x2 counts c[i][j] = |L(ku[i]) & L(kv[j])|, and
+    part(i, j), that block in a's DFS order, where i or j None stands for
+    u or v itself.
+    """
+    ku = u + 1, u + 2 * a.nleaves[u + 1]
+    kv = v + 1, v + 2 * b.nleaves[v + 1]
+    mid = bisect_left(shared, a.first[ku[1]], key=a.pos.__getitem__)
+    rows = shared[:mid], shared[mid:]
+    pos, cut = b.pos, b.first[kv[1]]
+    blocks = ([], []), ([], [])
+    for row, (lo, hi) in zip(rows, blocks):
+        for x in row:
+            (lo if pos[x] < cut else hi).append(x)
+
+    def part(i, j):
+        if j is None:
+            return rows[i]
+        if i is None:
+            return blocks[0][j] + blocks[1][j]
+        return blocks[i][j]
+
+    return ku, kv, [[len(lo), len(hi)] for lo, hi in blocks], part
+
+
+def _scanned(u: int, v: int, counted: tuple, a: DfsIndex, b: DfsIndex):
+    """A match2 step that counts by scans, as match1's do: ``counted`` is
+    the (t, rows) that ``_scan`` reads.  Returns what ``_split`` returns,
+    with each part(i, j) the (t, rows) of that block."""
+    ku, kv, c = _scan(u, v, *counted, a, b)
+
+    def part(i, j):
+        if i is None:
+            return c[0][j] + c[1][j], {ku[0]: c[0][j], ku[1]: c[1][j]}
+        return (c[i][0] + c[i][1] if j is None else c[i][j]), None
+
+    return ku, kv, c, part
+
+
 def _match2_walk(t1: RootedTree, t2: RootedTree, delta: float):
     """match2 without the balance checks.  It returns the set that match2
     returns after both trees are made balanced as in ``_match1_walk``, with
-    new labels that the two trees do not share."""
+    new labels that the two trees do not share.
+
+    When both trees are balanced (every call from match2), each pending
+    call (u, v) carries L(u) & L(v) in t1's DFS order and a step splits it
+    (``_split``), so the counting costs the sum of t over the pairs
+    visited: at most t0 (m1 + m2), as the walk is at most m1 + m2 deep,
+    and about 2 t0 on relabelled balanced pairs.  An almost-balanced tree
+    can be a path about n long, where that sum grows as n^2, so otherwise
+    each step counts by scans (``_scanned``), whose cost on such a path is
+    its smaller children."""
     if not 0 < delta < 0.25:
         raise ValueError(f"match2 needs delta in (0, 1/4), got {delta}")
     a, b = t1.dfs(), t2.dfs()
-    t0 = len(_shared(0, 0, a, b))
+    carry = t1.balanced and t2.balanced
+    if carry:
+        first = [x for x in a.order if x in b.pos]
+        t0 = len(first)
+    else:
+        t0 = len(_shared(0, 0, a, b))
+        first = t0, None
     if t0 == 0:
         raise TreeError("match2 requires a nonempty shared leaf set")
+    step = _split if carry else _scanned
     trace = Match2Trace(delta, t1.height, t2.height, t0)
 
     out = []
     top = []
-    # calls still to make: (u, v, |L(u) & L(v)|, rows for _orient, parent's children)
-    stack = [(0, 0, t0, None, top)]
+    stack = [(0, 0, first, top)]  # calls still to make: (u, v, what the step reads, parent's children)
     while stack:
-        u, v, t_uv, rows, siblings = stack.pop()
+        u, v, shared, siblings = stack.pop()
+        t_uv = len(shared) if carry else shared[0]
         if t_uv == 0:
             raise AssertionError("recursed into an empty intersection")
         node = Match2Node("base", t_uv, a.nleaves[u], b.nleaves[v])
         siblings.append(node)
         if node.u_size == 1 or node.v_size == 1:
-            node.emitted = min(_shared(u, v, a, b))
+            node.emitted = min(shared if carry else _shared(u, v, a, b))
             out.append(node.emitted)
             continue
-        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient(u, v, t_uv, rows, a, b)
+        ku, kv, c, part = step(u, v, shared, a, b)
+        su, sv, (t_ll, t_lr, t_rl, t_rr) = _orientation(c)
         need = delta * t_uv
+        # each call is (i, j): the pair (ku[i], kv[j]), with None keeping u or v
         if t_ll >= need and t_rr >= need:
-            node.rule, calls = "diag", ((ul, vl, t_ll, None), (ur, vr, t_rr, None))
+            node.rule, calls = "diag", ((su, sv), (1 - su, 1 - sv))
         elif t_lr >= need and t_rl >= need:
-            node.rule, calls = "anti", ((ul, vr, t_lr, None), (ur, vl, t_rl, None))
+            node.rule, calls = "anti", ((su, 1 - sv), (1 - su, sv))
         elif t_lr < need and t_rl < need:
-            node.rule, calls = "shrink", ((ur, vr, t_rr, None),)
+            node.rule, calls = "shrink", ((1 - su, 1 - sv),)
         elif t_lr < need:  # t_rl >= need: drop u's left side only
-            node.rule, calls = "skip1", ((ur, v, t_rl + t_rr, None),)
+            node.rule, calls = "skip1", ((1 - su, None),)
         else:  # t_rl < need <= t_lr: drop v's left side only
-            node.rule, calls = "skip2", ((u, vr, t_lr + t_rr, {ul: t_lr, ur: t_rr}),)
-        stack.extend((*call, node.children) for call in reversed(calls))
+            node.rule, calls = "skip2", ((None, 1 - sv),)
+        stack.extend(
+            (u if i is None else ku[i], v if j is None else kv[j], part(i, j), node.children)
+            for i, j in reversed(calls)
+        )
     trace.root = top[0]
     return frozenset(out), trace
 
@@ -323,19 +409,32 @@ def _match2_walk(t1: RootedTree, t2: RootedTree, delta: float):
 # --------------------------------------------------------------------------
 
 
+def _center_neighbours(t: UnrootedTree):
+    """The center vertex z of a vertex-centered tree, the middle of its
+    diameter path, and z's neighbours: its parent in the DFS index (its
+    smaller path neighbour, or ``Diameter.above`` when z is the path's top
+    vertex), then its children z + 1 and z + 2 * nleaves[z + 2]."""
+    d = t.diameter()
+    if len(d.path) % 2 == 0:
+        raise TreeError("the tree's center is an edge, not a vertex")
+    j = len(d.path) // 2
+    z, parent = d.path[j], min(d.path[j - 1], d.path[j + 1])
+    return z, (parent if parent < z else d.above, z + 1, z + 2 * t.dfs().nleaves[z + 2])
+
+
 def _center_branches(t: UnrootedTree) -> list:
     """The leaf sets of the three branches at the center vertex of a
     vertex-centered tree, sorted by smallest leaf label."""
-    (z,) = center(t)
-    return sorted((t.dfs().side(z, w) for w in t.adj[z]), key=min)
+    z, neighbours = _center_neighbours(t)
+    return sorted((t.dfs().side(z, w) for w in neighbours), key=min)
 
 
 def _root_near_center(t: UnrootedTree) -> RootedTree:
     """Root at the central edge, or (vertex center) at the center edge
-    leading toward the smallest leaf; height <= radius + 1."""
+    leading toward the smallest leaf, z's parent; height <= radius + 1."""
     c = sorted(center(t))
-    if len(c) == 1:  # z's parent in the DFS index: its smallest neighbour
-        c.append(t.adj[c[0]][0])
+    if len(c) == 1:
+        c.append(_center_neighbours(t)[1][0])
     return root_at_edge(t, tuple(c))
 
 

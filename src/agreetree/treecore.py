@@ -7,7 +7,7 @@ Two kinds of tree live here:
   A root made from an index (the parse, ``rebuild``, rootings,
   restrictions, the generators) holds the index and builds its nodes on
   the first ``left`` or ``right``; its ``height`` and ``balanced`` are
-  one fold of the index.  Nodes cache no leaf sets.  No function recurses.
+  read off the index.  Nodes cache no leaf sets.  No function recurses.
 * ``UnrootedTree``: an adjacency map over its index.  Every internal
   vertex has degree 3, leaves have degree 1, and at least three leaves are
   required (degree constraints force this).  A tree the package builds
@@ -94,9 +94,11 @@ class RootedTree:
 
     A root built from a DFS index (``_nodes``) starts with ``label``,
     ``nleaves`` and the index alone.  Its first ``height`` or ``balanced``
-    folds the index once, and its first ``left`` or ``right`` builds every
-    node below it, kept in its slots.  Copies and pickles of a root with an
-    index carry the index, not the nodes.
+    compares the index's ``nleaves`` with the balanced tree's (``_perfect``)
+    when it has 2^m leaves, and otherwise folds the index once.  Its first
+    ``left`` or ``right`` builds every node below it, kept in its slots.
+    Copies and pickles of a root with an index carry the index, not the
+    nodes.
     """
 
     __slots__ = ("label", "left", "right", "nleaves", "height", "balanced", "_dfs")
@@ -112,8 +114,11 @@ class RootedTree:
 
     def __getattr__(self, name):  # reached only for a slot not yet set: a lazy root's
         if name in ("height", "balanced"):
-            height = _height(self._dfs)
-            self.height, self.balanced = height, self.nleaves == 1 << height  # 2^height leaves
+            m = self.nleaves.bit_length() - 1
+            if self.nleaves == 1 << m and self._dfs.nleaves == _perfect(m):
+                self.height, self.balanced = m, True
+            else:  # balanced means 2^height leaves in the one shape _perfect lists
+                self.height, self.balanced = _height(self._dfs), False
         elif name in ("left", "right"):
             top = _build(self._dfs)
             self.left, self.right = top.left, top.right
@@ -303,6 +308,15 @@ def _build(ix: DfsIndex) -> RootedTree:
     return built[0]
 
 
+def _perfect(m: int) -> list:
+    """The preorder ``nleaves`` of the balanced tree of height m:
+    P(0) = [1] and P(k) = [2^k] + P(k - 1) + P(k - 1)."""
+    p = [1]
+    for k in range(1, m + 1):
+        p = [1 << k] + p + p
+    return p
+
+
 def _height(ix: DfsIndex) -> int:
     """The height of index ``ix``'s tree, by one fold in reverse."""
     label, nleaves = ix.label, ix.nleaves
@@ -422,9 +436,12 @@ class Diameter:
     as rooted at node 1, the smallest leaf.  Keys rank leaves by (distance,
     -vertex id): each node's is its farthest leaf below, then outside.
     ``path`` runs from u, farthest from the smallest leaf, to w, farthest
-    from u; ``balanced`` says every leaf is that far from another."""
+    from u: up the descent from node 0 to u, then down the one to w.
+    ``above`` is the parent of the path's top vertex, the neighbour off
+    the path on the smallest leaf's side, or None when the path holds that
+    leaf.  ``balanced`` says every leaf is that far from another."""
 
-    __slots__ = ("path", "balanced")
+    __slots__ = ("path", "above", "balanced")
 
     def __init__(self, t: "UnrootedTree"):
         ix = t.dfs()
@@ -443,12 +460,13 @@ class Diameter:
         u = span - below % span
         least = min(key[i] for i in range(2, size) if label[i] is not None)  # leaves but node 1
         self.balanced = below // span + 1 == key[u] // span == least // span
-        at, climbs = [u - 1, span - 1 - key[u] % span], ([], [])  # vertices u and w climb to meet
-        while at[0] != at[1]:
-            k = at[0] < at[1]  # the larger id is no ancestor of the other
-            climbs[k].append(at[k])
-            at[k] = t.adj[at[k]][0]  # its parent: its smallest neighbour
-        self.path = climbs[0] + [at[0]] + climbs[1][::-1]
+        du, dw = _descent(nleaves, u), _descent(nleaves, span - key[u] % span)  # to u and to w
+        c = 1  # du[:c] == dw[:c]; u and w are leaves, so neither descent ends first
+        while du[c] == dw[c]:
+            c += 1
+        top = du[c - 1]  # node 0, between vertices 0 and 1, is no vertex
+        self.path = [i - 1 for i in du[: c - 1 : -1] + [top] * (top > 0) + dw[c:]]
+        self.above = None if top == 0 else 0 if top == 2 else du[c - 2] - 1
 
 
 def diameter_path(t: UnrootedTree) -> list:
@@ -579,11 +597,7 @@ def _reroot(ix: DfsIndex, k: int, left: bool = True, P=None) -> list:
 
     parts = [k]  # node i: the branch below it; None: a node over the next two
     if len(below(k)) < len(P):
-        path, i = [0], 0
-        while i != k:
-            b = i + 2 * nleaves[i + 1]
-            i = b if k >= b else i + 1
-            path.append(i)
+        path = _descent(nleaves, k)
         up, c = [], k  # the other children of the ancestors kept, lowest first
         for w in reversed(path[:-1]):
             o = w + 2 * nleaves[w + 1] if c == w + 1 else w + 1
@@ -620,6 +634,16 @@ def _reroot(ix: DfsIndex, k: int, left: bool = True, P=None) -> list:
     return out
 
 
+def _descent(nleaves, k: int) -> list:
+    """The nodes of a DFS index from node 0 down to node k."""
+    path, i = [0], 0
+    while i != k:
+        b = i + 2 * nleaves[i + 1]
+        i = b if k >= b else i + 1
+        path.append(i)
+    return path
+
+
 def root_at_leaf_edge(t: UnrootedTree, keep=None) -> RootedTree:
     """Root at the pendant edge of the smallest leaf, which becomes the
     left child; ``keep`` as for ``root_at_edge``."""
@@ -627,21 +651,23 @@ def root_at_leaf_edge(t: UnrootedTree, keep=None) -> RootedTree:
 
 
 def unroot(t: RootedTree) -> UnrootedTree:
-    """Suppress the degree-2 root, merging its two incident edges."""
+    """Suppress the degree-2 root, merging its two incident edges.  A
+    repeated label, which ``RootedTree.branch`` allows, raises TreeError
+    naming the first repeat in the result's leaf order."""
     if t.nleaves < 3:
         raise TreeError("unrooting needs at least 3 leaves")
-    return _unroot_index(t.dfs())
+    u = _unroot_index(t.dfs())
+    _check_distinct(u.dfs().order)
+    return u
 
 
 def _unroot_index(ix: DfsIndex) -> UnrootedTree:
-    """The unrooted tree of rooted index ``ix``, holding only its index:
-    ``ix`` if node 1 is the smallest leaf, else ``ix`` rerooted at that
-    leaf's pendant edge.  A repeated label, which ``RootedTree.branch``
-    allows, raises TreeError naming the first repeat in the leaf order."""
+    """The unrooted tree of rooted index ``ix``, whose labels are distinct,
+    holding only its index: ``ix`` if node 1 is the smallest leaf, else
+    ``ix`` rerooted at that leaf's pendant edge."""
     m = min(ix.order)
     if ix.label[1] != m:
         ix = DfsIndex.derive(_reroot(ix, ix.label.index(m)))
-    _check_distinct(ix.order)
     t = UnrootedTree.__new__(UnrootedTree)
     t._leaves, t._dfs, t._diameter = None, ix, None
     return t

@@ -682,6 +682,33 @@ def diameter_path_by_bfs(t: UnrootedTree) -> list:
     return path
 
 
+def diameter_path_by_climb(t: UnrootedTree) -> list:
+    """``Diameter.path`` as the fold found it before it descended the
+    index: ends u and w from the same keys, then each climbs its parent in
+    ``t.adj`` (its smallest neighbour), the larger id first, until they
+    meet."""
+    ix = t.dfs()
+    label, nleaves, size = ix.label, ix.nleaves, len(ix.label)
+    span = size - 1
+    key = list(range(span, -1, -1))
+    for i in range(size - 1, 1, -1):
+        if label[i] is None:
+            key[i] = max(key[i + 1], key[i + 2 * nleaves[i + 1]]) + span
+    below, key[2] = key[2], key[1] + span
+    for i in range(2, size):
+        if label[i] is None:
+            a, b = i + 1, i + 2 * nleaves[i + 1]
+            up = key[i] + span
+            key[a], key[b] = max(up, key[b] + 2 * span), max(up, key[a] + 2 * span)
+    u = span - below % span
+    at, climbs = [u - 1, span - 1 - key[u] % span], ([], [])
+    while at[0] != at[1]:
+        k = at[0] < at[1]
+        climbs[k].append(at[k])
+        at[k] = t.adj[at[k]][0]
+    return climbs[0] + [at[0]] + climbs[1][::-1]
+
+
 def center_by_bfs(t: UnrootedTree) -> frozenset:
     """The middle vertex or vertices of ``diameter_path_by_bfs``."""
     path = diameter_path_by_bfs(t)
@@ -897,6 +924,79 @@ def match2_walk_by_sets(t1: RootedTree, t2: RootedTree, delta: float):
 
     trace = Match2Trace(delta, t1.height, t2.height, len(t1.leaves & t2.leaves))
     trace.root = call(t1, t2)
+    return frozenset(out), trace
+
+
+# The match2 walk before it carried each pair's shared leaves: it counted
+# them by scanning the smaller child slices against the other tree's
+# positions, kept as the reference for its sets and traces.
+
+
+def _shared_by_scan(u: int, v: int, a: DfsIndex, b: DfsIndex) -> list:
+    """L(u) & L(v), scanning only the smaller of the two leaf slices."""
+    if a.nleaves[u] <= b.nleaves[v]:
+        return b.below(a.leaves(u), v)
+    return a.below(b.leaves(v), u)
+
+
+def _orient_by_scans(u: int, v: int, t: int, rows, a: DfsIndex, b: DfsIndex):
+    """The oriented 2x2 counts from one scan of u's smaller child (unless
+    ``rows`` has u's children's counts) and one of v's smaller child."""
+    ku = u + 1, u + 2 * a.nleaves[u + 1]
+    kv = v + 1, v + 2 * b.nleaves[v + 1]
+    if rows is None:
+        s = 0 if a.nleaves[ku[0]] <= a.nleaves[ku[1]] else 1
+        k = len(_shared_by_scan(ku[s], v, a, b))
+        rows = {ku[s]: k, ku[1 - s]: t - k}
+    j = 0 if b.nleaves[kv[0]] <= b.nleaves[kv[1]] else 1
+    inner = _shared_by_scan(u, kv[j], a, b)
+    top = len(a.below(inner, ku[0]))
+    col = (top, len(inner) - top)
+    c = [[0, 0], [0, 0]]
+    for i in (0, 1):
+        c[i][j] = col[i]
+        c[i][1 - j] = rows[ku[i]] - col[i]
+    for su, sv in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        t_ll = c[su][sv]
+        t_lr = c[su][1 - sv]
+        t_rl = c[1 - su][sv]
+        t_rr = c[1 - su][1 - sv]
+        if t_lr + t_rl <= t_ll + t_rr and t_ll <= t_rr:
+            return (ku[su], ku[1 - su], kv[sv], kv[1 - sv]), (t_ll, t_lr, t_rl, t_rr)
+    raise AssertionError("some orientation always satisfies both inequalities")
+
+
+def match2_walk_by_scans(t1: RootedTree, t2: RootedTree, delta: float):
+    """The match2 walk (no input checks) counting by scans: (leaf set,
+    Match2Trace)."""
+    a, b = t1.dfs(), t2.dfs()
+    t0 = len(_shared_by_scan(0, 0, a, b))
+    trace = Match2Trace(delta, t1.height, t2.height, t0)
+    out = []
+    top = []
+    stack = [(0, 0, t0, None, top)]
+    while stack:
+        u, v, t_uv, rows, siblings = stack.pop()
+        node = Match2Node("base", t_uv, a.nleaves[u], b.nleaves[v])
+        siblings.append(node)
+        if node.u_size == 1 or node.v_size == 1:
+            node.emitted = min(_shared_by_scan(u, v, a, b))
+            out.append(node.emitted)
+            continue
+        (ul, ur, vl, vr), (t_ll, t_lr, t_rl, t_rr) = _orient_by_scans(u, v, t_uv, rows, a, b)
+        need = delta * t_uv
+        if t_ll >= need and t_rr >= need:
+            node.rule, calls = "diag", ((ul, vl, t_ll, None), (ur, vr, t_rr, None))
+        elif t_lr >= need and t_rl >= need:
+            node.rule, calls = "anti", ((ul, vr, t_lr, None), (ur, vl, t_rl, None))
+        elif t_lr < need and t_rl < need:
+            node.rule, calls = "shrink", ((ur, vr, t_rr, None),)
+        elif t_lr < need:
+            node.rule, calls = "skip1", ((ur, v, t_rl + t_rr, None),)
+        else:
+            node.rule, calls = "skip2", ((u, vr, t_lr + t_rr, {ul: t_lr, ur: t_rr}),)
+        stack.extend((*call, node.children) for call in reversed(calls))
+    trace.root = top[0]
     return frozenset(out), trace
 
 

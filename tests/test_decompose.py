@@ -1,13 +1,16 @@
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from agreetree._rng import SplitMix64
 import agreetree.treecore as treecore
+from agreetree import cli
 from agreetree.bounds import general_bound
 from agreetree.decompose import (
+    _spine,
     agree_general,
     caterpillar_agree,
     caterpillar_spine_order,
@@ -25,6 +28,7 @@ from agreetree.generators import (
     gen_class_c,
     gen_extremal_fhk,
     gen_random,
+    relabel,
 )
 from agreetree.treecore import (
     ROOTED_BALANCED,
@@ -117,6 +121,27 @@ class TestPathsAndCaterpillars:
     def test_longest_path_is_diameter(self):
         t = gen_caterpillar(9)
         assert len(diameter_path(t)) - 1 == 8
+
+    def test_spine_read_off_the_index(self):
+        """The hanging edges, the maximum caterpillar and the spine order
+        equal those read from the adjacency: each internal path vertex's
+        neighbour off the path, its side's smallest leaf (``side``), and
+        the leaf labels of the path's ends and hanging leaves."""
+        rng = SplitMix64(14)
+        trees = [gen_random(n, RandomModel(model, rng.next_u64())) for model in ("uniform", "yule") for n in (3, 4, 7, 30, 300)]
+        trees += [gen_class_b(5), gen_class_c(4)] + [gen_caterpillar(n) for n in (3, 4, 9)]
+        trees += [relabel(gen_caterpillar(40), {x: (7 * x) % 41 for x in range(1, 41)}), parse_newick("(5,(1,2),(3,4));")]
+        for t in trees:
+            text = to_newick(t)
+            path, hanging = _spine(t)
+            onpath = set(path)
+            assert hanging == [(v, w) for v in path[1:-1] for w in t.adj[v] if w not in onpath], text
+            ends = [t.leaf_label[path[0]], t.leaf_label[path[-1]]]
+            assert max_caterpillar(t) == frozenset(ends + [min(t.dfs().side(v, w)) for v, w in hanging]), text
+            if is_caterpillar(t):
+                spine = [t.leaf_label[path[0]], *(t.leaf_label[w] for _, w in hanging), t.leaf_label[path[-1]]]
+                assert sorted(caterpillar_spine_order(t)) == sorted(spine), text
+        assert any(w < v for t in trees for v, w in _spine(t)[1])  # a top vertex's parent hangs
 
 
 class TestLis:
@@ -276,6 +301,24 @@ class TestAgreeGeneral:
         adjacencies = count_calls(monkeypatch, treecore, "_adjacency", lambda args, out: len(out[1]))
         agree_general(t1, t2)
         assert (walks, adjacencies) == ([], [])
+
+    def test_deep_ops_build_no_adjacency(self, monkeypatch, tmp_path, capsys):
+        """The benchmark's ``deep`` agree and decompose ops take the path
+        branch on the index: no adjacency (4,096 + 122 leaves per agree and
+        4,096 for decompose while the diameter climbed ``t.adj``)."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import SIZES, build_deep
+
+        ops = [op for op in build_deep(0, SIZES["full"], str(tmp_path)) if op.command in ("agree", "decompose")]
+        capsys.readouterr()
+        adjacencies = count_calls(monkeypatch, treecore, "_adjacency", lambda args, out: len(out[1]))
+        outputs = []
+        for op in ops:
+            assert cli.main(op.argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(ops) == 3 and adjacencies == []
+        for op, out in zip(ops, outputs):
+            op.check(out)
 
     def test_balanced_branch_builds_no_full_size_tree(self, monkeypatch):
         """``ramsey_split`` folds each input's DFS index, not a rooted copy

@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
-from agreetree import treecore
+from agreetree import matchers, treecore
 from agreetree._rng import SplitMix64
 from agreetree.bounds import (
     alpha,
@@ -13,6 +14,7 @@ from agreetree.bounds import (
     delta_for_beta_k,
     match1_bound,
     match2_bound,
+    optimal_delta_match2,
     t2_constant,
 )
 from agreetree.treeops import max_balanced_height
@@ -29,6 +31,7 @@ from agreetree.generators import (
     relabel,
 )
 from agreetree.matchers import (
+    _center_neighbours,
     _match1_walk,
     _match2_walk,
     _root_near_center,
@@ -44,9 +47,11 @@ from agreetree.treecore import (
     TreeError,
     center,
     is_caterpillar,
+    parse_newick,
     radius,
     root_at_edge,
     root_at_leaf_edge,
+    to_newick,
 )
 from agreetree.treeops import is_subtree, restrict, verify_agreement
 
@@ -55,6 +60,7 @@ from oracles import (
     built_leaves,
     count_calls,
     match1_walk_by_sets,
+    match2_walk_by_scans,
     match2_walk_by_sets,
     ordered_text,
     pad_to_balanced,
@@ -233,9 +239,14 @@ class TestWalksEqualSetReference:
                     )
 
     @pytest.mark.parametrize("model", ["uniform", "yule", "caterpillar"])
-    def test_match2(self, model):
+    def test_match2(self, model, monkeypatch):
+        """Up to m = 10, on shifted label ranges and random subsets (partial
+        overlaps), through steps that take u's second child as its left.
+        The set walk recurses once per level, so caterpillars, 2^m - 1
+        deep, stop at m = 7."""
         rng = SplitMix64(81)
-        for m in (*range(1, 8), *range(1, 8), *range(1, 8)):
+        oriented = count_calls(monkeypatch, matchers, "_orientation", lambda args, out: out[0])
+        for m in (*range(1, 11), *range(1, 8), *range(1, 8)):
             t1 = permuted_balanced(m, rng.next_u64())
             shift = rng.randrange(2**m)
             t2 = relabel(
@@ -246,8 +257,75 @@ class TestWalksEqualSetReference:
             u2 = random_subset_tree(m, 1 + rng.randrange(2**m), rng.next_u64(), model)
             for delta in (0.05, 0.12, 0.24):
                 assert same_run(match2(t1, t2, delta), match2_walk_by_sets(t1, t2, delta))
+                if model == "caterpillar" and m > 7:
+                    continue
                 assert same_run(_match2_walk(u1, u2, delta), match2_walk_by_sets(u1, u2, delta))
                 assert same_run(_match2_walk(u2, t1, delta), match2_walk_by_sets(u2, t1, delta))
+        assert 1 in oriented
+
+
+class TestCarriedWalk:
+    """match2 carries each pair's shared leaves and splits them, where it
+    counted them by scans (``oracles.match2_walk_by_scans``)."""
+
+    @staticmethod
+    def wide_pairs(seed, monkeypatch, tmp_path):
+        """The two (balanced, relabelled balanced) pairs of 2^14 leaves that
+        the benchmark's ``wide`` workload matches, parsed from its files."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import SIZES, build_wide
+
+        ops = build_wide(seed, SIZES["full"], str(tmp_path))
+        return [[parse_newick(Path(path).read_text()) for path in op.argv[1:3]] for op in ops if op.command == "match2"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_scanning_walk_on_wide_pairs(self, seed, monkeypatch, tmp_path):
+        delta = optimal_delta_match2()[0]
+        for t1, t2 in self.wide_pairs(seed, monkeypatch, tmp_path):
+            assert t1.nleaves == t2.nleaves == 2**14
+            assert same_run(match2(t1, t2, delta), match2_walk_by_scans(t1, t2, delta))
+
+    def test_no_scan_and_no_height_fold(self, monkeypatch, tmp_path):
+        (t1, t2), _ = self.wide_pairs(0, monkeypatch, tmp_path)
+        scans = count_calls(monkeypatch, treecore.DfsIndex, "below")
+        folds = count_calls(monkeypatch, treecore, "_height")
+        leaves, trace = match2(t1, t2, optimal_delta_match2()[0])
+        assert scans == [] and folds == []
+        assert (trace.m1, trace.m2, trace.t0) == (14, 14, 2**14) and len(leaves) > 100
+
+    @staticmethod
+    def preorder(trace) -> list:
+        """The trace's nodes in preorder, each with its child count."""
+        out, stack = [], [trace.root]
+        while stack:
+            node = stack.pop()
+            out.append((node.rule, node.t, node.u_size, node.v_size, node.emitted, len(node.children)))
+            stack.extend(reversed(node.children))
+        return out
+
+    def test_other_roots_scan(self, monkeypatch):
+        """Roots that are not both balanced, as ``match_almost_balanced``
+        gives them, take no carried step: on a path about n long carrying
+        would cost about n^2 / 8.  Their runs equal the scanning walk's."""
+        splits = count_calls(monkeypatch, matchers, "_split")
+        rng = SplitMix64(29)
+        perm = list(range(1, 2049))
+        rng.shuffle(perm)
+        t1, t2 = gen_caterpillar(2048), relabel(gen_caterpillar(2048), dict(zip(range(1, 2049), perm)))
+        r1, r2 = _root_near_center(t1), _root_near_center(t2)
+        assert r1.height > 1000 and not r2.balanced
+        (got, g), (want, w) = _match2_walk(r1, r2, 0.1), match2_walk_by_scans(r1, r2, 0.1)
+        assert got == want and (g.m1, g.m2, g.t0) == (w.m1, w.m2, w.t0)
+        assert self.preorder(g) == self.preorder(w)  # asdict recurses too deep here
+        leaves, mode, _ = match_almost_balanced(t1, t2, 2048, mode="both")
+        assert mode == "both" and leaves == _match2_walk(r1, r2, delta_for_beta_k(2048))[0]
+        for n in (64, 300, 1000):
+            u1 = _root_near_center(gen_random(n, RandomModel("yule", rng.next_u64())))
+            u2 = _root_near_center(gen_random(n, RandomModel("uniform", rng.next_u64())))
+            b = gen_balanced(n.bit_length())
+            for x, y in ((u1, u2), (b, u1), (u2, b)):
+                assert same_run(_match2_walk(x, y, 0.2), match2_walk_by_scans(x, y, 0.2))
+        assert splits == []
 
 
 class TestPadding:
@@ -366,6 +444,41 @@ class TestMatch2Unrooted:
     def test_class_mismatch_rejected(self):
         with pytest.raises(TreeError, match="same"):
             match2_unrooted(gen_class_b(2), gen_class_c(2), DELTA2)
+
+
+class TestCenterNeighbours:
+    def test_read_off_the_index(self):
+        """A vertex center's neighbours, parent first, are its adjacency
+        list, also when the center is the path's top vertex."""
+        rng = SplitMix64(15)
+        trees = [gen_class_c(m) for m in range(1, 7)]
+        for _ in range(20):
+            perm = list(range(1, 25))
+            rng.shuffle(perm)
+            trees.append(relabel(gen_class_c(4), dict(zip(range(1, 25), perm))))
+        trees += [gen_random(n, RandomModel(model, rng.next_u64())) for model in ("uniform", "yule") for n in range(4, 60)]
+        tops = 0
+        for t in trees:
+            if len(center(t)) == 1:
+                (z,) = center(t)
+                assert _center_neighbours(t) == (z, t.adj[z]), to_newick(t)
+                tops += z == min(t.diameter().path)
+        assert tops > 5
+
+    def test_refuses_an_edge_center(self):
+        for t in (gen_class_b(3), gen_caterpillar(6)):
+            with pytest.raises(TreeError, match="center is an edge, not a vertex"):
+                class_c_prunings(t, gen_class_c(2))
+
+    def test_unrooted_wrappers_build_no_adjacency(self, monkeypatch):
+        c1 = gen_class_c(5)
+        c2 = relabel(gen_class_c(5), {x: 49 - x for x in range(1, 49)})
+        b1, u = gen_class_b(6), gen_random(64, RandomModel("yule", 3))
+        adjacencies = count_calls(monkeypatch, treecore, "_adjacency")
+        match1_unrooted(c1, c2, DELTA1), match2_unrooted(c1, c2, DELTA2)
+        match1_unrooted(b1, u, DELTA1), match_almost_balanced(b1, u, 2, mode="single")
+        match_almost_balanced(c1, c2, 2, mode="both")
+        assert adjacencies == []
 
 
 class TestDiameterFolds:

@@ -56,6 +56,7 @@ from oracles import (
     dfs_index_by_nodes,
     dfs_index_fields,
     diameter_path_by_bfs,
+    diameter_path_by_climb,
     edges_by_adjacency,
     extremal_fhk_by_stack,
     is_caterpillar_by_nodes,
@@ -555,6 +556,16 @@ class TestDiameterFold:
             count += 1
         assert count > 900
 
+    def test_descents_equal_the_climb(self):
+        """The path read off the two descents from node 0 is the one the
+        ends' climb through ``t.adj`` found; ``above`` is the parent of the
+        path's top vertex, its smallest id, or None when that is vertex 0."""
+        for t in self.family():
+            d = t.diameter()
+            assert d.path == diameter_path_by_climb(t), to_newick(t)
+            top = min(d.path)
+            assert d.above == (t.adj[top][0] if top else None), to_newick(t)
+
     def test_kept_once(self):
         t = gen_random(64, RandomModel("yule", 2))
         assert t.diameter() is t.diameter()
@@ -812,6 +823,76 @@ class TestLazyRoot:
             assert folded == (max(depths), min(depths) == max(depths)) == (t.height, t.balanced), ordered_text(t)
         assert sum(t.balanced for t in trees) >= 10
 
+    @staticmethod
+    def _shapes(n):
+        """Every rooted binary shape on n leaves, children ordered, as
+        nested pairs over 0s (the leaves)."""
+        if n == 1:
+            return [0]
+        return [(a, b) for k in range(1, n) for a in TestLazyRoot._shapes(k) for b in TestLazyRoot._shapes(n - k)]
+
+    @staticmethod
+    def _cherry_moved(m, rng):
+        """A balanced tree of 2^m leaves (m >= 2) in shuffled order, as
+        nested pairs, with one cherry pruned and regrafted above a random
+        node (it may land where it was)."""
+        labels = list(range(1, 2**m + 1))
+        rng.shuffle(labels)
+
+        def nest(r):
+            return r[0] if len(r) == 1 else (nest(r[: len(r) // 2]), nest(r[len(r) // 2 :]))
+
+        def at(node, path):
+            for b in path:
+                node = node[b]
+            return node
+
+        def put(node, path, new):
+            if not path:
+                return new
+            kids = list(node)
+            kids[path[0]] = put(node[path[0]], path[1:], new)
+            return tuple(kids)
+
+        tree = nest(labels)
+        cherry = [rng.randrange(2) for _ in range(m - 1)]  # its path from the root
+        sibling = cherry[:-1] + [1 - cherry[-1]]
+        moved, tree = at(tree, cherry), put(tree, cherry[:-1], at(tree, sibling))
+        target = []
+        while type(at(tree, target)) is tuple and rng.randrange(3):
+            target.append(rng.randrange(2))
+        here = at(tree, target)
+        return put(tree, target, (here, moved) if rng.randrange(2) else (moved, here))
+
+    def test_balance_check_equals_fold(self, monkeypatch):
+        """A lazy root's ``height`` and ``balanced``, read off its index
+        with no fold when it is balanced, equal the fold's and the nodes':
+        every shape of up to 8 leaves, seeded balanced trees with one cherry
+        moved, and the 1- and 2-leaf trees, as ``rebuild`` roots and parsed
+        roots."""
+        rng = SplitMix64(33)
+        built = []
+        for n in range(1, 9):
+            for shape in self._shapes(n):
+                labels = iter(range(1, n + 1))
+                built.append(rebuild(shape, lambda x: next(labels) if x == 0 else x))
+        for m in range(2, 9):
+            built += [rebuild(self._cherry_moved(m, rng), lambda x: x) for _ in range(12)]
+        trees = [t for b in built for t in (b, parse_newick(to_newick(b)))]
+        trees += [parse_newick("6;"), parse_newick("(1,2);"), rebuild((7, 3), lambda x: x)]
+        balanced = 0
+        for t in trees:
+            folds = count_calls(monkeypatch, treecore, "_height")
+            got = (t.height, t.balanced)
+            monkeypatch.undo()
+            height = treecore._height(t.dfs())
+            assert got == (height, t.nleaves == 1 << height), ordered_text(t)
+            assert (folds == []) == (got[1] or t.nleaves == 1), ordered_text(t)
+            depths = leaf_depths_by_nodes(t)
+            assert got == (max(depths), min(depths) == max(depths)), ordered_text(t)
+            balanced += got[1]
+        assert len(trees) > 1400 and 20 < balanced < len(trees) - 1000
+
     def test_copies(self, monkeypatch):
         """Copies and pickles of a root carry its index, lazy or built."""
         lazy = gen_random(60, RandomModel("yule", 8), rooted=True)
@@ -925,6 +1006,24 @@ class TestLazyUnrooted:
                 mapped = DfsIndex.derive([x and mapping[x] for x in t.dfs().label])
                 self._equal(monkeypatch, got, unrooted_eagerly(mapped))
             assert relabel(t, kept).dfs().nleaves is t.dfs().nleaves
+
+    def test_repeats_checked_only_where_they_can_occur(self, monkeypatch):
+        """The parse, ``restrict`` and ``gen_random`` write distinct labels
+        and check none; ``unroot`` (also under the fixed-shape generators)
+        and unrooted ``relabel`` check once."""
+        r = gen_random(30, RandomModel("yule", 3), rooted=True)
+        u = gen_random(30, RandomModel("uniform", 3))
+        text = to_newick(u)
+        checks = count_calls(monkeypatch, treecore, "_check_distinct")
+        parse_newick(text), parse_newick(text.replace("(1,", "(", 1)[:-2] + ",1);")  # "(1,A,B);", "(A,B,1);"
+        restrict(u, range(1, 20)), gen_random(30, RandomModel("yule", 4))
+        assert checks == []
+        unroot(r)
+        assert len(checks) == 1
+        relabel(u, {x: 31 - x for x in u.leaves})
+        assert len(checks) == 2
+        gen_caterpillar(9), gen_class_b(3), gen_class_c(3), gen_swap_pair(1, rooted=False)
+        assert len(checks) == 7
 
     def test_copies_stay_lazy(self, monkeypatch):
         """Copies and pickles of an unrooted tree carry its index, whether
