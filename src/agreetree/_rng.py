@@ -20,25 +20,36 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        """The next 64-bit output: a draw below 2^64, which none rejects."""
+        return self.randranges((1 << 64,))[0]
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
-        if n <= 0:
-            raise ValueError("randrange bound must be positive")
-        # Reject draws from the final partial block of the 2^64 range.
-        limit = _MASK - (_MASK + 1) % n
-        while True:
-            x = self.next_u64()
-            if x <= limit:
-                return x % n
+        return self.randranges((n,))[0]
+
+    def randranges(self, bounds) -> list:
+        """``[self.randrange(k) for k in bounds]``, drawn in one loop: the
+        one place the stream advances.  Each bound rejects the outputs in
+        the final partial block of the 2^64 range; a bound <= 0 raises
+        ValueError, the draws before it taken."""
+        out, s, mask = [], self.state, _MASK
+        for n in bounds:
+            if n <= 0:
+                self.state = s
+                raise ValueError("randrange bound must be positive")
+            limit = mask - (mask + 1) % n
+            while True:
+                s = (s + 0x9E3779B97F4A7C15) & mask
+                z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                z ^= z >> 31
+                if z <= limit:
+                    out.append(z % n)
+                    break
+        self.state = s
+        return out
 
     def shuffle(self, items: list) -> None:
-        """Fisher-Yates, in place."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        """Fisher-Yates, in place: item i swaps with a draw below i + 1."""
+        for i, j in zip(range(len(items) - 1, 0, -1), self.randranges(range(len(items), 1, -1))):
             items[i], items[j] = items[j], items[i]

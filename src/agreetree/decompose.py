@@ -12,6 +12,7 @@ least (alpha*/2) sqrt(log n) + alpha* log(2/3) leaves.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -44,16 +45,25 @@ from .treeops import largest_balanced, restrict, verify_agreement
 
 def _spine(t: UnrootedTree):
     """A diameter path and, in path order, the edges (v, w) from each of
-    its internal vertices v to the neighbour w off the path: the child of v
-    in the DFS index (vertex v's are v + 1 and v + 2 * nleaves[v + 2]) that
-    is not on the path, or, when both are, the parent ``Diameter`` keeps."""
-    d, nleaves = t.diameter(), t.dfs().nleaves
+    its internal vertices v to the neighbour w off the path.  The w are
+    found once per tree (``_hanging``) and kept with its ``Diameter``."""
+    d = t.diameter()
+    if d.hanging is None:
+        d.hanging = _hanging(d, t.dfs().nleaves)
+    return d.path, list(zip(d.path[1:-1], d.hanging))
+
+
+def _hanging(d, nleaves) -> array:
+    """For each internal vertex v of the path of ``d``, in path order, its
+    neighbour off the path: the child of v in the DFS index (vertex v's
+    are v + 1 and v + 2 * nleaves[v + 2]) that is not on the path, or, when
+    both are (v is the path's top vertex), the parent ``Diameter`` keeps."""
     onpath = set(d.path)
-    hanging = []
+    hanging = array("i")
     for v in d.path[1:-1]:
         off = [w for w in (v + 1, v + 2 * nleaves[v + 2]) if w not in onpath]
-        hanging.append((v, off[0] if off else d.above))
-    return d.path, hanging
+        hanging.append(off[0] if off else d.above)
+    return hanging
 
 
 def max_caterpillar(t: UnrootedTree) -> frozenset:

@@ -4,8 +4,10 @@ topology enumeration for tiny leaf counts.
 
 Random generation is deterministic per (model, seed, n) using the portable
 splitmix64 stream, so every generated tree is reproducible from its recorded
-seed.  The random models insert on flat lists and write the tree's preorder
-labels, from which ``DfsIndex.derive`` makes its index, which a rooted
+seed.  Every construction but the extremal trees (``rebuild``) writes the
+tree's preorder labels outright; the random models draw their insertion
+points in one ``SplitMix64.randranges`` call and insert on the child
+slots of flat lists.  ``DfsIndex.derive`` makes the index, which a rooted
 root or an unrooted tree (``_unroot_index``) holds: no node or adjacency
 is built until one is read.  Enumeration is guarded against combinatorial
 explosion; set ``AGREETREE_GUARDS=off`` (or pass ``force=True``) to lift
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from ._rng import SplitMix64
 from .bounds import f_closed
 from .treecore import DfsIndex, RootedTree, TreeError, UnrootedTree, rebuild, unroot
-from .treecore import _adjacency_preorder, _check_distinct, _check_label, _nodes, _unroot_index
+from .treecore import _check_distinct, _check_label, _nodes, _perfect, _unroot_index
 
 UNIFORM = "uniform"
 YULE = "yule"
@@ -54,17 +56,27 @@ class RandomModel:
 # --------------------------------------------------------------------------
 
 
-def _halves(labels):
-    """``rebuild`` callback for the balanced tree over ``labels`` in order."""
-    half = len(labels) // 2
-    return (labels[:half], labels[half:]) if half else labels[0]
+def _balanced_preorder(labels, m: int) -> list:
+    """The preorder labels of the balanced tree of height m over the 2^m
+    ``labels`` in leaf order: tz(k) internal nodes come before leaf k, where
+    tz(k) counts the trailing zero bits of k, and m before leaf 0, so leaf
+    k sits at m + 2k - popcount(k).  Its ``nleaves`` is ``_perfect(m)``."""
+    label = [None] * (2 * len(labels) - 1)
+    for k, x in enumerate(labels):
+        label[m + 2 * k - k.bit_count()] = x
+    return label
+
+
+def _balanced(labels, m: int) -> RootedTree:
+    """The balanced tree of height m over ``labels`` in leaf order."""
+    return _nodes(DfsIndex.derive(_balanced_preorder(labels, m), _perfect(m)))
 
 
 def gen_balanced(m: int) -> RootedTree:
     """Balanced rooted tree of height m with leaves 1..2^m left-to-right."""
     if not 0 <= m <= MAX_M:
         raise ValueError(f"balanced height m={m} out of range [0, {MAX_M}]")
-    return rebuild(range(1, 2**m + 1), _halves)
+    return _balanced(range(1, 2**m + 1), m)
 
 
 def gen_caterpillar(n: int, rooted: bool = False):
@@ -72,7 +84,9 @@ def gen_caterpillar(n: int, rooted: bool = False):
     if rooted:
         if n < 1:
             raise ValueError("rooted caterpillar needs n >= 1")
-        return rebuild(range(1, n + 1), lambda r: (r[:1], r[1:]) if len(r) > 1 else r[0])
+        label = [None] * (2 * n - 1)
+        label[1::2], label[-1] = range(1, n), n  # [None, 1, None, 2, ..., None, n - 1, n]
+        return _nodes(DfsIndex.derive(label))
     if n < 3:
         raise ValueError("unrooted caterpillar needs n >= 3")
     return unroot(gen_caterpillar(n, rooted=True))
@@ -91,9 +105,9 @@ def gen_class_c(m: int) -> UnrootedTree:
         raise ValueError("class-C trees need m >= 1")
     if m > MAX_M:
         raise ValueError(f"class-C m={m} out of range [1, {MAX_M}]")
-    h = 2 ** (m - 1)
-    top = range(1, 3 * h + 1)
-    return unroot(rebuild(top, lambda r: (r[:h], r[h:]) if len(r) > 2 * h else _halves(r)))
+    h, p = 2 ** (m - 1), _perfect(m - 1)
+    b1, b2, b3 = (_balanced_preorder(range(i * h + 1, i * h + h + 1), m - 1) for i in range(3))
+    return unroot(_nodes(DfsIndex.derive([None, *b1, None, *b2, *b3], [3 * h, *p, 2 * h, *p, *p])))
 
 
 def gen_extremal_fhk(h: int, k: int) -> RootedTree:
@@ -142,7 +156,7 @@ def gen_swap_pair(k: int, rooted: bool = True):
     if k < 1:
         raise ValueError("swap pairs need k >= 1")
     t1 = gen_balanced(2 * k)
-    t2 = rebuild(swap_sequence(k), _halves)
+    t2 = _balanced(swap_sequence(k), 2 * k)
     if rooted:
         return t1, t2
     return unroot(t1), unroot(t2)
@@ -169,10 +183,11 @@ def relabel(t, mapping: dict):
 # --------------------------------------------------------------------------
 
 
-def _preorder(root: int, kids: list) -> list:
-    """The preorder label list of a tree on flat lists: a leaf x is -x,
-    internal node j has children kids[2 * j] (left) and kids[2 * j + 1]."""
-    label, stack = [], [root]
+def _preorder(root: int, kids: list, head=()) -> list:
+    """The preorder label list of a tree on flat lists, after ``head``: a
+    leaf x is -x, internal node j has children kids[2 * j] (left) and
+    kids[2 * j + 1]."""
+    label, stack = list(head), [root]
     while stack:
         v = stack.pop()
         if v < 0:
@@ -189,8 +204,7 @@ def _uniform_rooted(n: int, rng: SplitMix64) -> list:
     The edges are the child slots of ``kids`` in the order they were made,
     after the edge above the root; returns the tree's preorder labels."""
     root, kids = -1, []
-    for lab in range(2, n + 1):
-        pick = rng.randrange(len(kids) + 1)
+    for lab, pick in zip(range(2, n + 1), rng.randranges(range(1, 2 * n - 2, 2))):
         if pick == 0:
             kids += (root, -lab)
             root = len(kids) // 2 - 1
@@ -207,8 +221,7 @@ def _yule_rooted(n: int, rng: SplitMix64) -> list:
     if n == 1:
         return [1]
     kids, tips = [-1, -2], [0, 1]
-    for lab in range(3, n + 1):
-        i = rng.randrange(len(tips))
+    for lab, i in zip(range(3, n + 1), rng.randranges(range(2, n))):
         slot, j = tips[i], len(kids) // 2
         kids += (kids[slot], -lab)
         kids[slot], tips[i] = j, 2 * j
@@ -218,24 +231,36 @@ def _yule_rooted(n: int, rng: SplitMix64) -> list:
 
 def _uniform_unrooted(n: int, rng: SplitMix64) -> list:
     """Uniform over the (2n-5)!! labelled unrooted topologies by sequential
-    insertion of leaves 4..n into a uniformly random edge, on insertion ids
-    with sorted neighbour lists; returns the preorder labels of the tree
-    rooted at leaf 1's pendant edge, as ``_unroot_index`` reads them."""
-    nbrs, labels = [[1, 2, 3], [0], [0], [0]], {1: 1, 2: 2, 3: 3}
-    eu, ev = [0, 0, 0], [1, 2, 3]  # edge k joins eu[k] and ev[k]
-    for lab in range(4, n + 1):
-        pick = rng.randrange(len(eu))
-        u, v, w = eu[pick], ev[pick], len(nbrs)
-        nbrs[u].remove(v)  # w is the largest id yet, so every list stays sorted
-        nbrs[u].append(w)
-        nbrs[v].remove(u)
-        nbrs[v].append(w)
-        nbrs += ([u, v, w + 1] if u < v else [v, u, w + 1], [w])
-        labels[w + 1] = lab
-        ev[pick] = w
-        eu += (w, w)
-        ev += (v, w + 1)
-    return _adjacency_preorder(nbrs, labels, 1)
+    insertion of leaves 4..n into a uniformly random edge; returns the
+    preorder labels of the tree rooted at leaf 1's pendant edge, as
+    ``_unroot_index`` reads them.  That rooting is kept on ``_preorder``'s
+    child slots: internal node 0 is the first centre, lab - 3 the node
+    added with leaf lab, ``top`` the node below leaf 1 and ``up[c]`` c's
+    parent.  Children keep the order nodes were added in, so a new node
+    goes last at its parent, above the child c whose edge it split.  Edge
+    k, numbered as the draws number them, has lower end ``low[k]``;
+    ``near[k]`` says that end is nearer the centre (the path to leaf 1),
+    and a split edge's half nearer the centre keeps its number."""
+    kids, top, up = [-2, -3], 0, [0] * (2 * n)  # a leaf -x's parent sits x from the end of up
+    low, near = [0, -2, -3], bytearray(b"\1\0\0")
+    for lab, pick in zip(range(4, n + 1), rng.randranges(range(3, 2 * n - 4, 2))):
+        c, j = low[pick], lab - 3
+        kids += (c, -lab)
+        if c == top:
+            top = j
+        else:
+            p = up[c]
+            kids[2 * p] += kids[2 * p + 1] - c  # c's sibling first, then j
+            kids[2 * p + 1], up[j] = j, p
+        up[c] = up[-lab] = j
+        if near[pick]:
+            low += (j, -lab)
+            near += b"\1\0"
+        else:
+            low[pick] = j
+            low += (c, -lab)
+            near += b"\0\0"
+    return _preorder(top, kids, (None, 1))
 
 
 def gen_random(n: int, model: RandomModel, rooted: bool = False):

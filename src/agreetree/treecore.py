@@ -197,14 +197,16 @@ class DfsIndex:
         return cls.derive(_adjacency_preorder(t.adj, t.leaf_label, t.label_vertex[min(t.label_vertex)]))
 
     @classmethod
-    def derive(cls, label: list) -> "DfsIndex":
-        """The index of the preorder ``label``: ``nleaves`` by one pass in
-        reverse, children first, and ``first`` by a running leaf count."""
-        nleaves = [1] * len(label)
-        for i in range(len(label) - 1, -1, -1):
-            if label[i] is None:
-                left = nleaves[i + 1]
-                nleaves[i] = left + nleaves[i + 2 * left]
+    def derive(cls, label: list, nleaves=None) -> "DfsIndex":
+        """The index of the preorder ``label``: ``nleaves``, unless the
+        caller knows them, by one pass in reverse, children first, and
+        ``first`` by a running leaf count."""
+        if nleaves is None:
+            nleaves = [1] * len(label)
+            for i in range(len(label) - 1, -1, -1):
+                if label[i] is None:
+                    left = nleaves[i + 1]
+                    nleaves[i] = left + nleaves[i + 2 * left]
         first = array("i", accumulate([x is not None for x in label[:-1]], initial=0))
         return cls(label, nleaves, first, [x for x in label if x is not None])
 
@@ -439,9 +441,10 @@ class Diameter:
     from u: up the descent from node 0 to u, then down the one to w.
     ``above`` is the parent of the path's top vertex, the neighbour off
     the path on the smallest leaf's side, or None when the path holds that
-    leaf.  ``balanced`` says every leaf is that far from another."""
+    leaf.  ``balanced`` says every leaf is that far from another.
+    ``hanging`` is left None for ``decompose._spine`` to fill once."""
 
-    __slots__ = ("path", "above", "balanced")
+    __slots__ = ("path", "above", "balanced", "hanging")
 
     def __init__(self, t: "UnrootedTree"):
         ix = t.dfs()
@@ -467,6 +470,7 @@ class Diameter:
         top = du[c - 1]  # node 0, between vertices 0 and 1, is no vertex
         self.path = [i - 1 for i in du[: c - 1 : -1] + [top] * (top > 0) + dw[c:]]
         self.above = None if top == 0 else 0 if top == 2 else du[c - 2] - 1
+        self.hanging = None
 
 
 def diameter_path(t: UnrootedTree) -> list:
@@ -840,25 +844,29 @@ def to_newick(t) -> str:
 def _newick_tokens(ix: DfsIndex, rooted: bool) -> list:
     """``to_newick``'s tokens of the tree of index ``ix``, rooted or an
     unrooted tree's default rooting: leaf labels (ints), "(", ",", ")" and
-    ";".  One pass over the reversed index, children first, orders each
-    internal node's two children by their smallest labels."""
+    ";".  One pass over the reversed index, children first, finds each
+    node's smallest label and flags the internal nodes whose second child
+    holds the smaller, to be written first."""
     label, nleaves = ix.label, ix.nleaves
-    kids, small = [None] * len(label), label[:]  # small: the smallest label below
+    swap, small = bytearray(len(label)), label[:]  # small: the smallest label below
     for i in range(len(label) - 1, -1, -1):
         if label[i] is None:
-            a, b = i + 1, i + 2 * nleaves[i + 1]
-            kids[i] = (a, b) if small[a] <= small[b] else (b, a)
-            small[i] = small[kids[i][0]]
+            a, b = small[i + 1], small[i + 2 * nleaves[i + 1]]
+            if a <= b:
+                small[i] = a
+            else:
+                small[i], swap[i] = b, 1
     out, stack = [], [";", 0]
     while stack:
         x = stack.pop()
         if type(x) is str:
             out.append(x)
-        elif kids[x] is None:
+        elif label[x] is not None:
             out.append(label[x])
         else:
+            a, b = x + 1, x + 2 * nleaves[x + 1]
             out.append("(")
-            stack += (")", kids[x][1], ",", kids[x][0])
+            stack += (")", a, ",", b) if swap[x] else (")", b, ",", a)
     if not rooted:  # "(m,(A,B));" loses its second "(" and that one's ")"
         del out[-3], out[3]
     return out

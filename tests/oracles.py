@@ -30,7 +30,7 @@ from agreetree.treecore import (
     root_at_edge,
     unroot,
 )
-from agreetree.treecore import _reroot
+from agreetree.treecore import _adjacency_preorder, _reroot
 from agreetree.treeops import restrict
 
 
@@ -1226,6 +1226,81 @@ def random_tree_by_nodes(n: int, kind: str, seed: int, rooted: bool):
     if rooted:
         return _uniform_rooted_by_nodes(n, rng)
     return unrooted_eagerly(DfsIndex.walk(_uniform_unrooted_by_insertion_ids(n, rng)))
+
+
+class PerDrawSplitMix64:
+    """The splitmix64 stream one draw at a time, as ``SplitMix64`` drew
+    before ``randranges``: each ``randrange`` a rejection loop of
+    ``next_u64`` calls, and ``shuffle`` one ``randrange`` per swap."""
+
+    def __init__(self, seed: int):
+        self.state = seed & (2**64 - 1)
+
+    def next_u64(self) -> int:
+        mask = 2**64 - 1
+        self.state = (self.state + 0x9E3779B97F4A7C15) & mask
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    def randrange(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("randrange bound must be positive")
+        limit = 2**64 - 1 - 2**64 % n
+        while True:
+            x = self.next_u64()
+            if x <= limit:
+                return x % n
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+def uniform_unrooted_by_neighbour_lists(n: int, rng) -> list:
+    """``generators._uniform_unrooted`` on one sorted neighbour list per
+    vertex, a label dict and the edges as two lists, numbered as inserted,
+    then walked from leaf 1 by ``_adjacency_preorder``."""
+    nbrs, labels = [[1, 2, 3], [0], [0], [0]], {1: 1, 2: 2, 3: 3}
+    eu, ev = [0, 0, 0], [1, 2, 3]  # edge k joins eu[k] and ev[k]
+    for lab in range(4, n + 1):
+        pick = rng.randrange(len(eu))
+        u, v, w = eu[pick], ev[pick], len(nbrs)
+        nbrs[u].remove(v)  # w is the largest id yet, so every list stays sorted
+        nbrs[u].append(w)
+        nbrs[v].remove(u)
+        nbrs[v].append(w)
+        nbrs += ([u, v, w + 1] if u < v else [v, u, w + 1], [w])
+        labels[w + 1] = lab
+        ev[pick] = w
+        eu += (w, w)
+        ev += (v, w + 1)
+    return _adjacency_preorder(nbrs, labels, 1)
+
+
+# The ``rebuild`` forms of the fixed-shape generators, which now write
+# their preorder and leaf counts outright.
+
+
+def halves(labels):
+    """``rebuild`` callback for the balanced tree over ``labels`` in order."""
+    half = len(labels) // 2
+    return (labels[:half], labels[half:]) if half else labels[0]
+
+
+def balanced_by_rebuild(labels) -> RootedTree:
+    return rebuild(labels, halves)
+
+
+def caterpillar_rooted_by_rebuild(n: int) -> RootedTree:
+    return rebuild(range(1, n + 1), lambda r: (r[:1], r[1:]) if len(r) > 1 else r[0])
+
+
+def class_c_by_rebuild(m: int) -> UnrootedTree:
+    h = 2 ** (m - 1)
+    return unroot(rebuild(range(1, 3 * h + 1), lambda r: (r[:h], r[h:]) if len(r) > 2 * h else halves(r)))
 
 
 def count_calls(monkeypatch, owner, name, record=lambda args, out: args) -> list:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from agreetree._rng import SplitMix64
 import agreetree.treecore as treecore
-from agreetree import cli
+from agreetree import cli, decompose
 from agreetree.bounds import general_bound
 from agreetree.decompose import (
     _spine,
@@ -319,6 +319,26 @@ class TestAgreeGeneral:
         assert len(ops) == 3 and adjacencies == []
         for op, out in zip(ops, outputs):
             op.check(out)
+
+    def test_deep_agree_walks_each_spine_once(self, monkeypatch, tmp_path, capsys):
+        """A ``deep`` agree op finds the hanging edges of two spines: the
+        4,096-leaf caterpillar's, kept with its ``Diameter`` from
+        ``max_caterpillar`` for ``caterpillar_spine_order``, and that of
+        the restriction to about 120 leaves (3 while each caller walked
+        the spine)."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import SIZES, build_deep
+
+        ops = [op for op in build_deep(0, SIZES["full"], str(tmp_path)) if op.command == "agree"]
+        capsys.readouterr()
+        walks = count_calls(monkeypatch, decompose, "_hanging", lambda args, out: (len(args[1]) + 1) // 2)
+        per_op = []
+        for op in ops:
+            walks.clear()
+            assert cli.main(op.argv) == 0
+            op.check(capsys.readouterr().out)
+            per_op.append(list(walks))
+        assert per_op == [[4096, 122], [4096, 123]]
 
     def test_balanced_branch_builds_no_full_size_tree(self, monkeypatch):
         """``ramsey_split`` folds each input's DFS index, not a rooted copy

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from agreetree import treecore
+from agreetree._rng import SplitMix64
 from agreetree.bounds import f_closed
 from agreetree.treeops import max_balanced_height
 from agreetree.generators import (
@@ -17,6 +18,7 @@ from agreetree.generators import (
     relabel,
     swap_sequence,
 )
+from agreetree.generators import _uniform_unrooted
 from agreetree.treecore import (
     CLASS_C,
     ROOTED_BALANCED,
@@ -34,13 +36,52 @@ from agreetree.treecore import (
 )
 
 from oracles import (
+    PerDrawSplitMix64,
+    balanced_by_rebuild,
     caterpillar_by_adjacency,
+    caterpillar_rooted_by_rebuild,
+    class_c_by_rebuild,
     class_c_by_recursion,
     count_calls,
     ordered_text,
     random_tree_by_nodes,
+    uniform_unrooted_by_neighbour_lists,
     unrooted_index_by_adjacency,
 )
+
+INDEX_FIELDS = ("label", "nleaves", "first", "order")
+
+
+def assert_same_index(t, ref, case):
+    for name in INDEX_FIELDS:
+        assert getattr(t.dfs(), name) == getattr(ref.dfs(), name), (case, name)
+
+
+class TestFixedShapesEqualRebuild:
+    """The fixed shapes write their preorder (and the balanced ones their
+    leaf counts); their indexes equal those of the ``rebuild`` forms they
+    replaced."""
+
+    def test_balanced(self):
+        for m in range(13):
+            assert_same_index(gen_balanced(m), balanced_by_rebuild(range(1, 2**m + 1)), m)
+
+    def test_rooted_caterpillar(self):
+        for n in range(1, 201):
+            assert_same_index(gen_caterpillar(n, rooted=True), caterpillar_rooted_by_rebuild(n), n)
+
+    def test_class_c(self):
+        for m in range(1, 9):
+            assert_same_index(gen_class_c(m), class_c_by_rebuild(m), m)
+
+    def test_swap_pairs(self):
+        for k in range(1, 5):
+            t1, t2 = gen_swap_pair(k)
+            assert_same_index(t1, balanced_by_rebuild(range(1, 4**k + 1)), k)
+            assert_same_index(t2, balanced_by_rebuild(swap_sequence(k)), k)
+            u1, u2 = gen_swap_pair(k, rooted=False)
+            assert_same_index(u1, unroot(balanced_by_rebuild(range(1, 4**k + 1))), k)
+            assert_same_index(u2, unroot(balanced_by_rebuild(swap_sequence(k))), k)
 
 
 class TestBalanced:
@@ -180,6 +221,15 @@ class TestRandom:
                     assert getattr(t.dfs(), name) == getattr(want.dfs(), name), (name, n, seed)
                 if not rooted:
                     assert (t.adj, t.leaf_label) == (want.adj, want.leaf_label), (n, seed)
+
+    def test_slot_insertion_equals_neighbour_lists(self):
+        """The insertion on child slots writes the preorder of the one on
+        sorted neighbour lists, from the same draws."""
+        cases = [(n, seed) for n in range(3, 201) for seed in range(10)] + [(16384, 0)]
+        for n, seed in cases:
+            rng, ref = SplitMix64(seed), PerDrawSplitMix64(seed)
+            assert _uniform_unrooted(n, rng) == uniform_unrooted_by_neighbour_lists(n, ref), (n, seed)
+            assert rng.state == ref.state, (n, seed)
 
     def test_determinism(self):
         for kind in ("uniform", "yule"):
