@@ -44,13 +44,13 @@ from .treeops import largest_balanced, restrict, verify_agreement
 
 
 def _spine(t: UnrootedTree):
-    """A diameter path and, in path order, the edges (v, w) from each of
-    its internal vertices v to the neighbour w off the path.  The w are
-    found once per tree (``_hanging``) and kept with its ``Diameter``."""
+    """t's ``Diameter``, with ``hanging`` filled: for each internal vertex
+    v of its path, in path order, v's neighbour off the path.  They are
+    found once per tree (``_hanging``)."""
     d = t.diameter()
     if d.hanging is None:
         d.hanging = _hanging(d, t.dfs().nleaves)
-    return d.path, list(zip(d.path[1:-1], d.hanging))
+    return d
 
 
 def _hanging(d, nleaves) -> array:
@@ -72,10 +72,9 @@ def max_caterpillar(t: UnrootedTree) -> frozenset:
     vertex, so one leaf more than the path has edges.  A child w's leaves
     are the slice below node w + 1; a parent's side holds the smallest
     leaf, vertex 0."""
-    path, hanging = _spine(t)
-    ix = t.dfs()
-    labels = [ix.label[path[0] + 1], ix.label[path[-1] + 1]]
-    return frozenset(labels + [min(ix.leaves(w + 1)) if w > v else ix.order[0] for v, w in hanging])
+    d, ix = _spine(t), t.dfs()
+    labels = [ix.label[d.path[0] + 1], ix.label[d.path[-1] + 1]]
+    return frozenset(labels + [min(ix.leaves(w + 1)) if w > v else ix.order[0] for v, w in zip(d.path[1:-1], d.hanging)])
 
 
 # --------------------------------------------------------------------------
@@ -198,9 +197,8 @@ def caterpillar_spine_order(t: UnrootedTree) -> list:
     returned."""
     if not is_caterpillar(t):
         raise TreeError("not a caterpillar")
-    path, hanging = _spine(t)
-    label = t.dfs().label
-    order = [label[x + 1] for x in (path[0], *(w for _, w in hanging), path[-1])]
+    d, label = _spine(t), t.dfs().label
+    order = [label[x + 1] for x in (d.path[0], *d.hanging, d.path[-1])]
     if len(order) == 3:
         return sorted(order)
     front, back, middle = sorted(order[:2]), sorted(order[-2:]), order[2:-2]
@@ -211,7 +209,7 @@ def circular_leaf_order(t: UnrootedTree) -> list:
     """Leaves in the circular order of the canonical planar embedding, cut
     so the smallest label comes first: the labels of ``to_newick(t)`` in
     text order, read off its tokens."""
-    return [x for x in _newick_tokens(t.dfs(), False) if type(x) is int]
+    return [int(x) for x in _newick_tokens(t.dfs(), False) if x.isdigit()]
 
 
 def caterpillar_agree(t1: UnrootedTree, t2: UnrootedTree) -> frozenset:

@@ -592,38 +592,48 @@ def _reroot(ix: DfsIndex, k: int, left: bool = True, P=None) -> list:
     when it keeps all its leaves, else a preorder pruned by bisection.  The
     branch above k climbs the ancestors a descent from node 0 finds, each
     adding its parent's branch, then its other child (at node 1, the
-    other child first: its parent's branch is node 0's second child)."""
+    other child first: its parent's branch is node 0's second child).  The
+    climb compares a node's leaves with the first and last kept, and
+    bisects only to ask whether a branch keeps a leaf; with no P, never."""
     label, nleaves, first = ix.label, ix.nleaves, ix.first
-    P = range(nleaves[0]) if P is None else P
+    p0, p1 = (0, nleaves[0] - 1) if P is None else (P[0], P[-1])  # the first and last kept positions
 
-    def below(i):  # the indexes into P of the kept leaves below node i
-        return range(bisect_left(P, first[i]), bisect_left(P, first[i] + nleaves[i]))
+    def whole(i):  # every kept leaf is below node i
+        return first[i] <= p0 and p1 < first[i] + nleaves[i]
+
+    def kept(i):  # some kept leaf is below node i
+        if P is None:
+            return True
+        j = bisect_left(P, first[i])
+        return j < len(P) and P[j] < first[i] + nleaves[i]
 
     parts = [k]  # node i: the branch below it; None: a node over the next two
-    if len(below(k)) < len(P):
+    if not whole(k):
         path = _descent(nleaves, k)
         up, c = [], k  # the other children of the ancestors kept, lowest first
         for w in reversed(path[:-1]):
             o = w + 2 * nleaves[w + 1] if c == w + 1 else w + 1
             if w == 1:  # vertex 0 meets its other child before node 0's second child
-                top = [x for x in (o, 2 * nleaves[1]) if below(x)]
+                top = [x for x in (o, 2 * nleaves[1]) if kept(x)]
                 break
-            if len(below(w)) == len(P):  # nothing kept above w, as at node 0
+            if whole(w):  # nothing kept above w, as at node 0
                 top = [o]
                 break
-            if below(o):
+            if kept(o):
                 up.append(o)
             c = w
         up = [None] * (len(up) + len(top) - 1) + top + up[::-1]
-        parts = up if not below(k) else [None, k, *up] if left else [None, *up, k]
+        parts = up if not kept(k) else [None, k, *up] if left else [None, *up, k]
     out = []
     for part in parts:
         if part is None:
             out.append(None)
             continue
-        r = below(part)
-        stack = [(part, r.start, r.stop)]
-        while stack:
+        if P is None:  # every branch is whole
+            out += label[part : part + 2 * nleaves[part] - 1]
+            continue
+        stack = [(part, bisect_left(P, first[part]), bisect_left(P, first[part] + nleaves[part]))]
+        while stack:  # (node, indexes into P of the kept leaves below it)
             i, lo, hi = stack.pop()
             if hi - lo == nleaves[i]:
                 out += label[i : i + 2 * nleaves[i] - 1]
@@ -708,9 +718,10 @@ def _adjacency(ix: DfsIndex):
 # --------------------------------------------------------------------------
 
 
-_LEAF = re.compile(r"(\(*)((?!0)\d+)(\)*)([,;])|.")  # '(' run, leaf, ')' run, separator; or junk
+_LEAF = re.compile(r"(\(*)((?!0)\d+)(\)*)[,;]|.")  # '(' run, leaf, ')' run before its separator; or junk
 _SPLIT = re.compile(r"\d\s+\d")  # whitespace between digits: two labels, not one
 _TOKEN = re.compile(r"\d+|\S")  # a label or one other non-space character
+_CHUNK = 1 << 13  # text per findall: a chunk's match tuples are held at once
 
 
 def parse_newick(text: str):
@@ -737,46 +748,45 @@ def parse_newick(text: str):
 def _scan(text: str):
     """(label, nleaves, first, order) in text preorder, from one match per
     leaf over the text without its whitespace; ``_fault``'s error when the
-    text breaks the grammar.  A group's leaf count is written when its ')'
-    closes; it has two children exactly when its subtree has
-    2 * nleaves - 1 nodes, once every group inside it has."""
+    text breaks the grammar.  A valid text has at most 2 * commas + 1
+    nodes, so the arrays are sized once and trimmed.  The matches are taken
+    a chunk at a time, each cut just after a ',': a leaf's match ends at
+    its own separator, so no cut splits one.  A group's leaf count is
+    written when its ')' closes; it has two children exactly when its
+    subtree has 2 * nleaves - 1 nodes, once every group inside it has."""
     s = "".join(text.split())
     if len(s) < len(text) and _SPLIT.search(text):
         raise _fault(text)
-    label, nleaves, first, order, groups = [], [], [], [], []
-    for m in _LEAF.finditer(s):
-        opens, x, closes, _ = m.groups()
-        if x is None:
-            raise _fault(text)
-        k = len(order)
-        if opens:  # most leaves open no group
-            for _ in opens:
-                groups.append(len(label))
-                label.append(None)
-                first.append(k)
-                nleaves.append(0)  # written when the group closes
-        try:
-            x = int(x)
-        except ValueError:  # past int()'s digit limit: the token scan says what comes first
-            raise _fault(text) from None
-        label.append(x)
-        first.append(k)
-        nleaves.append(1)
-        order.append(x)
-        if closes:
-            if len(closes) > len(groups):
-                raise _fault(text)
-            size, k = len(label), k + 1
-            for _ in closes:
-                g = groups.pop()
-                nleaves[g] = k - first[g]
-                if g and size - g != 2 * nleaves[g] - 1:
-                    raise _fault(text)
-    n = len(order)  # one leaf, or a top group that closes last with 2 or 3 children
-    top = len(label) == 1 or n and label[0] is None and nleaves[0] == n
-    if not top or 2 * n - len(label) not in (1, 2) or groups or s[-1] != ";":
+    size = 2 * s.count(",") + 1
+    label, nleaves, first = [None] * size, [1] * size, [0] * size  # a group's nleaves is written when it closes
+    groups, j, k, at = [], 0, 0, 0  # the open groups, the next node and the leaves so far
+    try:  # refused: junk (no label), a label past int()'s digit limit, an unmatched ')',
+        # a node past the end or a group without two children
+        while at < len(s):
+            cut = s.find(",", at + _CHUNK) + 1 or len(s)
+            for opens, x, closes in _LEAF.findall(s, at, cut):
+                for _ in opens:
+                    groups.append(j)
+                    first[j] = k
+                    j += 1
+                label[j] = int(x)
+                first[j] = k
+                j += 1
+                k += 1
+                for _ in closes:
+                    g = groups.pop()
+                    nleaves[g] = n = k - first[g]
+                    if g and j - g != 2 * n - 1:
+                        raise IndexError
+            at = cut
+    except (ValueError, IndexError):
+        raise _fault(text) from None
+    del label[j:], nleaves[j:], first[j:]
+    order = [x for x in label if x is not None]
+    top = j == 1 or k and label[0] is None and nleaves[0] == k  # one leaf, or a top group that closes last
+    if not top or 2 * k - j not in (1, 2) or groups or s[-1] != ";":
         raise _fault(text)
-    if s.count(";") > 1 or len(set(order)) < n:  # a ';' before the end, or a repeated label
+    if s.count(";") > 1 or len(set(order)) < k:  # a ';' before the end, or a repeated label
         raise _fault(text)
     return label, nleaves, first, order
 
@@ -785,7 +795,7 @@ def _fault(text: str) -> NewickError:
     """The error of a text ``_scan`` refused, found token by token: the
     first syntax error, else the first repeated label (at the end of its
     second occurrence), else the leftmost '(' with the wrong number of
-    children."""
+    children.  A label past int()'s digit limit is a syntax error."""
     tokens = _TOKEN.findall(text) + [""]  # "" ends the input
     at = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
     groups = []  # [children so far, token index of its '('] per open group
@@ -806,7 +816,10 @@ def _fault(text: str) -> NewickError:
             return NewickError(f"expected a leaf label or '(', found {token!r}", at[i])
         if token[0] == "0":
             return NewickError("leaf labels may not start with 0", at[i])
-        label = int(token)
+        try:
+            label = int(token)
+        except ValueError:
+            return NewickError(f"leaf label of {len(token)} digits is too long", at[i])
         if label in seen and duplicate is None:
             duplicate = (f"duplicate leaf label {label}", at[i] + len(token))
         seen.add(label)
@@ -838,13 +851,13 @@ def to_newick(t) -> str:
     """Canonical Newick text; children ordered by smallest leaf label.  An
     unrooted tree is written as its rooting at the smallest leaf m's
     pendant edge, "(m,(A,B));", with the inner parentheses dropped."""
-    return "".join(map(str, _newick_tokens(t.dfs(), isinstance(t, RootedTree))))
+    return "".join(_newick_tokens(t.dfs(), isinstance(t, RootedTree)))
 
 
 def _newick_tokens(ix: DfsIndex, rooted: bool) -> list:
     """``to_newick``'s tokens of the tree of index ``ix``, rooted or an
-    unrooted tree's default rooting: leaf labels (ints), "(", ",", ")" and
-    ";".  One pass over the reversed index, children first, finds each
+    unrooted tree's default rooting: leaf labels (as str), "(", ",", ")"
+    and ";".  One pass over the reversed index, children first, finds each
     node's smallest label and flags the internal nodes whose second child
     holds the smaller, to be written first."""
     label, nleaves = ix.label, ix.nleaves
@@ -862,7 +875,7 @@ def _newick_tokens(ix: DfsIndex, rooted: bool) -> list:
         if type(x) is str:
             out.append(x)
         elif label[x] is not None:
-            out.append(label[x])
+            out.append(str(label[x]))
         else:
             a, b = x + 1, x + 2 * nleaves[x + 1]
             out.append("(")

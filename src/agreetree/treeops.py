@@ -193,7 +193,7 @@ def verify_agreement(t1, t2, labels) -> AgreementCertificate:
     if isinstance(t1, RootedTree):
         shape1, shape2 = to_newick(restrict(t1, X)), to_newick(restrict(t2, X))
     else:  # each restriction written from its index, without its adjacency
-        shape1, shape2 = ("".join(map(str, _newick_tokens(_unrooted_index(t, X), False))) for t in (t1, t2))
+        shape1, shape2 = ("".join(_newick_tokens(_unrooted_index(t, X), False)) for t in (t1, t2))
     if shape1 != shape2:
         raise AgreementError(f"restrictions to {sorted(X)} differ: {shape1} vs {shape2}")
     return AgreementCertificate(X, shape1)

@@ -30,7 +30,7 @@ from agreetree.treecore import (
     root_at_edge,
     unroot,
 )
-from agreetree.treecore import _adjacency_preorder, _reroot
+from agreetree.treecore import _adjacency_preorder, _fault, _reroot
 from agreetree.treeops import restrict
 
 
@@ -1081,6 +1081,52 @@ def parse_newick_two_pass(text: str):
         else:
             nodes[item] = RootedTree.branch(nodes[ks[0]], nodes[ks[1]])
     return nodes[0]
+
+
+_SCAN_LEAF = re.compile(r"(\(*)((?!0)\d+)(\)*)([,;])|.")
+_SCAN_SPLIT = re.compile(r"\d\s+\d")
+
+
+def scan_by_leaf(text: str):
+    """``treecore._scan`` as one ``finditer`` loop that appends each node:
+    (label, nleaves, first, order), or ``treecore._fault``'s error."""
+    s = "".join(text.split())
+    if len(s) < len(text) and _SCAN_SPLIT.search(text):
+        raise _fault(text)
+    label, nleaves, first, order, groups = [], [], [], [], []
+    for m in _SCAN_LEAF.finditer(s):
+        opens, x, closes, _ = m.groups()
+        if x is None:
+            raise _fault(text)
+        k = len(order)
+        for _ in opens:
+            groups.append(len(label))
+            label.append(None)
+            first.append(k)
+            nleaves.append(0)
+        try:
+            x = int(x)
+        except ValueError:
+            raise _fault(text) from None
+        label.append(x)
+        first.append(k)
+        nleaves.append(1)
+        order.append(x)
+        if len(closes) > len(groups):
+            raise _fault(text)
+        size, k = len(label), k + 1
+        for _ in closes:
+            g = groups.pop()
+            nleaves[g] = k - first[g]
+            if g and size - g != 2 * nleaves[g] - 1:
+                raise _fault(text)
+    n = len(order)
+    top = len(label) == 1 or n and label[0] is None and nleaves[0] == n
+    if not top or 2 * n - len(label) not in (1, 2) or groups or s[-1] != ";":
+        raise _fault(text)
+    if s.count(";") > 1 or len(set(order)) < n:
+        raise _fault(text)
+    return label, nleaves, first, order
 
 
 def caterpillar_by_adjacency(n: int) -> UnrootedTree:

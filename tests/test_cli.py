@@ -518,6 +518,15 @@ class TestGcPause:
         assert main(["agree", str(bad), str(bad)]) == 1
         assert gc.isenabled() == gc_state
 
+    def test_exit_1_label_past_the_digit_limit(self, gc_state, tmp_path, capsys):
+        """A label past int()'s digit limit is a NewickError with its
+        position, not Python's own ValueError text."""
+        bad = tmp_path / "long.nwk"
+        bad.write_text("1" * 5000 + ";")
+        assert main(["decompose", str(bad)]) == 1
+        assert capsys.readouterr().err == "agreetree decompose: leaf label of 5000 digits is too long (at position 0)\n"
+        assert gc.isenabled() == gc_state
+
     def test_memory_error(self, gc_state, monkeypatch, capsys):
         def exhausted(args):
             raise MemoryError

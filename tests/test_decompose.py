@@ -133,7 +133,8 @@ class TestPathsAndCaterpillars:
         trees += [relabel(gen_caterpillar(40), {x: (7 * x) % 41 for x in range(1, 41)}), parse_newick("(5,(1,2),(3,4));")]
         for t in trees:
             text = to_newick(t)
-            path, hanging = _spine(t)
+            d = _spine(t)
+            path, hanging = d.path, list(zip(d.path[1:-1], d.hanging))
             onpath = set(path)
             assert hanging == [(v, w) for v in path[1:-1] for w in t.adj[v] if w not in onpath], text
             ends = [t.leaf_label[path[0]], t.leaf_label[path[-1]]]
@@ -141,7 +142,7 @@ class TestPathsAndCaterpillars:
             if is_caterpillar(t):
                 spine = [t.leaf_label[path[0]], *(t.leaf_label[w] for _, w in hanging), t.leaf_label[path[-1]]]
                 assert sorted(caterpillar_spine_order(t)) == sorted(spine), text
-        assert any(w < v for t in trees for v, w in _spine(t)[1])  # a top vertex's parent hangs
+        assert any(w < v for d in map(_spine, trees) for v, w in zip(d.path[1:-1], d.hanging))  # a top vertex's parent hangs
 
 
 class TestLis:

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +62,7 @@ from oracles import (
     extremal_fhk_by_stack,
     is_caterpillar_by_nodes,
     leaf_depths_by_nodes,
+    lines_run,
     ordered_text,
     parse_newick_two_pass,
     postorder,
@@ -72,6 +74,7 @@ from oracles import (
     restrict_unrooted_by_rooting,
     root_at_edge_by_branches,
     root_at_edge_by_stack,
+    scan_by_leaf,
     side_leaves,
     to_newick_by_bfs,
     to_newick_by_directed_edges,
@@ -247,6 +250,107 @@ class TestParseAgainstReference:
                 _parse_like_reference(mutated)
                 cases += 1
         assert cases > 2000
+
+
+class _Chunks:
+    """Stands in for ``treecore._LEAF``, recording where each chunk of
+    ``_scan`` starts."""
+
+    def __init__(self):
+        self.starts, self.leaf = [], treecore._LEAF
+
+    def findall(self, s, pos, endpos):
+        self.starts.append(pos)
+        return self.leaf.findall(s, pos, endpos)
+
+
+class TestScan:
+    """``_scan`` fills arrays sized from the comma count with ``findall``
+    chunks cut after a ','.  The per-leaf ``finditer`` loop it replaced
+    (``oracles.scan_by_leaf``) is the reference: the same four arrays, or
+    the same error message and position."""
+
+    @staticmethod
+    def same(text) -> bool:
+        """Whether ``text`` is valid, once both scans agree on it."""
+        try:
+            want = scan_by_leaf(text)
+        except NewickError as exc:
+            with pytest.raises(NewickError) as err:
+                _scan(text)
+            assert (str(err.value), err.value.position) == (str(exc), exc.position), text
+            return False
+        assert _scan(text) == want, text
+        return True
+
+    @pytest.mark.parametrize("chunk", [1, 16, treecore._CHUNK])
+    def test_mutation_fuzz(self, chunk, monkeypatch):
+        """One to three deletions, insertions, swaps or copied spans per
+        valid text; chunk 1 cuts after nearly every ','."""
+        monkeypatch.setattr(treecore, "_CHUNK", chunk)
+        rng = SplitMix64(26)
+        alphabet = "(),;0123456789 x"
+        bases = list(_valid_texts([1, 2, 3, 4, 6, 9, 17, 40]))
+        valid = cases = 0
+        for text in bases * 150:
+            for _ in range(1 + rng.randrange(3)):
+                i, kind = rng.randrange(len(text) + 1), rng.randrange(4)
+                if kind == 0:
+                    text = text[:i] + text[i + 1 :]
+                elif kind == 1:
+                    text = text[:i] + alphabet[rng.randrange(len(alphabet))] + text[i:]
+                elif kind == 2:
+                    text = text[:i] + text[i + 1 : i + 2] + text[i : i + 1] + text[i + 2 :]
+                else:
+                    j = rng.randrange(len(text) + 1)
+                    text = text[:j] + text[i : i + 1 + rng.randrange(6)] + text[j:]
+            valid += self.same(text)
+            cases += 1
+        assert cases > 3000 and 300 < valid < cases - 1000, (valid, cases)
+
+    @pytest.mark.parametrize(
+        "text, start",
+        [
+            ("(1,,2);", 3),  # junk ',' opens a chunk
+            ("((1,2),x,3);", 7),  # junk 'x' opens a chunk
+            ("(1,2x,3);", 3),  # junk '2', a label without its separator
+            ("(1,2)),3);", 3),  # an unmatched ')' ends a chunk
+            ("((1,2),3)),4);", 7),
+            ("(1,;2);", 3),  # ';' opens a chunk
+            ("(1;,2);", 0),  # a ';' separator, then junk ',', end a chunk
+            ("((1,2),3;4);", 7),  # a ';' before the end
+            ("((1,2),(3,4));", 10),  # valid
+        ],
+    )
+    def test_chunk_cut_next_to_a_fault(self, text, start, monkeypatch):
+        chunks = _Chunks()
+        monkeypatch.setattr(treecore, "_CHUNK", 1)
+        monkeypatch.setattr(treecore, "_LEAF", chunks)
+        self.same(text)
+        assert start in chunks.starts, chunks.starts
+
+    def test_long_labels(self):
+        """A label past int()'s digit limit is a NewickError at its start,
+        not int()'s ValueError."""
+        for text, digits, position in (("1" * 5000 + ";", 5000, 0), ("(1,2," + "3" * 4301 + ");", 4301, 5)):
+            with pytest.raises(NewickError) as err:
+                parse_newick(text)
+            assert str(err.value) == f"leaf label of {digits} digits is too long (at position {position})"
+            assert err.value.position == position
+
+    def test_holds_one_chunk_of_matches(self):
+        """One parse of a 16,384-leaf text (about 120,000 characters) peaks
+        at about 2.5 MB under tracemalloc, as the per-leaf loop did; one
+        ``findall`` over the whole text, holding every leaf's tuple at
+        once, peaks at about 3.9 MB."""
+        text = to_newick(gen_random(16384, RandomModel("uniform", 0)))
+        tracemalloc.start()
+        try:
+            parse_newick(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
 
 
 class TestSerialise:
@@ -1171,6 +1275,34 @@ class TestIndexRooting:
                             _same_tree(root_at_edge(t, edge, keep), root_at_edge_by_branches(t, edge, keep))
                 for keep in (None, labels[:1], labels[:3]):
                     _same_tree(root_at_leaf_edge(t, keep), root_at_edge_by_branches(t, (0, 1), keep))
+
+    def test_unpruned_rootings_bisect_nothing(self, monkeypatch):
+        """With no kept set every branch is whole: a rooting at either
+        orientation of every edge equals the reference with no
+        ``bisect_left`` call, and a caterpillar indexed from its far end
+        reroots at its smallest leaf in 33 lines of ``treecore`` per
+        ancestor (the climb that bisected a range of every position ran
+        38, beside two bisections per ancestor and per part)."""
+        rng = SplitMix64(26)
+        trees = [gen_caterpillar(n) for n in (3, 4, 5, 9, 40)]
+        trees += [relabel(t, {x: t.nleaves + 1 - x for x in t.leaves}) for t in trees]
+        trees += [gen_random(n, RandomModel(model, rng.next_u64())) for model in ("uniform", "yule") for n in (6, 33, 100)]
+        for t in trees:
+            edges = [e for u, v in t.edges() for e in ((u, v), (v, u))]
+            with monkeypatch.context() as patch:
+                bisects = count_calls(patch, treecore, "bisect_left")
+                got = [root_at_edge(t, edge) for edge in edges]
+            assert bisects == [], to_newick(t)
+            for edge, r in zip(edges, got):
+                _same_tree(r, root_at_edge_by_branches(t, edge))
+        n = 2000
+        far = relabel(gen_caterpillar(n, rooted=True), {x: n + 1 - x for x in range(1, n + 1)}).dfs()
+        assert far.label[-1] == 1
+        with monkeypatch.context() as patch:
+            bisects = count_calls(patch, treecore, "bisect_left")
+            t, lines = lines_run(lambda: treecore._unroot_index(far), treecore)
+        assert to_newick(t) == to_newick(gen_caterpillar(n)) and bisects == []
+        assert lines <= 35 * n, lines
 
     def test_unroot_relabel_and_parse(self):
         """``unroot`` of Yule, balanced, class-C and swap-pair builds,
