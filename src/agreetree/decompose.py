@@ -32,7 +32,9 @@ from .treecore import (
     UnrootedTree,
     _newick_tokens,
     is_caterpillar,
+    label_positions,
     root_at_leaf_edge,
+    same_leaves,
     unroot,
 )
 from .treeops import largest_balanced, restrict, verify_agreement
@@ -224,12 +226,11 @@ def caterpillar_agree(t1: UnrootedTree, t2: UnrootedTree) -> frozenset:
     |Y| is logarithmic)."""
     if not is_caterpillar(t1):
         raise TreeError("caterpillar_agree requires a caterpillar first tree")
-    if t1.leaves != t2.leaves:
+    if not same_leaves(t1, t2):
         raise TreeError("caterpillar_agree requires identical leaf sets")
     spine = caterpillar_spine_order(t1)
-    position = {lab: i for i, lab in enumerate(spine)}
-    linear = circular_leaf_order(t2)
-    subseq, _ = lis([position[lab] for lab in linear])
+    position = label_positions(spine)
+    subseq, _ = lis(map(position.__getitem__, circular_leaf_order(t2)))
     X = frozenset(spine[p] for p in subseq)
     if len(X) < 3:
         return X  # up to three leaves agree trivially
@@ -255,7 +256,7 @@ def agree_general(t1: UnrootedTree, t2: UnrootedTree):
     check of that result on t1 and t2."""
     if not isinstance(t1, UnrootedTree) or not isinstance(t2, UnrootedTree):
         raise TreeError("agree_general works on unrooted trees")
-    if t1.leaves != t2.leaves:
+    if not same_leaves(t1, t2):
         raise TreeError("agree_general requires identical leaf sets")
     n = t1.nleaves
     if n <= 2:
@@ -273,7 +274,7 @@ def agree_general(t1: UnrootedTree, t2: UnrootedTree):
             rooted_second = root_at_leaf_edge(restrict(second, A))
             leaves, _ = match1(balanced_first, rooted_second, delta_star)
             attempts.append(frozenset(leaves))
-        elif A == first.leaves:  # first is a caterpillar: no copy to restrict
+        elif len(A) == n:  # first is a caterpillar: no copy to restrict
             attempts.append(caterpillar_agree(first, second))
         else:
             attempts.append(caterpillar_agree(restrict(first, A), restrict(second, A)))

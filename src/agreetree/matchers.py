@@ -52,6 +52,7 @@ from .treecore import (
     classify_balanced,
     radius,
     root_at_edge,
+    same_leaves,
 )
 from .treeops import largest_balanced, restrict
 
@@ -188,7 +189,8 @@ def _match1_walk(t1: RootedTree, t2, delta: float):
     that shares x alone it only skips or shrinks until it emits x.  So it
     returns on t1 the set that match1 returns on the balanced tree."""
     a, b = t1.dfs(), t2.dfs()
-    if not a.pos.keys() >= b.pos.keys():
+    b.pos  # names a repeated label of t2, as covers names one of t1
+    if not a.covers(b.order):
         raise TreeError("match1 requires L(t2) to be a subset of L(t1)")
     if not 0 < delta < 0.5:
         raise ValueError(f"match1 needs delta in (0, 1/2), got {delta}")
@@ -358,7 +360,7 @@ def _match2_walk(t1: RootedTree, t2: RootedTree, delta: float):
     a, b = t1.dfs(), t2.dfs()
     carry = t1.balanced and t2.balanced
     if carry:
-        first = [x for x in a.order if x in b.pos]
+        first = b.shared(a.order)
         t0 = len(first)
     else:
         t0 = len(_shared(0, 0, a, b))
@@ -451,7 +453,7 @@ def match1_unrooted(t1: UnrootedTree, t2: UnrootedTree, delta: float) -> frozens
     cls = classify_balanced(t1)
     if cls.kind not in (CLASS_B, CLASS_C):
         raise TreeError("match1_unrooted requires a balanced unrooted first tree")
-    if t1.leaves != t2.leaves:
+    if not same_leaves(t1, t2):
         raise TreeError("match1_unrooted requires identical leaf sets")
     if cls.kind == CLASS_C:
         if cls.m == 1:
@@ -486,7 +488,7 @@ def match2_unrooted(t1: UnrootedTree, t2: UnrootedTree, delta: float) -> frozens
             f"match2_unrooted requires two balanced unrooted trees of the same "
             f"class, got {c1} and {c2}"
         )
-    if t1.leaves != t2.leaves:
+    if not same_leaves(t1, t2):
         raise TreeError("match2_unrooted requires identical leaf sets")
     if c1.kind == CLASS_C:
         if c1.m == 1:
@@ -524,7 +526,7 @@ def match2_multi(trees, delta: float) -> frozenset:
     for pos, nxt in enumerate(trees[2:], start=2):
         _, kept = largest_balanced(cur)
         cur_bal = restrict(cur, kept)
-        if not cur_bal.dfs().pos.keys() & nxt.dfs().pos.keys():  # the indexes match2 reads
+        if not nxt.dfs().shared(cur_bal.dfs().order):
             logger.warning(
                 "match2_multi: empty intersection with tree %d; "
                 "returning the agreement of the first %d trees",
@@ -564,7 +566,7 @@ def match_almost_balanced(
         raise TreeError("match_almost_balanced needs two unrooted trees")
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"k must be a finite positive number, got {k}")
-    if t1.leaves != t2.leaves:
+    if not same_leaves(t1, t2):
         raise TreeError("match_almost_balanced requires identical leaf sets")
     logn = math.log2(t1.nleaves)
     r1 = radius(t1)

@@ -171,16 +171,30 @@ class DfsIndex:
     writes them, ``walk`` finds them or ``derive`` reads them off their
     labels: node i has ``label[i]`` (None if internal), ``nleaves[i]`` and
     ``first[i]``, the DFS position of its first leaf; ``order`` lists the
-    leaf labels in DFS order and ``pos`` maps each to its position.  The
-    children of internal node i are i + 1 and i + 2 * nleaves[i + 1], so
-    reversed preorder lists children first.  An unrooted tree is indexed
-    as ``root_at_leaf_edge`` roots it; its vertex v is node v + 1."""
+    leaf labels in DFS order.  The children of internal node i are i + 1
+    and i + 2 * nleaves[i + 1], so reversed preorder lists children first.
+    An unrooted tree is indexed as ``root_at_leaf_edge`` roots it; its
+    vertex v is node v + 1.
+
+    ``pos[x]`` is leaf x's position in ``order``, and -1 for a label of no
+    leaf.  It is built on its first use (``label_positions``): an
+    ``array('i')`` indexed by label when the largest label is at most 2n,
+    as in every generated tree, else a dict.  ``below``, ``shared``,
+    ``covers`` and ``positions`` read either form, and so does every
+    caller: none depends on which form it is."""
 
     __slots__ = ("label", "nleaves", "first", "order", "_pos")
 
     def __init__(self, label, nleaves, first, order):
         self.label, self.nleaves, self.first, self.order = label, nleaves, first, order
         self._pos = None
+
+    @property
+    def pos(self):
+        """The label map, built on first use."""
+        if self._pos is None:
+            self._pos = label_positions(self.order)
+        return self._pos
 
     @classmethod
     def walk(cls, t) -> "DfsIndex":
@@ -210,35 +224,49 @@ class DfsIndex:
         first = array("i", accumulate([x is not None for x in label[:-1]], initial=0))
         return cls(label, nleaves, first, [x for x in label if x is not None])
 
-    @property
-    def pos(self) -> dict:
-        """Built on first use; a repeated label (``RootedTree.branch`` allows
-        one) raises TreeError, naming the first one in DFS order."""
-        if self._pos is None:
-            pos = {x: i for i, x in enumerate(self.order)}  # a repeat keeps its last position
-            if len(pos) < len(self.order):
-                x = next(x for i, x in enumerate(self.order) if pos[x] != i)
-                raise TreeError(f"duplicate leaf label {x}")
-            self._pos = pos
-        return self._pos
-
     def positions(self, labels: frozenset) -> list:
         """The sorted DFS positions of ``labels``; TreeError names those
         not in the tree."""
+        if not self.covers(labels):
+            raise TreeError(f"labels {sorted(labels - frozenset(self.order))} not in tree")
+        try:
+            return sorted(map(self.pos.__getitem__, labels))
+        except TypeError:  # a label that equals a leaf's but is not an int, as 1.0
+            return sorted(map(dict(zip(self.order, range(len(self.order)))).__getitem__, labels))
+
+    def covers(self, labels) -> bool:
+        """Whether every member of the collection ``labels`` is a leaf
+        label, as a dict key would match it: True is label 1."""
         pos = self.pos
-        if not labels <= pos.keys():
-            raise TreeError(f"labels {sorted(labels - pos.keys())} not in tree")
-        return sorted(map(pos.__getitem__, labels))
+        try:
+            if not [x for x in labels if x <= 0 or pos[x] < 0]:  # the array would read x < 0 from its end
+                return True
+        except (IndexError, TypeError):  # a label above the array, or not an int
+            pass
+        return frozenset(self.order).issuperset(labels)
+
+    def shared(self, labels) -> list:
+        """The members of ``labels``, leaf labels of any tree, that are
+        leaves of this one, in the order of ``labels``."""
+        pos = self.pos
+        try:
+            return [x for x in labels if pos[x] >= 0]
+        except IndexError:  # a label above the array
+            return [x for x in labels if x < len(pos) and pos[x] >= 0]
 
     def leaves(self, i: int) -> list:
         """The leaf labels below node i, in DFS order."""
         return self.order[self.first[i] : self.first[i] + self.nleaves[i]]
 
     def below(self, labels, i: int) -> list:
-        """The members of ``labels`` that are leaves below node i."""
-        lo, get = self.first[i], self.pos.get
+        """The members of ``labels``, leaf labels of any tree, that are
+        leaves below node i, in the order of ``labels``."""
+        pos, lo = self.pos, self.first[i]
         hi = lo + self.nleaves[i]
-        return [x for x in labels if lo <= get(x, -1) < hi]
+        try:
+            return [x for x in labels if lo <= pos[x] < hi]
+        except IndexError:  # a label above the array
+            return [x for x in labels if x < len(pos) and lo <= pos[x] < hi]
 
     def side(self, p, w) -> frozenset:
         """The leaf labels on vertex w's side of edge p-w of an unrooted
@@ -247,6 +275,43 @@ class DfsIndex:
         k, order = max(p, w) + 1, self.order
         lo, hi = self.first[k], self.first[k] + self.nleaves[k]
         return frozenset(order[lo:hi] if w > p else order[:lo] + order[hi:])
+
+
+class _Positions(dict):
+    """A sparse label map: -1 for a label it lacks, as the array has."""
+
+    __slots__ = ()
+
+    def __missing__(self, x):
+        return -1
+
+
+def label_positions(order):
+    """Each label of ``order`` -> its index there: an ``array('i')`` by
+    label, -1 where ``order`` lacks the label, when its labels are positive
+    ints and the largest is at most 2 * len(order); else a dict that reads
+    -1 for a label it lacks.  A repeated label (``RootedTree.branch``
+    allows one) raises TreeError naming the first label in ``order`` that
+    repeats."""
+    n, top = len(order), max(order, default=0)
+    if type(top) is int and top <= 2 * n and min(order, default=0) > 0:
+        pos = array("i", [-1]) * (top + 1)
+        for i, x in enumerate(order):  # a repeat keeps its last position
+            pos[x] = i
+        distinct = top + 1 - pos.count(-1)
+    else:
+        pos = _Positions(zip(order, range(n)))
+        distinct = len(pos)
+    if distinct < n:
+        raise TreeError(f"duplicate leaf label {next(x for i, x in enumerate(order) if pos[x] != i)}")
+    return pos
+
+
+def same_leaves(t1, t2) -> bool:
+    """Whether two trees, each without a repeated label, have the same leaf
+    labels: as many leaves, and t1's index holds every one of t2's."""
+    a, b = t1.dfs(), t2.dfs()
+    return len(a.order) == len(b.order) and a.covers(b.order)
 
 
 def _adjacency_preorder(adj, leaf_label: dict, v0: int) -> list:
@@ -737,28 +802,29 @@ def parse_newick(text: str):
     token for its first fault."""
     label, nleaves, first, order = _scan(text)
     if len(label) == 2 * len(order) - 1:  # rooted
-        return _nodes(DfsIndex(label, nleaves, array("i", first), order))
+        return _nodes(DfsIndex(label, nleaves, first, order))
     at = 2 if label[1] == min(order) else 1  # group the two top-level children from here
     label.insert(at, None)
     nleaves.insert(at, nleaves[at] + nleaves[at + 2 * nleaves[at] - 1])
     first.insert(at, first[at])
-    return _unroot_index(DfsIndex(label, nleaves, array("i", first), order))
+    return _unroot_index(DfsIndex(label, nleaves, first, order))
 
 
 def _scan(text: str):
     """(label, nleaves, first, order) in text preorder, from one match per
     leaf over the text without its whitespace; ``_fault``'s error when the
-    text breaks the grammar.  A valid text has at most 2 * commas + 1
-    nodes, so the arrays are sized once and trimmed.  The matches are taken
-    a chunk at a time, each cut just after a ',': a leaf's match ends at
-    its own separator, so no cut splits one.  A group's leaf count is
-    written when its ')' closes; it has two children exactly when its
-    subtree has 2 * nleaves - 1 nodes, once every group inside it has."""
+    text breaks the grammar.  A valid text has commas + 1 leaves and at
+    most 2 * commas + 1 nodes, so the lists and the ``array('i')`` of
+    ``first`` are sized once and trimmed.  The matches are taken a chunk at
+    a time, each cut just after a ',': a leaf's match ends at its own
+    separator, so no cut splits one.  A group's leaf count is written when its ')' closes, from the
+    count at its '('; it has two children exactly when its subtree has
+    2 * nleaves - 1 nodes, once every group inside it has."""
     s = "".join(text.split())
     if len(s) < len(text) and _SPLIT.search(text):
         raise _fault(text)
     size = 2 * s.count(",") + 1
-    label, nleaves, first = [None] * size, [1] * size, [0] * size  # a group's nleaves is written when it closes
+    label, nleaves, first, order = [None] * size, [1] * size, array("i", [0]) * size, [None] * (size // 2 + 1)
     groups, j, k, at = [], 0, 0, 0  # the open groups, the next node and the leaves so far
     try:  # refused: junk (no label), a label past int()'s digit limit, an unmatched ')',
         # a node past the end or a group without two children
@@ -767,22 +833,21 @@ def _scan(text: str):
             for opens, x, closes in _LEAF.findall(s, at, cut):
                 for _ in opens:
                     groups.append(j)
-                    first[j] = k
+                    nleaves[j] = first[j] = k  # nleaves holds the start until the group closes
                     j += 1
-                label[j] = int(x)
+                label[j] = order[k] = int(x)
                 first[j] = k
                 j += 1
                 k += 1
                 for _ in closes:
                     g = groups.pop()
-                    nleaves[g] = n = k - first[g]
+                    nleaves[g] = n = k - nleaves[g]
                     if g and j - g != 2 * n - 1:
                         raise IndexError
             at = cut
     except (ValueError, IndexError):
         raise _fault(text) from None
-    del label[j:], nleaves[j:], first[j:]
-    order = [x for x in label if x is not None]
+    del label[j:], nleaves[j:], first[j:], order[k:]
     top = j == 1 or k and label[0] is None and nleaves[0] == k  # one leaf, or a top group that closes last
     if not top or 2 * k - j not in (1, 2) or groups or s[-1] != ";":
         raise _fault(text)

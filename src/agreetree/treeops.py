@@ -69,7 +69,7 @@ def _unrooted_index(t, X: frozenset) -> DfsIndex:
 
 def join(s_left: RootedTree, s_right: RootedTree) -> RootedTree:
     """New root over two rooted trees with disjoint leaf sets."""
-    shared = s_left.dfs().pos.keys() & s_right.dfs().pos.keys()
+    shared = s_right.dfs().shared(s_left.dfs().order)
     if shared:
         raise TreeError(f"joined trees share leaves {sorted(shared)}")
     return RootedTree.branch(s_left, s_right)
@@ -152,11 +152,8 @@ def is_isomorphic(t1, t2) -> bool:
 def is_subtree(s, t) -> bool:
     """True iff restricting t to s's leaves recovers s exactly."""
     _same_kind(s, t)
-    if isinstance(s, RootedTree):  # the DFS indexes that restrict and to_newick read
-        X, Y = s.dfs().pos.keys(), t.dfs().pos.keys()
-    else:
-        X, Y = s.leaves, t.leaves
-    return X <= Y and is_isomorphic(s, restrict(t, X))
+    X = s.dfs().order
+    return t.dfs().covers(X) and is_isomorphic(s, restrict(t, X))
 
 
 @dataclass(frozen=True)
@@ -178,12 +175,10 @@ def verify_agreement(t1, t2, labels) -> AgreementCertificate:
     """
     _same_kind(t1, t2)
     X = frozenset(labels)
-    if isinstance(t1, RootedTree):  # the DFS indexes that restrict reads too
-        common = t1.dfs().pos.keys() & t2.dfs().pos.keys()
-    else:
-        common = t1.leaves & t2.leaves
-    if not X <= common:
-        raise TreeError(f"labels {sorted(X - common)} not shared by both trees")
+    a, b = t1.dfs(), t2.dfs()  # the indexes that restrict reads too
+    if not a.covers(X) & b.covers(X):  # both read, so each names a repeated label
+        missing = X - frozenset(a.order).intersection(b.order)
+        raise TreeError(f"labels {sorted(missing)} not shared by both trees")
     if not X:
         return AgreementCertificate(X, "")
     if not isinstance(t1, RootedTree) and len(X) <= 2:

@@ -95,6 +95,14 @@ def dfs_index_by_nodes(t: RootedTree) -> dict:
     }
 
 
+def label_map_content(ix) -> dict:
+    """``ix.pos`` as a dict from each label it holds to that label's
+    position, whichever form it has: a dict's items, or the labels of an
+    array's non-negative slots."""
+    pos = ix.pos
+    return dict(pos.items() if isinstance(pos, dict) else ((x, p) for x, p in enumerate(pos) if p >= 0))
+
+
 def dfs_index_fields(t) -> dict:
     """The same fields read from ``t.dfs()`` (either tree kind), the
     children of internal node i by its rule: i + 1 and
@@ -105,7 +113,7 @@ def dfs_index_fields(t) -> dict:
         "nleaves": ix.nleaves,
         "first": list(ix.first),
         "order": ix.order,
-        "pos": ix.pos,
+        "pos": label_map_content(ix),
         "children": {
             i: (i + 1, i + 2 * ix.nleaves[i + 1]) for i, x in enumerate(ix.label) if x is None
         },
