@@ -228,6 +228,11 @@ def caterpillar_agree(t1: UnrootedTree, t2: UnrootedTree) -> frozenset:
         raise TreeError("caterpillar_agree requires a caterpillar first tree")
     if not same_leaves(t1, t2):
         raise TreeError("caterpillar_agree requires identical leaf sets")
+    return _caterpillar_agree(t1, t2)
+
+
+def _caterpillar_agree(t1: UnrootedTree, t2: UnrootedTree) -> frozenset:
+    """``caterpillar_agree`` on a pair it would accept, unchecked."""
     spine = caterpillar_spine_order(t1)
     position = label_positions(spine)
     subseq, _ = lis(map(position.__getitem__, circular_leaf_order(t2)))
@@ -275,9 +280,9 @@ def agree_general(t1: UnrootedTree, t2: UnrootedTree):
             leaves, _ = match1(balanced_first, rooted_second, delta_star)
             attempts.append(frozenset(leaves))
         elif len(A) == n:  # first is a caterpillar: no copy to restrict
-            attempts.append(caterpillar_agree(first, second))
+            attempts.append(_caterpillar_agree(first, second))
         else:
-            attempts.append(caterpillar_agree(restrict(first, A), restrict(second, A)))
+            attempts.append(_caterpillar_agree(restrict(first, A), restrict(second, A)))
     if n <= EXACT_CUTOFF:
         attempts.append(mast_unrooted(t1, t2).witness)
     best = min(attempts, key=lambda X: (-len(X), tuple(sorted(X))))

@@ -22,14 +22,14 @@ The walks keep no leaf set per tree node.  They run on the preorder
 numbers of both trees' DFS indexes (``RootedTree.dfs``, kept on each tree,
 O(n) memory), where every node is a slice of the DFS leaf order and every
 label has a position.  match1 takes each step's 2x2 shared-leaf counts
-from scanning smaller child slices against the other tree's positions
-(``_scan``); its single path can keep t unchanged for n steps, so it
-carries nothing.  match2 on two balanced trees carries each pending
+from one kernel (``_kernel``) that scans smaller child slices against the
+other tree's positions; its single path can keep t unchanged for n steps,
+so it carries nothing.  match2 on two balanced trees carries each pending
 pair's shared leaves (at most t0 in all) and splits them into the four
 child blocks (``_split``), so its counting costs the sum of the
 shared-leaf counts t over the pairs it visits; on other trees, as the
-almost-balanced matcher gives it, it scans as match1 does.  Both
-walks orient the counts by one rule (``_orientation``).
+almost-balanced matcher gives it, it counts with match1's kernel.  Both
+walks orient the four counts by one rule (``_orientation``).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .treecore import (
     RootedTree,
     TreeError,
     UnrootedTree,
+    _within,
     center,
     classify_balanced,
     radius,
@@ -59,61 +60,64 @@ from .treeops import largest_balanced, restrict
 logger = logging.getLogger(__name__)
 
 
-def _shared(u: int, v: int, a: DfsIndex, b: DfsIndex) -> list:
-    """L(u) & L(v) for node u of the tree indexed by ``a`` and node v of
-    that of ``b``, scanning only the smaller of the two leaf slices."""
-    if a.nleaves[u] <= b.nleaves[v]:
-        return b.below(a.leaves(u), v)
-    return a.below(b.leaves(v), u)
+def _kernel(a: DfsIndex, b: DfsIndex):
+    """The walks' one counting kernel, on the index arrays of ``a`` and
+    ``b`` held in its closure: (common, counts).  ``common(x, y)`` is
+    L(x) & L(y) for node x of ``a`` and y of ``b``, from one comprehension
+    over the smaller leaf slice against the other tree's positions.
+
+    ``counts(u, v, t, rows)`` is (ku, kv, c00, c01, c10, c11): the
+    children of u and v, and cij = |L(ku[i]) & L(kv[j])|.  ``t`` is
+    |L(u) & L(v)| and ``rows`` the pair of |L(ku[i]) & L(v)|, or None to
+    scan u's smaller child for it.  Then v's smaller child w is scanned
+    (a leaf by one position read) for one column, and the rows minus it
+    give the other.  Each scan walks the smaller of the two leaf slices
+    it intersects, so a walk down a balanced tree takes O(n log n) time."""
+    na, fa, oa, pa = a.nleaves, a.first, a.order, a.pos
+    nb, fb, ob, pb, lb = b.nleaves, b.first, b.order, b.pos, b.label
+
+    def common(x, y):
+        i, n, j, m = fa[x], na[x], fb[y], nb[y]  # x's leaves are oa[i : i + n], y's ob[j : j + m]
+        return _within(oa[i : i + n], pb, j, j + m) if n <= m else _within(ob[j : j + m], pa, i, i + n)
+
+    def counts(u, v, t, rows):
+        ku = u0, u1 = u + 1, u + 2 * na[u + 1]
+        kv = v0, v1 = v + 1, v + 2 * nb[v + 1]
+        if rows is None:
+            k = len(common(u0, v)) if na[u0] <= na[u1] else t - len(common(u1, v))
+            rows = k, t - k
+        w = v0 if nb[v0] <= nb[v1] else v1
+        lo, mid, hi = fa[u], fa[u1], fa[u] + na[u]
+        if nb[w] == 1:
+            try:
+                p = pa[lb[w]]
+            except IndexError:  # a label above the array
+                p = -1
+            c0, c1 = int(lo <= p < mid), int(mid <= p < hi)
+        else:
+            inner = common(u, w)
+            c0 = len(_within(inner, pa, lo, mid))
+            c1 = len(inner) - c0
+        r0, r1 = rows
+        return (ku, kv, c0, r0 - c0, c1, r1 - c1) if w == v0 else (ku, kv, r0 - c0, c0, r1 - c1, c1)
+
+    return common, counts
 
 
-def _scan(u: int, v: int, t: int, rows, a: DfsIndex, b: DfsIndex):
-    """The 2x2 shared-leaf counts of the children of node u of ``a`` and
-    node v of ``b``, by scans.
-
-    ``t`` is |L(u) & L(v)|, and ``rows`` maps each child of u to its
-    shared-leaf count with v; when it is None, u's smaller child is
-    scanned for it.  Then v's smaller child is scanned for one column of
-    the 2x2 counts, and the rows minus that column give the other.  Each
-    scan walks the smaller of the two leaf slices it intersects, so a walk
-    down a balanced tree takes O(n log n) time.
-
-    Returns (ku, kv, c): u's and v's children, and c[i][j] = |L(ku[i]) &
-    L(kv[j])|.
-    """
-    ku = u + 1, u + 2 * a.nleaves[u + 1]
-    kv = v + 1, v + 2 * b.nleaves[v + 1]
-    if rows is None:
-        s = 0 if a.nleaves[ku[0]] <= a.nleaves[ku[1]] else 1
-        k = len(_shared(ku[s], v, a, b))
-        rows = {ku[s]: k, ku[1 - s]: t - k}
-    j = 0 if b.nleaves[kv[0]] <= b.nleaves[kv[1]] else 1
-    inner = _shared(u, kv[j], a, b)
-    top = len(a.below(inner, ku[0]))
-    col = (top, len(inner) - top)
-    c = [[0, 0], [0, 0]]
-    for i in (0, 1):
-        c[i][j] = col[i]
-        c[i][1 - j] = rows[ku[i]] - col[i]
-    return ku, kv, c
-
-
-def _orientation(c) -> tuple:
+def _orientation(c00: int, c01: int, c10: int, c11: int) -> tuple:
     """Swap children (virtually) so that the cross counts do not exceed the
     diagonal counts and t_ll <= t_rr; no swap when already admissible.
 
-    ``c[i][j]`` counts the leaves shared by u's child i and v's child j.
+    ``cij`` counts the leaves shared by u's child i and v's child j.
     Returns (su, sv, (t_ll, t_lr, t_rl, t_rr)) for the first admissible
-    choice of u's child su and v's child sv as the left ones.
-    """
-    for su, sv in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        t_ll = c[su][sv]
-        t_lr = c[su][1 - sv]
-        t_rl = c[1 - su][sv]
-        t_rr = c[1 - su][1 - sv]
-        if t_lr + t_rl <= t_ll + t_rr and t_ll <= t_rr:
-            return su, sv, (t_ll, t_lr, t_rl, t_rr)
-    raise AssertionError("some orientation always satisfies both inequalities")
+    choice, in the order (0, 0), (0, 1), (1, 0), (1, 1), of u's child su
+    and v's child sv as the left ones.  One always is: the larger of the
+    diagonal and the antidiagonal sums holds a choice."""
+    if c01 + c10 <= c00 + c11 and c00 <= c11:
+        return 0, 0, (c00, c01, c10, c11)
+    if c00 + c11 <= c01 + c10:
+        return (0, 1, (c01, c00, c11, c10)) if c01 <= c10 else (1, 0, (c10, c11, c00, c01))
+    return 1, 1, (c11, c10, c01, c00)
 
 
 # --------------------------------------------------------------------------
@@ -195,25 +199,27 @@ def _match1_walk(t1: RootedTree, t2, delta: float):
     if not 0 < delta < 0.5:
         raise ValueError(f"match1 needs delta in (0, 1/2), got {delta}")
     trace = Match1Trace(delta, t1.height, t2.nleaves)
+    common, counts = _kernel(a, b)
+    na, nb, steps = a.nleaves, b.nleaves, trace.steps
     u, v, t_uv, rows = 0, 0, t2.nleaves, None
     while True:
         if t_uv == 0:
             raise AssertionError("recursed into an empty intersection")
-        step = Match1Step("base", t_uv, a.nleaves[u], b.nleaves[v])
-        trace.steps.append(step)
+        step = Match1Step("base", t_uv, na[u], nb[v])
+        steps.append(step)
         if step.u_size == 1 or step.v_size == 1:
-            step.emitted = min(_shared(u, v, a, b))
+            step.emitted = min(common(u, v))
             break
-        ku, kv, c = _scan(u, v, t_uv, rows, a, b)
-        su, sv, (t_ll, t_lr, t_rl, t_rr) = _orientation(c)
+        ku, kv, c00, c01, c10, c11 = counts(u, v, t_uv, rows)
+        su, sv, (t_ll, t_lr, t_rl, t_rr) = _orientation(c00, c01, c10, c11)
         ul, ur, vl, vr = ku[su], ku[1 - su], kv[sv], kv[1 - sv]
         rows = None
         if t_ll > 0:
-            step.rule, step.emitted = "case1", min(_shared(ul, vl, a, b))
+            step.rule, step.emitted = "case1", min(common(ul, vl))
             u, v, t_uv = ur, vr, t_rr
         elif t_rl == 0:  # nothing under v's left child is shared with u
             step.rule = "skip-left"
-            v, rows = vr, {ul: t_lr, ur: t_rr}
+            v, rows = vr, ((t_rr, t_lr) if su else (t_lr, t_rr))
         elif t_lr == 0:  # nothing under u's left child is shared with v
             step.rule = "skip-right"
             u = ur
@@ -221,7 +227,7 @@ def _match1_walk(t1: RootedTree, t2, delta: float):
             if t_lr > t_rl:
                 ul, ur, vl, vr = ur, ul, vr, vl
                 t_lr, t_rl = t_rl, t_lr
-            step.rule, step.emitted = "cross", min(_shared(ul, vr, a, b))
+            step.rule, step.emitted = "cross", min(common(ul, vr))
             u, v, t_uv = ur, vl, t_rl
         else:
             step.rule = "heavy"
@@ -304,9 +310,9 @@ def _split(u: int, v: int, shared: list, a: DfsIndex, b: DfsIndex):
     ``shared`` is L(u) & L(v) in a's DFS order.  It is split at u's right
     child, a bisection on a's positions, and each half at v's right child,
     in one pass over b's positions.  Returns (ku, kv, c, part): u's and
-    v's children, the 2x2 counts c[i][j] = |L(ku[i]) & L(kv[j])|, and
-    part(i, j), that block in a's DFS order, where i or j None stands for
-    u or v itself.
+    v's children, the 2x2 counts c = [c00, c01, c10, c11] with
+    cij = |L(ku[i]) & L(kv[j])|, and part(i, j), that block in a's DFS
+    order, where i or j None stands for u or v itself.
     """
     ku = u + 1, u + 2 * a.nleaves[u + 1]
     kv = v + 1, v + 2 * b.nleaves[v + 1]
@@ -325,19 +331,19 @@ def _split(u: int, v: int, shared: list, a: DfsIndex, b: DfsIndex):
             return blocks[0][j] + blocks[1][j]
         return blocks[i][j]
 
-    return ku, kv, [[len(lo), len(hi)] for lo, hi in blocks], part
+    return ku, kv, [len(x) for row in blocks for x in row], part
 
 
-def _scanned(u: int, v: int, counted: tuple, a: DfsIndex, b: DfsIndex):
-    """A match2 step that counts by scans, as match1's do: ``counted`` is
-    the (t, rows) that ``_scan`` reads.  Returns what ``_split`` returns,
-    with each part(i, j) the (t, rows) of that block."""
-    ku, kv, c = _scan(u, v, *counted, a, b)
+def _scanned(u: int, v: int, counted: tuple, counts):
+    """A match2 step that counts with the kernel, as match1's do: ``counted``
+    is the (t, rows) that ``counts`` reads.  Returns what ``_split``
+    returns, with each part(i, j) the (t, rows) of that block."""
+    ku, kv, *c = counts(u, v, *counted)
 
     def part(i, j):
         if i is None:
-            return c[0][j] + c[1][j], {ku[0]: c[0][j], ku[1]: c[1][j]}
-        return (c[i][0] + c[i][1] if j is None else c[i][j]), None
+            return c[j] + c[2 + j], (c[j], c[2 + j])
+        return (c[2 * i] + c[2 * i + 1] if j is None else c[2 * i + j]), None
 
     return ku, kv, c, part
 
@@ -353,21 +359,21 @@ def _match2_walk(t1: RootedTree, t2: RootedTree, delta: float):
     visited: at most t0 (m1 + m2), as the walk is at most m1 + m2 deep,
     and about 2 t0 on relabelled balanced pairs.  An almost-balanced tree
     can be a path about n long, where that sum grows as n^2, so otherwise
-    each step counts by scans (``_scanned``), whose cost on such a path is
-    its smaller children."""
+    each step counts by the kernel's scans (``_scanned``), whose cost on
+    such a path is its smaller children."""
     if not 0 < delta < 0.25:
         raise ValueError(f"match2 needs delta in (0, 1/4), got {delta}")
     a, b = t1.dfs(), t2.dfs()
+    common, counts = _kernel(a, b)
     carry = t1.balanced and t2.balanced
     if carry:
         first = b.shared(a.order)
         t0 = len(first)
     else:
-        t0 = len(_shared(0, 0, a, b))
+        t0 = len(common(0, 0))
         first = t0, None
     if t0 == 0:
         raise TreeError("match2 requires a nonempty shared leaf set")
-    step = _split if carry else _scanned
     trace = Match2Trace(delta, t1.height, t2.height, t0)
 
     out = []
@@ -381,11 +387,11 @@ def _match2_walk(t1: RootedTree, t2: RootedTree, delta: float):
         node = Match2Node("base", t_uv, a.nleaves[u], b.nleaves[v])
         siblings.append(node)
         if node.u_size == 1 or node.v_size == 1:
-            node.emitted = min(shared if carry else _shared(u, v, a, b))
+            node.emitted = min(shared if carry else common(u, v))
             out.append(node.emitted)
             continue
-        ku, kv, c, part = step(u, v, shared, a, b)
-        su, sv, (t_ll, t_lr, t_rl, t_rr) = _orientation(c)
+        ku, kv, c, part = _split(u, v, shared, a, b) if carry else _scanned(u, v, shared, counts)
+        su, sv, (t_ll, t_lr, t_rl, t_rr) = _orientation(*c)
         need = delta * t_uv
         # each call is (i, j): the pair (ku[i], kv[j]), with None keeping u or v
         if t_ll >= need and t_rr >= need:

@@ -248,11 +248,7 @@ class DfsIndex:
     def shared(self, labels) -> list:
         """The members of ``labels``, leaf labels of any tree, that are
         leaves of this one, in the order of ``labels``."""
-        pos = self.pos
-        try:
-            return [x for x in labels if pos[x] >= 0]
-        except IndexError:  # a label above the array
-            return [x for x in labels if x < len(pos) and pos[x] >= 0]
+        return _within(labels, self.pos, 0, len(self.order))
 
     def leaves(self, i: int) -> list:
         """The leaf labels below node i, in DFS order."""
@@ -261,12 +257,8 @@ class DfsIndex:
     def below(self, labels, i: int) -> list:
         """The members of ``labels``, leaf labels of any tree, that are
         leaves below node i, in the order of ``labels``."""
-        pos, lo = self.pos, self.first[i]
-        hi = lo + self.nleaves[i]
-        try:
-            return [x for x in labels if lo <= pos[x] < hi]
-        except IndexError:  # a label above the array
-            return [x for x in labels if x < len(pos) and lo <= pos[x] < hi]
+        lo = self.first[i]
+        return _within(labels, self.pos, lo, lo + self.nleaves[i])
 
     def side(self, p, w) -> frozenset:
         """The leaf labels on vertex w's side of edge p-w of an unrooted
@@ -275,6 +267,15 @@ class DfsIndex:
         k, order = max(p, w) + 1, self.order
         lo, hi = self.first[k], self.first[k] + self.nleaves[k]
         return frozenset(order[lo:hi] if w > p else order[:lo] + order[hi:])
+
+
+def _within(labels, pos, lo, hi) -> list:
+    """The members of ``labels`` that the label map ``pos`` places at
+    positions lo..hi-1, in the order of ``labels``."""
+    try:
+        return [x for x in labels if lo <= pos[x] < hi]
+    except IndexError:  # a label above the array
+        return [x for x in labels if x < len(pos) and lo <= pos[x] < hi]
 
 
 class _Positions(dict):
@@ -518,13 +519,14 @@ class Diameter:
         key = list(range(span, -1, -1))
         for i in range(size - 1, 1, -1):
             if label[i] is None:
-                key[i] = max(key[i + 1], key[i + 2 * nleaves[i + 1]]) + span
+                x, y = key[i + 1], key[i + 2 * nleaves[i + 1]]
+                key[i] = (x if x > y else y) + span
         below, key[2] = key[2], key[1] + span  # outside node 2 lies node 1 alone
         for i in range(2, size):
             if label[i] is None:
                 a, b = i + 1, i + 2 * nleaves[i + 1]
-                up = key[i] + span
-                key[a], key[b] = max(up, key[b] + 2 * span), max(up, key[a] + 2 * span)
+                up, x, y = key[i] + span, key[b] + 2 * span, key[a] + 2 * span
+                key[a], key[b] = (up if up > x else x), (up if up > y else y)
         u = span - below % span
         least = min(key[i] for i in range(2, size) if label[i] is not None)  # leaves but node 1
         self.balanced = below // span + 1 == key[u] // span == least // span

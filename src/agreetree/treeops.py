@@ -85,7 +85,7 @@ def _balanced_heights(t: RootedTree) -> list:
     for i in range(len(label) - 1, -1, -1):
         if label[i] is None:
             bl, br = b[i + 1], b[i + 2 * nleaves[i + 1]]
-            b[i] = bl + 1 if bl == br else max(bl, br)
+            b[i] = bl + 1 if bl == br else bl if bl > br else br
     return b
 
 

@@ -25,6 +25,7 @@ from agreetree.treecore import (
     NewickError,
     DfsIndex,
     RootedTree,
+    TreeError,
     UnrootedTree,
     rebuild,
     root_at_edge,
@@ -935,9 +936,11 @@ def match2_walk_by_sets(t1: RootedTree, t2: RootedTree, delta: float):
     return frozenset(out), trace
 
 
-# The match2 walk before it carried each pair's shared leaves: it counted
-# them by scanning the smaller child slices against the other tree's
-# positions, kept as the reference for its sets and traces.
+# The counting by scans that the matchers used before their flat kernel,
+# copied unchanged: ``match1_walk_by_scans`` is match1's walk on it, and
+# ``match2_walk_by_scans`` the match2 walk from before it carried each
+# pair's shared leaves.  Both are kept as the references for the walks'
+# sets and traces.
 
 
 def _shared_by_scan(u: int, v: int, a: DfsIndex, b: DfsIndex) -> list:
@@ -947,9 +950,20 @@ def _shared_by_scan(u: int, v: int, a: DfsIndex, b: DfsIndex) -> list:
     return a.below(b.leaves(v), u)
 
 
-def _orient_by_scans(u: int, v: int, t: int, rows, a: DfsIndex, b: DfsIndex):
-    """The oriented 2x2 counts from one scan of u's smaller child (unless
-    ``rows`` has u's children's counts) and one of v's smaller child."""
+def _scan_by_lists(u: int, v: int, t: int, rows, a: DfsIndex, b: DfsIndex):
+    """The 2x2 shared-leaf counts of the children of node u of ``a`` and
+    node v of ``b``, by scans.
+
+    ``t`` is |L(u) & L(v)|, and ``rows`` maps each child of u to its
+    shared-leaf count with v; when it is None, u's smaller child is
+    scanned for it.  Then v's smaller child is scanned for one column of
+    the 2x2 counts, and the rows minus that column give the other.  Each
+    scan walks the smaller of the two leaf slices it intersects, so a walk
+    down a balanced tree takes O(n log n) time.
+
+    Returns (ku, kv, c): u's and v's children, and c[i][j] = |L(ku[i]) &
+    L(kv[j])|.
+    """
     ku = u + 1, u + 2 * a.nleaves[u + 1]
     kv = v + 1, v + 2 * b.nleaves[v + 1]
     if rows is None:
@@ -964,14 +978,82 @@ def _orient_by_scans(u: int, v: int, t: int, rows, a: DfsIndex, b: DfsIndex):
     for i in (0, 1):
         c[i][j] = col[i]
         c[i][1 - j] = rows[ku[i]] - col[i]
+    return ku, kv, c
+
+
+def _orientation_by_lists(c) -> tuple:
+    """Swap children (virtually) so that the cross counts do not exceed the
+    diagonal counts and t_ll <= t_rr; no swap when already admissible.
+
+    ``c[i][j]`` counts the leaves shared by u's child i and v's child j.
+    Returns (su, sv, (t_ll, t_lr, t_rl, t_rr)) for the first admissible
+    choice of u's child su and v's child sv as the left ones.
+    """
     for su, sv in ((0, 0), (0, 1), (1, 0), (1, 1)):
         t_ll = c[su][sv]
         t_lr = c[su][1 - sv]
         t_rl = c[1 - su][sv]
         t_rr = c[1 - su][1 - sv]
         if t_lr + t_rl <= t_ll + t_rr and t_ll <= t_rr:
-            return (ku[su], ku[1 - su], kv[sv], kv[1 - sv]), (t_ll, t_lr, t_rl, t_rr)
+            return su, sv, (t_ll, t_lr, t_rl, t_rr)
     raise AssertionError("some orientation always satisfies both inequalities")
+
+
+def match1_walk_by_scans(t1: RootedTree, t2, delta: float):
+    """match1 without the balance check on t1; an unrooted t2 is read as
+    its default rooting, which its DFS index numbers.
+
+    Make t1 balanced by growing each shallow leaf x into a subtree of x and
+    new labels.  The walk reads only shared-leaf counts, and from a node
+    that shares x alone it only skips or shrinks until it emits x.  So it
+    returns on t1 the set that match1 returns on the balanced tree."""
+    a, b = t1.dfs(), t2.dfs()
+    b.pos  # names a repeated label of t2, as covers names one of t1
+    if not a.covers(b.order):
+        raise TreeError("match1 requires L(t2) to be a subset of L(t1)")
+    if not 0 < delta < 0.5:
+        raise ValueError(f"match1 needs delta in (0, 1/2), got {delta}")
+    trace = Match1Trace(delta, t1.height, t2.nleaves)
+    u, v, t_uv, rows = 0, 0, t2.nleaves, None
+    while True:
+        if t_uv == 0:
+            raise AssertionError("recursed into an empty intersection")
+        step = Match1Step("base", t_uv, a.nleaves[u], b.nleaves[v])
+        trace.steps.append(step)
+        if step.u_size == 1 or step.v_size == 1:
+            step.emitted = min(_shared_by_scan(u, v, a, b))
+            break
+        ku, kv, c = _scan_by_lists(u, v, t_uv, rows, a, b)
+        su, sv, (t_ll, t_lr, t_rl, t_rr) = _orientation_by_lists(c)
+        ul, ur, vl, vr = ku[su], ku[1 - su], kv[sv], kv[1 - sv]
+        rows = None
+        if t_ll > 0:
+            step.rule, step.emitted = "case1", min(_shared_by_scan(ul, vl, a, b))
+            u, v, t_uv = ur, vr, t_rr
+        elif t_rl == 0:  # nothing under v's left child is shared with u
+            step.rule = "skip-left"
+            v, rows = vr, {ul: t_lr, ur: t_rr}
+        elif t_lr == 0:  # nothing under u's left child is shared with v
+            step.rule = "skip-right"
+            u = ur
+        elif t_lr + t_rl >= delta * t_uv:
+            if t_lr > t_rl:
+                ul, ur, vl, vr = ur, ul, vr, vl
+                t_lr, t_rl = t_rl, t_lr
+            step.rule, step.emitted = "cross", min(_shared_by_scan(ul, vr, a, b))
+            u, v, t_uv = ur, vl, t_rl
+        else:
+            step.rule = "heavy"
+            u, v, t_uv = ur, vr, t_rr
+    return frozenset(s.emitted for s in trace.steps if s.emitted is not None), trace
+
+
+def _orient_by_scans(u: int, v: int, t: int, rows, a: DfsIndex, b: DfsIndex):
+    """The oriented 2x2 counts from one scan of u's smaller child (unless
+    ``rows`` has u's children's counts) and one of v's smaller child."""
+    ku, kv, c = _scan_by_lists(u, v, t, rows, a, b)
+    su, sv, counts = _orientation_by_lists(c)
+    return (ku[su], ku[1 - su], kv[sv], kv[1 - sv]), counts
 
 
 def match2_walk_by_scans(t1: RootedTree, t2: RootedTree, delta: float):

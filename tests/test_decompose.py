@@ -341,6 +341,25 @@ class TestAgreeGeneral:
             per_op.append(list(walks))
         assert per_op == [[4096, 122], [4096, 123]]
 
+    def test_deep_agree_compares_leaf_sets_once(self, monkeypatch, tmp_path, capsys):
+        """A ``deep`` agree op compares its two leaf sets once, in
+        ``agree_general``: the path branch runs ``caterpillar_agree``'s
+        body without its checks, on a pair that ``agree_general`` has
+        checked (two comparisons while it ran them again)."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import SIZES, build_deep
+
+        ops = [op for op in build_deep(0, SIZES["full"], str(tmp_path)) if op.command == "agree"]
+        capsys.readouterr()
+        compared = count_calls(monkeypatch, treecore, "same_leaves")
+        per_op = []
+        for op in ops:
+            compared.clear()
+            assert cli.main(op.argv) == 0
+            op.check(capsys.readouterr().out)
+            per_op.append(len(compared))
+        assert per_op == [1, 1]
+
     def test_balanced_branch_builds_no_full_size_tree(self, monkeypatch):
         """``ramsey_split`` folds each input's DFS index, not a rooted copy
         (2 full-size trees while it rooted both); the balanced branch roots

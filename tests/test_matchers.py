@@ -14,6 +14,7 @@ from agreetree.bounds import (
     delta_for_beta_k,
     match1_bound,
     match2_bound,
+    optimal_delta_match1,
     optimal_delta_match2,
     t2_constant,
 )
@@ -59,6 +60,8 @@ from oracles import (
     PAD_LABEL_BASE,
     built_leaves,
     count_calls,
+    lines_run,
+    match1_walk_by_scans,
     match1_walk_by_sets,
     match2_walk_by_scans,
     match2_walk_by_sets,
@@ -326,6 +329,93 @@ class TestCarriedWalk:
             for x, y in ((u1, u2), (b, u1), (u2, b)):
                 assert same_run(_match2_walk(x, y, 0.2), match2_walk_by_scans(x, y, 0.2))
         assert splits == []
+
+
+class TestKernelWalk:
+    """The walks count with one flat kernel (``matchers._kernel``), where
+    they counted by ``_scan`` over dicts and nested lists
+    (``oracles.match1_walk_by_scans`` and ``match2_walk_by_scans``)."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_scanning_walk_on_deep_pair(self, seed, monkeypatch, tmp_path):
+        """The (balanced, rooted caterpillar) pair of 2^12 leaves that the
+        benchmark's ``deep`` workload matches, parsed from its files."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import SIZES, build_deep
+
+        ops = build_deep(seed, SIZES["full"], str(tmp_path))
+        (t1, t2), = [[parse_newick(Path(p).read_text()) for p in op.argv[1:3]] for op in ops if op.command == "match1"]
+        assert t1.balanced and t1.nleaves == 4096 and is_caterpillar(t2)
+        delta = optimal_delta_match1()[0]
+        got = match1(t1, t2, delta)
+        assert same_run(got, match1_walk_by_scans(t1, t2, delta))
+        assert len(got[1].steps) == 4096
+
+    @pytest.mark.parametrize("model", ["uniform", "yule", "caterpillar"])
+    def test_equals_scanning_walk(self, model):
+        """Balanced and unbalanced first trees up to 2^12 leaves against
+        random subsets, with labels 1..n (array maps) and shifted by 10^9
+        (dict maps): the second tree's array is shorter than the first's
+        labels whenever it misses the largest ones."""
+        rng = SplitMix64(82)
+        for m in (*range(1, 9), 10, 12):
+            n = 2**m
+            for t in (n, 1 + rng.randrange(n), 1 + rng.randrange(n)):
+                t2 = random_subset_tree(m, t, rng.next_u64(), model)
+                firsts = (permuted_balanced(m, rng.next_u64()), random_subset_tree(m, n, rng.next_u64(), model))
+                for t1 in firsts:
+                    shifted = [relabel(x, {y: y + PAD_LABEL_BASE for y in x.leaves}) for x in (t1, t2)]
+                    for x, y in ((t1, t2), shifted):
+                        for delta in (0.05, 0.2, 0.45):
+                            assert same_run(_match1_walk(x, y, delta), match1_walk_by_scans(x, y, delta))
+                if m > 8:
+                    break
+
+    @pytest.mark.parametrize("shape", ["caterpillar", "yule"])
+    def test_almost_balanced_walks(self, shape):
+        """``match_almost_balanced`` in both modes runs the walks whose
+        scanning steps the kernel counts: they equal the scanning walks on
+        the same rootings."""
+        rng = SplitMix64(83)
+        for n in (5, 64, 300, 1000):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            draw = lambda: gen_caterpillar(n) if shape == "caterpillar" else gen_random(n, RandomModel("yule", rng.next_u64()))
+            t1, t2 = draw(), relabel(draw(), dict(zip(range(1, n + 1), perm)))
+            r1, r2 = _root_near_center(t1), _root_near_center(t2)
+            leaves, _, delta = match_almost_balanced(t1, t2, n, mode="single")
+            want = match1_walk_by_scans(r1, t2, delta)
+            assert leaves == want[0] and same_run(_match1_walk(r1, t2, delta), want)
+            leaves, _, delta = match_almost_balanced(t1, t2, n, mode="both")
+            (got, g), (want, w) = _match2_walk(r1, r2, delta), match2_walk_by_scans(r1, r2, delta)
+            assert leaves == got == want and (g.m1, g.m2, g.t0) == (w.m1, w.m2, w.t0)
+            assert TestCarriedWalk.preorder(g) == TestCarriedWalk.preorder(w)
+
+    def test_leaf_label_above_the_first_trees_array(self):
+        """match2's scanned steps read a leaf child of the second tree in
+        the first tree's position array.  Each cherry of this second tree
+        holds a label above that array, which is not shared, and one that
+        is."""
+        for m in (3, 5, 8):
+            n = 2 ** (m - 1)
+            t2 = relabel(gen_balanced(m), {x: (x + 1) // 2 + n * (x % 2) for x in range(1, 2 * n + 1)})
+            for t1 in (gen_caterpillar(n, rooted=True), gen_random(n, RandomModel("yule", m), rooted=True)):
+                assert not isinstance(t1.dfs().pos, dict) and len(t1.dfs().pos) == n + 1
+                for delta in (0.05, 0.12, 0.24):
+                    assert same_run(_match2_walk(t1, t2, delta), match2_walk_by_scans(t1, t2, delta))
+
+    def test_step_runs_few_lines(self):
+        """Against a rooted caterpillar, 2,036 of match1's 2,048 steps
+        skip one spine leaf.  A step runs at most 35 lines of ``matchers``
+        and ``treecore``: the kernel reads a leaf child's position once
+        (the steps by ``_scan``, ``_shared`` and ``DfsIndex.below`` ran
+        57)."""
+        t1, t2 = gen_balanced(11), gen_caterpillar(2048, rooted=True)
+        t1.dfs().pos, t2.dfs().pos, t1.height  # built before the count: they are not the walk's
+        (leaves, trace), lines = lines_run(lambda: _match1_walk(t1, t2, DELTA1), matchers, treecore)
+        assert trace.counts()["skip-left"] == 2036 and len(trace.steps) == 2048
+        assert (leaves, trace) == match1_walk_by_scans(t1, t2, DELTA1)
+        assert lines <= 35 * len(trace.steps), lines
 
 
 class TestPadding:
