@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import io
 import json
@@ -482,7 +483,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rooted", action="store_true")
     p.add_argument("--unrooted", action="store_true")
-    p.set_defaults(func=cmd_gen)
 
     options = {
         "--delta": {"default": "optimal"},
@@ -490,7 +490,7 @@ def build_parser() -> _Parser:
         "--format": {"choices": ["text", "json"], "default": "text"},
     }
 
-    def compute(name, func, flags, ntrees=2):
+    def compute(name, flags, ntrees=2):
         """A compute command with its tree arguments and only the options
         its handler reads."""
         q = sub.add_parser(name)
@@ -503,24 +503,22 @@ def build_parser() -> _Parser:
             q.add_argument("trees", nargs="+")
         for flag in flags:
             q.add_argument(flag, **options[flag])
-        q.set_defaults(func=func)
         return q
 
-    compute("mast", cmd_mast, ["--format"])
-    compute("match1", cmd_match1, ["--delta", "--trace", "--format"])
-    compute("match2", cmd_match2, ["--delta", "--trace", "--format"])
-    compute("match-multi", cmd_match_multi, ["--delta", "--format"], ntrees=3)
-    q = compute("match-ab", cmd_match_ab, ["--delta", "--format"])
+    compute("mast", ["--format"])
+    compute("match1", ["--delta", "--trace", "--format"])
+    compute("match2", ["--delta", "--trace", "--format"])
+    compute("match-multi", ["--delta", "--format"], ntrees=3)
+    q = compute("match-ab", ["--delta", "--format"])
     q.add_argument("--k", type=float, required=True)
     q.add_argument("--mode", choices=["auto", "single", "both"], default="auto")
-    compute("agree", cmd_agree, ["--format"])
-    q = compute("decompose", cmd_decompose, [], ntrees=1)
+    compute("agree", ["--format"])
+    q = compute("decompose", [], ntrees=1)
     q.add_argument("--a", type=float, default=0.5)
 
     p = sub.add_parser("bounds", help="print guarantee constants and tables")
     p.add_argument("--n", type=int)
     p.add_argument("--fmax", type=int, default=10)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("bench", help="run trials and persist a CSV")
     p.add_argument("--n", required=True, help="comma-separated leaf counts")
@@ -531,21 +529,27 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--measure-time", action="store_true")
     p.add_argument("--allow-invalid", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built by a process's first command and kept: a caller
+    running many commands in one process (tests, the bench) builds one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # A command allocates hundreds of thousands of tree objects and no
     # cycles, so the cyclic collector's passes are pure cost; reference
     # counting frees the trees.  The caller's GC state comes back after.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        # by name, so a handler replaced after the parser was built runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:  # TreeError is a ValueError
         print(f"agreetree {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

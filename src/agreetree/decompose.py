@@ -30,7 +30,7 @@ from .matchers import match1
 from .treecore import (
     TreeError,
     UnrootedTree,
-    _newick_tokens,
+    _swaps,
     is_caterpillar,
     label_positions,
     root_at_leaf_edge,
@@ -63,20 +63,21 @@ def _hanging(d, nleaves) -> array:
     onpath = set(d.path)
     hanging = array("i")
     for v in d.path[1:-1]:
-        off = [w for w in (v + 1, v + 2 * nleaves[v + 2]) if w not in onpath]
-        hanging.append(off[0] if off else d.above)
+        a, b = v + 1, v + 2 * nleaves[v + 2]
+        hanging.append(a if a not in onpath else b if b not in onpath else d.above)
     return hanging
 
 
 def max_caterpillar(t: UnrootedTree) -> frozenset:
     """Leaf set of a maximum caterpillar restriction: both endpoints of a
     diameter path plus the smallest leaf hanging off each internal path
-    vertex, so one leaf more than the path has edges.  A child w's leaves
-    are the slice below node w + 1; a parent's side holds the smallest
-    leaf, vertex 0."""
+    vertex, so one leaf more than the path has edges.  A child w is node
+    w + 1: its label if a leaf, else the least of its slice of leaves; a
+    parent's side holds the smallest leaf, vertex 0."""
     d, ix = _spine(t), t.dfs()
-    labels = [ix.label[d.path[0] + 1], ix.label[d.path[-1] + 1]]
-    return frozenset(labels + [min(ix.leaves(w + 1)) if w > v else ix.order[0] for v, w in zip(d.path[1:-1], d.hanging)])
+    label = ix.label
+    ends = [label[d.path[0] + 1], label[d.path[-1] + 1]]
+    return frozenset(ends + [(label[w + 1] or min(ix.leaves(w + 1))) if w > v else ix.order[0] for v, w in zip(d.path[1:-1], d.hanging)])
 
 
 # --------------------------------------------------------------------------
@@ -210,8 +211,19 @@ def caterpillar_spine_order(t: UnrootedTree) -> list:
 def circular_leaf_order(t: UnrootedTree) -> list:
     """Leaves in the circular order of the canonical planar embedding, cut
     so the smallest label comes first: the labels of ``to_newick(t)`` in
-    text order, read off its tokens."""
-    return [int(x) for x in _newick_tokens(t.dfs(), False) if x.isdigit()]
+    text order, read off t's index with each node's children in the order
+    the writer's ``_swaps`` flags."""
+    ix = t.dfs()
+    label, nleaves, swap = ix.label, ix.nleaves, _swaps(ix)
+    out, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        if label[i] is not None:
+            out.append(label[i])
+        else:
+            a, b = i + 1, i + 2 * nleaves[i + 1]
+            stack += (a, b) if swap[i] else (b, a)
+    return out
 
 
 def caterpillar_agree(t1: UnrootedTree, t2: UnrootedTree) -> frozenset:

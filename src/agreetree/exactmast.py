@@ -45,7 +45,7 @@ class MastResult:
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
-    return tuple(sorted(a + b))
+    return tuple(sorted(a + b)) if a and b else a or b  # an empty side: the other, already sorted
 
 
 def _pick(*candidates):

@@ -125,7 +125,7 @@ def _orientation(c00: int, c01: int, c10: int, c11: int) -> tuple:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Match1Step:
     rule: str  # base | case1 | skip-left | skip-right | cross | heavy
     t: int  # shared-leaf count at this call

@@ -655,63 +655,65 @@ def _reroot(ix: DfsIndex, k: int, left: bool = True, P=None) -> list:
     it, rooted at the edge above node k with k's side left (right if not
     ``left``), or at node 0 for k = 0, and pruned to P, the sorted DFS
     positions of the leaves kept (all if None): branches without one go, as
-    do nodes left with one child.  A branch below a node is a slice of ``label``
-    when it keeps all its leaves, else a preorder pruned by bisection.  The
-    branch above k climbs the ancestors a descent from node 0 finds, each
-    adding its parent's branch, then its other child (at node 1, the
-    other child first: its parent's branch is node 0's second child).  The
-    climb compares a node's leaves with the first and last kept, and
-    bisects only to ask whether a branch keeps a leaf; with no P, never."""
+    do nodes left with one child.  The branch above k climbs the ancestors
+    a descent from node 0 finds, each adding its parent's branch, then its
+    other child (at node 1, the other child first: its parent's branch is
+    node 0's second child).  P[jl:jh] are the kept positions below the node
+    reached, so the other child keeps a leaf iff P[jh] (on its left,
+    P[jl - 1]) lies in it, and is bisected only then.  A branch keeping all
+    its leaves is a slice of ``label``; else the descent steps to the child
+    that holds its first and last kept positions, and bisects only where
+    they part, at most |P| - 1 times.  With no P, a position is its own
+    index and nothing is bisected."""
     label, nleaves, first = ix.label, ix.nleaves, ix.first
-    p0, p1 = (0, nleaves[0] - 1) if P is None else (P[0], P[-1])  # the first and last kept positions
+    unpruned = P is None
+    if unpruned:
+        P = range(nleaves[0])
 
-    def whole(i):  # every kept leaf is below node i
-        return first[i] <= p0 and p1 < first[i] + nleaves[i]
+    def seek(x, lo, hi):  # the index of the first position >= x in P[lo:hi]
+        return x if unpruned else bisect_left(P, x, lo, hi)
 
-    def kept(i):  # some kept leaf is below node i
-        if P is None:
-            return True
-        j = bisect_left(P, first[i])
-        return j < len(P) and P[j] < first[i] + nleaves[i]
-
-    parts = [k]  # node i: the branch below it; None: a node over the next two
-    if not whole(k):
-        path = _descent(nleaves, k)
-        up, c = [], k  # the other children of the ancestors kept, lowest first
-        for w in reversed(path[:-1]):
-            o = w + 2 * nleaves[w + 1] if c == w + 1 else w + 1
-            if w == 1:  # vertex 0 meets its other child before node 0's second child
-                top = [x for x in (o, 2 * nleaves[1]) if kept(x)]
+    n = len(P)
+    jl = seek(first[k], 0, n)
+    jh = seek(first[k] + nleaves[k], jl, n)
+    parts = [(k, jl, jh)]  # (node, lo, hi): its branch pruned to P[lo:hi]; an int m: m nodes over what follows
+    if jl or jh < n:  # a kept leaf lies outside k
+        up, c, below = [], k, jl < jh  # the kept branches above k, lowest first
+        for w in reversed(_descent(nleaves, k)[:-1]):
+            if w == 1 and P[-1] >= nleaves[1]:  # node 0's second child keeps a leaf, written after node 1's other
+                up.append((2 * nleaves[1], seek(nleaves[1], jh, n), n))
+            if c == w + 1:  # the other child is on the right
+                o = w + 2 * nleaves[c]
+                if jh < n and P[jh] < first[o] + nleaves[o]:
+                    j, jh = jh, seek(first[o] + nleaves[o], jh, n)
+                    up.append((o, j, jh))
+            elif jl and P[jl - 1] >= first[w]:
+                j, jl = jl, seek(first[w], 0, jl)
+                up.append((w + 1, jl, j))
+            if w == 1 or not jl and jh == n:  # nothing kept above w, as at node 0
                 break
-            if whole(w):  # nothing kept above w, as at node 0
-                top = [o]
-                break
-            if kept(o):
-                up.append(o)
             c = w
-        up = [None] * (len(up) + len(top) - 1) + top + up[::-1]
-        parts = up if not kept(k) else [None, k, *up] if left else [None, *up, k]
-    out = []
-    for part in parts:
-        if part is None:
-            out.append(None)
+        comb = [len(up) - 1, *up[::-1]]  # a node over each two branches, the top ones first
+        parts = comb if not below else [1, *parts, *comb] if left else [1, *comb, *parts]
+    out, stack = [], parts[::-1]
+    while stack:
+        part = stack.pop()
+        if type(part) is int:  # that many nodes over the branches that follow
+            out += [None] * part
             continue
-        if P is None:  # every branch is whole
-            out += label[part : part + 2 * nleaves[part] - 1]
-            continue
-        stack = [(part, bisect_left(P, first[part]), bisect_left(P, first[part] + nleaves[part]))]
-        while stack:  # (node, indexes into P of the kept leaves below it)
-            i, lo, hi = stack.pop()
-            if hi - lo == nleaves[i]:
-                out += label[i : i + 2 * nleaves[i] - 1]
-                continue
-            a, b = i + 1, i + 2 * nleaves[i + 1]
-            mid = bisect_left(P, first[b], lo, hi)
-            if lo < mid < hi:
-                out.append(None)
-                stack += ((b, mid, hi), (a, lo, mid))
+        i, lo, hi = part
+        while hi - lo < nleaves[i]:  # a leaf below i goes: on to the child holding P[lo:hi], or split
+            b = i + 2 * nleaves[i + 1]
+            if P[hi - 1] < first[b]:
+                i += 1
+            elif P[lo] >= first[b]:
+                i = b
             else:
-                stack.append((a, lo, hi) if mid == hi else (b, lo, hi))
+                mid = seek(first[b], lo, hi)
+                out.append(None)
+                stack.append((b, mid, hi))
+                i, hi = i + 1, mid
+        out += label[i : i + 2 * nleaves[i] - 1]
     return out
 
 
@@ -921,12 +923,10 @@ def to_newick(t) -> str:
     return "".join(_newick_tokens(t.dfs(), isinstance(t, RootedTree)))
 
 
-def _newick_tokens(ix: DfsIndex, rooted: bool) -> list:
-    """``to_newick``'s tokens of the tree of index ``ix``, rooted or an
-    unrooted tree's default rooting: leaf labels (as str), "(", ",", ")"
-    and ";".  One pass over the reversed index, children first, finds each
-    node's smallest label and flags the internal nodes whose second child
-    holds the smaller, to be written first."""
+def _swaps(ix: DfsIndex) -> bytearray:
+    """Per node of ``ix``, 1 where the canonical order writes its second
+    child first: that child holds the smaller leaf label.  One pass over
+    the reversed index, children first, carries each node's smallest."""
     label, nleaves = ix.label, ix.nleaves
     swap, small = bytearray(len(label)), label[:]  # small: the smallest label below
     for i in range(len(label) - 1, -1, -1):
@@ -936,6 +936,14 @@ def _newick_tokens(ix: DfsIndex, rooted: bool) -> list:
                 small[i] = a
             else:
                 small[i], swap[i] = b, 1
+    return swap
+
+
+def _newick_tokens(ix: DfsIndex, rooted: bool) -> list:
+    """``to_newick``'s tokens of the tree of index ``ix``, rooted or an
+    unrooted tree's default rooting: leaf labels (as str), "(", ",", ")"
+    and ";", each node's children in the order ``_swaps`` flags."""
+    label, nleaves, swap = ix.label, ix.nleaves, _swaps(ix)
     out, stack = [], [";", 0]
     while stack:
         x = stack.pop()

@@ -598,3 +598,16 @@ def test_bench_agree_checks_each_witness_once(tmp_path, monkeypatch):
     assert code == 0
     assert calls == [6], calls
     assert out_path.read_text().splitlines()[1].endswith(",True")
+
+
+def test_one_parser_per_process(monkeypatch):
+    """``main`` builds its parser on a process's first command only; each
+    later command, a usage error too, parses with the same one."""
+    cli._parser.cache_clear()
+    built = count_calls(monkeypatch, cli, "build_parser")
+    assert run_cli("bounds", "--n", "64")[0] == 0
+    assert run_cli("gen", "balanced", "--m", "3")[0] == 0
+    with pytest.raises(SystemExit):
+        main(["agree", "--no-such-option"])
+    assert run_cli("gen", "caterpillar", "--n", "5") == (0, "(1,2,(3,(4,5)));\n")
+    assert len(built) == 1

@@ -228,6 +228,19 @@ class TestCaterpillarAgree:
             text = to_newick(t)
             assert circular_leaf_order(t) == [int(x) for x in re.findall(r"\d+", text)], text
 
+    def test_circular_order_reads_the_index(self, monkeypatch):
+        """``circular_leaf_order`` walks the index in the order the
+        writer's swap flags give, writing no Newick tokens, and lists the
+        labels of the canonical text, shifted labels too."""
+        rng = SplitMix64(29)
+        samples = [gen_caterpillar(40), gen_class_c(4), relabel(gen_caterpillar(9), {x: x + 10**9 for x in range(1, 10)})]
+        samples += [gen_random(3 + rng.randrange(80), RandomModel(model, rng.next_u64())) for model in ("uniform", "yule")]
+        texts = [to_newick(t) for t in samples]
+        tokens = count_calls(monkeypatch, treecore, "_newick_tokens")
+        for t, text in zip(samples, texts):
+            assert circular_leaf_order(t) == [int(x) for x in re.findall(r"\d+", text)], text
+        assert tokens == []
+
     def test_vs_balanced(self):
         got = caterpillar_agree(gen_caterpillar(16), gen_class_b(4))
         assert len(got) >= 2  # ceil(log2(16) / 3)

@@ -173,6 +173,21 @@ class TestRestrict:
         else:
             assert splits(got) == splits(restrict_unrooted_by_paths(t, X))
 
+    def test_deep_caterpillar_restriction_bisects_per_kept_leaf(self, monkeypatch):
+        """Restricting a 4,096-leaf caterpillar to 38 labels, the size of
+        the set ``agree``'s path branch restricts ``deep``'s caterpillar to,
+        bisects at most once per kept leaf and twice more: 39 times, where
+        the walk that bisected at every spine node it passed ran 4,020."""
+        t = gen_caterpillar(4096)
+        labels = list(range(1, 4097))
+        SplitMix64(38).shuffle(labels)
+        X = labels[:38]
+        t.dfs().pos  # the label positions, built once per tree on first use
+        bisects = count_calls(monkeypatch, treecore, "bisect_left")
+        got = restrict(t, X)
+        assert len(bisects) <= len(X) + 2, len(bisects)
+        assert splits(got) == splits(restrict_unrooted_by_paths(t, X))
+
     def test_unrooted_keeps_the_index_it_is_unrooted_from(self):
         """An unrooted restriction keeps the index of the rooted restriction
         ``unroot`` reads: field by field the walk over a hand-built copy,
