@@ -5,9 +5,9 @@ The construction is conjectured extremal: the rooted pair of height 2k is
 proved to have MAST <= 2^k, and the open question is whether 2^(m/2) leaves
 are always achievable for balanced pairs.  This script records the observed
 values next to both references.  Measured times (two runs, shared 2-core VM,
-Python 3.11.7), rooted then unrooted: k = 3 (n = 64) 0.01-0.02 s and
-0.02-0.04 s; k = 4 (n = 256) 0.14-0.26 s and 0.47-0.53 s; k = 5 (n = 1024)
-3.0-3.1 s and 6.2-6.8 s.
+Python 3.11.7), rooted then unrooted: k = 3 (n = 64) 0.00-0.01 s and
+0.01 s; k = 4 (n = 256) 0.02-0.03 s and 0.10-0.11 s; k = 5 (n = 1024)
+0.42-0.44 s and 1.80-1.85 s.
 
 Usage: python scripts/swap_pair_study.py [--kmax 3]
 """

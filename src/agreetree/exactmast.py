@@ -1,31 +1,31 @@
 """Ground-truth maximum-agreement computation.
 
 One recurrence, the quadratic node-pair DP of Steel & Warnow ("Kaikoura
-tree theorems", IPL 1993), fills every exact table here.  It runs over
-tables of subtrees listed children before parents: a rooted tree is its
-nodes in reversed DFS preorder (``RootedTree.dfs``), so the root entry is
-the last.  An unrooted tree is read from the same index of its default
-rooting: the branch below each node, then the branch above each node, then
-one root entry per edge, as ``root_at_edge`` roots it.  The recurrence
-takes one of two value types: sizes (merged by ``+``, picked by ``max``)
-or sorted witness leaf tuples.
+tree theorems", IPL 1993), fills every exact table here, with one value
+type: the int ``size << N | mask``, N the first tree's leaf count, where
+the leaf of sorted rank r sets mask bit N - 1 - r.  Merge is ``+``, pick
+is ``max``, empty is 0, and integer order is "largest, then smallest
+sorted leaf tuple", so one table gives the size and the witness: the
+lexicographically smallest maximum agreement set.
 
-``mast_rooted`` reads the root cell of the witness table.  ``mast_unrooted``
-roots t1 once, at its first edge in ``edges()`` order, against t2's unrooted
-table: every rooting of t1 reaches the maximum against some rooting of t2,
-so the first maximising pair of all rootings has that edge, and its
-``mast_rooted`` witness is returned.  ``mast_bruteforce`` is the independent
-subset-enumeration oracle used to validate both.  These are oracles, not
-performance-tuned algorithms; they are exact and fast enough at desk scale.
+The rows are the first tree's nodes, children first and the larger child
+first; each row is dropped once its parent's is built, so about log2 n + 2
+are alive.  The columns list the second tree's subtrees children before
+parents: a rooted tree's nodes in reversed DFS preorder (``RootedTree.dfs``),
+root last; for an unrooted tree, read from the index of its default
+rooting, the branch below each node, the branch above each node, then one
+root entry per edge, as ``root_at_edge`` roots it.
 
-Witnesses are deterministic: each cell keeps the candidate with the
-lexicographically smallest sorted leaf tuple among the largest, so the
-rooted witness is the lexicographically smallest maximum agreement set.
+``mast_rooted`` reads the root cell.  ``mast_unrooted`` roots t1 at its
+first edge in ``edges()`` order against t2's unrooted table: every rooting
+of t1 reaches the maximum against some rooting of t2.  Its witness is the
+root entry of t2's first maximising edge, the witness of the first
+maximising pair of rootings.  ``mast_bruteforce`` is the independent
+subset-enumeration oracle used to validate both.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -42,20 +42,6 @@ class MastResult:
     size: int
     witness: frozenset
     certificate: AgreementCertificate
-
-
-def _merge(a: tuple, b: tuple) -> tuple:
-    return tuple(sorted(a + b)) if a and b else a or b  # an empty side: the other, already sorted
-
-
-def _pick(*candidates):
-    """Largest witness; ties toward the lexicographically smallest tuple."""
-    return min(candidates, key=lambda w: (-len(w), w))
-
-
-# Value types of the recurrence: (single-leaf value, empty value, merge, pick).
-_SIZES = (lambda x: 1, 0, operator.add, max)
-_WITNESSES = (lambda x: (x,), (), _merge, _pick)
 
 
 def _rooted_table(t):
@@ -91,76 +77,89 @@ def _unrooted_table(t: UnrootedTree):
     return kids, labels + [None] * (len(kids) - size)
 
 
-def _mast_table(table1, table2, one, zero, merge, pick):
-    """T[i][j] = MAST value of entry i of table1 against entry j of table2.
+def _leaf_row(value, j, inner, width):
+    """A leaf's row: ``value`` in every entry holding column ``j`` (None:
+    the leaf is in no entry), 0 elsewhere."""
+    row = [0] * width
+    if j is not None:
+        row[j] = value
+        for k, a, b in inner:
+            row[k] = row[a] or row[b]
+    return row
 
-    A leaf against a subtree holds its value iff it lies in one of the
-    subtree's two sides, so leaf rows and columns copy the non-empty child
-    value and no leaf set is ever built."""
-    kids1, labels1 = table1
-    kids2, labels2 = table2
-    T = []
-    for k1, x in zip(kids1, labels1):
-        row = []
-        if k1 is None:
-            for k2, y in zip(kids2, labels2):
-                if k2 is None:
-                    row.append(one(x) if x == y else zero)
-                else:
-                    row.append(row[k2[0]] or row[k2[1]])
+
+def _node_row(A, B, inner):
+    """The row of a node whose children have rows A and B.  A leaf column
+    holds the one child value that is not 0."""
+    row = list(map(max, A, B))
+    for j, a, b in inner:  # max of six candidates, by comparisons (faster than a max call)
+        v, w = A[a] + B[b], A[b] + B[a]
+        if w > v:
+            v = w
+        if row[a] > v:
+            v = row[a]
+        if row[b] > v:
+            v = row[b]
+        if v > row[j]:
+            row[j] = v
+    return row
+
+
+def _mast_row(t1: RootedTree, t2, table):
+    """The row of t1's root against every entry of ``table(t2)``, each
+    ``size << N | mask``, and t1's sorted leaf labels."""
+    ix = t1.dfs()
+    label, nleaves, _ = ix.label, ix.nleaves, ix.pos  # pos names a repeated label before any row
+    kids2, labels2 = table(t2)
+    ranked, N = sorted(ix.order), len(ix.order)
+    one = {x: 1 << N | 1 << N - 1 - r for r, x in enumerate(ranked)}
+    column = {y: j for j, y in enumerate(labels2) if y is not None}
+    inner = [(j, *k) for j, k in enumerate(kids2) if k is not None]
+    rows, stack = [], [0]  # rows waiting for a sibling; nodes to visit, ~i to build i
+    while stack:
+        i = stack.pop()
+        if i < 0:
+            rows[-2:] = [_node_row(*rows[-2:], inner)]
+        elif label[i] is None:
+            a, b = i + 1, i + 2 * nleaves[i + 1]
+            stack += (~i, a, b) if nleaves[a] < nleaves[b] else (~i, b, a)
         else:
-            A, B = T[k1[0]], T[k1[1]]
-            for j, k2 in enumerate(kids2):
-                if k2 is None:
-                    row.append(A[j] or B[j])
-                else:
-                    a2, b2 = k2
-                    row.append(
-                        pick(
-                            merge(A[a2], B[b2]),
-                            merge(A[b2], B[a2]),
-                            row[a2],
-                            row[b2],
-                            A[j],
-                            B[j],
-                        )
-                    )
-        T.append(row)
-    return T
+            rows.append(_leaf_row(one[label[i]], column.get(label[i]), inner, len(kids2)))
+    return rows[0], ranked
+
+
+def _witness(value: int, ranked: list) -> frozenset:
+    top = len(ranked) - 1  # built in sorted order, as a sorted tuple would be
+    return frozenset(x for r, x in enumerate(ranked) if value >> top - r & 1)
 
 
 def mast_rooted(t1: RootedTree, t2: RootedTree) -> MastResult:
-    """Exact rooted MAST with a reconstructed witness leaf set."""
-    best = _mast_table(_rooted_table(t1), _rooted_table(t2), *_WITNESSES)[-1][-1]
-    witness = frozenset(best)
-    return MastResult(len(best), witness, verify_agreement(t1, t2, witness))
+    """Exact rooted MAST with its witness, the smallest maximum set."""
+    row, ranked = _mast_row(t1, t2, _rooted_table)
+    witness = _witness(row[-1], ranked)
+    return MastResult(len(witness), witness, verify_agreement(t1, t2, witness))
 
 
 def _rooted_size(t1: RootedTree, t2: RootedTree) -> int:
-    """Size-only rooted DP (no witness bookkeeping)."""
-    return _mast_table(_rooted_table(t1), _rooted_table(t2), *_SIZES)[-1][-1]
+    row, ranked = _mast_row(t1, t2, _rooted_table)
+    return row[-1] >> len(ranked)
 
 
 def _unrooted_best_rooting(t1: UnrootedTree, t2: UnrootedTree):
-    """(value, t1 rooted at its first edge, the first edge of t2 in
-    ``edges()`` order whose rooting reaches value against it)."""
+    """(size, witness, the first edge of t2 in ``edges()`` order whose
+    rooting reaches size against t1 rooted at its first edge)."""
     r1, edges2 = root_at_edge(t1, t1.edges()[0]), t2.edges()
-    roots = _mast_table(_rooted_table(r1), _unrooted_table(t2), *_SIZES)[-1][-len(edges2) :]
-    value = max(roots)
-    return value, r1, edges2[roots.index(value)]
+    row, ranked = _mast_row(r1, t2, _unrooted_table)
+    sizes = [v >> len(ranked) for v in row[-len(edges2) :]]
+    k = sizes.index(max(sizes))
+    return sizes[k], _witness(row[k - len(edges2)], ranked), edges2[k]
 
 
 def mast_unrooted(t1: UnrootedTree, t2: UnrootedTree) -> MastResult:
     """Exact unrooted MAST: t1 rooted once against every edge rooting of
-    t2; the witness is that of the first maximising pair of rootings."""
-    value, r1, e2 = _unrooted_best_rooting(t1, t2)
-    rooted = mast_rooted(r1, root_at_edge(t2, e2))
-    if rooted.size != value:
-        raise AssertionError(
-            f"rooting sweep found {value} but the witness DP returned {rooted.size}"
-        )
-    witness = rooted.witness
-    return MastResult(value, witness, verify_agreement(t1, t2, witness))
+    t2; the witness is the first root entry of maximum size."""
+    size, witness, _ = _unrooted_best_rooting(t1, t2)
+    return MastResult(size, witness, verify_agreement(t1, t2, witness))
 
 
 # --------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive: exhaustive search, all-pairs BFS,
 quadratic DP.  None of it shares code with the implementations it checks,
-except ``unrooted_best_rooting_by_pairs``, which reruns the exact DP to
-check how ``mast_unrooted`` picks its rootings.
+except the subtree tables of ``exactmast`` that the reference DP reads.
+``_mast_table`` is that reference: the node-pair DP with two value types,
+sizes and sorted witness leaf tuples, every row kept.  The
+``mast_*_reference`` functions and ``unrooted_best_rooting_by_pairs`` run
+it to check the packed kernel and how ``mast_unrooted`` picks its rootings.
 ``count_calls`` is the one patch-and-record helper of the tests that
 count builds, folds and checks.
 """
 
+import operator
 import re
 import sys
 from bisect import bisect_left
@@ -15,7 +19,7 @@ from collections import deque
 from itertools import combinations, count, product
 
 from agreetree._rng import SplitMix64
-from agreetree.exactmast import _SIZES, _mast_table
+from agreetree.exactmast import _rooted_table, _unrooted_table
 from agreetree.matchers import Match1Step, Match1Trace, Match2Node, Match2Trace
 from agreetree.treecore import (
     CLASS_B,
@@ -507,12 +511,63 @@ def unrooted_table_by_directed_edges(t: UnrootedTree):
     return kids, labels
 
 
+def _merge(a: tuple, b: tuple) -> tuple:
+    return tuple(sorted(a + b)) if a and b else a or b  # an empty side: the other, already sorted
+
+
+def _pick(*candidates):
+    """Largest witness; ties toward the lexicographically smallest tuple."""
+    return min(candidates, key=lambda w: (-len(w), w))
+
+
+# Value types of the recurrence: (single-leaf value, empty value, merge, pick).
+_SIZES = (lambda x: 1, 0, operator.add, max)
+_WITNESSES = (lambda x: (x,), (), _merge, _pick)
+
+
+def _mast_table(table1, table2, one, zero, merge, pick):
+    """T[i][j] = MAST value of entry i of table1 against entry j of table2.
+
+    A leaf against a subtree holds its value iff it lies in one of the
+    subtree's two sides, so leaf rows and columns copy the non-empty child
+    value and no leaf set is ever built."""
+    kids1, labels1 = table1
+    kids2, labels2 = table2
+    T = []
+    for k1, x in zip(kids1, labels1):
+        row = []
+        if k1 is None:
+            for k2, y in zip(kids2, labels2):
+                if k2 is None:
+                    row.append(one(x) if x == y else zero)
+                else:
+                    row.append(row[k2[0]] or row[k2[1]])
+        else:
+            A, B = T[k1[0]], T[k1[1]]
+            for j, k2 in enumerate(kids2):
+                if k2 is None:
+                    row.append(A[j] or B[j])
+                else:
+                    a2, b2 = k2
+                    row.append(
+                        pick(
+                            merge(A[a2], B[b2]),
+                            merge(A[b2], B[a2]),
+                            row[a2],
+                            row[b2],
+                            A[j],
+                            B[j],
+                        )
+                    )
+        T.append(row)
+    return T
+
+
 def unrooted_best_rooting_by_pairs(t1: UnrootedTree, t2: UnrootedTree):
     """(value, edge of t1, edge of t2) for the first maximising pair of edge
     rootings in ``edges()`` order: the sweep over every pair of rootings
     that ``exactmast`` made before it rooted t1 once, on the directed-edge
-    tables above.  It runs the package's recurrence, so it checks the choice
-    of rootings, not the DP."""
+    tables above, with the reference DP ``_mast_table``."""
     tables = (unrooted_table_by_directed_edges(t) for t in (t1, t2))
     T = _mast_table(*tables, *_SIZES)
     edges1, edges2 = t1.edges(), t2.edges()
@@ -522,6 +577,24 @@ def unrooted_best_rooting_by_pairs(t1: UnrootedTree, t2: UnrootedTree):
         key=lambda p: T[root1 + p[0]][root2 + p[1]],
     )
     return T[root1 + a][root2 + b], edges1[a], edges2[b]
+
+
+def mast_rooted_reference(t1: RootedTree, t2: RootedTree):
+    """(size, witness) of rooted MAST: the root cell of the reference
+    witness table."""
+    best = _mast_table(_rooted_table(t1), _rooted_table(t2), *_WITNESSES)[-1][-1]
+    return len(best), frozenset(best)
+
+
+def mast_unrooted_reference(t1: UnrootedTree, t2: UnrootedTree):
+    """(size, witness) of unrooted MAST by two reference DPs: a size table
+    of t1 rooted at its first edge against t2's unrooted table, then the
+    witness table of that rooting against t2 rooted at the first edge of
+    ``edges()`` whose root entry reaches the maximum."""
+    r1, edges2 = root_at_edge(t1, t1.edges()[0]), t2.edges()
+    roots = _mast_table(_rooted_table(r1), _unrooted_table(t2), *_SIZES)[-1][-len(edges2) :]
+    e2 = edges2[roots.index(max(roots))]
+    return mast_rooted_reference(r1, root_at_edge(t2, e2))
 
 
 def to_newick_by_directed_edges(t: UnrootedTree) -> str:

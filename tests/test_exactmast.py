@@ -1,12 +1,13 @@
+import math
+import sys
+import tracemalloc
+import weakref
 from itertools import combinations
 
 import pytest
 
 from agreetree import exactmast
 from agreetree.exactmast import (
-    _SIZES,
-    _WITNESSES,
-    _mast_table,
     _rooted_size,
     _unrooted_best_rooting,
     _unrooted_table,
@@ -30,9 +31,14 @@ from agreetree.treecore import DfsIndex, UnrootedTree, parse_newick, root_at_edg
 from agreetree.treeops import restrict, verify_agreement
 
 from oracles import (
+    _SIZES,
+    _WITNESSES,
+    _mast_table,
     clusters,
     count_calls,
+    mast_rooted_reference,
     mast_subsets_unrooted,
+    mast_unrooted_reference,
     unrooted_best_rooting_by_pairs,
     unrooted_table_by_directed_edges,
 )
@@ -195,7 +201,7 @@ class TestUnrooted:
         assert len(pairs) >= 700
         differ = []
         for a, b in pairs:
-            value, r1, e2 = _unrooted_best_rooting(a, b)
+            value, _, e2 = _unrooted_best_rooting(a, b)
             want = unrooted_best_rooting_by_pairs(a, b)
             witness = mast_rooted(root_at_edge(a, want[1]), root_at_edge(b, want[2])).witness
             if (value, a.edges()[0], e2) != want or mast_unrooted(a, b).witness != witness:
@@ -268,6 +274,130 @@ def _rooting_pairs() -> list:
         b = relabel(_random_unrooted(n, rng.next_u64()), {i: i + n // 3 for i in range(1, n + 1)})
         pairs += [(a, b), (b, a)]
     return pairs
+
+
+def _label_variants(a, b, rng) -> list:
+    """The pair with its labels as generated (1..n), shifted by 10**9,
+    spread sparsely, and with one label of each tree that the other lacks
+    (b's largest label moved above every label of a)."""
+    labels = sorted(a.leaves | b.leaves)
+    shifted = {x: x + 10**9 for x in labels}
+    sparse = {x: 7 * x + rng.randrange(7) for x in labels}
+    top = max(b.leaves)
+    moved = {x: x for x in b.leaves} | {top: max(labels) + 1}
+    return [
+        (a, b),
+        (relabel(a, shifted), relabel(b, shifted)),
+        (relabel(a, sparse), relabel(b, sparse)),
+        (a, relabel(b, moved)),
+    ]
+
+
+def _kernel_pairs(rooted: bool) -> list:
+    """Seeded pairs of one kind, n = 3 … 64: uniform and Yule pairs,
+    caterpillars against uniform trees in both orders, balanced trees
+    against a uniform tree and against a relabelled copy, and swap pairs
+    k <= 3 in both orders; each in every label variant."""
+    rng = SplitMix64(30)
+    pairs = []
+    for model in ("uniform", "yule"):
+        for n in list(range(3, 17)) + [24, 40, 64]:
+            pairs.append(tuple(gen_random(n, RandomModel(model, rng.next_u64()), rooted) for _ in "ab"))
+    for n in (3, 5, 9, 17, 33, 64):
+        cat, uni = gen_caterpillar(n, rooted), gen_random(n, RandomModel("uniform", rng.next_u64()), rooted)
+        pairs += [(cat, uni), (uni, cat)]
+    for m in range(2, 7):
+        t = gen_balanced(m) if rooted else gen_class_b(m)
+        labels = sorted(t.leaves)
+        rng.shuffle(labels)
+        pairs.append((t, relabel(t, dict(zip(sorted(t.leaves), labels)))))
+        pairs.append((t, gen_random(t.nleaves, RandomModel("uniform", rng.next_u64()), rooted)))
+    for k in (1, 2, 3):
+        a, b = gen_swap_pair(k, rooted)
+        pairs += [(a, b), (b, a)]
+    return [variant for a, b in pairs for variant in _label_variants(a, b, rng)]
+
+
+class TestPackedKernel:
+    """One table of ``size << N | mask`` values gives the size and the
+    witness that the reference DP (``oracles._mast_table``) gives with its
+    two value types, and keeps only the rows a parent still needs."""
+
+    def test_rooted_equals_reference(self):
+        differ = []
+        for a, b in _kernel_pairs(rooted=True):
+            res = mast_rooted(a, b)
+            if (res.size, res.witness) != mast_rooted_reference(a, b):
+                differ.append((to_newick(a), to_newick(b)))
+        assert differ == []
+
+    def test_unrooted_equals_reference_in_both_orders(self):
+        """Same size and witness as the size sweep followed by the rooted
+        witness DP; so the witness is the same in both argument orders
+        wherever the reference's is."""
+        differ, symmetric = [], 0
+        for a, b in _kernel_pairs(rooted=False):
+            want = [mast_unrooted_reference(a, b), mast_unrooted_reference(b, a)]
+            got = [mast_unrooted(a, b), mast_unrooted(b, a)]
+            if [(r.size, r.witness) for r in got] != want:
+                differ.append((to_newick(a), to_newick(b)))
+            if want[0][1] == want[1][1]:
+                symmetric += 1
+                assert got[0].witness == got[1].witness
+        assert differ == [] and symmetric > 0
+
+    @pytest.mark.parametrize("first", ["caterpillar", "uniform"])
+    @pytest.mark.parametrize("rooted", [True, False], ids=["rooted", "unrooted"])
+    def test_live_rows_at_most_log_n_plus_two(self, monkeypatch, first, rooted):
+        """Each row is dropped once its parent's row is built, and the
+        larger child is visited first: at most floor(log2 n) + 2 rows are
+        alive, the one being built included, on a caterpillar first tree
+        (the deepest) and on a uniform one."""
+        alive, most = [0], [0]
+
+        class Row(list):  # a list that can be weakly referenced
+            pass
+
+        def freed():
+            alive[0] -= 1
+
+        def counted(build):
+            def row(*args):
+                out = Row(build(*args))
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+                weakref.finalize(out, freed)
+                return out
+
+            return row
+
+        for name in ("_leaf_row", "_node_row"):
+            monkeypatch.setattr(exactmast, name, counted(getattr(exactmast, name)))
+        n = 128
+        a = gen_caterpillar(n, rooted) if first == "caterpillar" else gen_random(n, RandomModel("uniform", 1), rooted)
+        b = gen_random(n, RandomModel("uniform", 2), rooted)
+        (mast_rooted if rooted else mast_unrooted)(a, b)
+        assert 2 <= most[0] <= math.floor(math.log2(n)) + 2
+
+    @pytest.mark.parametrize("first", ["caterpillar", "uniform"])
+    @pytest.mark.parametrize("rooted", [True, False], ids=["rooted", "unrooted"])
+    def test_peak_memory_of_live_rows(self, first, rooted):
+        """The traced peak of a 128-leaf MAST fits floor(log2 n) + 2 rows
+        of fresh (n + 8)-bit ints, one per column of the second tree's
+        table; keeping all 2n - 1 rows takes about ten times that."""
+        n = 128
+        a = gen_caterpillar(n, rooted) if first == "caterpillar" else gen_random(n, RandomModel("uniform", 1), rooted)
+        b = gen_random(n, RandomModel("uniform", 2), rooted)
+        columns = len((exactmast._rooted_table if rooted else _unrooted_table)(b)[0])
+        budget = (math.floor(math.log2(n)) + 2) * columns * (sys.getsizeof(1 << n + 8) + 8)
+        a.dfs(), b.dfs()
+        tracemalloc.start()
+        try:
+            (mast_rooted if rooted else mast_unrooted)(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
 
 class TestBruteforce:

@@ -108,12 +108,13 @@ class TestRepeatedLabel:
 
     def test_mast_rooted_names_it_before_the_table(self, monkeypatch):
         """The exact DP reads the DFS positions first, so a repeated label
-        fails before the quadratic table is filled."""
+        fails before any row of the quadratic table is filled."""
 
-        def table(*args):
-            raise AssertionError("the table was filled")
+        def row(*args):
+            raise AssertionError("a row was filled")
 
-        monkeypatch.setattr(exactmast, "_mast_table", table)
+        monkeypatch.setattr(exactmast, "_leaf_row", row)
+        monkeypatch.setattr(exactmast, "_node_row", row)
         with pytest.raises(TreeError, match="^duplicate leaf label 1$"):
             mast_rooted(_repeating_one(), _repeating_one())
 
