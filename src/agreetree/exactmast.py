@@ -17,11 +17,13 @@ rooting, the branch below each node, the branch above each node, then one
 root entry per edge, as ``root_at_edge`` roots it.
 
 ``mast_rooted`` reads the root cell.  ``mast_unrooted`` roots t1 at its
-first edge in ``edges()`` order against t2's unrooted table: every rooting
-of t1 reaches the maximum against some rooting of t2.  Its witness is the
-root entry of t2's first maximising edge, the witness of the first
-maximising pair of rootings.  ``mast_bruteforce`` is the independent
-subset-enumeration oracle used to validate both.
+first edge in ``edges()`` order against t2's unrooted table: every
+unrooted agreement set is a rooted one of that rooting against some
+rooting of t2.  Its witness is the largest root entry, so the smallest
+maximum set over all rootings, as in the rooted case; it depends only on
+the two trees, not on argument order or vertex numbering.
+``mast_bruteforce`` is the independent subset-enumeration oracle used to
+validate both.
 """
 
 from __future__ import annotations
@@ -147,17 +149,19 @@ def _rooted_size(t1: RootedTree, t2: RootedTree) -> int:
 
 def _unrooted_best_rooting(t1: UnrootedTree, t2: UnrootedTree):
     """(size, witness, the first edge of t2 in ``edges()`` order whose
-    rooting reaches size against t1 rooted at its first edge)."""
+    rooting reaches that witness against t1 rooted at its first edge): the
+    largest root entry, so the smallest maximum set over all rootings."""
     r1, edges2 = root_at_edge(t1, t1.edges()[0]), t2.edges()
     row, ranked = _mast_row(r1, t2, _unrooted_table)
-    sizes = [v >> len(ranked) for v in row[-len(edges2) :]]
-    k = sizes.index(max(sizes))
-    return sizes[k], _witness(row[k - len(edges2)], ranked), edges2[k]
+    roots = row[-len(edges2) :]
+    best = max(roots)
+    return best >> len(ranked), _witness(best, ranked), edges2[roots.index(best)]
 
 
 def mast_unrooted(t1: UnrootedTree, t2: UnrootedTree) -> MastResult:
     """Exact unrooted MAST: t1 rooted once against every edge rooting of
-    t2; the witness is the first root entry of maximum size."""
+    t2; the witness is the smallest maximum set, in either argument
+    order."""
     size, witness, _ = _unrooted_best_rooting(t1, t2)
     return MastResult(size, witness, verify_agreement(t1, t2, witness))
 

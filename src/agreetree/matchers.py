@@ -23,13 +23,15 @@ numbers of both trees' DFS indexes (``RootedTree.dfs``, kept on each tree,
 O(n) memory), where every node is a slice of the DFS leaf order and every
 label has a position.  match1 takes each step's 2x2 shared-leaf counts
 from one kernel (``_kernel``) that scans smaller child slices against the
-other tree's positions; its single path can keep t unchanged for n steps,
-so it carries nothing.  match2 on two balanced trees carries each pending
-pair's shared leaves (at most t0 in all) and splits them into the four
-child blocks (``_split``), so its counting costs the sum of the
-shared-leaf counts t over the pairs it visits; on other trees, as the
-almost-balanced matcher gives it, it counts with match1's kernel.  Both
-walks orient the four counts by one rule (``_orientation``).
+other tree's positions.  Its single path can keep t unchanged for n
+steps, each passing a leaf of the second tree that lies outside u, as
+against a caterpillar; such a step reads that leaf's position alone, not
+the kernel, so the walk carries nothing.  match2 on two balanced trees
+carries each pending pair's shared leaves (at most t0 in all) and splits
+them into the four child blocks (``_split``), so its counting costs the
+sum of the shared-leaf counts t over the pairs it visits; on other trees,
+as the almost-balanced matcher gives it, it counts with match1's kernel.
+Both walks orient the four counts by one rule (``_orientation``).
 """
 
 from __future__ import annotations
@@ -191,7 +193,14 @@ def _match1_walk(t1: RootedTree, t2, delta: float):
     Make t1 balanced by growing each shallow leaf x into a subtree of x and
     new labels.  The walk reads only shared-leaf counts, and from a node
     that shares x alone it only skips or shrinks until it emits x.  So it
-    returns on t1 the set that match1 returns on the balanced tree."""
+    returns on t1 the set that match1 returns on the balanced tree.
+
+    While u has two children and v's smaller child w (the one ``counts``
+    scans) is a leaf whose position in t1 lies outside u's slice, the step
+    is taken without the kernel.  Its counts would be (0, r0, 0, r1) or
+    (r0, 0, r1, 0) as w is v's left or right child, which every case of
+    ``_orientation`` turns into t_ll = t_rl = 0: "skip-left" to v's other
+    child, with t and the rows (r0, r1) kept, so ``rows`` stays as it is."""
     a, b = t1.dfs(), t2.dfs()
     b.pos  # names a repeated label of t2, as covers names one of t1
     if not a.covers(b.order):
@@ -200,11 +209,19 @@ def _match1_walk(t1: RootedTree, t2, delta: float):
         raise ValueError(f"match1 needs delta in (0, 1/2), got {delta}")
     trace = Match1Trace(delta, t1.height, t2.nleaves)
     common, counts = _kernel(a, b)
-    na, nb, steps = a.nleaves, b.nleaves, trace.steps
+    na, nb, fa, pa, lb, steps = a.nleaves, b.nleaves, a.first, a.pos, b.label, trace.steps
     u, v, t_uv, rows = 0, 0, t2.nleaves, None
     while True:
         if t_uv == 0:
             raise AssertionError("recursed into an empty intersection")
+        n_u, lo, hi = na[u], fa[u], fa[u] + na[u]
+        while n_u > 1 and nb[v] > 1:  # v's smaller child a leaf outside u: skip it uncounted
+            v0, v1 = v + 1, v + 2 * nb[v + 1]
+            w, x = (v0, v1) if nb[v0] <= nb[v1] else (v1, v0)
+            if nb[w] > 1 or lo <= pa[lb[w]] < hi:  # t1 covers t2's labels: no read above the array
+                break
+            steps.append(Match1Step("skip-left", t_uv, n_u, nb[v]))
+            v = x
         step = Match1Step("base", t_uv, na[u], nb[v])
         steps.append(step)
         if step.u_size == 1 or step.v_size == 1:

@@ -564,19 +564,27 @@ def _mast_table(table1, table2, one, zero, merge, pick):
 
 
 def unrooted_best_rooting_by_pairs(t1: UnrootedTree, t2: UnrootedTree):
-    """(value, edge of t1, edge of t2) for the first maximising pair of edge
-    rootings in ``edges()`` order: the sweep over every pair of rootings
-    that ``exactmast`` made before it rooted t1 once, on the directed-edge
-    tables above, with the reference DP ``_mast_table``."""
+    """(size, witness, edge of t1, edge of t2): the smallest maximum set over
+    every pair of edge rootings, and the first pair in ``edges()`` order
+    that reaches it.  This is the sweep over every pair of rootings that
+    ``exactmast`` made before it rooted t1 once, on the directed-edge tables
+    above, with the reference DP ``_mast_table`` on the value
+    ``size << N | mask`` (N t1's leaf count, the leaf of sorted rank r
+    setting bit N - 1 - r), whose largest is that set."""
+    ranked = sorted(t1.leaves)
+    N = len(ranked)
+    one = {x: 1 << N | 1 << N - 1 - r for r, x in enumerate(ranked)}.__getitem__
     tables = (unrooted_table_by_directed_edges(t) for t in (t1, t2))
-    T = _mast_table(*tables, *_SIZES)
+    T = _mast_table(*tables, one, 0, operator.add, max)
     edges1, edges2 = t1.edges(), t2.edges()
     root1, root2 = len(T) - len(edges1), len(T[0]) - len(edges2)
     a, b = max(
         product(range(len(edges1)), range(len(edges2))),
         key=lambda p: T[root1 + p[0]][root2 + p[1]],
     )
-    return T[root1 + a][root2 + b], edges1[a], edges2[b]
+    best = T[root1 + a][root2 + b]
+    witness = frozenset(x for r, x in enumerate(ranked) if best >> N - 1 - r & 1)
+    return best >> N, witness, edges1[a], edges2[b]
 
 
 def mast_rooted_reference(t1: RootedTree, t2: RootedTree):
@@ -587,14 +595,13 @@ def mast_rooted_reference(t1: RootedTree, t2: RootedTree):
 
 
 def mast_unrooted_reference(t1: UnrootedTree, t2: UnrootedTree):
-    """(size, witness) of unrooted MAST by two reference DPs: a size table
-    of t1 rooted at its first edge against t2's unrooted table, then the
-    witness table of that rooting against t2 rooted at the first edge of
-    ``edges()`` whose root entry reaches the maximum."""
+    """(size, witness) of unrooted MAST by the reference witness DP: t1
+    rooted at its first edge against t2's unrooted table, whose root
+    entries hold one rooting of t2 each.  The witness is the smallest
+    maximum set over them, so over all rootings of both trees."""
     r1, edges2 = root_at_edge(t1, t1.edges()[0]), t2.edges()
-    roots = _mast_table(_rooted_table(r1), _unrooted_table(t2), *_SIZES)[-1][-len(edges2) :]
-    e2 = edges2[roots.index(max(roots))]
-    return mast_rooted_reference(r1, root_at_edge(t2, e2))
+    best = _pick(*_mast_table(_rooted_table(r1), _unrooted_table(t2), *_WITNESSES)[-1][-len(edges2) :])
+    return len(best), frozenset(best)
 
 
 def to_newick_by_directed_edges(t: UnrootedTree) -> str:
@@ -815,12 +822,19 @@ def classify_balanced_by_bfs(t: UnrootedTree) -> BalanceClass:
 
 def mast_subsets_unrooted(t1: UnrootedTree, t2: UnrootedTree) -> int:
     """Unrooted MAST by subset enumeration over shared leaves."""
+    return len(smallest_agreement_unrooted(t1, t2))
+
+
+def smallest_agreement_unrooted(t1: UnrootedTree, t2: UnrootedTree) -> tuple:
+    """The lexicographically smallest maximum unrooted agreement set: the
+    first agreeing subset of the shared leaves, largest first, in the
+    order ``combinations`` lists them."""
     common = sorted(t1.leaves & t2.leaves)
     for size in range(len(common), 3, -1):
         for X in combinations(common, size):
             if splits(restrict(t1, X)) == splits(restrict(t2, X)):
-                return size
-    return min(len(common), 3)
+                return X
+    return tuple(common[:3])
 
 
 def max_caterpillar_subsets(t: UnrootedTree) -> int:

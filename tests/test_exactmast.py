@@ -27,6 +27,7 @@ from agreetree.generators import (
     relabel,
 )
 from agreetree._rng import SplitMix64
+from agreetree.decompose import agree_general
 from agreetree.treecore import DfsIndex, UnrootedTree, parse_newick, root_at_edge, to_newick
 from agreetree.treeops import restrict, verify_agreement
 
@@ -39,6 +40,7 @@ from oracles import (
     mast_rooted_reference,
     mast_subsets_unrooted,
     mast_unrooted_reference,
+    smallest_agreement_unrooted,
     unrooted_best_rooting_by_pairs,
     unrooted_table_by_directed_edges,
 )
@@ -194,18 +196,50 @@ class TestUnrooted:
                 assert blocks[0] == blocks[1], (to_newick(a), to_newick(b))
 
     def test_one_rooting_of_the_first_tree_equals_the_pair_sweep(self):
-        """Rooting t1 once, at its first edge, picks the pair of rootings a
-        sweep over all pairs picks first: same value and edge of t2, t1's
-        first edge, and the same witness."""
+        """Rooting t1 once, at its first edge, finds the smallest maximum set
+        over all pairs of rootings, and the first pair that reaches it: the
+        same size, witness and edge of t2, and t1's first edge.  That pair's
+        rooted witness is the same set."""
         pairs = _rooting_pairs()
         assert len(pairs) >= 700
         differ = []
         for a, b in pairs:
-            value, _, e2 = _unrooted_best_rooting(a, b)
-            want = unrooted_best_rooting_by_pairs(a, b)
-            witness = mast_rooted(root_at_edge(a, want[1]), root_at_edge(b, want[2])).witness
-            if (value, a.edges()[0], e2) != want or mast_unrooted(a, b).witness != witness:
+            got = _unrooted_best_rooting(a, b)
+            size, witness, e1, e2 = unrooted_best_rooting_by_pairs(a, b)
+            rooted = mast_rooted(root_at_edge(a, e1), root_at_edge(b, e2)).witness
+            if got != (size, witness, e2) or e1 != a.edges()[0] or rooted != witness:
                 differ.append((to_newick(a), to_newick(b)))
+        assert differ == []
+
+    def test_witness_same_in_both_orders(self):
+        """The witness depends only on the two trees: the same in both
+        argument orders, for re-parsed copies and for copies with their
+        vertex ids shuffled, which list their edges in another order.  So
+        is ``agree_general``'s result, which at n <= 64 is that witness."""
+        rng = SplitMix64(19)
+        differ = []
+        for model in ("uniform", "yule"):
+            for n in (*range(4, 41), 64):
+                a, b = (gen_random(n, RandomModel(model, rng.next_u64())) for _ in "ab")
+                want = mast_unrooted(a, b).witness
+                for x, y in ((b, a), (_shuffled_ids(b, rng), _shuffled_ids(a, rng)), (parse_newick(to_newick(a)), b)):
+                    if mast_unrooted(x, y).witness != want:
+                        differ.append((to_newick(a), to_newick(b)))
+                if not agree_general(a, b)[0] == agree_general(b, a)[0] == want:
+                    differ.append((to_newick(a), to_newick(b), "agree"))
+        assert differ == []
+
+    def test_witness_is_the_smallest_maximum_set(self):
+        """At n <= 12 the witness is the lexicographically smallest maximum
+        agreement set that subset enumeration finds first."""
+        rng = SplitMix64(20)
+        differ = []
+        for model in ("uniform", "yule"):
+            for n in range(4, 13):
+                for _ in range(4 if n < 11 else 1):  # enumeration takes 0.2-0.5 s a pair there
+                    a, b = (gen_random(n, RandomModel(model, rng.next_u64())) for _ in "ab")
+                    if mast_unrooted(a, b).witness != frozenset(smallest_agreement_unrooted(a, b)):
+                        differ.append((to_newick(a), to_newick(b)))
         assert differ == []
 
     def test_parsed_inputs_walk_nothing(self, monkeypatch):
@@ -332,19 +366,15 @@ class TestPackedKernel:
         assert differ == []
 
     def test_unrooted_equals_reference_in_both_orders(self):
-        """Same size and witness as the size sweep followed by the rooted
-        witness DP; so the witness is the same in both argument orders
-        wherever the reference's is."""
-        differ, symmetric = [], 0
+        """Same size and witness as the reference witness DP, the smallest
+        maximum set over every rooting of t2, in both argument orders."""
+        differ = []
         for a, b in _kernel_pairs(rooted=False):
             want = [mast_unrooted_reference(a, b), mast_unrooted_reference(b, a)]
             got = [mast_unrooted(a, b), mast_unrooted(b, a)]
             if [(r.size, r.witness) for r in got] != want:
                 differ.append((to_newick(a), to_newick(b)))
-            if want[0][1] == want[1][1]:
-                symmetric += 1
-                assert got[0].witness == got[1].witness
-        assert differ == [] and symmetric > 0
+        assert differ == []
 
     @pytest.mark.parametrize("first", ["caterpillar", "uniform"])
     @pytest.mark.parametrize("rooted", [True, False], ids=["rooted", "unrooted"])

@@ -53,6 +53,7 @@ from agreetree.treecore import (
     root_at_edge,
     root_at_leaf_edge,
     to_newick,
+    unroot,
 )
 from agreetree.treeops import is_subtree, restrict, verify_agreement
 
@@ -416,6 +417,100 @@ class TestKernelWalk:
         assert trace.counts()["skip-left"] == 2036 and len(trace.steps) == 2048
         assert (leaves, trace) == match1_walk_by_scans(t1, t2, DELTA1)
         assert lines <= 35 * len(trace.steps), lines
+
+    @staticmethod
+    def spine_text(labels, left=True, block=None) -> str:
+        """Newick of a rooted caterpillar over ``labels`` in spine order,
+        each spine leaf its node's left child (or right), ending in the
+        Newick ``block`` when given (a broom) or in a cherry."""
+        labels = list(labels)
+        s = block if block is not None else str(labels.pop())
+        for x in reversed(labels):
+            s = f"({x},{s})" if left else f"({s},{x})"
+        return s + ";"
+
+    @staticmethod
+    def block_text(labels) -> str:
+        """Newick of a balanced rooted tree over ``labels``, 2^k of them."""
+        if len(labels) == 1:
+            return str(labels[0])
+        h = len(labels) // 2
+        return f"({TestKernelWalk.block_text(labels[:h])},{TestKernelWalk.block_text(labels[h:])})"
+
+    def test_skip_runs_equal_scanning_walk(self):
+        """match1 takes a run of steps whose second-tree child is a leaf
+        outside u without the kernel.  Its runs equal the scanning walk's
+        against rooted caterpillars with the spine leaf on either side, read
+        from text or built, their restrictions to random subsets, and brooms
+        (a caterpillar over a balanced block), with labels 1..n and shifted
+        by 10^9."""
+        rng = SplitMix64(84)
+        for m in range(3, 10):
+            n = 2**m
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            k = 2 ** (1 + rng.randrange(m - 1))
+            seconds = [
+                gen_caterpillar(n, rooted=True),
+                *(parse_newick(self.spine_text(perm, left)) for left in (True, False)),
+                *(parse_newick(self.spine_text(perm[k:], left, self.block_text(perm[:k]))) for left in (True, False)),
+            ]
+            seconds += [restrict(t2, perm[: 1 + rng.randrange(n)]) for t2 in seconds]
+            t1 = permuted_balanced(m, rng.next_u64())
+            for t2 in seconds:
+                shifted = [relabel(x, {y: y + PAD_LABEL_BASE for y in x.leaves}) for x in (t1, t2)]
+                for x, y in ((t1, t2), shifted):
+                    for delta in (0.05, 0.2, 0.45):
+                        assert same_run(_match1_walk(x, y, delta), match1_walk_by_scans(x, y, delta))
+
+    def test_skip_runs_in_almost_balanced_single_mode(self):
+        """``match_almost_balanced`` in mode single on caterpillar pairs: a
+        caterpillar first tree rooted near its center, so u descends a path
+        too, against a relabelled caterpillar read from either spine side."""
+        rng = SplitMix64(85)
+        for n in (5, 16, 64, 300, 1000):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            t1 = gen_caterpillar(n)
+            r1 = _root_near_center(t1)
+            for left in (True, False):
+                t2 = unroot(parse_newick(self.spine_text(perm, left)))
+                leaves, _, delta = match_almost_balanced(t1, t2, n, mode="single")
+                want = match1_walk_by_scans(r1, t2, delta)
+                assert leaves == want[0] and same_run(_match1_walk(r1, t2, delta), want)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_skip_runs_call_no_kernel(self, seed, monkeypatch, tmp_path):
+        """On the benchmark's ``deep`` pair, 4,083 of the 4,096 steps pass a
+        spine leaf outside u.  Only the other 12 internal steps call the
+        kernel's ``counts`` (each step called it: 4,095)."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import SIZES, build_deep
+
+        ops = build_deep(seed, SIZES["full"], str(tmp_path))
+        (t1, t2), = [[parse_newick(Path(p).read_text()) for p in op.argv[1:3]] for op in ops if op.command == "match1"]
+        kernel, calls = matchers._kernel, []
+
+        def counted_kernel(a, b):
+            common, counts = kernel(a, b)
+            return common, lambda *args: calls.append(args) or counts(*args)
+
+        monkeypatch.setattr(matchers, "_kernel", counted_kernel)
+        leaves, trace = match1(t1, t2, optimal_delta_match1()[0])
+        assert len(trace.steps) == 4096 and trace.counts()["skip-left"] == 4083
+        assert len(calls) == 12
+
+    def test_skip_runs_few_lines(self):
+        """Against a rooted caterpillar, a step that passes a spine leaf
+        runs the skip loop only: at most 16 lines of ``matchers`` and
+        ``treecore`` per step, where the kernel's step ran about 29."""
+        t1 = gen_balanced(11)
+        for t2 in (gen_caterpillar(2048, rooted=True), parse_newick(self.spine_text(range(1, 2049), left=False))):
+            t1.dfs().pos, t2.dfs().pos, t1.height  # built before the count: they are not the walk's
+            (leaves, trace), lines = lines_run(lambda: _match1_walk(t1, t2, DELTA1), matchers, treecore)
+            assert trace.counts()["skip-left"] == 2036 and len(trace.steps) == 2048
+            assert (leaves, trace) == match1_walk_by_scans(t1, t2, DELTA1)
+            assert lines <= 16 * len(trace.steps), lines
 
 
 class TestPadding:
